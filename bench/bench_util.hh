@@ -69,13 +69,6 @@ struct Options
      */
     std::size_t raceCap = 0;
     /**
-     * In-run parallel simulation (SystemConfig::simThreads): 0 keeps
-     * the serial single-queue path; N >= 1 runs every cell on the
-     * PDES engine with N threads. Engine output is bitwise identical
-     * for every N, so any value is safe for figure regeneration.
-     */
-    unsigned simThreads = 0;
-    /**
      * Devices in the machine (MachineTopology::devices): each device
      * gets its own mesh + L2 banks + CUs, joined by the inter-device
      * link. 1 (the default) reproduces the single-device machine
@@ -256,11 +249,6 @@ commonFlags()
          [](Options &o, ull num, const char *) {
              o.maxCycles = static_cast<Tick>(num);
          }},
-        {"--sim-threads", FlagSpec::Kind::Number, 1, 1024,
-         "a thread count in [1, 1024]",
-         [](Options &o, ull num, const char *) {
-             o.simThreads = static_cast<unsigned>(num);
-         }},
         {"--devices", FlagSpec::Kind::Number, 1, 64,
          "a device count in [1, 64]",
          [](Options &o, ull num, const char *) {
@@ -359,7 +347,6 @@ runCell(const std::string &workload_name, const ProtocolConfig &proto,
     config.observability.traceEnabled = !opts.tracePath.empty();
     config.checking.raceCheckEnabled = opts.raceCheck;
     config.checking.raceRecordCap = opts.raceCap;
-    config.execution.simThreads = opts.simThreads;
     if (opts.maxCycles != 0)
         config.execution.maxCycles = opts.maxCycles;
     if (tweak)

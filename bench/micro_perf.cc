@@ -13,7 +13,6 @@
 #include "mem/mshr.hh"
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -137,76 +136,6 @@ BM_RegionMapLineMask(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_RegionMapLineMask);
-
-static void
-BM_WindowBarrier(benchmark::State &state)
-{
-    // One PDES window round-trip — publish, run every shard, rejoin —
-    // with 64 busy domains packed onto state.range(0) threads. This is
-    // the per-window fixed cost the engine amortizes against the
-    // events each window retires.
-    const unsigned threads = static_cast<unsigned>(state.range(0));
-    EventQueue coordinator;
-    PdesEngine engine(64, threads, 4, coordinator);
-    int sink = 0;
-    // Self-rescheduling tick per domain: every window retires exactly
-    // one event per shard and leaves the next one pending.
-    struct Ticker
-    {
-        PdesEngine *engine;
-        unsigned d;
-        int *sink;
-        void
-        operator()() const
-        {
-            ++*sink;
-            EventQueue &shard = engine->shard(d);
-            shard.schedule(shard.now() + 4, Ticker{engine, d, sink});
-        }
-    };
-    for (unsigned d = 0; d < 64; ++d)
-        engine.shard(d).schedule(2, Ticker{&engine, d, &sink});
-    Tick end = 4;
-    for (auto _ : state) {
-        engine.benchWindow(end);
-        end += 4;
-    }
-    benchmark::DoNotOptimize(sink);
-    state.SetLabel("64 domains, " + std::to_string(threads) +
-                   " thread(s)");
-}
-BENCHMARK(BM_WindowBarrier)->Arg(1)->Arg(2)->Arg(4);
-
-static void
-BM_DomainFifo(benchmark::State &state)
-{
-    // Cross-domain send deposit + canonical collection: 16 domains
-    // each push 8 sends per window, then the barrier merges them in
-    // (tick, domain, sequence) order — the engine's per-window
-    // cross-domain bookkeeping cost.
-    EventQueue coordinator;
-    PdesEngine engine(16, 1, 8, coordinator);
-    std::size_t sink = 0;
-    for (auto _ : state) {
-        for (unsigned d = 0; d < 16; ++d) {
-            PdesEngine::DomainScope scope(static_cast<int>(d));
-            for (unsigned i = 0; i < 8; ++i) {
-                PdesEngine::MeshSend send;
-                send.src = static_cast<NodeId>(d);
-                send.dst = static_cast<NodeId>((d + 1) % 16);
-                send.flits = 5;
-                send.sent = i;
-                engine.pushSend(std::move(send));
-            }
-        }
-        std::vector<PdesEngine::MeshSend> &sends =
-            engine.collectSends();
-        sink += sends.size();
-        sends.clear();
-    }
-    benchmark::DoNotOptimize(sink);
-}
-BENCHMARK(BM_DomainFifo);
 
 static void
 BM_EndToEndNN(benchmark::State &state)

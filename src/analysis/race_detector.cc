@@ -6,7 +6,6 @@
 
 #include "runner/json_writer.hh"
 #include "sim/logging.hh"
-#include "sim/pdes.hh"
 
 namespace nosync
 {
@@ -256,67 +255,8 @@ RaceDetector::checkAndRecordWrite(unsigned slot, Addr addr, Tick tick,
     word.readers.clear();
 }
 
-bool
-RaceDetector::stage(StagedOp op)
-{
-    if (_stages.empty())
-        return false;
-    const int d = PdesEngine::currentDomain();
-    if (d < 0)
-        return false;
-    _stages[static_cast<unsigned>(d)].ops.push_back(std::move(op));
-    return true;
-}
-
-void
-RaceDetector::enableDomainStaging(unsigned domains)
-{
-    _stages = std::vector<StageLane>(domains);
-}
-
-void
-RaceDetector::drainStaged()
-{
-    _stageBuf.clear();
-    for (StageLane &lane : _stages) {
-        for (StagedOp &op : lane.ops)
-            _stageBuf.push_back(std::move(op));
-        lane.ops.clear();
-    }
-    if (_stageBuf.empty())
-        return;
-    // Stable sort over the domain-major concatenation: same-tick ties
-    // resolve by (domain, deposit order), independent of how domains
-    // were packed onto workers.
-    std::stable_sort(_stageBuf.begin(), _stageBuf.end(),
-                     [](const StagedOp &a, const StagedOp &b) {
-                         return a.tick < b.tick;
-                     });
-    for (const StagedOp &op : _stageBuf) {
-        switch (op.kind) {
-          case StagedOp::kRead:
-            applyDataRead(op.slot, op.addr, op.tick);
-            break;
-          case StagedOp::kWrite:
-            applyDataWrite(op.slot, op.addr, op.tick);
-            break;
-          default:
-            applySyncPerformed(op.op, op.tick);
-            break;
-        }
-    }
-}
-
 void
 RaceDetector::dataRead(unsigned slot, Addr addr, Tick tick)
-{
-    if (stage(StagedOp{StagedOp::kRead, slot, addr, tick, SyncOp{}}))
-        return;
-    applyDataRead(slot, addr, tick);
-}
-
-void
-RaceDetector::applyDataRead(unsigned slot, Addr addr, Tick tick)
 {
     ++_dataAccesses;
     checkAndRecordRead(slot, addr, tick, AccessKind::Load);
@@ -324,14 +264,6 @@ RaceDetector::applyDataRead(unsigned slot, Addr addr, Tick tick)
 
 void
 RaceDetector::dataWrite(unsigned slot, Addr addr, Tick tick)
-{
-    if (stage(StagedOp{StagedOp::kWrite, slot, addr, tick, SyncOp{}}))
-        return;
-    applyDataWrite(slot, addr, tick);
-}
-
-void
-RaceDetector::applyDataWrite(unsigned slot, Addr addr, Tick tick)
 {
     ++_dataAccesses;
     checkAndRecordWrite(slot, addr, tick, AccessKind::Store);
@@ -343,14 +275,6 @@ RaceDetector::applyDataWrite(unsigned slot, Addr addr, Tick tick)
 
 void
 RaceDetector::syncPerformed(const SyncOp &op, Tick tick)
-{
-    if (stage(StagedOp{StagedOp::kSync, op.tb, op.addr, tick, op}))
-        return;
-    applySyncPerformed(op, tick);
-}
-
-void
-RaceDetector::applySyncPerformed(const SyncOp &op, Tick tick)
 {
     if (op.tb == kNoRaceSlot)
         return; // issued outside race checking (unit-test driving)

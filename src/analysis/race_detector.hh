@@ -206,22 +206,6 @@ class RaceDetector
      */
     void tbFinished(unsigned slot);
 
-    // PDES engine mode ------------------------------------------------
-
-    /**
-     * Give every domain a private staging lane: access-stream hooks
-     * called during the engine's parallel phase append to their
-     * domain's lane instead of mutating the vector-clock state;
-     * drainStaged() replays the lanes at each window barrier in
-     * canonical (tick, domain, deposit) order, which is the engine's
-     * coherence order. TB lifecycle hooks (tbStarted/tbFinished) run
-     * in coordinator context and stay direct.
-     */
-    void enableDomainStaging(unsigned domains);
-
-    /** Replay and clear all staging lanes (window barrier). */
-    void drainStaged();
-
     // Functional access stream (TbContext) ----------------------------
 
     /** Data load issued by @p slot at @p addr. */
@@ -296,33 +280,6 @@ class RaceDetector
         Clock drf;                   ///< shadow: every release
     };
 
-    /** One staged access-stream call (engine parallel phase). */
-    struct StagedOp
-    {
-        static constexpr std::uint8_t kRead = 0;
-        static constexpr std::uint8_t kWrite = 1;
-        static constexpr std::uint8_t kSync = 2;
-
-        std::uint8_t kind = kRead;
-        std::uint32_t slot = 0;
-        Addr addr = 0;
-        Tick tick = 0;
-        SyncOp op{}; ///< kSync only
-    };
-
-    /** Per-domain staging lane (engine mode). */
-    struct alignas(64) StageLane
-    {
-        std::vector<StagedOp> ops;
-    };
-
-    /** Stage the call if inside a domain; false = apply directly. */
-    bool stage(StagedOp op);
-
-    void applyDataRead(unsigned slot, Addr addr, Tick tick);
-    void applyDataWrite(unsigned slot, Addr addr, Tick tick);
-    void applySyncPerformed(const SyncOp &op, Tick tick);
-
     static void join(Clock &into, const Clock &from);
     static std::uint32_t at(const Clock &clock, std::uint32_t slot);
 
@@ -350,9 +307,6 @@ class RaceDetector
 
     std::unordered_map<Addr, ShadowWord> _shadow;
     std::unordered_map<Addr, SyncVar> _syncVars;
-
-    std::vector<StageLane> _stages;
-    std::vector<StagedOp> _stageBuf;
 
     std::vector<RaceRecord> _races;
     std::set<std::tuple<Addr, std::uint32_t, std::uint32_t>> _seen;

@@ -43,26 +43,6 @@ System::System(const SystemConfig &config) : _config(config)
     // private map. Pure layout; contents are unchanged.
     _memory.setInterleave(num_nodes);
 
-    if (_config.execution.simThreads >= 1) {
-        // Lookahead: the earliest a cross-node message can arrive is
-        // sendTick + hopLatency + flits with flits >= 1 (the
-        // inter-device link is at least as slow — validate() enforces
-        // link.latency >= hopLatency), and a delivery policy may only
-        // move arrivals later — so a window of hopLatency + 1 cycles
-        // never needs intra-window cross-domain delivery.
-        _engine = std::make_unique<PdesEngine>(
-            num_nodes, _config.execution.simThreads,
-            topo.mesh.hopLatency + 1, _eq);
-        _mesh->setEngine(_engine.get());
-        if (_faults)
-            _faults->enableLanes(num_nodes);
-        if (_trace)
-            _trace->enableDomainStaging(num_nodes);
-        if (_races)
-            _races->enableDomainStaging(num_nodes);
-        _energy->enableDomainLanes(num_nodes);
-    }
-
     bool denovo =
         _config.protocol.protocol == CoherenceProtocol::Denovo;
 
@@ -73,13 +53,13 @@ System::System(const SystemConfig &config) : _config(config)
         std::string name = "l2b" + std::to_string(node);
         if (denovo) {
             _denovoBanks.push_back(std::make_unique<DenovoL2Bank>(
-                name, eqFor(node), _stats, *_energy, *_mesh,
+                name, _eq, _stats, *_energy, *_mesh,
                 static_cast<NodeId>(node), _memory, _config.geometry,
                 _config.timings, _trace.get()));
             _l2Banks.push_back(_denovoBanks.back().get());
         } else {
             _gpuBanks.push_back(std::make_unique<GpuL2Bank>(
-                name, eqFor(node), _stats, *_energy, *_mesh,
+                name, _eq, _stats, *_energy, *_mesh,
                 static_cast<NodeId>(node), _memory, _config.geometry,
                 _config.timings, _trace.get()));
             _l2Banks.push_back(_gpuBanks.back().get());
@@ -97,20 +77,18 @@ System::System(const SystemConfig &config) : _config(config)
             for (auto &bank : _denovoBanks)
                 banks.push_back(bank.get());
             _denovoL1s.push_back(std::make_unique<DenovoL1Cache>(
-                name, eqFor(static_cast<unsigned>(node)), _stats,
-                *_energy, *_mesh, node, _config.protocol,
-                std::move(banks), _regions, _config.geometry,
-                _config.timings, _trace.get()));
+                name, _eq, _stats, *_energy, *_mesh, node,
+                _config.protocol, std::move(banks), _regions,
+                _config.geometry, _config.timings, _trace.get()));
             _l1s.push_back(_denovoL1s.back().get());
         } else {
             std::vector<GpuL2Bank *> banks;
             for (auto &bank : _gpuBanks)
                 banks.push_back(bank.get());
             _gpuL1s.push_back(std::make_unique<GpuL1Cache>(
-                name, eqFor(static_cast<unsigned>(node)), _stats,
-                *_energy, *_mesh, node, _config.protocol,
-                std::move(banks), _config.geometry, _config.timings,
-                _trace.get()));
+                name, _eq, _stats, *_energy, *_mesh, node,
+                _config.protocol, std::move(banks), _config.geometry,
+                _config.timings, _trace.get()));
             _l1s.push_back(_gpuL1s.back().get());
         }
     }
@@ -189,14 +167,6 @@ System::declareStreaming(Addr base, Addr bytes)
 void
 System::collectMetrics(RunResult &result)
 {
-    if (_engine) {
-        // Fold the per-domain engine lanes into the stats Vectors (in
-        // node order, so the folded totals are packing-independent)
-        // before anything below reads them.
-        _mesh->foldEngineStats();
-        _energy->foldLanes();
-    }
-
     // Network energy accrues from the final flit counts.
     _energy->flitCrossings(_mesh->totalFlitCrossings());
 
@@ -234,23 +204,12 @@ System::run(Workload &workload)
 
     auto host_start = std::chrono::steady_clock::now();
     auto stamp_host = [&](RunResult &r) {
-        r.host.eventsExecuted =
-            _eq.executed() +
-            (_engine ? _engine->executed() : std::uint64_t{0});
+        r.host.eventsExecuted = _eq.executed();
         r.host.millis = std::chrono::duration<double, std::milli>(
                             std::chrono::steady_clock::now() -
                             host_start)
                             .count();
     };
-
-    fatal_if(_engine && _tbScheduler,
-             "--sim-threads is incompatible with exploration "
-             "scheduling (model checking is inherently serial)");
-    fatal_if(_engine &&
-                 _mesh->deliveryPolicy() != nullptr &&
-                 _mesh->deliveryPolicy() != _faults.get(),
-             "--sim-threads supports only the config's own fault "
-             "injector as delivery policy");
 
     workload.init(*this);
     // Conflicting region declarations (an address covered by two
@@ -261,15 +220,10 @@ System::run(Workload &workload)
     if (_races)
         _races->setSuppressions(workload.raceSuppressions());
 
-    std::vector<NodeId> cu_nodes;
-    cu_nodes.reserve(_l1s.size());
-    for (unsigned cu = 0; cu < _l1s.size(); ++cu)
-        cu_nodes.push_back(_config.topology.nodeOfCu(cu));
     GpuDevice device(_eq, _stats, *_energy, _l1s, workload,
                      _config.execution.seed,
                      _config.execution.kernelLaunchLatency,
-                     _trace.get(), _races.get(), _tbScheduler,
-                     _engine.get(), std::move(cu_nodes));
+                     _trace.get(), _races.get(), _tbScheduler);
 
     bool done = false;
     Tick done_tick = 0;
@@ -286,51 +240,22 @@ System::run(Workload &workload)
         _config.checking.checkPeriod ? _config.checking.checkPeriod : 0;
     std::vector<std::string> sweep_violations;
 
-    if (_engine) {
-        // Engine mode: the window loop replaces the step loop. The
-        // run quiesces naturally — windows keep closing until every
-        // shard and the coordinator drain (bounded by maxCycles), so
-        // in-flight protocol traffic lands before inspection, exactly
-        // like the serial quiesce below. Invariant sweeps move to
-        // window barriers, where all shards sit at the window end.
-        PdesEngine::Hooks hooks;
-        hooks.preBarrier = [this](Tick) {
-            if (_races)
-                _races->drainStaged();
-            if (_trace)
-                _trace->drainStaged();
-        };
-        hooks.drainSends =
-            [this](std::vector<PdesEngine::MeshSend> &sends,
-                   Tick end) { _mesh->drainEngineSends(sends, end); };
-        hooks.atBarrier = [&](Tick end) {
-            if (!done && next_sweep && end >= next_sweep) {
-                sweep_violations = checker.sweepRacy();
-                if (!sweep_violations.empty())
-                    return true; // fail loudly, with state intact
-                next_sweep = end + _config.checking.checkPeriod;
-            }
-            return false;
-        };
-        _engine->run(_config.execution.maxCycles, hooks);
-    } else {
-        while (!done && !_eq.empty() &&
-               _eq.now() < _config.execution.maxCycles) {
-            _eq.step();
-            if (next_sweep && _eq.now() >= next_sweep) {
-                sweep_violations = checker.sweepRacy();
-                if (!sweep_violations.empty())
-                    break; // fail loudly, with state intact
-                next_sweep = _eq.now() + _config.checking.checkPeriod;
-            }
+    while (!done && !_eq.empty() &&
+           _eq.now() < _config.execution.maxCycles) {
+        _eq.step();
+        if (next_sweep && _eq.now() >= next_sweep) {
+            sweep_violations = checker.sweepRacy();
+            if (!sweep_violations.empty())
+                break; // fail loudly, with state intact
+            next_sweep = _eq.now() + _config.checking.checkPeriod;
         }
+    }
 
-        if (done) {
-            // Quiesce: in-flight protocol traffic (e.g. eviction
-            // writebacks racing the final drain) must land before the
-            // hierarchy is inspected for results.
-            _eq.run(_config.execution.maxCycles);
-        }
+    if (done) {
+        // Quiesce: in-flight protocol traffic (e.g. eviction
+        // writebacks racing the final drain) must land before the
+        // hierarchy is inspected for results.
+        _eq.run(_config.execution.maxCycles);
     }
 
     RunResult result;

@@ -31,7 +31,6 @@
 #include "mem/functional_mem.hh"
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 #include "sim/stats.hh"
 #include "trace/trace_sink.hh"
 
@@ -141,9 +140,6 @@ class System : public WorkloadEnv
     // Component access (tests, benches) -------------------------------
     const SystemConfig &config() const { return _config; }
     EventQueue &eventQueue() { return _eq; }
-
-    /** PDES engine; nullptr unless config().simThreads >= 1. */
-    PdesEngine *engine() { return _engine.get(); }
     stats::StatSet &stats() { return _stats; }
     Mesh &mesh() { return *_mesh; }
     FaultInjector *faults() { return _faults.get(); }
@@ -256,18 +252,8 @@ class System : public WorkloadEnv
     /** Fold the final flit/energy tallies into @p result. */
     void collectMetrics(RunResult &result);
 
-    /** Event queue owning @p node's components (engine shard when
-     *  the PDES engine is active, the single queue otherwise). */
-    EventQueue &
-    eqFor(unsigned node)
-    {
-        return _engine ? _engine->shard(node) : _eq;
-    }
-
     SystemConfig _config;
     EventQueue _eq;
-    /** Engine for --sim-threads runs; _eq becomes its coordinator. */
-    std::unique_ptr<PdesEngine> _engine;
     stats::StatSet _stats;
     FunctionalMem _memory;
     RegionMap _regions;

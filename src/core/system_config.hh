@@ -4,7 +4,7 @@
  * configuration), grouped into named sub-structs:
  *
  *   - `topology`       what machine to build (devices x mesh + link)
- *   - `execution`      how to run it (seed, watchdog, threads, faults)
+ *   - `execution`      how to run it (seed, watchdog, faults)
  *   - `checking`       correctness machinery (invariant sweeps, races)
  *   - `observability`  tracing
  *
@@ -47,7 +47,7 @@ struct SystemConfig
     CacheTimings timings{};
     EnergyParams energy{};
 
-    /** How the run executes: seeding, pacing, threading, chaos. */
+    /** How the run executes: seeding, pacing, chaos. */
     struct Execution
     {
         /** Seed for workload randomness (UTS shape, backoff jitter). */
@@ -60,14 +60,10 @@ struct SystemConfig
         Tick maxCycles = 2'000'000'000ull;
 
         /**
-         * Parallel in-run simulation (--sim-threads=N): 0 (the
-         * default) keeps the single-queue serial path, byte-for-byte.
-         * N >= 1 switches the run onto the PDES engine — one domain
-         * per mesh node, each advancing its own event-queue shard
-         * within conservative windows of hopLatency + 1 cycles.
-         * Engine output is bitwise identical for every N (including
-         * 1): the merged event order depends only on the fixed
-         * per-node partition, never on thread packing.
+         * Always 0; validate() refuses any other value. In-run
+         * parallel simulation was removed (DESIGN.md section 15). The
+         * field is kept only because the benchmark driver
+         * (perfbench/main.cc) still assigns it.
          */
         unsigned simThreads = 0;
 
@@ -174,19 +170,10 @@ struct SystemConfig
         if (topology.devices > 1) {
             if (topology.link.cyclesPerFlit < 1)
                 return "inter-device link needs cyclesPerFlit >= 1";
-            // The PDES window is hopLatency + 1 cycles; a faster
-            // inter-device link would allow intra-window cross-domain
-            // delivery and break the conservative lookahead.
-            if (topology.link.latency < topology.mesh.hopLatency)
-                return "inter-device link latency (" +
-                       std::to_string(topology.link.latency) +
-                       ") must be at least the mesh hop latency (" +
-                       std::to_string(topology.mesh.hopLatency) +
-                       ") to preserve the PDES lookahead window";
         }
-        if (execution.simThreads > 1024)
-            return "simThreads must be in [0, 1024], got " +
-                   std::to_string(execution.simThreads);
+        if (execution.simThreads != 0)
+            return "simThreads must be 0: in-run parallel simulation "
+                   "was removed (DESIGN.md section 15)";
         if (execution.maxCycles == 0)
             return "maxCycles watchdog cannot be zero";
         return "";

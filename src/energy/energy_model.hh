@@ -13,12 +13,10 @@
 #ifndef ENERGY_ENERGY_MODEL_HH
 #define ENERGY_ENERGY_MODEL_HH
 
-#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "sim/pdes.hh"
 #include "sim/stats.hh"
 
 namespace nosync
@@ -78,33 +76,6 @@ class EnergyModel
 
     const EnergyParams &params() const { return _params; }
 
-    /**
-     * PDES engine mode: give every domain a private accumulator lane
-     * so hot-path add() calls from the parallel phase touch only
-     * their own cache line. foldLanes() folds the lanes into the
-     * stats Vector in domain order before metrics are read; every
-     * per-event constant is an integer number of picojoules, so the
-     * folded sums are exact in any order and independent of packing.
-     */
-    void
-    enableDomainLanes(unsigned domains)
-    {
-        _lanes = std::vector<Lane>(domains);
-    }
-
-    /** Fold and zero all domain lanes (before reading metrics). */
-    void
-    foldLanes()
-    {
-        for (Lane &lane : _lanes) {
-            for (std::size_t c = 0; c < kNumEnergyComponents; ++c) {
-                if (lane.pj[c] != 0.0)
-                    _energy->add(c, lane.pj[c]);
-                lane.pj[c] = 0.0;
-            }
-        }
-    }
-
     void
     l1Access(double count = 1.0)
     {
@@ -157,29 +128,14 @@ class EnergyModel
     double total() const { return _energy->total(); }
 
   private:
-    /** Per-domain accumulator (engine mode). */
-    struct alignas(64) Lane
-    {
-        std::array<double, kNumEnergyComponents> pj{};
-    };
-
     void
     add(EnergyComponent c, double pj)
     {
-        if (!_lanes.empty()) {
-            const int d = PdesEngine::currentDomain();
-            if (d >= 0) {
-                _lanes[static_cast<unsigned>(d)]
-                    .pj[static_cast<std::size_t>(c)] += pj;
-                return;
-            }
-        }
         _energy->add(static_cast<std::size_t>(c), pj);
     }
 
     EnergyParams _params;
     stats::Handle<stats::Vector> _energy;
-    std::vector<Lane> _lanes;
 };
 
 } // namespace nosync

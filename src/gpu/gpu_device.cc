@@ -12,17 +12,15 @@ GpuDevice::GpuDevice(EventQueue &eq, stats::StatSet &stats,
                      Cycles kernel_launch_latency,
                      trace::TraceSink *trace,
                      analysis::RaceDetector *races,
-                     TbScheduler *sched, PdesEngine *engine,
-                     std::vector<NodeId> cu_nodes)
-    : SimObject("gpu", eq), _l1s(std::move(cu_l1s)),
-      _cuNodes(std::move(cu_nodes)), _energy(energy),
+                     TbScheduler *sched)
+    : SimObject("gpu", eq), _l1s(std::move(cu_l1s)), _energy(energy),
       _workload(workload), _seed(seed),
       _launchLatency(kernel_launch_latency),
       _kernelsLaunched(stats.registerScalar("gpu.kernels_launched",
                                             "kernels launched")),
       _tbsExecuted(stats.registerScalar("gpu.tbs_executed",
                                         "thread blocks executed")),
-      _trace(trace), _races(races), _sched(sched), _engine(engine)
+      _trace(trace), _races(races), _sched(sched)
 {
     panic_if(_l1s.empty(), "GPU device with no compute units");
 }
@@ -78,13 +76,8 @@ GpuDevice::startTbs()
         unsigned race_slot = analysis::kNoRaceSlot;
         if (_races)
             race_slot = _races->tbStarted(_kernel, tb, cu);
-        // With the engine, a TB's coroutine lives on its CU's shard
-        // (the mesh node hosting the CU's L1): every wait it
-        // schedules lands in that domain.
-        EventQueue &tb_eq =
-            _engine ? _engine->shard(shardOf(cu)) : eventQueue();
         _contexts.push_back(std::make_unique<TbContext>(
-            tb_eq, *_l1s[cu], _energy, Rng(tb_seed), _kernel,
+            eventQueue(), *_l1s[cu], _energy, Rng(tb_seed), _kernel,
             tb, cu, tb_on_cu, num_cus,
             (info.numTbs + num_cus - 1) / num_cus, _trace, _races,
             race_slot, _sched));
@@ -95,19 +88,9 @@ GpuDevice::startTbs()
     for (auto &ctx : _contexts) {
         unsigned cu = ctx->cu();
         SimTask task = _workload.tbMain(*ctx);
-        // TB completion fans out to device-wide state; with the
-        // engine it is deposited as a barrier notification so it
-        // runs in canonical order in coordinator context.
         task.start([this, cu, c = ctx.get()] {
-            if (_engine) {
-                _engine->postNotification([this, cu, c] {
-                    c->markDone();
-                    onTbDone(cu);
-                });
-            } else {
-                c->markDone();
-                onTbDone(cu);
-            }
+            c->markDone();
+            onTbDone(cu);
         });
     }
 }
@@ -144,18 +127,8 @@ GpuDevice::onTbDone(unsigned cu)
     _drainsLeft = 0;
     for (std::size_t cu_idx = 0; cu_idx < _l1s.size(); ++cu_idx)
         ++_drainsLeft;
-    for (L1Controller *l1 : _l1s) {
-        // A drain ack can fire from inside the draining CU's domain
-        // (the last writethrough ack arriving at its L1); the count
-        // it decrements is device-wide, so with the engine the ack is
-        // deferred to the barrier like TB completions.
-        l1->kernelEnd([this] {
-            if (_engine)
-                _engine->postNotification([this] { onDrainAck(); });
-            else
-                onDrainAck();
-        });
-    }
+    for (L1Controller *l1 : _l1s)
+        l1->kernelEnd([this] { onDrainAck(); });
 }
 
 void

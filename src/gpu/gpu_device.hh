@@ -20,7 +20,6 @@
 #include "energy/energy_model.hh"
 #include "gpu/tb_context.hh"
 #include "gpu/workload.hh"
-#include "sim/pdes.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
@@ -31,21 +30,13 @@ namespace nosync
 class GpuDevice : public SimObject
 {
   public:
-    /**
-     * @p cu_nodes maps each global CU index to the mesh node hosting
-     * its L1 (and hence its PDES shard). Empty means the classic
-     * identity mapping (CU i lives on node i), which holds for every
-     * one-device machine.
-     */
     GpuDevice(EventQueue &eq, stats::StatSet &stats,
               EnergyModel &energy,
               std::vector<L1Controller *> cu_l1s, Workload &workload,
               std::uint64_t seed, Cycles kernel_launch_latency = 300,
               trace::TraceSink *trace = nullptr,
               analysis::RaceDetector *races = nullptr,
-              TbScheduler *sched = nullptr,
-              PdesEngine *engine = nullptr,
-              std::vector<NodeId> cu_nodes = {});
+              TbScheduler *sched = nullptr);
 
     /** Run every kernel; @p on_complete fires after the last drain. */
     void run(DoneCallback on_complete);
@@ -64,17 +55,7 @@ class GpuDevice : public SimObject
     void onDrainAck();
     void onKernelDrained();
 
-    /** Shard hosting CU @p cu's coroutine in engine mode. */
-    unsigned
-    shardOf(unsigned cu) const
-    {
-        return _cuNodes.empty()
-                   ? cu
-                   : static_cast<unsigned>(_cuNodes[cu]);
-    }
-
     std::vector<L1Controller *> _l1s;
-    std::vector<NodeId> _cuNodes;
     EnergyModel &_energy;
     Workload &_workload;
     std::uint64_t _seed;
@@ -96,14 +77,6 @@ class GpuDevice : public SimObject
     analysis::RaceDetector *_races = nullptr;
     /** Exploration scheduler; nullptr outside model checking. */
     TbScheduler *_sched = nullptr;
-    /**
-     * PDES engine; nullptr in serial runs. With an engine, each TB's
-     * coroutine runs on its CU's shard, and per-TB/per-CU completion
-     * callbacks — which mutate device-wide counters and fan out to
-     * every L1 — are deferred to the engine's window barriers as
-     * coordinator notifications instead of running inside a domain.
-     */
-    PdesEngine *_engine = nullptr;
 };
 
 } // namespace nosync

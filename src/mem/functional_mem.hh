@@ -27,10 +27,12 @@ using LineData = std::array<std::uint32_t, kWordsPerLine>;
  * Sparse word-addressable memory image; unwritten words read as 0.
  *
  * The image can be interleaved into independent shards keyed by line
- * number — the same `line % shards` mapping the L2 banks use — so
- * that under the PDES engine each bank (and therefore each domain)
- * touches a private map with no cross-thread sharing. Interleaving is
- * pure internal layout: contents and behaviour are unchanged.
+ * number — the same `line % shards` mapping the L2 banks use — so each
+ * bank's misses touch a smaller private map. Interleaving is pure
+ * internal layout: contents and behaviour are unchanged. It is kept
+ * because it is faster: collapsing the shards into one map made the
+ * benchmark's wall_s about 2.5% worse on global_sync and 3% on apps
+ * (perfbench, three 30 s runs each, 4-core x86 host).
  */
 class FunctionalMem
 {

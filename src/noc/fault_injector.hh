@@ -26,10 +26,8 @@
 
 #include <cstdint>
 #include <unordered_map>
-#include <vector>
 
 #include "noc/delivery_policy.hh"
-#include "sim/pdes.hh"
 #include "sim/rng.hh"
 #include "sim/types.hh"
 
@@ -73,24 +71,6 @@ class FaultInjector : public DeliveryPolicy
     const FaultConfig &config() const { return _config; }
 
     /**
-     * PDES engine mode: give every mesh node a private fault lane — a
-     * node-seeded Rng plus the node's local-delivery FIFO clamp — so
-     * domains roll faults concurrently without sharing the main Rng.
-     * Lane seeds derive deterministically from (seed, node), so the
-     * roll sequence each node sees depends only on its own event
-     * order, never on how domains are packed onto threads. Cross-node
-     * messages are adjusted at window barriers (serial context) with
-     * the main Rng in canonical drain order.
-     */
-    void
-    enableLanes(unsigned nodes)
-    {
-        _lanes = std::vector<Lane>(nodes);
-        for (unsigned n = 0; n < nodes; ++n)
-            _lanes[n].rng = Rng(laneSeed(_config.seed, n));
-    }
-
-    /**
      * Perturb a message nominally arriving at @p nominal on the
      * (src, dst) pair, returning the faulted arrival tick. Clamps to
      * the pair's latest scheduled arrival so same-pair FIFO holds.
@@ -98,33 +78,17 @@ class FaultInjector : public DeliveryPolicy
     Tick
     adjust(NodeId src, NodeId dst, Tick nominal) override
     {
-        Rng &rng = contextRng();
-        std::uint64_t *jittered = &_jittered;
-        std::uint64_t *delayed = &_delayed;
-        const int d = _lanes.empty() ? -1
-                                     : PdesEngine::currentDomain();
-        if (d >= 0) {
-            jittered = &_lanes[static_cast<unsigned>(d)].jittered;
-            delayed = &_lanes[static_cast<unsigned>(d)].delayed;
-        }
         Tick t = nominal;
-        if (rng.chance(_config.jitterProb) && _config.jitterMax > 0) {
-            t += rng.range(1, _config.jitterMax);
-            ++*jittered;
+        if (_rng.chance(_config.jitterProb) && _config.jitterMax > 0) {
+            t += _rng.range(1, _config.jitterMax);
+            ++_jittered;
         }
-        if (rng.chance(_config.reorderProb) &&
+        if (_rng.chance(_config.reorderProb) &&
             _config.reorderMax > 0) {
-            t += rng.range(1, _config.reorderMax);
-            ++*delayed;
+            t += _rng.range(1, _config.reorderMax);
+            ++_delayed;
         }
-        // With lanes enabled, node-local traffic clamps against the
-        // node's lane (written in-window by the owning domain and at
-        // barriers by the serial thread — never concurrently);
-        // cross-node traffic is only adjusted in serial context,
-        // where the shared map is safe.
-        Tick &last = (!_lanes.empty() && src == dst)
-                         ? _lanes[static_cast<unsigned>(src)].lastLocal
-                         : _lastArrival[pairKey(src, dst)];
+        Tick &last = _lastArrival[pairKey(src, dst)];
         if (t < last)
             t = last; // preserve same-pair FIFO
         last = t;
@@ -135,15 +99,9 @@ class FaultInjector : public DeliveryPolicy
     bool
     rollDuplicate() override
     {
-        Rng &rng = contextRng();
-        if (!rng.chance(_config.dupProb))
+        if (!_rng.chance(_config.dupProb))
             return false;
-        const int d = _lanes.empty() ? -1
-                                     : PdesEngine::currentDomain();
-        if (d >= 0)
-            ++_lanes[static_cast<unsigned>(d)].duplicated;
-        else
-            ++_duplicated;
+        ++_duplicated;
         return true;
     }
 
@@ -153,59 +111,15 @@ class FaultInjector : public DeliveryPolicy
     duplicateDelay() override
     {
         Cycles max = _config.dupDelayMax ? _config.dupDelayMax : 1;
-        return static_cast<Cycles>(contextRng().range(1, max));
+        return static_cast<Cycles>(_rng.range(1, max));
     }
 
     // Injection counters (diagnostics / reports) ----------------------
-    std::uint64_t jittered() const { return laneSum(&Lane::jittered) + _jittered; }
-    std::uint64_t delayed() const { return laneSum(&Lane::delayed) + _delayed; }
-    std::uint64_t duplicated() const
-    {
-        return laneSum(&Lane::duplicated) + _duplicated;
-    }
+    std::uint64_t jittered() const { return _jittered; }
+    std::uint64_t delayed() const { return _delayed; }
+    std::uint64_t duplicated() const { return _duplicated; }
 
   private:
-    /** Per-node engine lane; cache-line aligned against false
-     *  sharing between neighbouring domains. */
-    struct alignas(64) Lane
-    {
-        Rng rng{0};
-        Tick lastLocal = 0;
-        std::uint64_t jittered = 0;
-        std::uint64_t delayed = 0;
-        std::uint64_t duplicated = 0;
-    };
-
-    /** splitmix64-style mix of (seed, node) for lane Rng seeds. */
-    static std::uint64_t
-    laneSeed(std::uint64_t seed, unsigned node)
-    {
-        std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (node + 1);
-        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-        return z ^ (z >> 31);
-    }
-
-    /** The calling context's Rng: a domain's lane in-window, the
-     *  main Rng in serial/barrier context or legacy mode. */
-    Rng &
-    contextRng()
-    {
-        if (_lanes.empty())
-            return _rng;
-        const int d = PdesEngine::currentDomain();
-        return d >= 0 ? _lanes[static_cast<unsigned>(d)].rng : _rng;
-    }
-
-    std::uint64_t
-    laneSum(std::uint64_t Lane::*counter) const
-    {
-        std::uint64_t total = 0;
-        for (const Lane &lane : _lanes)
-            total += lane.*counter;
-        return total;
-    }
-
     static std::uint64_t
     pairKey(NodeId src, NodeId dst)
     {
@@ -217,7 +131,6 @@ class FaultInjector : public DeliveryPolicy
 
     FaultConfig _config;
     Rng _rng;
-    std::vector<Lane> _lanes;
     /** Latest arrival tick already scheduled per (src, dst) pair. */
     std::unordered_map<std::uint64_t, Tick> _lastArrival;
 

@@ -180,11 +180,6 @@ Mesh::send(NodeId src, NodeId dst, unsigned flits, TrafficClass cls,
                  static_cast<unsigned>(src) >= numNodes() ||
                  static_cast<unsigned>(dst) >= numNodes(),
              "mesh.send with bad endpoints ", src, " -> ", dst);
-    if (_engine != nullptr) {
-        engineSend(src, dst, flits, cls, std::move(deliver),
-                   idempotent);
-        return;
-    }
     auto cls_idx = static_cast<std::size_t>(cls);
     _messages->add(cls_idx);
     if (_trace) {
@@ -240,227 +235,6 @@ Mesh::send(NodeId src, NodeId dst, unsigned flits, TrafficClass cls,
                      false);
 }
 
-// PDES engine mode ---------------------------------------------------
-
-void
-Mesh::setEngine(PdesEngine *engine)
-{
-    _engine = engine;
-    if (engine != nullptr)
-        _ports = std::vector<EnginePort>(numNodes());
-}
-
-void
-Mesh::engineSend(NodeId src, NodeId dst, unsigned flits,
-                 TrafficClass cls, DeliverFn deliver, bool idempotent)
-{
-    const auto cls_idx = static_cast<std::size_t>(cls);
-    const int d = PdesEngine::currentDomain();
-    if (d >= 0) {
-        // Parallel phase: the sender's controllers live in domain
-        // `src`, so this thread owns port[src] (and, for local
-        // traffic, port[dst] == port[src]).
-        panic_if(d != src, "engine send from node ", src,
-                 " inside domain ", d);
-        EnginePort &port = _ports[static_cast<std::size_t>(src)];
-        port.messages[cls_idx] += 1.0;
-        const Tick now = _engine->shard(static_cast<unsigned>(d)).now();
-        if (_trace) {
-            _trace->record(now, trace::Phase::FlitEnqueue, src, 0, 0,
-                           static_cast<std::uint16_t>(flits));
-        }
-        if (src == dst) {
-            // Local slice traffic never leaves the domain: deliver
-            // through this node's own shard, consulting the policy's
-            // per-node lane so the roll sequence is domain-private.
-            Tick t = now + _topo.mesh.localLatency;
-            if (_delivery != nullptr) {
-                t = _delivery->adjust(src, dst, t);
-                if (idempotent && _delivery->rollDuplicate()) {
-                    Tick dup_t = _delivery->adjust(
-                        src, dst, t + _delivery->duplicateDelay());
-                    port.messages[cls_idx] += 1.0;
-                    scheduleDeliveryEngine(dup_t, now, src, dst, cls,
-                                           flits, deliver, true);
-                }
-            }
-            scheduleDeliveryEngine(t, now, src, dst, cls, flits,
-                                   std::move(deliver), false);
-        } else {
-            port.crossings[cls_idx] +=
-                static_cast<double>(flits) * hops(src, dst);
-            _engine->pushSend(PdesEngine::MeshSend{
-                src, dst, flits, static_cast<unsigned>(cls_idx), now,
-                idempotent, std::move(deliver)});
-        }
-        return;
-    }
-
-    // Barrier/serial context (kernel bring-up and drain callbacks run
-    // by the coordinator): every shard clock sits at the window end,
-    // so the full serial arbitration is safe against the shared link
-    // table and all stats go straight to the Vectors.
-    _messages->add(cls_idx);
-    const Tick now = eventQueue().now();
-    if (_trace) {
-        _trace->record(now, trace::Phase::FlitEnqueue, src, 0, 0,
-                       static_cast<std::uint16_t>(flits));
-    }
-    unsigned num_hops = 0;
-    Tick t;
-    if (src == dst) {
-        t = now + _topo.mesh.localLatency;
-    } else {
-        std::size_t pair = static_cast<std::size_t>(src) * numNodes() +
-                           static_cast<std::size_t>(dst);
-        num_hops = _hopTable[pair];
-        _flitCrossings->add(cls_idx,
-                            static_cast<double>(flits) * num_hops);
-        t = now;
-        const std::uint16_t *link = &_routeLinks[_routeOffset[pair]];
-        for (unsigned h = 0; h < num_hops; ++h, ++link) {
-            Tick &free_at = _linkFree[*link];
-            Tick start = std::max(t, free_at);
-            Tick serialize = static_cast<Tick>(flits) *
-                             _linkFlitCycles[*link];
-            free_at = start + serialize;
-            t = start + serialize + _linkLatency[*link];
-        }
-    }
-    if (_delivery != nullptr) {
-        t = _delivery->adjust(src, dst, t);
-        if (idempotent && _delivery->rollDuplicate()) {
-            Tick dup_t = _delivery->adjust(
-                src, dst, t + _delivery->duplicateDelay());
-            _messages->add(cls_idx);
-            _flitCrossings->add(cls_idx,
-                                static_cast<double>(flits) *
-                                    num_hops);
-            scheduleDeliveryEngine(dup_t, now, src, dst, cls, flits,
-                                   deliver, true);
-        }
-    }
-    scheduleDeliveryEngine(t, now, src, dst, cls, flits,
-                           std::move(deliver), false);
-}
-
-void
-Mesh::drainEngineSends(std::vector<PdesEngine::MeshSend> &sends,
-                       Tick window_end)
-{
-    for (PdesEngine::MeshSend &s : sends) {
-        // Messages and crossings were counted in the sender's lane at
-        // deposit time; here only the shared link walk remains.
-        const auto cls = static_cast<TrafficClass>(s.cls);
-        std::size_t pair = static_cast<std::size_t>(s.src) *
-                               numNodes() +
-                           static_cast<std::size_t>(s.dst);
-        const unsigned num_hops = _hopTable[pair];
-        Tick t = s.sent;
-        const std::uint16_t *link = &_routeLinks[_routeOffset[pair]];
-        for (unsigned h = 0; h < num_hops; ++h, ++link) {
-            Tick &free_at = _linkFree[*link];
-            Tick start = std::max(t, free_at);
-            Tick serialize = static_cast<Tick>(s.flits) *
-                             _linkFlitCycles[*link];
-            free_at = start + serialize;
-            t = start + serialize + _linkLatency[*link];
-        }
-        if (_delivery != nullptr) {
-            t = _delivery->adjust(s.src, s.dst, t);
-            if (s.idempotent && _delivery->rollDuplicate()) {
-                Tick dup_t = _delivery->adjust(
-                    s.src, s.dst, t + _delivery->duplicateDelay());
-                _messages->add(s.cls);
-                _flitCrossings->add(
-                    s.cls, static_cast<double>(s.flits) * num_hops);
-                scheduleDeliveryEngine(dup_t, s.sent, s.src, s.dst,
-                                       cls, s.flits, s.deliver, true);
-            }
-        }
-        panic_if(t < window_end,
-                 "cross-domain arrival ", t, " inside window ending ",
-                 window_end, " (lookahead too large)");
-        scheduleDeliveryEngine(t, s.sent, s.src, s.dst, cls, s.flits,
-                               std::move(s.deliver), false);
-    }
-}
-
-void
-Mesh::scheduleDeliveryEngine(Tick arrives, Tick sent, NodeId src,
-                             NodeId dst, TrafficClass cls,
-                             unsigned flits, DeliverFn deliver,
-                             bool duplicate)
-{
-    // Barrier-context sends (kernel bring-up/drain callbacks run by
-    // the coordinator mid-window) can compute arrivals before the
-    // destination shard's clock, which already sits at the window
-    // end. Clamp up: every shard holds exactly the window-end tick at
-    // barriers, so the clamp is deterministic and thread-independent.
-    // In-window sends always arrive at or after their own shard's
-    // clock, making this a no-op on the parallel path.
-    const Tick dst_now =
-        _engine->shard(static_cast<unsigned>(dst)).now();
-    if (arrives < dst_now)
-        arrives = dst_now;
-    EnginePort &port = _ports[static_cast<std::size_t>(dst)];
-    std::uint32_t slot;
-    if (port.freeRecords.empty()) {
-        slot = static_cast<std::uint32_t>(port.records.size());
-        port.records.emplace_back();
-    } else {
-        slot = port.freeRecords.back();
-        port.freeRecords.pop_back();
-    }
-    InFlightRecord &rec = port.records[slot];
-    // Ids order (destination, schedule sequence); snapshots sort by
-    // (sent, id) so diagnostics stay packing-independent.
-    rec.id = (static_cast<std::uint64_t>(dst + 1) << 40) |
-             port.nextSeq++;
-    rec.msg = InFlightMsg{src, dst, cls, flits, sent, arrives,
-                          duplicate};
-    rec.deliver = std::move(deliver);
-    rec.live = true;
-    ++port.liveMsgs;
-
-    _engine->shard(static_cast<unsigned>(dst))
-        .schedule(arrives,
-                  [this, dst, slot] { deliverSlotEngine(dst, slot); },
-                  EventPriority::NetworkDelivery);
-}
-
-void
-Mesh::deliverSlotEngine(NodeId dst, std::uint32_t slot)
-{
-    EnginePort &port = _ports[static_cast<std::size_t>(dst)];
-    InFlightRecord &rec = port.records[slot];
-    if (_trace) {
-        _trace->record(_engine->shard(static_cast<unsigned>(dst)).now(),
-                       trace::Phase::FlitDeliver, rec.msg.dst, 0, 0,
-                       static_cast<std::uint16_t>(rec.msg.flits));
-    }
-    DeliverFn fn = std::move(rec.deliver);
-    rec.live = false;
-    --port.liveMsgs;
-    port.freeRecords.push_back(slot);
-    fn();
-}
-
-void
-Mesh::foldEngineStats()
-{
-    for (auto &port : _ports) {
-        for (std::size_t c = 0; c < kNumTrafficClasses; ++c) {
-            if (port.messages[c] != 0.0)
-                _messages->add(c, port.messages[c]);
-            if (port.crossings[c] != 0.0)
-                _flitCrossings->add(c, port.crossings[c]);
-            port.messages[c] = 0.0;
-            port.crossings[c] = 0.0;
-        }
-    }
-}
-
 Cycles
 Mesh::uncontendedLatency(NodeId src, NodeId dst, unsigned flits) const
 {
@@ -492,35 +266,19 @@ Mesh::totalFlitCrossings() const
 std::size_t
 Mesh::inFlightCount() const
 {
-    if (_engine == nullptr)
-        return _liveMsgs;
-    std::size_t live = 0;
-    for (const auto &port : _ports)
-        live += port.liveMsgs;
-    return live;
+    return _liveMsgs;
 }
 
 std::vector<InFlightMsg>
 Mesh::inFlightSnapshot() const
 {
     std::vector<const InFlightRecord *> live;
-    if (_engine == nullptr) {
-        for (const auto &rec : _records) {
-            if (rec.live)
-                live.push_back(&rec);
-        }
-    } else {
-        for (const auto &port : _ports) {
-            for (const auto &rec : port.records) {
-                if (rec.live)
-                    live.push_back(&rec);
-            }
-        }
+    for (const auto &rec : _records) {
+        if (rec.live)
+            live.push_back(&rec);
     }
     std::sort(live.begin(), live.end(),
               [](const InFlightRecord *a, const InFlightRecord *b) {
-                  if (a->msg.sent != b->msg.sent)
-                      return a->msg.sent < b->msg.sent;
                   return a->id < b->id;
               });
     std::vector<InFlightMsg> out;

@@ -27,7 +27,6 @@
 #ifndef NOC_MESH_HH
 #define NOC_MESH_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -36,7 +35,6 @@
 #include "noc/topology.hh"
 #include "noc/traffic.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 #include "sim/sim_object.hh"
 #include "sim/small_fn.hh"
 #include "sim/stats.hh"
@@ -126,40 +124,8 @@ class Mesh : public SimObject
     /** Convenience spelling for the chaos-testing policy. */
     void setFaultInjector(FaultInjector *inj) { _delivery = inj; }
 
-    // PDES engine mode ------------------------------------------------
-    /**
-     * Switch the mesh into sharded-engine mode. Per-node ports take
-     * over the in-flight slab and traffic counters so each domain
-     * touches only its own cache lines during the parallel phase;
-     * cross-domain sends are deposited with the engine and arbitrated
-     * against the shared link state at window barriers via
-     * drainEngineSends().
-     */
-    void setEngine(PdesEngine *engine);
-    PdesEngine *engine() { return _engine; }
-
-    /**
-     * Barrier-phase arbitration of one window's cross-domain sends,
-     * pre-sorted by (send tick, source node, deposit sequence). Walks
-     * each route against the shared link-reservation table exactly as
-     * the serial path would, applies the delivery policy with the
-     * main RNG, and schedules every delivery into the destination
-     * shard — all arrivals land at or after @p window_end by the
-     * lookahead bound.
-     */
-    void drainEngineSends(std::vector<PdesEngine::MeshSend> &sends,
-                          Tick window_end);
-
-    /**
-     * Fold the per-node traffic counters into the stats Vectors in
-     * node order (then zero them). Called once before metrics are
-     * read so reported stats are independent of domain packing.
-     */
-    void foldEngineStats();
-
     // Diagnostics -----------------------------------------------------
-    /** Messages injected but not yet delivered, in injection order
-     *  (engine mode: in (send tick, destination, sequence) order). */
+    /** Messages injected but not yet delivered, in injection order. */
     std::vector<InFlightMsg> inFlightSnapshot() const;
 
     /** Number of messages injected but not yet delivered. */
@@ -225,39 +191,6 @@ class Mesh : public SimObject
     std::vector<std::uint32_t> _freeRecords;
     std::size_t _liveMsgs = 0;
     std::uint64_t _nextMsgId = 0;
-
-    /**
-     * Engine-mode per-node port: in-flight slab and traffic counters
-     * owned by one domain during the parallel phase (local sends and
-     * deliveries at that node) and by the barrier thread in between.
-     * Cache-line aligned so neighbouring domains never false-share.
-     */
-    struct alignas(64) EnginePort
-    {
-        std::vector<InFlightRecord> records;
-        std::vector<std::uint32_t> freeRecords;
-        std::size_t liveMsgs = 0;
-        std::uint64_t nextSeq = 0;
-        std::array<double, kNumTrafficClasses> messages{};
-        std::array<double, kNumTrafficClasses> crossings{};
-    };
-
-    /** Engine-mode send dispatch (domain-local vs deposited). */
-    void engineSend(NodeId src, NodeId dst, unsigned flits,
-                    TrafficClass cls, DeliverFn deliver,
-                    bool idempotent);
-
-    /** Engine-mode delivery scheduling into @p dst's shard/port. */
-    void scheduleDeliveryEngine(Tick arrives, Tick sent, NodeId src,
-                                NodeId dst, TrafficClass cls,
-                                unsigned flits, DeliverFn deliver,
-                                bool duplicate);
-
-    /** Deliver and free engine record @p slot of @p dst's port. */
-    void deliverSlotEngine(NodeId dst, std::uint32_t slot);
-
-    PdesEngine *_engine = nullptr;
-    std::vector<EnginePort> _ports;
 
     stats::Handle<stats::Vector> _flitCrossings;
     stats::Handle<stats::Vector> _messages;

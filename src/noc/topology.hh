@@ -40,8 +40,7 @@ struct MeshParams
  */
 struct InterDeviceLinkParams
 {
-    /** One-way link traversal latency (cycles). Must be at least the
-     *  mesh hop latency so the PDES lookahead window stays valid. */
+    /** One-way link traversal latency (cycles). */
     Cycles latency = 24;
     /** Cycles each flit occupies the link (mesh links take 1). */
     Cycles cyclesPerFlit = 4;

@@ -29,15 +29,6 @@ EventQueue::run(Tick limit)
     return _now;
 }
 
-void
-EventQueue::runUntil(Tick end)
-{
-    while (!_events.empty() && _events.top().when < end) {
-        EventFn fn = popTop();
-        fn();
-    }
-}
-
 bool
 EventQueue::step()
 {

@@ -119,23 +119,6 @@ class EventQueue
      */
     Tick run(Tick limit = ~Tick{0});
 
-    /**
-     * Run every event strictly before @p end (exclusive), leaving
-     * now() untouched past the last executed event. The PDES window
-     * loop uses this so events scheduled exactly at a window boundary
-     * run in the next window, after cross-domain traffic for that
-     * tick has been merged.
-     */
-    void runUntil(Tick end);
-
-    /** Advance the clock to @p t if it is behind (never rewinds). */
-    void
-    advanceTo(Tick t)
-    {
-        if (t > _now)
-            _now = t;
-    }
-
     /** Execute at most one event. @return false if queue was empty. */
     bool step();
 

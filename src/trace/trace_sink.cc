@@ -1,6 +1,5 @@
 #include "trace/trace_sink.hh"
 
-#include <algorithm>
 #include <fstream>
 
 #include "sim/logging.hh"
@@ -67,23 +66,6 @@ TraceSink::TraceSink(stats::StatSet &stats, std::size_t capacity)
 std::uint64_t
 TraceSink::beginTxn(TxnClass cls, Tick tick, NodeId node, Addr addr)
 {
-    if (!_stages.empty()) {
-        const int d = PdesEngine::currentDomain();
-        if (d >= 0) {
-            StageLane &lane = _stages[static_cast<unsigned>(d)];
-            // Domain-tagged ids live above the 2^40 serial-id space,
-            // so staged and direct transactions never collide.
-            std::uint64_t id =
-                (static_cast<std::uint64_t>(d + 1) << 40) |
-                lane.nextTxn++;
-            lane.ops.push_back(
-                StagedOp{tick, id, addr,
-                         static_cast<std::int32_t>(node),
-                         StagedOp::kBegin, Phase::L1MissIssue, cls,
-                         0});
-            return id;
-        }
-    }
     std::uint64_t id = _nextTxn++;
     _open.emplace(id, OpenTxn{tick, addr,
                               static_cast<std::int32_t>(node), cls});
@@ -91,63 +73,8 @@ TraceSink::beginTxn(TxnClass cls, Tick tick, NodeId node, Addr addr)
 }
 
 void
-TraceSink::enableDomainStaging(unsigned domains)
-{
-    _stages = std::vector<StageLane>(domains);
-}
-
-void
-TraceSink::applyBegin(std::uint64_t id, TxnClass cls, Tick tick,
-                      std::int32_t node, Addr addr)
-{
-    _open.emplace(id, OpenTxn{tick, addr, node, cls});
-}
-
-void
-TraceSink::drainStaged()
-{
-    _stageBuf.clear();
-    for (StageLane &lane : _stages) {
-        for (StagedOp &op : lane.ops)
-            _stageBuf.push_back(op);
-        lane.ops.clear();
-    }
-    if (_stageBuf.empty())
-        return;
-    // Domain-major concatenation resolves same-tick ties by (domain,
-    // deposit order) — both independent of worker packing.
-    std::stable_sort(_stageBuf.begin(), _stageBuf.end(),
-                     [](const StagedOp &a, const StagedOp &b) {
-                         return a.tick < b.tick;
-                     });
-    for (const StagedOp &op : _stageBuf) {
-        switch (op.kind) {
-          case StagedOp::kRecord:
-            recordDirect(op.tick, op.phase, op.node, op.addr, op.txn,
-                         op.aux);
-            break;
-          case StagedOp::kBegin:
-            applyBegin(op.txn, op.cls, op.tick, op.node, op.addr);
-            break;
-          default:
-            endTxn(op.txn, op.tick);
-            break;
-        }
-    }
-}
-
-void
 TraceSink::endTxn(std::uint64_t id, Tick tick)
 {
-    if (!_stages.empty()) {
-        const int d = PdesEngine::currentDomain();
-        if (d >= 0) {
-            _stages[static_cast<unsigned>(d)].ops.push_back(
-                StagedOp{tick, id, 0, 0, StagedOp::kEnd,
-                         Phase::L1MissIssue, TxnClass::Load, 0});
-            return;
-        }
-    }
     auto it = _open.find(id);
     panic_if(it == _open.end(), "endTxn(", id,
              "): no such open transaction");

@@ -30,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/pdes.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 #include "trace/trace_event.hh"
@@ -61,36 +60,21 @@ class TraceSink
     explicit TraceSink(stats::StatSet &stats,
                        std::size_t capacity = kDefaultCapacity);
 
-    /**
-     * PDES engine mode: give every domain a private staging lane so
-     * instrumentation calls from the parallel phase append to
-     * thread-local storage; drainStaged() merges the lanes into the
-     * ring at each window barrier in canonical (tick, domain,
-     * deposit) order. Staged transaction ids carry the domain in
-     * their top bits, disjoint from the serial-context id counter.
-     */
-    void enableDomainStaging(unsigned domains);
-
-    /** Merge and clear all staging lanes (window barrier). */
-    void drainStaged();
-
     /** Append one protocol event. */
     void
     record(Tick tick, Phase phase, NodeId node, Addr addr,
            std::uint64_t txn = 0, std::uint16_t aux = 0)
     {
-        if (!_stages.empty()) {
-            const int d = PdesEngine::currentDomain();
-            if (d >= 0) {
-                _stages[static_cast<unsigned>(d)].ops.push_back(
-                    StagedOp{tick, txn, addr,
-                             static_cast<std::int32_t>(node),
-                             StagedOp::kRecord, phase,
-                             TxnClass::Load, aux});
-                return;
-            }
-        }
-        recordDirect(tick, phase, node, addr, txn, aux);
+        std::size_t slot = _total % _capacity;
+        std::size_t chunk = slot / kChunkEvents;
+        if (chunk >= _chunks.size())
+            _chunks.push_back(
+                std::make_unique<TraceEvent[]>(kChunkEvents));
+        _chunks[chunk][slot % kChunkEvents] =
+            TraceEvent{tick, txn, addr,
+                       static_cast<std::int32_t>(node), phase, aux};
+        ++_total;
+        ++_phaseCounts[static_cast<std::size_t>(phase)];
     }
 
     /** Open a tracked transaction; returns its id (never 0). */
@@ -167,54 +151,6 @@ class TraceSink
         std::int32_t node;
         TxnClass cls;
     };
-
-    /** One staged instrumentation call (engine parallel phase). */
-    struct StagedOp
-    {
-        static constexpr std::uint8_t kRecord = 0;
-        static constexpr std::uint8_t kBegin = 1;
-        static constexpr std::uint8_t kEnd = 2;
-
-        Tick tick;
-        std::uint64_t txn;
-        Addr addr;
-        std::int32_t node;
-        std::uint8_t kind;
-        Phase phase;  ///< kRecord only
-        TxnClass cls; ///< kBegin only
-        std::uint16_t aux;
-    };
-
-    /** Per-domain staging lane (engine mode). */
-    struct alignas(64) StageLane
-    {
-        std::vector<StagedOp> ops;
-        std::uint64_t nextTxn = 0;
-    };
-
-    /** Ring/counter append shared by both paths. */
-    void
-    recordDirect(Tick tick, Phase phase, NodeId node, Addr addr,
-                 std::uint64_t txn, std::uint16_t aux)
-    {
-        std::size_t slot = _total % _capacity;
-        std::size_t chunk = slot / kChunkEvents;
-        if (chunk >= _chunks.size())
-            _chunks.push_back(
-                std::make_unique<TraceEvent[]>(kChunkEvents));
-        _chunks[chunk][slot % kChunkEvents] =
-            TraceEvent{tick, txn, addr,
-                       static_cast<std::int32_t>(node), phase, aux};
-        ++_total;
-        ++_phaseCounts[static_cast<std::size_t>(phase)];
-    }
-
-    /** Open a transaction under a caller-chosen (staged) id. */
-    void applyBegin(std::uint64_t id, TxnClass cls, Tick tick,
-                    std::int32_t node, Addr addr);
-
-    std::vector<StageLane> _stages;
-    std::vector<StagedOp> _stageBuf;
 
     std::size_t _capacity;
     std::vector<std::unique_ptr<TraceEvent[]>> _chunks;

@@ -3,7 +3,7 @@
  * Per-region protocol specialization (DD+PR) and the graph workload
  * family: RegionMap policy semantics, the streaming write-through
  * path, the stale read-only-mask regression, push-vs-pull output
- * identity, PDES identity for graph workloads, and the schema-enum
+ * identity, run-twice identity for graph workloads, and the schema-enum
  * cross-checks that keep the tools/ JSON schemas in lockstep with
  * the simulator.
  */
@@ -244,13 +244,10 @@ namespace
 {
 
 RunResult
-runScaled(const std::string &name, const ProtocolConfig &proto,
-          unsigned sim_threads = 0)
+runScaled(const std::string &name, const ProtocolConfig &proto)
 {
     auto workload = makeScaled(name, 10);
-    SystemConfig config = protoConfig(proto);
-    config.execution.simThreads = sim_threads;
-    System sys(config);
+    System sys(protoConfig(proto));
     RunResult result = sys.run(*workload);
     EXPECT_TRUE(result.ok()) << name << " on " << result.config;
     return result;
@@ -359,18 +356,14 @@ TEST(GraphFamily, BuildGraphIsDeterministicAndSymmetric)
     EXPECT_EQ(mesh.nodes, 144u); // rounded to 12x12
 }
 
-TEST(GraphFamily, SimThreadsIdentityOnGraphWorkloads)
+TEST(GraphFamily, RunTwiceIdentityOnGraphWorkloads)
 {
+    // A graph run is a pure function of its config: a second fresh
+    // System reproduces every simulated metric bit for bit.
     for (const char *name : {"BFS_PULL_PL", "SSSP_PUSH_M"}) {
-        RunResult baseline =
-            runScaled(name, ProtocolConfig::ddpr(), 1);
-        for (unsigned threads : {2u, 3u, 4u}) {
-            expectSameMetrics(
-                baseline,
-                runScaled(name, ProtocolConfig::ddpr(), threads),
-                std::string(name) + " sim-threads " +
-                    std::to_string(threads));
-        }
+        expectSameMetrics(runScaled(name, ProtocolConfig::ddpr()),
+                          runScaled(name, ProtocolConfig::ddpr()),
+                          std::string(name) + " run twice");
     }
 }
 

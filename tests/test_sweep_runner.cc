@@ -3,7 +3,7 @@
  * Tests for the parallel sweep runner: full index coverage, job-index
  * result ordering, and — the property every figure depends on — that
  * a parallel sweep of real simulations is bitwise identical to the
- * serial run.
+ * serial run — plus the harnesses' shared flag table.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include <sstream>
 #include <vector>
 
+#include "bench_util.hh"
 #include "core/system.hh"
 #include "runner/bench_json.hh"
 #include "runner/json_writer.hh"
@@ -183,4 +184,14 @@ TEST(SweepRecord, WritesParseableRecord)
               std::string::npos);
     EXPECT_NE(text.find("\"cycles\":1000"), std::string::npos);
     EXPECT_NE(text.find("\"events\":400"), std::string::npos);
+}
+
+TEST(HarnessFlagsDeathTest, SimThreadsIsAnUnknownOption)
+{
+    // In-run parallel simulation was removed; its old flag must fail
+    // like any typo rather than silently run something else.
+    const char *argv[] = {"harness", "--sim-threads=4"};
+    EXPECT_EXIT(bench::Options::parse(2, const_cast<char **>(argv)),
+                ::testing::ExitedWithCode(2),
+                "unknown option --sim-threads=4");
 }

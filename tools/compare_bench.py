@@ -22,15 +22,6 @@ Every baseline cell must be present in the current record, and every
 current cell must pass its functional checks (ok == true). Cells new
 in the current record are listed but don't fail the gate.
 
---require-speedup=METRIC:FACTOR turns the host-timing report into a
-speedup gate: every matched cell (optionally narrowed with
---speedup-cells) must satisfy baseline METRIC / current METRIC >=
-FACTOR. Use it to hold a parallelism claim — e.g. a serial record as
-BASELINE and a --sim-threads=4 record as CURRENT with
---require-speedup=host_ms:3.0 — while the exact sim-metric gate in
-the same invocation proves the two runs simulated the same thing.
-Only meaningful when both records came from the same machine.
-
 Exit status: 0 all gates pass, 1 regression/mismatch, 2 usage error.
 Standard library only.
 """
@@ -118,35 +109,6 @@ def compare_pair(base_path, cur_path, args):
                     % (label, key_str(key), b, c,
                        args.rel_tol_host * 100.0))
 
-    if args.require_speedup:
-        metric, factor = args.require_speedup
-        gated = 0
-        for key in sorted(set(base) & set(cur)):
-            name = "%s/%s" % (key[0], key[1])
-            if args.speedup_cells and not any(
-                    pat in name for pat in args.speedup_cells):
-                continue
-            gated += 1
-            b = base[key].get(metric)
-            c = cur[key].get(metric)
-            if not b or not c:
-                failures.append("%s: %s has no %s to gate speedup on"
-                                % (label, key_str(key), metric))
-                continue
-            speedup = b / c
-            print("%s: %s %s speedup %.2fx (need >= %.2fx)"
-                  % (label, key_str(key), metric, speedup, factor))
-            if speedup < factor:
-                failures.append(
-                    "%s: %s %s speedup %.2fx below required %.2fx "
-                    "(%.1f -> %.1f)"
-                    % (label, key_str(key), metric, speedup, factor,
-                       b, c))
-        if gated == 0:
-            failures.append(
-                "%s: --require-speedup matched no cells (filter %r)"
-                % (label, args.speedup_cells))
-
     new_cells = sorted(set(cur) - set(base))
     for key in new_cells:
         print("note: %s: new cell %s (not in baseline)"
@@ -173,31 +135,7 @@ def main(argv):
     parser.add_argument("--rel-tol-host", type=float, default=0.25,
                         help="relative host_ms tolerance with"
                              " --check-host (default 0.25)")
-    parser.add_argument("--require-speedup", metavar="METRIC:FACTOR",
-                        default=None,
-                        help="require baseline METRIC / current METRIC"
-                             " >= FACTOR on every gated cell (e.g."
-                             " host_ms:3.0; same-machine records only)")
-    parser.add_argument("--speedup-cells", metavar="SUBSTR[,SUBSTR...]",
-                        default=None,
-                        help="gate --require-speedup only on cells"
-                             " whose workload/config contains one of"
-                             " the substrings")
     args = parser.parse_args(argv)
-
-    if args.require_speedup is not None:
-        metric, sep, factor = args.require_speedup.partition(":")
-        try:
-            factor = float(factor)
-        except ValueError:
-            factor = 0.0
-        if not metric or not sep or factor <= 0.0:
-            parser.error("--require-speedup expects METRIC:FACTOR "
-                         "with a positive FACTOR, got %r"
-                         % args.require_speedup)
-        args.require_speedup = (metric, factor)
-    args.speedup_cells = ([s for s in args.speedup_cells.split(",") if s]
-                          if args.speedup_cells else None)
 
     if len(args.pairs) % 2 != 0:
         parser.error("expected BASELINE CURRENT pairs, got an odd "
