@@ -33,62 +33,43 @@ main(int argc, char **argv)
             cells.push_back(Cell{name, proto});
     }
 
-    struct CellResult
+    struct HitCounts
     {
-        RunResult run;
         double hits = 0.0, misses = 0.0, shits = 0.0, smisses = 0.0;
     };
+    std::vector<HitCounts> counts(cells.size());
     SweepRunner runner(opts.jobs);
-    auto results = runner.map(cells.size(), [&](std::size_t i) {
-        auto workload = makeScaled(cells[i].name, opts.scalePercent);
-        SystemConfig config;
-        config.protocol = cells[i].proto;
-        System system(config);
-        CellResult cell;
-        cell.run = system.run(*workload);
-        for (unsigned cu = 0; cu < system.numCus(); ++cu) {
-            std::string prefix = "l1." + std::to_string(cu);
-            cell.hits += system.stats().find(prefix + ".load_hits")->value();
-            cell.misses +=
-                system.stats().find(prefix + ".load_misses")->value();
-            cell.shits += system.stats().find(prefix + ".sync_hits")->value();
-            cell.smisses +=
-                system.stats().find(prefix + ".sync_misses")->value();
-        }
-        return cell;
-    });
+    std::vector<RunResult> results =
+        runner.map(cells.size(), [&](std::size_t i) {
+            return runCell(cells[i].name, cells[i].proto, opts, {},
+                           [&](const System &system) {
+                               counts[i] = {
+                                   sumL1Stat(system, "load_hits"),
+                                   sumL1Stat(system, "load_misses"),
+                                   sumL1Stat(system, "sync_hits"),
+                                   sumL1Stat(system, "sync_misses")};
+                           });
+        });
+    requireAllOk(results);
 
     std::printf("=== Ablation: traffic per benchmark, by class "
                 "===\n");
     std::printf("%-8s %-8s %-12s %-12s %-12s %-12s %-10s %-10s\n",
                 "bench", "config", "Read", "Regist", "WB_WT",
                 "Atomics", "ld hit%", "sync hit%");
-    SweepRecord record;
-    record.harness = "ablation_granularity";
-    record.jobs = opts.jobs;
+    auto pct = [](double a, double b) {
+        return a + b > 0.0 ? 100.0 * a / (a + b) : 0.0;
+    };
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const CellResult &cell = results[i];
-        const RunResult &result = cell.run;
-        if (!result.ok()) {
-            std::fprintf(stderr, "check failed: %s on %s\n",
-                         cells[i].name, result.config.c_str());
-            return 1;
-        }
-        record.add(result, opts.scalePercent);
-        auto pct = [](double a, double b) {
-            return a + b > 0.0 ? 100.0 * a / (a + b) : 0.0;
-        };
+        const RunResult &result = results[i];
         std::printf("%-8s %-8s %-12.0f %-12.0f %-12.0f %-12.0f "
                     "%-10.1f %-10.1f\n",
                     cells[i].name, result.config.c_str(),
                     result.traffic[0], result.traffic[1],
                     result.traffic[2], result.traffic[3],
-                    pct(cell.hits, cell.misses),
-                    pct(cell.shits, cell.smisses));
+                    pct(counts[i].hits, counts[i].misses),
+                    pct(counts[i].shits, counts[i].smisses));
     }
-    if (!opts.jsonPath.empty()) {
-        record.wallMillis = timer.millis();
-        record.writeJson(opts.jsonPath);
-    }
+    maybeWriteJson(opts, "ablation_granularity", results, timer);
     return 0;
 }

@@ -21,6 +21,9 @@ main(int argc, char **argv)
 {
     WallTimer timer;
     Options opts = Options::parse(argc, argv);
+    // Cells run at no more than half scale.
+    Options cell_opts = opts;
+    cell_opts.scalePercent = std::min(opts.scalePercent, 50u);
 
     struct Cell
     {
@@ -38,30 +41,24 @@ main(int argc, char **argv)
     }
 
     SweepRunner runner(opts.jobs);
-    auto results = runner.map(cells.size(), [&](std::size_t i) {
-        auto workload = makeScaled(
-            cells[i].name, std::min(opts.scalePercent, 50u));
-        SystemConfig config;
-        config.protocol = cells[i].proto;
-        config.topology.mesh.hopLatency = cells[i].hop;
-        System system(config);
-        return system.run(*workload);
-    });
+    std::vector<RunResult> results =
+        runner.map(cells.size(), [&](std::size_t i) {
+            Options hop_opts = withFileLabel(
+                cell_opts, "hop" + std::to_string(cells[i].hop));
+            return runCell(cells[i].name, cells[i].proto, hop_opts,
+                           [&](SystemConfig &config) {
+                               config.topology.mesh.hopLatency =
+                                   cells[i].hop;
+                           });
+        });
+    requireAllOk(results);
 
     std::printf("=== Ablation: mesh hop latency (SPM_G and FAM_G) "
                 "===\n");
     std::printf("%-8s %-10s %-8s %-12s %-14s\n", "bench", "hop(cyc)",
                 "config", "cycles", "atomic flits");
-    SweepRecord record;
-    record.harness = "ablation_noc_latency";
-    record.jobs = opts.jobs;
     for (std::size_t i = 0; i < cells.size(); ++i) {
         const RunResult &result = results[i];
-        if (!result.ok()) {
-            std::fprintf(stderr, "check failed: %s\n", cells[i].name);
-            return 1;
-        }
-        record.add(result, std::min(opts.scalePercent, 50u));
         std::printf("%-8s %-10llu %-8s %-12llu %-14.0f\n",
                     cells[i].name,
                     static_cast<unsigned long long>(cells[i].hop),
@@ -70,10 +67,7 @@ main(int argc, char **argv)
                     result.traffic[static_cast<std::size_t>(
                         TrafficClass::Atomic)]);
     }
-    if (!opts.jsonPath.empty()) {
-        record.wallMillis = timer.millis();
-        record.writeJson(opts.jsonPath);
-    }
+    maybeWriteJson(cell_opts, "ablation_noc_latency", results, timer);
     std::printf("\nReading the table: GD's spin herd pays the herd's "
                 "round trips to one L2 bank,\nwhile DD's handoffs "
                 "walk owner-to-owner; higher hop latency stretches "

@@ -33,54 +33,38 @@ main(int argc, char **argv)
             cells.push_back(Cell{entries, proto});
     }
 
-    struct CellResult
-    {
-        RunResult run;
-        double drains = 0.0;
-    };
+    std::vector<double> drains(cells.size());
     SweepRunner runner(opts.jobs);
-    auto results = runner.map(cells.size(), [&](std::size_t i) {
-        auto workload = makeScaled("LAVA", opts.scalePercent);
-        SystemConfig config;
-        config.protocol = cells[i].proto;
-        config.geometry.storeBufferEntries = cells[i].entries;
-        System system(config);
-        CellResult cell;
-        cell.run = system.run(*workload);
-        for (unsigned cu = 0; cu < system.numCus(); ++cu) {
-            cell.drains +=
-                system.stats()
-                    .find("l1." + std::to_string(cu) +
-                          ".sb_overflow_drains")
-                    ->value();
-        }
-        return cell;
-    });
+    std::vector<RunResult> results =
+        runner.map(cells.size(), [&](std::size_t i) {
+            return runCell(
+                "LAVA", cells[i].proto,
+                withFileLabel(opts, "sb" + std::to_string(
+                                              cells[i].entries)),
+                [&](SystemConfig &config) {
+                    config.geometry.storeBufferEntries =
+                        cells[i].entries;
+                },
+                [&](const System &system) {
+                    drains[i] =
+                        sumL1Stat(system, "sb_overflow_drains");
+                });
+        });
+    requireAllOk(results);
 
     std::printf("=== Ablation: store buffer size (workload LAVA) "
                 "===\n");
     std::printf("%-10s %-12s %-14s %-14s %-14s\n", "entries",
                 "config", "cycles", "WB/WT flits", "overflow drains");
-    SweepRecord record;
-    record.harness = "ablation_store_buffer";
-    record.jobs = opts.jobs;
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const RunResult &result = results[i].run;
-        if (!result.ok()) {
-            std::fprintf(stderr, "check failed\n");
-            return 1;
-        }
-        record.add(result, opts.scalePercent);
+        const RunResult &result = results[i];
         std::printf("%-10zu %-12s %-14llu %-14.0f %-14.0f\n",
                     cells[i].entries, result.config.c_str(),
                     static_cast<unsigned long long>(result.cycles),
                     result.traffic[static_cast<std::size_t>(
                         TrafficClass::WriteBack)],
-                    results[i].drains);
+                    drains[i]);
     }
-    if (!opts.jsonPath.empty()) {
-        record.wallMillis = timer.millis();
-        record.writeJson(opts.jsonPath);
-    }
+    maybeWriteJson(opts, "ablation_store_buffer", results, timer);
     return 0;
 }

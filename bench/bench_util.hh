@@ -110,20 +110,19 @@ Options::parse(int argc, char **argv, const ExtraHandler &extra,
 
 /**
  * One typed command-line flag. Every harness option — boolean
- * toggles, path strings, lenient legacy counts, and strictly
- * validated numeric ranges — is one row in a single table, so a new
- * flag gets parsing, validation, and usage text on every harness by
- * construction instead of another hand-rolled strncmp branch.
+ * toggles, path strings, and strictly validated numeric ranges — is
+ * one row in a single table, so a new flag gets parsing, validation,
+ * and usage text on every harness by construction instead of another
+ * hand-rolled strncmp branch.
  */
 struct FlagSpec
 {
     enum class Kind : std::uint8_t
     {
-        Toggle,  ///< bare flag, no value
-        String,  ///< --name=TEXT, taken verbatim
-        Lenient, ///< --name=N, legacy atoi (no validation)
-        Number,  ///< --name=N, strict parse + [min, max] check
-        Real,    ///< --name=X, strict positive-double parse
+        Toggle, ///< bare flag, no value
+        String, ///< --name=TEXT, taken verbatim
+        Number, ///< --name=N, strict parse + [min, max] check
+        Real,   ///< --name=X, strict positive-double parse
     };
 
     const char *name; ///< flag name including leading dashes
@@ -169,11 +168,6 @@ struct FlagSpec
           case Kind::String:
             apply(opts, 0, value);
             return true;
-          case Kind::Lenient:
-            apply(opts, static_cast<unsigned long long>(
-                            std::atoi(value)),
-                  value);
-            return true;
           case Kind::Real: {
             // Strict: the validated text is re-read by apply, so the
             // double survives the integer-shaped apply signature.
@@ -214,11 +208,13 @@ commonFlags()
 {
     using ull = unsigned long long;
     static const std::vector<FlagSpec> specs = {
-        {"--scale", FlagSpec::Kind::Lenient, 0, 0, "",
+        {"--scale", FlagSpec::Kind::Number, 1, 100,
+         "a percentage in [1, 100]",
          [](Options &o, ull num, const char *) {
              o.scalePercent = static_cast<unsigned>(num);
          }},
-        {"--jobs", FlagSpec::Kind::Lenient, 0, 0, "",
+        {"--jobs", FlagSpec::Kind::Number, 0, 1024,
+         "a job count in [0, 1024] (0 = one per hardware thread)",
          [](Options &o, ull num, const char *) {
              o.jobs = SweepRunner::resolveJobs(
                  static_cast<unsigned>(num));
@@ -310,10 +306,12 @@ class WallTimer
         std::chrono::steady_clock::now();
 };
 
-/** Per-cell trace filename: stem.<workload>.<config>.json. */
+/**
+ * @p base with ".<label>" inserted before its extension (".json" if
+ * it has none): per-cell trace and race files, per-scale records.
+ */
 inline std::string
-traceCellPath(const std::string &base, const std::string &workload,
-              const std::string &config)
+labeledPath(const std::string &base, const std::string &label)
 {
     std::string::size_type dot = base.rfind('.');
     std::string::size_type slash = base.rfind('/');
@@ -324,19 +322,36 @@ traceCellPath(const std::string &base, const std::string &workload,
         stem = base.substr(0, dot);
         ext = base.substr(dot);
     }
-    return stem + "." + workload + "." + config + ext;
+    return stem + "." + label + ext;
+}
+
+/**
+ * @p opts with its per-cell trace and race-report paths tagged
+ * @p label, for sweeps that run one (workload, config) pair on
+ * several machines: each variant then writes its own files.
+ */
+inline Options
+withFileLabel(Options opts, const std::string &label)
+{
+    if (!opts.tracePath.empty())
+        opts.tracePath = labeledPath(opts.tracePath, label);
+    if (!opts.raceJsonPath.empty())
+        opts.raceJsonPath = labeledPath(opts.raceJsonPath, label);
+    return opts;
 }
 
 /**
  * Run one simulation cell: @p workload_name on @p proto, with an
- * optional SystemConfig tweak (ablation sweeps). Thread-safe: builds
- * a fresh System per call; under --trace each cell writes its own
- * trace file.
+ * optional SystemConfig tweak (ablation sweeps) and an optional
+ * post-run visitor that reads counters off the finished System.
+ * Thread-safe: builds a fresh System per call; under --trace each
+ * cell writes its own trace file.
  */
 inline RunResult
 runCell(const std::string &workload_name, const ProtocolConfig &proto,
         const Options &opts,
-        const std::function<void(SystemConfig &)> &tweak = {})
+        const std::function<void(SystemConfig &)> &tweak = {},
+        const std::function<void(const System &)> &inspect = {})
 {
     auto workload = makeScaled(workload_name, opts.scalePercent);
     SystemConfig config;
@@ -353,19 +368,20 @@ runCell(const std::string &workload_name, const ProtocolConfig &proto,
         tweak(config);
     System system(config);
     RunResult result = system.run(*workload);
+    if (inspect)
+        inspect(system);
     // A tweak may enable tracing just for the sync-latency summaries
     // (BENCH latency blocks); only --trace=PATH writes trace files.
+    std::string cell = workload_name + "." + proto.shortName();
     if (system.trace() && !opts.tracePath.empty()) {
-        std::string path = traceCellPath(opts.tracePath, workload_name,
-                                         proto.shortName());
+        std::string path = labeledPath(opts.tracePath, cell);
         if (!system.trace()->writeChromeJson(path)) {
             std::cerr << "error: cannot write trace " << path << "\n";
             std::exit(1);
         }
     }
     if (!opts.raceJsonPath.empty() && result.races.enabled) {
-        std::string path = traceCellPath(
-            opts.raceJsonPath, workload_name, proto.shortName());
+        std::string path = labeledPath(opts.raceJsonPath, cell);
         if (!analysis::writeRaceJson(result.races, path)) {
             std::cerr << "error: cannot write race report " << path
                       << "\n";
@@ -375,6 +391,19 @@ runCell(const std::string &workload_name, const ProtocolConfig &proto,
     return result;
 }
 
+/** One L1 counter, e.g. "load_hits", summed over every CU. */
+inline double
+sumL1Stat(const System &system, const std::string &name)
+{
+    double sum = 0.0;
+    for (unsigned cu = 0; cu < system.numCus(); ++cu) {
+        sum += system.stats()
+                   .find("l1." + std::to_string(cu) + "." + name)
+                   ->value();
+    }
+    return sum;
+}
+
 /**
  * The paper's five-config comparison column set, plus the DD+SE
  * memory-side sync engine as a sixth column under --sync-engine.
@@ -382,10 +411,7 @@ runCell(const std::string &workload_name, const ProtocolConfig &proto,
 inline std::vector<ProtocolConfig>
 standardConfigs(const Options &opts)
 {
-    std::vector<ProtocolConfig> configs = {
-        ProtocolConfig::gd(), ProtocolConfig::gh(),
-        ProtocolConfig::dd(), ProtocolConfig::ddro(),
-        ProtocolConfig::dh()};
+    std::vector<ProtocolConfig> configs = ProtocolConfig::studied();
     if (opts.syncEngine)
         configs.push_back(ProtocolConfig::ddse());
     return configs;
@@ -462,31 +488,47 @@ runMatrix(const std::vector<std::string> &workloads,
 }
 
 /**
- * Emit the harness's result matrix as a BENCH_*.json record when
- * --json=PATH was given. Call once, at the end, with every matrix
- * the harness ran.
+ * Emit @p runs as a BENCH_*.json record when --json=PATH was given.
+ * Call once per record, at the end, with every cell it holds. A
+ * harness that writes several records names each with a @p label:
+ * the record's harness becomes harness/label and its file
+ * labeledPath(PATH, label).
  */
 inline void
 maybeWriteJson(const Options &opts, const std::string &harness,
-               const std::vector<WorkloadResults> &results,
-               const WallTimer &timer)
+               const std::vector<RunResult> &runs,
+               const WallTimer &timer, const std::string &label = "")
 {
     if (opts.jsonPath.empty())
         return;
     SweepRecord record;
-    record.harness = harness;
+    record.harness = label.empty() ? harness : harness + "/" + label;
     record.jobs = opts.jobs;
-    for (const auto &wr : results) {
-        for (const auto &run : wr.runs)
-            record.add(run, opts.scalePercent);
-    }
+    for (const RunResult &run : runs)
+        record.add(run, opts.scalePercent);
     record.wallMillis = timer.millis();
-    if (!record.writeJson(opts.jsonPath)) {
-        std::cerr << "error: cannot write " << opts.jsonPath << "\n";
+    std::string path =
+        label.empty() ? opts.jsonPath : labeledPath(opts.jsonPath, label);
+    if (!record.writeJson(path)) {
+        std::cerr << "error: cannot write " << path << "\n";
         std::exit(1);
     }
-    std::cerr << "wrote " << opts.jsonPath << " (" << record.cells.size()
+    std::cerr << "wrote " << path << " (" << record.cells.size()
               << " cells)\n";
+}
+
+/** maybeWriteJson over workload-by-config matrices, cells in order. */
+inline void
+maybeWriteJson(const Options &opts, const std::string &harness,
+               const std::vector<WorkloadResults> &results,
+               const WallTimer &timer, const std::string &label = "")
+{
+    std::vector<RunResult> runs;
+    if (!opts.jsonPath.empty()) {
+        for (const WorkloadResults &wr : results)
+            runs.insert(runs.end(), wr.runs.begin(), wr.runs.end());
+    }
+    maybeWriteJson(opts, harness, runs, timer, label);
 }
 
 /** Emit the three figure parts in the paper's format. */

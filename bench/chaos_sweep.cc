@@ -116,11 +116,8 @@ main(int argc, char **argv)
         "SS_L",   // sleeping semaphore, local scope
         "TB_LG",  // tree barrier, mixed scope
     };
-    const std::vector<ProtocolConfig> configs = {
-        ProtocolConfig::gd(),   ProtocolConfig::gh(),
-        ProtocolConfig::dd(),   ProtocolConfig::ddro(),
-        ProtocolConfig::dh(),
-    };
+    const std::vector<ProtocolConfig> configs =
+        ProtocolConfig::studied();
 
     struct CellSpec
     {

@@ -18,12 +18,7 @@ main(int argc, char **argv)
     for (const auto *desc : workloadsInGroup("local-sync"))
         names.push_back(desc->name);
 
-    auto results = runMatrix(
-        names,
-        {ProtocolConfig::gd(), ProtocolConfig::gh(),
-         ProtocolConfig::dd(), ProtocolConfig::ddro(),
-         ProtocolConfig::dh()},
-        opts);
+    auto results = runMatrix(names, ProtocolConfig::studied(), opts);
     std::cout << "=== Figure 4: locally scoped / hybrid "
                  "synchronization benchmarks (normalized to GD) "
                  "===\n\n";

@@ -44,15 +44,10 @@ main(int argc, char **argv)
     for (const auto *desc : workloadsInGroup("graph"))
         names.push_back(desc->name);
 
-    // All seven columns, DD+SE included unconditionally: this sweep
-    // exists to compare region specialization against every other
-    // point in the design space.
-    const std::vector<ProtocolConfig> configs = {
-        ProtocolConfig::gd(),   ProtocolConfig::gh(),
-        ProtocolConfig::dd(),   ProtocolConfig::ddro(),
-        ProtocolConfig::dh(),   ProtocolConfig::ddse(),
-        ProtocolConfig::ddpr()};
-
+    // Every row of the column table, DD+SE included unconditionally:
+    // this sweep exists to compare region specialization against
+    // every other point in the design space.
+    const std::vector<ProtocolConfig> configs = ProtocolConfig::all();
     auto results = runMatrix(names, configs, opts);
     std::cout << "=== Graph sweep: BFS/PageRank/SSSP x push/pull x "
                  "power-law/mesh, all configs (normalized to DD) "

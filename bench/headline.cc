@@ -65,12 +65,7 @@ main(int argc, char **argv)
     // Claims 3-5 (Fig 4): local sync orderings.
     {
         auto res = runMatrix(names_of("local-sync"),
-                             {ProtocolConfig::gd(),
-                              ProtocolConfig::gh(),
-                              ProtocolConfig::dd(),
-                              ProtocolConfig::ddro(),
-                              ProtocolConfig::dh()},
-                             opts);
+                             ProtocolConfig::studied(), opts);
         keep(res);
         std::printf("[local sync]     paper: GH -46%% time vs GD | "
                     "measured: %+.0f%%\n",

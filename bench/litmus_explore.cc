@@ -198,13 +198,8 @@ main(int argc, char **argv)
         return 2;
     }
 
-    const std::vector<ProtocolConfig> all_configs = {
-        ProtocolConfig::gd(),   ProtocolConfig::gh(),
-        ProtocolConfig::dd(),   ProtocolConfig::ddro(),
-        ProtocolConfig::dh(),   ProtocolConfig::ddse(),
-        ProtocolConfig::ddpr()};
     std::vector<ProtocolConfig> configs;
-    for (const ProtocolConfig &proto : all_configs) {
+    for (const ProtocolConfig &proto : ProtocolConfig::all()) {
         if (local.onlyConfig.empty() ||
             local.onlyConfig == proto.shortName())
             configs.push_back(proto);

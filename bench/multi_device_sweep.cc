@@ -33,23 +33,6 @@ namespace
 
 constexpr unsigned kDeviceCounts[] = {2, 4};
 
-/** Per-device-count JSON filename: stem.<D>dev.json. */
-std::string
-deviceJsonPath(const std::string &base, unsigned devices)
-{
-    std::string label = std::to_string(devices) + "dev";
-    std::string::size_type dot = base.rfind('.');
-    std::string::size_type slash = base.rfind('/');
-    std::string stem = base;
-    std::string ext = ".json";
-    if (dot != std::string::npos &&
-        (slash == std::string::npos || dot > slash)) {
-        stem = base.substr(0, dot);
-        ext = base.substr(dot);
-    }
-    return stem + "." + label + ext;
-}
-
 } // namespace
 
 int
@@ -72,7 +55,9 @@ main(int argc, char **argv)
     for (unsigned devices : kDeviceCounts) {
         WallTimer timer;
         auto results = runMatrix(
-            workloads, configs, opts, [&](SystemConfig &config) {
+            workloads, configs,
+            withFileLabel(opts, std::to_string(devices) + "dev"),
+            [&](SystemConfig &config) {
                 config.topology.devices = devices;
                 // Sync-latency summaries for the BENCH record; no
                 // trace files unless --trace was given.
@@ -84,26 +69,8 @@ main(int argc, char **argv)
                      "inter-device link: normalized to GD ===\n\n";
         emitFigure(results, 0,
                    std::to_string(devices) + "-device", opts);
-
-        if (!opts.jsonPath.empty()) {
-            SweepRecord record;
-            record.harness = "multi_device_sweep/" +
-                             std::to_string(devices) + "dev";
-            record.jobs = opts.jobs;
-            for (const auto &wr : results) {
-                for (const auto &run : wr.runs)
-                    record.add(run, opts.scalePercent);
-            }
-            record.wallMillis = timer.millis();
-            std::string path =
-                deviceJsonPath(opts.jsonPath, devices);
-            if (!record.writeJson(path)) {
-                std::cerr << "error: cannot write " << path << "\n";
-                return 1;
-            }
-            std::cerr << "wrote " << path << " ("
-                      << record.cells.size() << " cells)\n";
-        }
+        maybeWriteJson(opts, "multi_device_sweep", results, timer,
+                       std::to_string(devices) + "dev");
     }
     return 0;
 }

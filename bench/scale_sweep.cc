@@ -42,22 +42,6 @@ constexpr ScalePoint kScales[] = {
     {12, "12x12"},
 };
 
-/** Per-scale JSON filename: stem.<label>.json. */
-std::string
-scaleJsonPath(const std::string &base, const char *label)
-{
-    std::string::size_type dot = base.rfind('.');
-    std::string::size_type slash = base.rfind('/');
-    std::string stem = base;
-    std::string ext = ".json";
-    if (dot != std::string::npos &&
-        (slash == std::string::npos || dot > slash)) {
-        stem = base.substr(0, dot);
-        ext = base.substr(dot);
-    }
-    return stem + "." + label + ext;
-}
-
 } // namespace
 
 int
@@ -77,7 +61,8 @@ main(int argc, char **argv)
         WallTimer timer;
         unsigned num_cus = scale.dim * scale.dim - 1;
         auto results =
-            runMatrix(workloads, configs, opts,
+            runMatrix(workloads, configs,
+                      withFileLabel(opts, scale.label),
                       [&](SystemConfig &config) {
                           config.topology.mesh.width = scale.dim;
                           config.topology.mesh.height = scale.dim;
@@ -90,26 +75,8 @@ main(int argc, char **argv)
                      "normalized to GD ===\n\n";
         emitFigure(results, 0,
                    std::string("Scale-") + scale.label, opts);
-
-        if (!opts.jsonPath.empty()) {
-            SweepRecord record;
-            record.harness =
-                std::string("scale_sweep/") + scale.label;
-            record.jobs = opts.jobs;
-            for (const auto &wr : results) {
-                for (const auto &run : wr.runs)
-                    record.add(run, opts.scalePercent);
-            }
-            record.wallMillis = timer.millis();
-            std::string path =
-                scaleJsonPath(opts.jsonPath, scale.label);
-            if (!record.writeJson(path)) {
-                std::cerr << "error: cannot write " << path << "\n";
-                return 1;
-            }
-            std::cerr << "wrote " << path << " ("
-                      << record.cells.size() << " cells)\n";
-        }
+        maybeWriteJson(opts, "scale_sweep", results, timer,
+                       scale.label);
     }
     return 0;
 }

@@ -76,11 +76,8 @@ main(int argc, char **argv)
 
     std::printf("\n=== Table 2: studied configurations ===\n");
     printFeatureHeader();
-    printFeatureRow("GD", featuresOf(ProtocolConfig::gd()));
-    printFeatureRow("GH", featuresOf(ProtocolConfig::gh()));
-    printFeatureRow("DD", featuresOf(ProtocolConfig::dd()));
-    printFeatureRow("DD+RO", featuresOf(ProtocolConfig::ddro()));
-    printFeatureRow("DH", featuresOf(ProtocolConfig::dh()));
+    for (const ProtocolConfig &config : ProtocolConfig::studied())
+        printFeatureRow(config.shortName(), featuresOf(config));
 
     SystemConfig config;
     std::printf("\n=== Table 3: simulated system parameters ===\n");

@@ -31,10 +31,7 @@ main(int argc, char **argv)
                 "sync-hit%");
 
     RunResult baseline;
-    for (const ProtocolConfig &proto :
-         {ProtocolConfig::gd(), ProtocolConfig::gh(),
-          ProtocolConfig::dd(), ProtocolConfig::ddro(),
-          ProtocolConfig::dh()}) {
+    for (const ProtocolConfig &proto : ProtocolConfig::studied()) {
         auto workload = makeScaled(name, scale);
         SystemConfig config;
         config.protocol = proto;

@@ -23,10 +23,7 @@ main(int argc, char **argv)
                          : 30;
 
     SystemConfig base;
-    for (const ProtocolConfig &proto :
-         {ProtocolConfig::gd(), ProtocolConfig::gh(),
-          ProtocolConfig::dd(), ProtocolConfig::ddro(),
-          ProtocolConfig::dh()}) {
+    for (const ProtocolConfig &proto : ProtocolConfig::studied()) {
         auto workload = makeScaled(name, scale);
         System system(base.with(proto));
         RunResult result = system.run(*workload);

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 
 #include "core/system.hh"
 #include "workloads/registry.hh"
@@ -22,20 +23,9 @@ namespace
 ProtocolConfig
 parseConfig(const std::string &name)
 {
-    if (name == "GD")
-        return ProtocolConfig::gd();
-    if (name == "GH")
-        return ProtocolConfig::gh();
-    if (name == "DD")
-        return ProtocolConfig::dd();
-    if (name == "DD+RO")
-        return ProtocolConfig::ddro();
-    if (name == "DH")
-        return ProtocolConfig::dh();
-    if (name == "DD+SE")
-        return ProtocolConfig::ddse();
-    if (name == "DD+PR")
-        return ProtocolConfig::ddpr();
+    if (std::optional<ProtocolConfig> config =
+            ProtocolConfig::byName(name))
+        return *config;
     std::cerr << "unknown config " << name
               << " (want GD, GH, DD, DD+RO, DH, DD+SE, or DD+PR)\n";
     std::exit(2);

@@ -83,7 +83,7 @@ describeAccess(std::ostream &os, const RaceAccess &access)
 RaceDetector::RaceDetector(const ProtocolConfig &config,
                            unsigned devices, unsigned cusPerDevice)
     : _config(config),
-      _hrf(config.consistency == ConsistencyModel::Hrf),
+      _hrf(config.consistency() == ConsistencyModel::Hrf),
       _cusPerDevice(cusPerDevice ? cusPerDevice : 1),
       _multiDevice(devices > 1)
 {

@@ -82,10 +82,10 @@ modelFor(const ProtocolConfig &proto, unsigned devices = 1)
 {
     AxiomModel model;
     model.devices = devices;
-    if (proto.consistency == ConsistencyModel::Hrf) {
+    if (proto.consistency() == ConsistencyModel::Hrf) {
         model.name = "hrf-scoped";
         model.scoped = true;
-    } else if (proto.syncEngine) {
+    } else if (proto.syncEngine()) {
         model.name = "sc-drf-engine";
         model.engineSideSync = true;
     } else {

@@ -10,10 +10,6 @@
 namespace nosync
 {
 
-/** DeNovoSync read-backoff bounds (cycles). */
-constexpr Cycles kSyncBackoffBase = 32;
-constexpr Cycles kSyncBackoffMax = 1024;
-
 namespace
 {
 
@@ -85,7 +81,7 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
                                "streaming-region write-throughs "
                                "sent (DD+PR)"))
 {
-    panic_if(_config.protocol != CoherenceProtocol::Denovo,
+    panic_if(_config.protocol() != CoherenceProtocol::Denovo,
              "DenovoL1Cache built with a non-DeNovo protocol config");
 }
 
@@ -155,7 +151,7 @@ DenovoL1Cache::ensureFrame(Addr line_addr)
              "registered words");
     _array.install(*victim, line_addr);
     victim->epoch = _curEpoch;
-    if (_config.readOnlyRegions) {
+    if (_config.readOnlyRegions()) {
         victim->readOnly = _regions.readOnlyMask(line_addr);
         victim->regionVersion = _regions.version();
     }
@@ -403,7 +399,7 @@ DenovoL1Cache::installReadData(Addr line_addr, WordMask mask,
     if (sent_epoch != _curEpoch) {
         // An acquire intervened: only read-only-region words (exempt
         // from self-invalidation under DD+RO) may still install.
-        if (!_config.readOnlyRegions)
+        if (!_config.readOnlyRegions())
             return;
         mask &= _regions.readOnlyMask(line_addr);
         if (mask == 0)
@@ -784,7 +780,7 @@ DenovoL1Cache::startDrain(DoneCallback cb)
         // ack installs nothing — the next consumer reads the fresh
         // copy from L2 in one hop instead of chasing a remote owner.
         WordMask stream_mask = 0;
-        if (_config.perRegionPolicy && reg_mask != 0) {
+        if (_config.perRegionPolicy() && reg_mask != 0) {
             stream_mask =
                 reg_mask & _regions.streamingMask(group.lineAddr);
             reg_mask &= ~stream_mask;
@@ -957,7 +953,7 @@ DenovoL1Cache::sync(const SyncOp &op, ValueCallback cb)
                        cb = std::move(cb)](std::uint32_t value) {
             finishSync(op, scope, value, std::move(cb));
         };
-        if (_config.syncEngine && scope != Scope::Local)
+        if (_config.syncEngine() && scope != Scope::Local)
             performEngineSync(op, scope, std::move(finish));
         else
             performSync(op, scope, std::move(finish));
@@ -1031,7 +1027,6 @@ DenovoL1Cache::performSync(const SyncOp &op, Scope scope,
         AtomicResult res = applyAtomic(op, old_val);
         frame->data[w] = res.newValue;
         _array.touch(*frame);
-        noteSyncRead(op, res.returned);
         scheduleIn(_timings.l1Atomic,
                    [cb = std::move(cb), v = res.returned] { cb(v); });
         return;
@@ -1066,48 +1061,7 @@ DenovoL1Cache::performSync(const SyncOp &op, Scope scope,
         entry.regWaitingWb |= bit;
         return;
     }
-    if (Cycles delay = syncBackoffDelay(op)) {
-        // DeNovoSync read backoff: throttle re-registration of a
-        // read that keeps observing an unchanged value.
-        scheduleIn(delay, [this, line_addr, bit] {
-            LineEntry *entry = _mshr.find(line_addr);
-            if (!entry || !(entry->syncRegPending & bit) ||
-                (entry->regWaitingWb & bit)) {
-                return;
-            }
-            issueRegistration(line_addr, bit, true);
-        });
-        return;
-    }
     issueRegistration(line_addr, bit, true);
-}
-
-void
-DenovoL1Cache::noteSyncRead(const SyncOp &op, std::uint32_t value)
-{
-    if (!_config.syncReadBackoff || op.func != AtomicFunc::Load)
-        return;
-    ReadBackoff &state = _readBackoff[wordAlign(op.addr)];
-    if (state.seen && state.lastValue == value) {
-        // Unchanged: contention without progress - back off harder.
-        state.delay = state.delay == 0
-                          ? kSyncBackoffBase
-                          : std::min<Cycles>(state.delay * 2,
-                                             kSyncBackoffMax);
-    } else {
-        state.delay = 0;
-    }
-    state.lastValue = value;
-    state.seen = true;
-}
-
-Cycles
-DenovoL1Cache::syncBackoffDelay(const SyncOp &op)
-{
-    if (!_config.syncReadBackoff || op.func != AtomicFunc::Load)
-        return 0;
-    auto it = _readBackoff.find(wordAlign(op.addr));
-    return it == _readBackoff.end() ? 0 : it->second.delay;
 }
 
 bool
@@ -1226,7 +1180,6 @@ DenovoL1Cache::processSyncQueue(Addr line_addr, unsigned word)
         AtomicResult res = applyAtomic(waiter.op, frame->data[word]);
         frame->data[word] = res.newValue;
         _array.touch(*frame);
-        noteSyncRead(waiter.op, res.returned);
 
         LineEntry *entry = _mshr.find(line_addr);
         panic_if(!entry, "sync chain lost its MSHR entry");
@@ -1481,7 +1434,7 @@ DenovoL1Cache::refreshLine(CacheLine &line)
 {
     if (line.epoch == _curEpoch)
         return;
-    bool keep_ro = _config.readOnlyRegions;
+    bool keep_ro = _config.readOnlyRegions();
     // A declareReadOnly (or per-region policy declaration) issued
     // since this line filled invalidates its mask snapshot: refresh
     // from the live map before deciding which words the sweep keeps,
@@ -1694,7 +1647,7 @@ DenovoL1Cache::wordState(Addr addr) const
         WordMask ro = line->regionVersion == _regions.version()
                           ? line->readOnly
                           : _regions.readOnlyMask(line->addr);
-        bool kept = _config.readOnlyRegions && (ro & (1u << w));
+        bool kept = _config.readOnlyRegions() && (ro & (1u << w));
         return kept ? WordState::Valid : WordState::Invalid;
     }
     return st;

@@ -19,7 +19,6 @@
 #define COHERENCE_DENOVO_L1_HH
 
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -366,24 +365,6 @@ class DenovoL1Cache : public L1Controller
 
     /** Current acquire epoch (lazy self-invalidation). */
     std::uint64_t _curEpoch = 0;
-
-    /**
-     * DeNovoSync read-backoff state (syncReadBackoff configs): per
-     * spun-on word, the last observed value and the current delay.
-     */
-    struct ReadBackoff
-    {
-        std::uint32_t lastValue = 0;
-        bool seen = false;
-        Cycles delay = 0;
-    };
-    std::unordered_map<Addr, ReadBackoff> _readBackoff;
-
-    /** Update backoff state after a sync read observed @p value. */
-    void noteSyncRead(const SyncOp &op, std::uint32_t value);
-
-    /** Current registration delay for a sync access (0 if none). */
-    Cycles syncBackoffDelay(const SyncOp &op);
 
     stats::Handle<stats::Scalar> _remoteReadsServed;
     stats::Handle<stats::Scalar> _ownershipTransfers;

@@ -20,7 +20,7 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
       _sb(geom.storeBufferEntries), _timings(timings),
       _mshr(geom.l1MshrEntries)
 {
-    panic_if(_config.protocol != CoherenceProtocol::Gpu,
+    panic_if(_config.protocol() != CoherenceProtocol::Gpu,
              "GpuL1Cache built with a non-GPU protocol config");
 }
 
@@ -258,7 +258,7 @@ GpuL1Cache::onFill(Addr line_addr, const LineData &data,
 void
 GpuL1Cache::store(Addr addr, std::uint32_t value, DoneCallback cb)
 {
-    if (_config.consistency == ConsistencyModel::Hrf) {
+    if (_config.consistency() == ConsistencyModel::Hrf) {
         // GPU-H keeps a dirty bit per word in the L1 (the paper's 3%
         // overhead): stores write-allocate into the cache and retire
         // immediately; a global release scans and flushes dirty
@@ -486,7 +486,7 @@ GpuL1Cache::refreshLine(CacheLine &line)
             continue;
         // HRF keeps this CU's own partial writes: racing writes from
         // other scopes would be heterogeneous races anyway.
-        if (_config.consistency == ConsistencyModel::Hrf &&
+        if (_config.consistency() == ConsistencyModel::Hrf &&
             (line.dirty & bit)) {
             ++_stats.wordsPreserved;
             continue;
@@ -642,7 +642,7 @@ GpuL1Cache::wordValid(Addr addr) const
     // Interpret lazy flash invalidation without mutating.
     if (line->epoch == _curEpoch)
         return true;
-    return _config.consistency == ConsistencyModel::Hrf &&
+    return _config.consistency() == ConsistencyModel::Hrf &&
            (line->dirty & (1u << w));
 }
 

@@ -2,14 +2,19 @@
  * @file
  * Protocol-level vocabulary shared by every coherence configuration:
  * protocol/consistency enums, synchronization scopes and semantics,
- * atomic operation descriptors, and the five studied configurations.
+ * atomic operation descriptors, and the table of configurations.
  */
 
 #ifndef COHERENCE_PROTOCOL_HH
 #define COHERENCE_PROTOCOL_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -129,133 +134,196 @@ applyAtomic(const SyncOp &op, std::uint32_t old_val)
     panic("unreachable atomic func");
 }
 
-/** One of the five studied system configurations (Section 5.3). */
-struct ProtocolConfig
+/**
+ * Which words a DeNovo L1 keeps at an acquire and how its stores
+ * reach the L2 (the data rows of Table 2).
+ */
+enum class DataPolicy : std::uint8_t
 {
-    CoherenceProtocol protocol = CoherenceProtocol::Gpu;
-    ConsistencyModel consistency = ConsistencyModel::Drf;
-    /** DD+RO: selectively keep read-only-region words at acquires. */
-    bool readOnlyRegions = false;
-
+    Owned,     ///< every unowned word self-invalidates at an acquire
+    ReadOnly,  ///< DD+RO: read-only-region words survive acquires
     /**
-     * DD+PR: per-region protocol specialization. Regions the program
-     * declares streaming bypass ownership registration — stores write
-     * through to the home L2 bank, GPU-style — while everything else
-     * keeps DeNovo registration and read-only regions keep the DD+RO
-     * acquire exemption. One kernel thus runs owned data under DD and
-     * frontier-style data under writethrough simultaneously. Implies
-     * readOnlyRegions (the read-only policy is one of the selectable
-     * per-region policies).
+     * DD+PR: per-region specialization. Regions the program declares
+     * streaming bypass ownership registration (stores write through
+     * to the home L2 bank, GPU-style), read-only regions keep the
+     * DD+RO acquire exemption, and everything else registers as
+     * under DD.
      */
-    bool perRegionPolicy = false;
+    PerRegion,
+};
 
+/** Where a non-CU-local synchronization access performs. */
+enum class SyncSite : std::uint8_t
+{
     /**
-     * DeNovoSync read backoff (the paper mentions but does not
-     * evaluate it, Section 3): a spinning synchronization read that
-     * keeps observing an unchanged value delays its re-registration
-     * exponentially, throttling read-read ownership ping-pong.
+     * DeNovo: at the issuing L1 once it owns the sync word. GPU
+     * coherence performs its atomics at the L2 bank regardless.
      */
-    bool syncReadBackoff = false;
-
+    L1,
     /**
-     * SynCron-style memory-side sync engine (DD+SE): non-CU-local
-     * synchronization executes at the home L2 bank instead of
-     * migrating ownership of the sync word to the issuing L1. The
-     * data protocol is unchanged — only the sync path moves to the
-     * memory side. Meaningful for the DeNovo protocol; GPU coherence
-     * already performs remote atomics at the bank.
+     * DD+SE: SynCron-style memory-side engine at the home L2 bank;
+     * the data protocol is unchanged.
      */
-    bool syncEngine = false;
+    L2Engine,
+};
 
-    /** Effective scope of a sync access under this configuration. */
-    Scope
-    effectiveScope(Scope annotated) const
+/** One column of the comparison: its name and its value per axis. */
+struct ProtocolColumn
+{
+    std::string_view name;
+    CoherenceProtocol protocol;
+    ConsistencyModel consistency;
+    DataPolicy data;
+    SyncSite sync;
+    /** One of the five configurations the paper evaluates (5.3). */
+    bool studied;
+};
+
+/**
+ * Every configuration the simulator models, one row each: the
+ * paper's five (Tables 1-2), the per-region DD+PR column (Salvador
+ * et al.) and the SynCron-style DD+SE column. A combination that is
+ * not a row cannot be configured.
+ */
+inline constexpr std::array<ProtocolColumn, 7> kProtocolColumns = {{
+    {"GD", CoherenceProtocol::Gpu, ConsistencyModel::Drf,
+     DataPolicy::Owned, SyncSite::L1, true},
+    {"GH", CoherenceProtocol::Gpu, ConsistencyModel::Hrf,
+     DataPolicy::Owned, SyncSite::L1, true},
+    {"DD", CoherenceProtocol::Denovo, ConsistencyModel::Drf,
+     DataPolicy::Owned, SyncSite::L1, true},
+    {"DD+RO", CoherenceProtocol::Denovo, ConsistencyModel::Drf,
+     DataPolicy::ReadOnly, SyncSite::L1, true},
+    {"DH", CoherenceProtocol::Denovo, ConsistencyModel::Hrf,
+     DataPolicy::Owned, SyncSite::L1, true},
+    {"DD+SE", CoherenceProtocol::Denovo, ConsistencyModel::Drf,
+     DataPolicy::Owned, SyncSite::L2Engine, false},
+    {"DD+PR", CoherenceProtocol::Denovo, ConsistencyModel::Drf,
+     DataPolicy::PerRegion, SyncSite::L1, false},
+}};
+
+/**
+ * A system configuration: one row of kProtocolColumns. The row is
+ * the only setting; every protocol property is read from it.
+ */
+class ProtocolConfig
+{
+  public:
+    /** Row of kProtocolColumns, in table order. */
+    enum class Column : std::uint8_t
     {
-        return consistency == ConsistencyModel::Hrf ? annotated
-                                                    : Scope::Global;
+        Gd,
+        Gh,
+        Dd,
+        DdRo,
+        Dh,
+        DdSe,
+        DdPr,
+    };
+
+    constexpr ProtocolConfig() = default;
+    constexpr ProtocolConfig(Column column) : _column(column) {}
+
+    constexpr const ProtocolColumn &
+    row() const
+    {
+        return kProtocolColumns[static_cast<std::size_t>(_column)];
     }
 
-    /** Short name used throughout the paper (GD, GH, DD, DD+RO, DH)
-     *  plus the sync-engine column (DD+SE). */
+    constexpr CoherenceProtocol
+    protocol() const
+    {
+        return row().protocol;
+    }
+
+    constexpr ConsistencyModel
+    consistency() const
+    {
+        return row().consistency;
+    }
+
+    /** Read-only-region words survive acquires (DD+RO, DD+PR). */
+    constexpr bool
+    readOnlyRegions() const
+    {
+        return row().data != DataPolicy::Owned;
+    }
+
+    /** Streaming regions write through (DD+PR). */
+    constexpr bool
+    perRegionPolicy() const
+    {
+        return row().data == DataPolicy::PerRegion;
+    }
+
+    /** Non-local sync performs at the home L2 bank (DD+SE). */
+    constexpr bool
+    syncEngine() const
+    {
+        return row().sync == SyncSite::L2Engine;
+    }
+
+    /** Effective scope of a sync access under this configuration. */
+    constexpr Scope
+    effectiveScope(Scope annotated) const
+    {
+        return consistency() == ConsistencyModel::Hrf ? annotated
+                                                      : Scope::Global;
+    }
+
+    /** The column's name: GD, GH, DD, DD+RO, DH, DD+SE or DD+PR. */
     std::string
     shortName() const
     {
-        if (protocol == CoherenceProtocol::Gpu) {
-            return consistency == ConsistencyModel::Hrf ? "GH" : "GD";
+        return std::string(row().name);
+    }
+
+    static constexpr ProtocolConfig gd() { return {Column::Gd}; }
+    static constexpr ProtocolConfig gh() { return {Column::Gh}; }
+    static constexpr ProtocolConfig dd() { return {Column::Dd}; }
+    static constexpr ProtocolConfig ddro() { return {Column::DdRo}; }
+    static constexpr ProtocolConfig dh() { return {Column::Dh}; }
+    static constexpr ProtocolConfig ddse() { return {Column::DdSe}; }
+    static constexpr ProtocolConfig ddpr() { return {Column::DdPr}; }
+
+    /** Every row, in table order. */
+    static std::vector<ProtocolConfig>
+    all()
+    {
+        std::vector<ProtocolConfig> configs;
+        for (std::size_t i = 0; i < kProtocolColumns.size(); ++i)
+            configs.emplace_back(static_cast<Column>(i));
+        return configs;
+    }
+
+    /** The paper's five studied rows, in table order. */
+    static std::vector<ProtocolConfig>
+    studied()
+    {
+        std::vector<ProtocolConfig> configs;
+        for (const ProtocolConfig &config : all()) {
+            if (config.row().studied)
+                configs.push_back(config);
         }
-        std::string name;
-        if (consistency == ConsistencyModel::Hrf)
-            name = "DH";
-        else if (perRegionPolicy)
-            name = "DD+PR";
-        else
-            name = readOnlyRegions ? "DD+RO" : "DD";
-        if (syncEngine)
-            name += "+SE";
-        if (syncReadBackoff)
-            name += "+BO";
-        return name;
+        return configs;
     }
 
-    static ProtocolConfig
-    gd()
+    /** The row named @p name, if there is one. */
+    static std::optional<ProtocolConfig>
+    byName(std::string_view name)
     {
-        return {CoherenceProtocol::Gpu, ConsistencyModel::Drf, false};
+        for (const ProtocolConfig &config : all()) {
+            if (config.row().name == name)
+                return config;
+        }
+        return std::nullopt;
     }
 
-    static ProtocolConfig
-    gh()
-    {
-        return {CoherenceProtocol::Gpu, ConsistencyModel::Hrf, false};
-    }
+    friend constexpr bool operator==(ProtocolConfig,
+                                     ProtocolConfig) = default;
 
-    static ProtocolConfig
-    dd()
-    {
-        return {CoherenceProtocol::Denovo, ConsistencyModel::Drf,
-                false};
-    }
-
-    static ProtocolConfig
-    ddro()
-    {
-        return {CoherenceProtocol::Denovo, ConsistencyModel::Drf,
-                true};
-    }
-
-    static ProtocolConfig
-    dh()
-    {
-        return {CoherenceProtocol::Denovo, ConsistencyModel::Hrf,
-                false};
-    }
-
-    /** DD with the DeNovoSync read-backoff extension. */
-    static ProtocolConfig
-    ddbo()
-    {
-        ProtocolConfig config = dd();
-        config.syncReadBackoff = true;
-        return config;
-    }
-
-    /** DD with the SynCron-style memory-side sync engine. */
-    static ProtocolConfig
-    ddse()
-    {
-        ProtocolConfig config = dd();
-        config.syncEngine = true;
-        return config;
-    }
-
-    /** DD with per-region protocol specialization (DD+PR). */
-    static ProtocolConfig
-    ddpr()
-    {
-        ProtocolConfig config = ddro();
-        config.perRegionPolicy = true;
-        return config;
-    }
+  private:
+    Column _column = Column::Gd;
 };
 
 } // namespace nosync

@@ -46,7 +46,7 @@ fenceActionsFor(const SyncOp &op, const ProtocolConfig &config)
     actions.drainBefore = op.isRelease() && !local;
     actions.invalidateAfter = op.isAcquire() && !local;
     actions.mayExecuteLocally =
-        local || config.protocol == CoherenceProtocol::Denovo;
+        local || config.protocol() == CoherenceProtocol::Denovo;
     return actions;
 }
 

@@ -43,8 +43,8 @@ inline FeatureSet
 featuresOf(const ProtocolConfig &config)
 {
     using S = FeatureSet::Support;
-    bool hrf = config.consistency == ConsistencyModel::Hrf;
-    if (config.protocol == CoherenceProtocol::Gpu) {
+    bool hrf = config.consistency() == ConsistencyModel::Hrf;
+    if (config.protocol() == CoherenceProtocol::Gpu) {
         if (!hrf) {
             return {S::No, S::No, S::No, S::Yes, S::No, S::No, S::No};
         }
@@ -55,8 +55,8 @@ featuresOf(const ProtocolConfig &config)
     // decoupled transfer granularity regardless of the model. The
     // read-only enhancement mitigates valid-data reuse under DRF.
     S valid_reuse = hrf ? S::IfLocalScope
-                        : (config.readOnlyRegions ? S::IfLocalScope
-                                                  : S::No);
+                        : (config.readOnlyRegions() ? S::IfLocalScope
+                                                    : S::No);
     return {S::Yes, valid_reuse, S::Yes, S::Yes, S::Yes, S::Yes,
             S::Yes};
 }

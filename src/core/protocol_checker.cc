@@ -86,7 +86,7 @@ ProtocolChecker::sweep(bool quiesced) const
         // Streaming regions (DD+PR) bypass registration entirely: a
         // registered word there means an owned store or sync access
         // targeted a region the program declared streaming.
-        if (_sys.config().protocol.perRegionPolicy &&
+        if (_sys.config().protocol.perRegionPolicy() &&
             _sys.regions().isStreaming(addr)) {
             out.push_back("word " + hexWord(addr) +
                           " registered despite lying in a declared "

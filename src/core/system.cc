@@ -44,7 +44,7 @@ System::System(const SystemConfig &config) : _config(config)
     _memory.setInterleave(num_nodes);
 
     bool denovo =
-        _config.protocol.protocol == CoherenceProtocol::Denovo;
+        _config.protocol.protocol() == CoherenceProtocol::Denovo;
 
     // One L2 bank per mesh node of every device (NUCA, Figure 1); the
     // functional image and the bank homing are striped machine-wide,

@@ -134,13 +134,14 @@ class System : public WorkloadEnv
     }
     bool hrf() const override
     {
-        return _config.protocol.consistency == ConsistencyModel::Hrf;
+        return _config.protocol.consistency() == ConsistencyModel::Hrf;
     }
 
     // Component access (tests, benches) -------------------------------
     const SystemConfig &config() const { return _config; }
     EventQueue &eventQueue() { return _eq; }
     stats::StatSet &stats() { return _stats; }
+    const stats::StatSet &stats() const { return _stats; }
     Mesh &mesh() { return *_mesh; }
     FaultInjector *faults() { return _faults.get(); }
     EnergyModel &energy() { return *_energy; }

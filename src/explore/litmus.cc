@@ -531,7 +531,7 @@ class MisscopedLitmus : public LitmusWorkload
     allowed(const std::string &outcome,
             const ProtocolConfig &proto) const override
     {
-        if (proto.consistency == ConsistencyModel::Hrf) {
+        if (proto.consistency() == ConsistencyModel::Hrf) {
             // Racy program: any combination of stale/fresh values.
             return outcome == "f=0 d=0" || outcome == "f=0 d=41" ||
                    outcome == "f=1 d=0" || outcome == "f=1 d=41";
@@ -542,7 +542,7 @@ class MisscopedLitmus : public LitmusWorkload
     bool
     expectScopeRace(const ProtocolConfig &proto) const override
     {
-        return proto.consistency == ConsistencyModel::Hrf;
+        return proto.consistency() == ConsistencyModel::Hrf;
     }
 
     axiom::Program

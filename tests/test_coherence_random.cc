@@ -337,6 +337,6 @@ TEST_P(CoherenceProperty, KernelRotationSeesFreshData)
 
 INSTANTIATE_TEST_SUITE_P(
     Sweep, CoherenceProperty,
-    ::testing::Combine(::testing::ValuesIn(test::allConfigs()),
+    ::testing::Combine(::testing::ValuesIn(ProtocolConfig::all()),
                        ::testing::Values(1u, 2u, 3u, 4u)),
     PropName{});

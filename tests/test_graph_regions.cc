@@ -401,11 +401,7 @@ TEST(SchemaPins, RaceSchemaAcceptsEveryConfigColumn)
         slurpFile(NOSYNC_SOURCE_DIR "/tools/race_schema.json");
     // Every config a bench harness can emit a race report for must
     // validate against the checked-in schema.
-    for (const ProtocolConfig &proto :
-         {ProtocolConfig::gd(), ProtocolConfig::gh(),
-          ProtocolConfig::dd(), ProtocolConfig::ddro(),
-          ProtocolConfig::dh(), ProtocolConfig::ddbo(),
-          ProtocolConfig::ddse(), ProtocolConfig::ddpr()}) {
+    for (const ProtocolConfig &proto : ProtocolConfig::all()) {
         expectEnumContains(schema, "race_schema.json",
                            proto.shortName());
     }
@@ -418,11 +414,7 @@ TEST(SchemaPins, ExploreAndAxiomSchemasAcceptEveryLitmusCell)
     std::string axiom =
         slurpFile(NOSYNC_SOURCE_DIR "/tools/axiom_schema.json");
     // Config columns litmus_explore sweeps.
-    for (const ProtocolConfig &proto :
-         {ProtocolConfig::gd(), ProtocolConfig::gh(),
-          ProtocolConfig::dd(), ProtocolConfig::ddro(),
-          ProtocolConfig::dh(), ProtocolConfig::ddse(),
-          ProtocolConfig::ddpr()}) {
+    for (const ProtocolConfig &proto : ProtocolConfig::all()) {
         expectEnumContains(explore, "explore_schema.json",
                            proto.shortName());
         expectEnumContains(axiom, "axiom_schema.json",

@@ -318,5 +318,5 @@ TEST_P(LitmusTest, StoreBufferingScForSync)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, LitmusTest,
-                         ::testing::ValuesIn(test::allConfigs()),
+                         ::testing::ValuesIn(ProtocolConfig::all()),
                          test::ConfigName{});

@@ -301,5 +301,5 @@ TEST_P(LitmusExtra, WorkMigration)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, LitmusExtra,
-                         ::testing::ValuesIn(test::allConfigs()),
+                         ::testing::ValuesIn(ProtocolConfig::all()),
                          test::ConfigName{});

@@ -553,8 +553,8 @@ TEST(SyncEngine, ConfigColumnIsDistinct)
 {
     ProtocolConfig ddse = ProtocolConfig::ddse();
     EXPECT_EQ(ddse.shortName(), "DD+SE");
-    EXPECT_TRUE(ddse.syncEngine);
-    EXPECT_FALSE(ProtocolConfig::dd().syncEngine);
+    EXPECT_TRUE(ddse.syncEngine());
+    EXPECT_FALSE(ProtocolConfig::dd().syncEngine());
 }
 
 TEST(SyncEngine, ReclaimsDataRegisteredWord)

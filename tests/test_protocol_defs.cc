@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "coherence/protocol.hh"
 #include "consistency/fence_policy.hh"
 #include "core/features.hh"
@@ -94,13 +100,47 @@ TEST(ProtocolConfig, ShortNames)
     EXPECT_EQ(ProtocolConfig::ddpr().shortName(), "DD+PR");
 }
 
+TEST(ProtocolConfig, RowNamesAreUniqueAndFactoriesMapToOwnRows)
+{
+    const std::vector<ProtocolConfig> all = ProtocolConfig::all();
+    ASSERT_EQ(all.size(), kProtocolColumns.size());
+    std::set<std::string> names;
+    for (const ProtocolConfig &config : all) {
+        EXPECT_TRUE(names.insert(config.shortName()).second)
+            << "duplicate row " << config.shortName();
+        std::optional<ProtocolConfig> named =
+            ProtocolConfig::byName(config.shortName());
+        ASSERT_TRUE(named.has_value());
+        EXPECT_TRUE(*named == config);
+    }
+    EXPECT_FALSE(ProtocolConfig::byName("GD+RO").has_value());
+
+    // Factory i picks row i.
+    const ProtocolConfig factories[] = {
+        ProtocolConfig::gd(), ProtocolConfig::gh(),
+        ProtocolConfig::dd(), ProtocolConfig::ddro(),
+        ProtocolConfig::dh(), ProtocolConfig::ddse(),
+        ProtocolConfig::ddpr()};
+    ASSERT_EQ(std::size(factories), kProtocolColumns.size());
+    for (std::size_t i = 0; i < std::size(factories); ++i) {
+        EXPECT_EQ(&factories[i].row(), &kProtocolColumns[i]);
+        EXPECT_TRUE(factories[i] == all[i]);
+    }
+
+    std::vector<std::string> studied;
+    for (const ProtocolConfig &config : ProtocolConfig::studied())
+        studied.push_back(config.shortName());
+    EXPECT_EQ(studied, (std::vector<std::string>{"GD", "GH", "DD",
+                                                 "DD+RO", "DH"}));
+}
+
 TEST(ProtocolConfig, DdprImpliesReadOnlyRegions)
 {
     ProtocolConfig ddpr = ProtocolConfig::ddpr();
-    EXPECT_TRUE(ddpr.perRegionPolicy);
-    EXPECT_TRUE(ddpr.readOnlyRegions);
-    EXPECT_FALSE(ProtocolConfig::ddro().perRegionPolicy);
-    EXPECT_FALSE(ProtocolConfig::dd().perRegionPolicy);
+    EXPECT_TRUE(ddpr.perRegionPolicy());
+    EXPECT_TRUE(ddpr.readOnlyRegions());
+    EXPECT_FALSE(ProtocolConfig::ddro().perRegionPolicy());
+    EXPECT_FALSE(ProtocolConfig::dd().perRegionPolicy());
 }
 
 TEST(ProtocolConfig, DrfIgnoresScopeAnnotations)

@@ -440,7 +440,7 @@ TEST_P(RaceLitmusTest, SuppressedRaceDoesNotFailTheRun)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, RaceLitmusTest,
-                         ::testing::ValuesIn(test::allConfigs()),
+                         ::testing::ValuesIn(ProtocolConfig::all()),
                          test::ConfigName{});
 
 TEST(RaceScopeLitmus, MisScopedReleaseFlaggedUnderHrf)
@@ -478,7 +478,7 @@ TEST(RaceScopeLitmus, MisScopedReleaseCleanUnderDrf)
 
 TEST(RaceCheckIdentity, DisabledDetectorChangesNothing)
 {
-    for (const ProtocolConfig &proto : test::allConfigs()) {
+    for (const ProtocolConfig &proto : ProtocolConfig::all()) {
         auto reference = makeScaled("FAM_G", 10);
         SystemConfig config;
         config.protocol = proto;

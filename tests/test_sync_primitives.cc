@@ -114,5 +114,5 @@ TEST_P(SyncPrimitives, TreeBarrierWithLocalExchange)
 }
 
 INSTANTIATE_TEST_SUITE_P(AllConfigs, SyncPrimitives,
-                         ::testing::ValuesIn(test::allConfigs()),
+                         ::testing::ValuesIn(ProtocolConfig::all()),
                          test::ConfigName{});

@@ -16,13 +16,13 @@ using namespace nosync::test;
 
 TEST(System, BuildsEveryConfiguration)
 {
-    for (const auto &proto : test::allConfigs()) {
+    for (const auto &proto : ProtocolConfig::all()) {
         SystemConfig config;
         config.protocol = proto;
         System system(config);
         EXPECT_EQ(system.numCus(), 15u);
         EXPECT_EQ(system.mesh().numNodes(), 16u);
-        if (proto.protocol == CoherenceProtocol::Denovo) {
+        if (proto.protocol() == CoherenceProtocol::Denovo) {
             EXPECT_NE(as<DenovoL1Cache>(system.l1(0)), nullptr);
             EXPECT_EQ(as<GpuL1Cache>(system.l1(0)), nullptr);
         } else {

@@ -6,8 +6,9 @@
 #ifndef TESTS_TEST_UTIL_HH
 #define TESTS_TEST_UTIL_HH
 
+#include <cstdio>
+#include <ostream>
 #include <string>
-#include <vector>
 
 #if defined(__SANITIZE_ADDRESS__)
 #define NOSYNC_HAS_LSAN 1
@@ -21,6 +22,37 @@
 #endif
 
 #include "core/system.hh"
+
+namespace nosync
+{
+
+/**
+ * gtest prints a parameter's value into every parameterized test's
+ * registered ctest name. Render a ProtocolConfig as the byte dump of
+ * the earlier six-field struct (two 32-bit enums, then the read-only,
+ * per-region, read-backoff and sync-engine flags), so the registered
+ * names stay the same now that the config is one row index.
+ */
+inline void
+PrintTo(const ProtocolConfig &config, std::ostream *os)
+{
+    const unsigned char bytes[12] = {
+        static_cast<unsigned char>(config.protocol()), 0, 0, 0,
+        static_cast<unsigned char>(config.consistency()), 0, 0, 0,
+        config.readOnlyRegions(), config.perRegionPolicy(), 0,
+        config.syncEngine()};
+    *os << sizeof(bytes) << "-byte object <";
+    char text[3];
+    for (std::size_t i = 0; i < sizeof(bytes); ++i) {
+        if (i != 0)
+            *os << (i % 2 == 0 ? ' ' : '-');
+        std::snprintf(text, sizeof(text), "%02X", bytes[i]);
+        *os << text;
+    }
+    *os << '>';
+}
+
+} // namespace nosync
 
 namespace nosync::test
 {
@@ -43,17 +75,6 @@ struct ScopedLeakTolerance
     ~ScopedLeakTolerance() {}
 #endif
 };
-
-/** The five studied configurations plus the DD+BO and DD+PR
- *  extensions. */
-inline std::vector<ProtocolConfig>
-allConfigs()
-{
-    return {ProtocolConfig::gd(),   ProtocolConfig::gh(),
-            ProtocolConfig::dd(),   ProtocolConfig::ddro(),
-            ProtocolConfig::dh(),   ProtocolConfig::ddbo(),
-            ProtocolConfig::ddpr()};
-}
 
 /** Run the event queue until it drains (or a safety limit). */
 inline void

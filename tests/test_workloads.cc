@@ -55,7 +55,7 @@ allRuns(const std::string &group, unsigned stride = 1)
     std::vector<WorkloadParam> params;
     unsigned i = 0;
     for (const auto *desc : workloadsInGroup(group)) {
-        for (const auto &config : test::allConfigs()) {
+        for (const auto &config : ProtocolConfig::all()) {
             if (i++ % stride == 0)
                 params.emplace_back(desc->name, config);
         }
