@@ -1,14 +1,15 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's own hot paths
- * (event queue, cache array, mesh routing, protocol end-to-end) —
- * useful when optimizing the simulator itself.
+ * (event queue, cache array, mesh routing, TB coroutine awaitables,
+ * protocol end-to-end) — useful when optimizing the simulator itself.
  */
 
 #include <benchmark/benchmark.h>
 
 #include "coherence/region_map.hh"
 #include "core/system.hh"
+#include "gpu/tb_context.hh"
 #include "mem/cache_array.hh"
 #include "mem/mshr.hh"
 #include "noc/mesh.hh"
@@ -136,6 +137,50 @@ BM_RegionMapLineMask(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
 }
 BENCHMARK(BM_RegionMapLineMask);
+
+/** One TB issuing @p count atomic fetch-adds to one word. */
+static SimTask
+fetchAddLoop(TbContext &ctx, Addr addr, unsigned count, unsigned &done)
+{
+    for (unsigned i = 0; i < count; ++i)
+        co_await ctx.atomic(ctx.fetchAdd(addr, 1, Scope::Global));
+    ++done;
+}
+
+static void
+BM_TbAwaitSyncHit(benchmark::State &state)
+{
+    // The awaiter layer: TbContext::atomic suspends the coroutine,
+    // the DD L1 performs a registration hit and the event queue
+    // resumes it. One warm-up atomic registers the word; every
+    // measured atomic then hits in the L1 with no network traffic.
+    SystemConfig config;
+    config.protocol = ProtocolConfig::dd();
+    config.topology.mesh.width = 2;
+    config.topology.mesh.height = 2;
+    config.topology.cusPerDevice = 3;
+    System system(config);
+    EventQueue &eq = system.eventQueue();
+    TbContext ctx(eq, system.l1(0), system.energy(), Rng(1), 0, 0, 0, 0,
+                  3, 1);
+    constexpr Addr kWord = 0x1000;
+    unsigned done = 0;
+    fetchAddLoop(ctx, kWord, 1, done).start([] {});
+    eq.run();
+    const L1Stats &stats = system.l1(0).l1Stats();
+    double hits_before = stats.syncHits->value();
+    for (auto _ : state) {
+        fetchAddLoop(ctx, kWord, 1000, done).start([] {});
+        eq.run();
+    }
+    benchmark::DoNotOptimize(done);
+    if (stats.syncHits->value() - hits_before !=
+        1000.0 * static_cast<double>(state.iterations()))
+        state.SkipWithError("an atomic missed in the L1");
+    state.SetItemsProcessed(state.iterations() * 1000);
+    state.SetLabel("1000 L1-hit atomics through one TB on 2x2 DD");
+}
+BENCHMARK(BM_TbAwaitSyncHit);
 
 static void
 BM_EndToEndNN(benchmark::State &state)

@@ -98,7 +98,9 @@ DenovoL1Cache::entryFor(Addr line_addr)
     line_addr = lineAlign(line_addr);
     if (LineEntry *entry = _mshr.find(line_addr))
         return *entry;
-    return _mshr.allocate(line_addr);
+    LineEntry &entry = _mshr.allocate(line_addr);
+    entry.readTargets = _targetPool.borrow();
+    return entry;
 }
 
 void
@@ -106,8 +108,10 @@ DenovoL1Cache::maybeFreeEntry(Addr line_addr)
 {
     line_addr = lineAlign(line_addr);
     LineEntry *entry = _mshr.find(line_addr);
-    if (entry && entry->idle())
+    if (entry && entry->idle()) {
+        _targetPool.giveBack(std::move(entry->readTargets));
         _mshr.deallocate(line_addr);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -480,7 +484,7 @@ DenovoL1Cache::serveReadTargets(Addr line_addr)
         return;
     // Collect first, invoke after: a resumed coroutine may issue new
     // loads that push into this very vector.
-    std::vector<std::pair<std::uint32_t, ValueCallback>> ready;
+    std::vector<ReadyLoad> ready = _readyBatch.borrow();
     auto &targets = entry->readTargets;
     for (auto it = targets.begin(); it != targets.end();) {
         std::uint32_t value;
@@ -493,6 +497,7 @@ DenovoL1Cache::serveReadTargets(Addr line_addr)
     }
     for (auto &[value, cb] : ready)
         cb(value);
+    _readyBatch.giveBack(std::move(ready));
 }
 
 void
@@ -507,7 +512,7 @@ DenovoL1Cache::settleReads(Addr line_addr, WordMask reply_mask,
     // Serve targets: locally readable words first, then words the
     // arriving reply can legally satisfy (the reply is as fresh as
     // its request's acquire epoch).
-    std::vector<std::pair<std::uint32_t, ValueCallback>> ready;
+    std::vector<ReadyLoad> ready = _readyBatch.borrow();
     auto &targets = entry->readTargets;
     for (auto it = targets.begin(); it != targets.end();) {
         std::uint32_t value;
@@ -525,6 +530,7 @@ DenovoL1Cache::settleReads(Addr line_addr, WordMask reply_mask,
     }
     for (auto &[value, cb] : ready)
         cb(value);
+    _readyBatch.giveBack(std::move(ready));
 
     // Re-find: the callbacks may have erased or mutated the entry.
     entry = _mshr.find(line_addr);
@@ -899,10 +905,14 @@ DenovoL1Cache::maybeFinishDrains()
 {
     if (_pendingWrites != 0 || _drainWaiters.empty())
         return;
-    auto waiters = std::move(_drainWaiters);
-    _drainWaiters.clear();
+    // Run this batch from the spare buffer: waiters that start a new
+    // drain queue behind it in _drainWaiters, and neither list gives
+    // up its capacity.
+    std::vector<DoneCallback> waiters = _drainBatch.borrow();
+    waiters.swap(_drainWaiters);
     for (auto &waiter : waiters)
         waiter();
+    _drainBatch.giveBack(std::move(waiters));
 }
 
 void
@@ -948,64 +958,63 @@ void
 DenovoL1Cache::sync(const SyncOp &op, ValueCallback cb)
 {
     Scope scope = _config.effectiveScope(op.scope);
-    auto perform = [this, op, scope, cb = std::move(cb)]() mutable {
-        auto finish = [this, op, scope,
-                       cb = std::move(cb)](std::uint32_t value) {
-            finishSync(op, scope, value, std::move(cb));
-        };
-        if (_config.syncEngine() && scope != Scope::Local)
-            performEngineSync(op, scope, std::move(finish));
-        else
-            performSync(op, scope, std::move(finish));
-    };
+    std::uint32_t slot = _syncs.put({op, scope, std::move(cb)});
 
     // Device- and machine-scoped releases both make prior writes
     // visible beyond this CU's L1, so both drain.
     if (op.isRelease() && scope != Scope::Local) {
         ++_stats.releaseDrains;
-        startDrain(std::move(perform));
+        startDrain([this, slot] { performSync(slot); });
     } else {
-        perform();
+        performSync(slot);
     }
 }
 
 void
-DenovoL1Cache::finishSync(const SyncOp &op, Scope scope,
-                          std::uint32_t value, ValueCallback cb)
+DenovoL1Cache::performSync(std::uint32_t slot)
 {
-    if (op.isAcquire() && scope != Scope::Local)
-        invalidateValid();
-    cb(value);
+    if (_syncs[slot].scope == Scope::Local)
+        performLocalHrfSync(slot);
+    else if (_config.syncEngine())
+        performEngineSync(slot);
+    else
+        performOwnedSync(slot);
 }
 
 void
-DenovoL1Cache::performEngineSync(const SyncOp &op, Scope scope,
-                                 ValueCallback cb)
+DenovoL1Cache::finishSync(std::uint32_t slot, std::uint32_t value)
+{
+    SyncRecord rec = _syncs.take(slot);
+    if (rec.op.isAcquire() && rec.scope != Scope::Local)
+        invalidateValid();
+    rec.cb(value);
+}
+
+void
+DenovoL1Cache::performEngineSync(std::uint32_t slot)
 {
     // SynCron-style memory-side execution: the sync op travels to the
     // home bank and performs there; the sync word's ownership never
     // migrates to this L1, so contended sync variables stop
     // ping-ponging through the registry's distributed queue.
-    (void)scope;
     ++_stats.syncMisses;
     _energy.atomicAlu();
+    const SyncOp &op = _syncs[slot].op;
     DenovoL2Bank &bank = homeBank(op.addr);
     unsigned flits = flitsForWords(1);
     _mesh.send(_node, bank.node(), flits, TrafficClass::Atomic,
-               [this, &bank, op, cb = std::move(cb)]() mutable {
-                   bank.handleSyncOp(op, _node, std::move(cb));
+               [this, &bank, op, slot] {
+                   bank.handleSyncOp(op, _node,
+                                     [this, slot](std::uint32_t v) {
+                                         finishSync(slot, v);
+                                     });
                });
 }
 
 void
-DenovoL1Cache::performSync(const SyncOp &op, Scope scope,
-                           ValueCallback cb)
+DenovoL1Cache::performOwnedSync(std::uint32_t slot)
 {
-    if (scope == Scope::Local) {
-        performLocalHrfSync(op, std::move(cb));
-        return;
-    }
-
+    const SyncOp &op = _syncs[slot].op;
     Addr line_addr = lineAlign(op.addr);
     unsigned w = wordInLine(op.addr);
 
@@ -1027,14 +1036,14 @@ DenovoL1Cache::performSync(const SyncOp &op, Scope scope,
         AtomicResult res = applyAtomic(op, old_val);
         frame->data[w] = res.newValue;
         _array.touch(*frame);
-        scheduleIn(_timings.l1Atomic,
-                   [cb = std::move(cb), v = res.returned] { cb(v); });
+        scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
+            finishSync(slot, v);
+        });
         return;
     }
 
     LineEntry &entry = entryFor(line_addr);
-    entry.syncQueue.push_back({w, op, std::move(cb),
-                               entry.nextSeq++});
+    entry.syncQueue.push_back({w, slot, entry.nextSeq++});
     WordMask bit = static_cast<WordMask>(1u << w);
 
     if (bit & (entry.syncRegPending | entry.dataRegPending |
@@ -1163,51 +1172,49 @@ DenovoL1Cache::processSyncQueue(Addr line_addr, unsigned word)
              "local sync op scheduled on a word held only in the "
              "writeback buffer");
 
-    SyncWaiter waiter = std::move(*local_it);
+    std::uint32_t slot = local_it->slot;
     entry->syncQueue.erase(local_it);
     entry->syncRunning |= bit;
 
-    scheduleIn(_timings.l1Atomic, [this, line_addr, word, bit,
-                                   waiter = std::move(waiter)]() mutable {
+    scheduleIn(_timings.l1Atomic, [this, line_addr, word, bit, slot] {
         CacheLine *frame = _array.lookup(line_addr);
         panic_if(!frame ||
                      frame->wstate[word] != WordState::Registered,
                  "queued sync op executing without ownership");
         _energy.l1Access();
         _energy.atomicAlu();
+        const SyncOp &op = _syncs[slot].op;
         if (_races)
-            _races->syncPerformed(waiter.op, curTick());
-        AtomicResult res = applyAtomic(waiter.op, frame->data[word]);
+            _races->syncPerformed(op, curTick());
+        AtomicResult res = applyAtomic(op, frame->data[word]);
         frame->data[word] = res.newValue;
         _array.touch(*frame);
 
         LineEntry *entry = _mshr.find(line_addr);
         panic_if(!entry, "sync chain lost its MSHR entry");
         entry->syncRunning &= ~bit;
-        waiter.cb(res.returned);
+        finishSync(slot, res.returned);
         processSyncQueue(line_addr, word);
     });
 }
 
 void
-DenovoL1Cache::performLocalHrfSync(const SyncOp &op, ValueCallback cb)
+DenovoL1Cache::performLocalHrfSync(std::uint32_t slot)
 {
+    const SyncOp op = _syncs[slot].op;
     std::uint32_t old_val;
     if (!peekLocal(op.addr, old_val)) {
         // Fetch the line first, then perform locally.
         ++_stats.syncMisses;
-        load(op.addr, [this, op, cb = std::move(cb)](std::uint32_t) {
-            performLocalHrfSync(op, std::move(cb));
-        });
+        load(op.addr,
+             [this, slot](std::uint32_t) { performLocalHrfSync(slot); });
         return;
     }
 
     if (_sb.full() && !_sb.contains(op.addr)) {
         // Need a buffer slot for the lazily-owned result.
         ++_stats.sbOverflowDrains;
-        startDrain([this, op, cb = std::move(cb)]() mutable {
-            performLocalHrfSync(op, std::move(cb));
-        });
+        startDrain([this, slot] { performLocalHrfSync(slot); });
         return;
     }
 
@@ -1231,8 +1238,9 @@ DenovoL1Cache::performLocalHrfSync(const SyncOp &op, ValueCallback cb)
         if (frame && frame->wstate[w] == WordState::Valid)
             frame->data[w] = res.newValue;
     }
-    scheduleIn(_timings.l1Atomic,
-               [cb = std::move(cb), v = res.returned] { cb(v); });
+    scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
+        finishSync(slot, v);
+    });
 }
 
 // ---------------------------------------------------------------------

@@ -151,8 +151,8 @@ class DenovoL1Cache : public L1Controller
     struct SyncWaiter
     {
         unsigned word;
-        SyncOp op;
-        ValueCallback cb;
+        /** The parked sync (op and callback) in _syncs. */
+        std::uint32_t slot;
         /** Arrival order relative to queued remote requests. */
         std::uint64_t seq = 0;
     };
@@ -197,7 +197,7 @@ class DenovoL1Cache : public L1Controller
          * dataRegPending | syncRegPending.
          */
         WordMask regWaitingWb = 0;
-        std::deque<SyncWaiter> syncQueue;
+        std::vector<SyncWaiter> syncQueue;
         /** Words whose sync queue is being executed right now. */
         WordMask syncRunning = 0;
 
@@ -320,17 +320,21 @@ class DenovoL1Cache : public L1Controller
      */
     void refreshLine(CacheLine &line);
 
-    void performSync(const SyncOp &op, Scope scope, ValueCallback cb);
-    void performLocalHrfSync(const SyncOp &op, ValueCallback cb);
+    /** Perform the parked sync in @p slot (after any drain). */
+    void performSync(std::uint32_t slot);
+
+    /** Obtain ownership of the sync word, then perform at this L1. */
+    void performOwnedSync(std::uint32_t slot);
+    void performLocalHrfSync(std::uint32_t slot);
 
     /**
      * DD+SE: perform the atomic at the home bank's sync engine
      * instead of registering ownership of the sync word here.
      */
-    void performEngineSync(const SyncOp &op, Scope scope,
-                           ValueCallback cb);
-    void finishSync(const SyncOp &op, Scope scope, std::uint32_t value,
-                    ValueCallback cb);
+    void performEngineSync(std::uint32_t slot);
+
+    /** Post-perform acquire step; unparks the sync and replies. */
+    void finishSync(std::uint32_t slot, std::uint32_t value);
 
     void startDrain(DoneCallback cb);
     void maybeFinishDrains();
@@ -347,12 +351,20 @@ class DenovoL1Cache : public L1Controller
     CacheTimings _timings;
     MshrTable<LineEntry> _mshr;
 
+    /** Read-target lists of retired MSHR entries, for reuse. */
+    VectorPool<ReadTarget> _targetPool;
+
     /** Line-keyed, slab-stable: probed by every load's peekLocal. */
     LineTable<WbEntry> _wbBuffer;
 
     /** Words awaiting data-write registration across all lines. */
     unsigned _pendingWrites = 0;
     std::vector<DoneCallback> _drainWaiters;
+    VectorPool<DoneCallback> _drainBatch;
+
+    /** A satisfied load: its value and callback (read batches). */
+    using ReadyLoad = std::pair<std::uint32_t, ValueCallback>;
+    VectorPool<ReadyLoad> _readyBatch;
 
     struct StalledStore
     {

@@ -58,7 +58,7 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
 // ---------------------------------------------------------------------
 
 void
-DenovoL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
+DenovoL2Bank::withLine(Addr line_addr, LineFn fn)
 {
     line_addr = lineAlign(line_addr);
     _energy.l2Access();
@@ -66,19 +66,21 @@ DenovoL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
     if (recalling(line_addr)) {
         // The line is being evicted; replay the request once the
         // recall completes (the line will then re-fetch from memory).
-        _recalls[line_addr].deferred.push_back(
-            [this, line_addr, fn = std::move(fn)]() mutable {
-                withLine(line_addr, std::move(fn));
-            });
+        _recalls[line_addr].deferred.push_back(std::move(fn));
         return;
     }
     withLineReady(line_addr, std::move(fn));
 }
 
 void
-DenovoL2Bank::withLineReady(Addr line_addr,
-                            std::function<void(CacheLine &)> fn,
-                            bool queued)
+DenovoL2Bank::replayParked(std::uint32_t slot)
+{
+    ParkedAccess access = _parked.take(slot);
+    withLine(access.lineAddr, std::move(access.fn));
+}
+
+void
+DenovoL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
 {
     // Pipelined bank: one new access per l2CycleTime cycles.
     Tick start = std::max(curTick(), _bankFree);
@@ -90,22 +92,20 @@ DenovoL2Bank::withLineReady(Addr line_addr,
         // Re-resolve at fire time: a concurrent fetch may evict and
         // repurpose this frame, or a recall may start, during the
         // access latency window.
-        scheduleIn(queue_delay + _timings.l2Access,
-                   [this, line_addr, fn = std::move(fn)]() mutable {
-                       if (recalling(line_addr)) {
-                           _recalls[line_addr].deferred.push_back(
-                               [this, line_addr,
-                                fn = std::move(fn)]() mutable {
-                                   withLine(line_addr, std::move(fn));
-                               });
-                           return;
-                       }
-                       if (CacheLine *line = _array.lookup(line_addr)) {
-                           fn(*line);
-                           return;
-                       }
-                       withLineReady(line_addr, std::move(fn));
-                   });
+        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
+        scheduleIn(queue_delay + _timings.l2Access, [this, slot] {
+            ParkedAccess access = _parked.take(slot);
+            if (recalling(access.lineAddr)) {
+                _recalls[access.lineAddr].deferred.push_back(
+                    std::move(access.fn));
+                return;
+            }
+            if (CacheLine *line = _array.lookup(access.lineAddr)) {
+                access.fn(*line);
+                return;
+            }
+            withLineReady(access.lineAddr, std::move(access.fn));
+        });
         return;
     }
 
@@ -283,8 +283,10 @@ DenovoL2Bank::finishRecall(Addr line_addr)
     panic_if(!live, "finishing recall without recall state");
     RecallState state = std::move(*live);
     _recalls.erase(line_addr);
-    for (auto &fn : state.deferred)
-        scheduleIn(0, std::move(fn));
+    for (auto &fn : state.deferred) {
+        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
+        scheduleIn(0, [this, slot] { replayParked(slot); });
+    }
     for (Addr blocked : state.blockedFetches)
         finishFetch(blocked);
 
@@ -312,7 +314,8 @@ DenovoL2Bank::handleReadReq(Addr line_addr, WordMask mask,
 {
     ++_reads;
     withLine(line_addr, [this, line_addr, mask, requestor, req_epoch,
-                         reply = std::move(reply)](CacheLine &line) {
+                         reply = std::move(reply)](
+                            CacheLine &line) mutable {
         WordMask self_mask = 0;
         bool any_fwd = false;
         std::fill(_fwdScratch.begin(), _fwdScratch.end(),
@@ -341,7 +344,8 @@ DenovoL2Bank::handleReadReq(Addr line_addr, WordMask mask,
         }
         unsigned flits = flitsForWords(popcount(l2_mask));
         _mesh.send(_node, requestor, flits, TrafficClass::Read,
-                   [reply, l2_mask, data = line.data, self_mask] {
+                   [reply = std::move(reply), l2_mask,
+                    data = line.data, self_mask] {
                        reply(l2_mask, data, self_mask);
                    });
 
@@ -385,7 +389,8 @@ DenovoL2Bank::handleRegReq(Addr line_addr, WordMask mask, bool is_sync,
         ++_registrations;
 
     withLine(line_addr, [this, line_addr, mask, is_sync, requestor,
-                         reply = std::move(reply)](CacheLine &line) {
+                         reply = std::move(reply)](
+                            CacheLine &line) mutable {
         WordMask direct = 0;
         WordMask moved = 0;
         bool any_fwd = false;
@@ -430,9 +435,8 @@ DenovoL2Bank::handleRegReq(Addr line_addr, WordMask mask, bool is_sync,
         unsigned flits = is_sync ? flitsForWords(popcount(direct))
                                  : kControlFlits;
         _mesh.send(_node, requestor, flits, cls,
-                   [reply, direct, data = line.data] {
-                       reply(direct, data);
-                   });
+                   [reply = std::move(reply), direct,
+                    data = line.data] { reply(direct, data); });
 
         for (NodeId owner = 0;
              any_fwd &&
@@ -469,7 +473,8 @@ DenovoL2Bank::handleWriteBack(Addr line_addr, WordMask mask,
                               DoneCallback ack)
 {
     withLine(line_addr, [this, mask, data, requestor,
-                         ack = std::move(ack)](CacheLine &line) {
+                         ack = std::move(ack)](
+                            CacheLine &line) mutable {
         WordMask accepted = 0;
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             WordMask bit = static_cast<WordMask>(1u << w);
@@ -504,7 +509,8 @@ DenovoL2Bank::handleStreamingWrite(Addr line_addr, WordMask mask,
                                    NodeId requestor, DoneCallback ack)
 {
     withLine(line_addr, [this, mask, data, requestor,
-                         ack = std::move(ack)](CacheLine &line) {
+                         ack = std::move(ack)](
+                            CacheLine &line) mutable {
         WordMask accepted = 0;
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             WordMask bit = static_cast<WordMask>(1u << w);

@@ -37,14 +37,15 @@ class DenovoL1Cache;
 /** Reply to a data read: words served from L2, and words the
  *  requestor itself still owns (e.g. a writeback raced the read). */
 using ReadReply =
-    std::function<void(WordMask l2_mask, const LineData &data,
-                       WordMask self_mask)>;
+    SmallFn<void(WordMask l2_mask, const LineData &data,
+                 WordMask self_mask),
+            kCallbackCapacity>;
 
 /** Reply to a registration: words granted directly from the L2 (with
  *  current values, needed by sync registrations). Words not covered
  *  arrive later as ownership transfers from previous owners. */
-using RegReply =
-    std::function<void(WordMask direct_mask, const LineData &data)>;
+using RegReply = SmallFn<void(WordMask direct_mask, const LineData &data),
+                         kCallbackCapacity>;
 
 /** One bank of the DeNovo registry. */
 class DenovoL2Bank : public L2Controller
@@ -140,13 +141,16 @@ class DenovoL2Bank : public L2Controller
     void debugSetOwner(Addr addr, NodeId owner);
 
   private:
-    void withLine(Addr line_addr, std::function<void(CacheLine &)> fn);
+    void withLine(Addr line_addr, LineFn fn);
     void startFetch(Addr line_addr);
     void finishFetch(Addr line_addr);
 
     /** Begin recalling every registered word of @p victim. */
     void startRecall(CacheLine &victim);
     void finishRecall(Addr line_addr);
+
+    /** Replay the parked access in @p slot through withLine. */
+    void replayParked(std::uint32_t slot);
 
     /** Whether @p line_addr is currently being recalled. */
     bool recalling(Addr line_addr) const
@@ -175,7 +179,7 @@ class DenovoL2Bank : public L2Controller
 
     struct FetchEntry
     {
-        std::vector<std::function<void(CacheLine &)>> waiters;
+        std::vector<LineFn> waiters;
         bool dramDone = false;
     };
     MshrTable<FetchEntry> _fetches;
@@ -185,19 +189,17 @@ class DenovoL2Bank : public L2Controller
      * arrival order: the protocol's writeback/registration races rely
      * on per-source FIFO processing, so the bank must not reorder.
      */
-    std::deque<std::pair<Addr, std::function<void(CacheLine &)>>>
-        _stalled;
+    std::deque<std::pair<Addr, LineFn>> _stalled;
 
-    void withLineReady(Addr line_addr,
-                       std::function<void(CacheLine &)> fn,
-                       bool queued = false);
+    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
     void processStalled();
 
     struct RecallState
     {
         WordMask outstanding = 0;
-        /** Requests that arrived for the victim line mid-recall. */
-        std::vector<std::function<void()>> deferred;
+        /** Requests that arrived for the victim line mid-recall;
+         *  each replays through withLine once the recall ends. */
+        std::vector<LineFn> deferred;
         /** Fetches whose install waits on this recall. */
         std::vector<Addr> blockedFetches;
     };

@@ -25,18 +25,24 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
 }
 
 bool
+GpuL1Cache::pendingWtValue(Addr addr, std::uint32_t &value) const
+{
+    const PendingWtLine *pend = _pendingWt.find(addr);
+    unsigned w = wordInLine(addr);
+    if (!pend || !(pend->words & (1u << w)))
+        return false;
+    value = pend->value[w];
+    return true;
+}
+
+bool
 GpuL1Cache::bufferedValue(Addr addr, std::uint32_t &value) const
 {
     if (_sb.contains(addr)) {
         value = _sb.value(addr);
         return true;
     }
-    auto it = _pendingWt.find(wordAlign(addr));
-    if (it != _pendingWt.end()) {
-        value = it->second.value;
-        return true;
-    }
-    return false;
+    return pendingWtValue(addr, value);
 }
 
 GpuL2Bank &
@@ -80,27 +86,34 @@ GpuL1Cache::load(Addr addr, ValueCallback cb)
     // cache, on eviction) but has not merged at the L2 yet. Fills
     // never install over such words, so any valid frame copy checked
     // above is at least as fresh.
-    auto pending = _pendingWt.find(wordAlign(addr));
-    if (pending != _pendingWt.end()) {
+    std::uint32_t in_flight;
+    if (pendingWtValue(addr, in_flight)) {
         ++_stats.loadHits;
         _energy.l1Access();
         scheduleIn(_timings.l1Hit,
-                   [cb = std::move(cb),
-                    v = pending->second.value] { cb(v); });
+                   [cb = std::move(cb), v = in_flight] { cb(v); });
         return;
     }
 
     ++_stats.loadMisses;
     _energy.l1TagAccess();
     Addr line_addr = lineAlign(addr);
-    ReadEntry *entry = _mshr.find(line_addr);
-    if (!entry)
-        entry = &_mshr.allocate(line_addr);
-    entry->targets.push_back({addr, std::move(cb), _curEpoch});
-    if (!entry->requestOutstanding) {
-        entry->requestOutstanding = true;
+    ReadEntry &entry = entryFor(line_addr);
+    entry.targets.push_back({addr, std::move(cb), _curEpoch});
+    if (!entry.requestOutstanding) {
+        entry.requestOutstanding = true;
         issueRead(line_addr);
     }
+}
+
+GpuL1Cache::ReadEntry &
+GpuL1Cache::entryFor(Addr line_addr)
+{
+    if (ReadEntry *entry = _mshr.find(line_addr))
+        return *entry;
+    ReadEntry &entry = _mshr.allocate(line_addr);
+    entry.targets = _targetPool.borrow();
+    return entry;
 }
 
 void
@@ -216,8 +229,9 @@ GpuL1Cache::onFill(Addr line_addr, const LineData &data,
         _mshr.deallocate(line_addr);
         for (auto &target : targets)
             target.cb(snapshot[wordInLine(target.addr)]);
-        for (auto &[op, cb] : atomics)
-            performLocalAtomic(op, std::move(cb));
+        _targetPool.giveBack(std::move(targets));
+        for (std::uint32_t slot : atomics)
+            performLocalAtomic(slot);
         return;
     }
 
@@ -225,7 +239,7 @@ GpuL1Cache::onFill(Addr line_addr, const LineData &data,
     // at or before the request's epoch; newer loads re-fetch so they
     // cannot observe values older than their acquire. Collect first:
     // the callbacks may push new loads into this entry.
-    std::vector<ReadTarget> ready;
+    std::vector<ReadTarget> ready = _targetPool.borrow();
     auto &targets = entry->targets;
     for (auto it = targets.begin(); it != targets.end();) {
         if (it->epoch <= sent_epoch) {
@@ -237,11 +251,13 @@ GpuL1Cache::onFill(Addr line_addr, const LineData &data,
     }
     for (auto &target : ready)
         target.cb(data[wordInLine(target.addr)]);
+    _targetPool.giveBack(std::move(ready));
 
     entry = _mshr.find(line_addr);
     if (!entry)
         return;
     if (entry->targets.empty() && entry->atomicTargets.empty()) {
+        _targetPool.giveBack(std::move(entry->targets));
         _mshr.deallocate(line_addr);
         return;
     }
@@ -364,13 +380,13 @@ GpuL1Cache::sendWriteThrough(Addr line_addr, WordMask mask,
     }
     ++_pendingWtAcks;
     // Keep the in-flight values forwardable until the L2 merged them.
+    PendingWtLine &pend = _pendingWt[line_addr];
+    pend.words |= mask;
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         if (!(mask & (1u << w)))
             continue;
-        auto [it, inserted] = _pendingWt.try_emplace(
-            line_addr + w * kWordBytes, PendingWt{data[w], 0});
-        it->second.value = data[w];
-        ++it->second.count;
+        pend.value[w] = data[w];
+        ++pend.count[w];
     }
     GpuL2Bank &bank = homeBank(line_addr);
     unsigned flits = flitsForWords(popcount(mask));
@@ -379,22 +395,25 @@ GpuL1Cache::sendWriteThrough(Addr line_addr, WordMask mask,
                    bank.handleWriteThrough(
                        line_addr, mask, data, _node,
                        [this, line_addr, mask] {
-                           for (unsigned w = 0; w < kWordsPerLine;
-                                ++w) {
-                               if (!(mask & (1u << w)))
-                                   continue;
-                               auto it = _pendingWt.find(
-                                   line_addr + w * kWordBytes);
-                               panic_if(it == _pendingWt.end(),
-                                        "writethrough ack without "
-                                        "pending entry");
-                               if (--it->second.count == 0)
-                                   _pendingWt.erase(it);
-                           }
-                           --_pendingWtAcks;
-                           maybeFinishDrains();
+                           onWriteThroughAck(line_addr, mask);
                        });
                });
+}
+
+void
+GpuL1Cache::onWriteThroughAck(Addr line_addr, WordMask mask)
+{
+    PendingWtLine *pend = _pendingWt.find(line_addr);
+    panic_if(!pend || (pend->words & mask) != mask,
+             "writethrough ack without pending entry");
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        if ((mask & (1u << w)) && --pend->count[w] == 0)
+            pend->words &= static_cast<WordMask>(~(1u << w));
+    }
+    if (pend->words == 0)
+        _pendingWt.erase(line_addr);
+    --_pendingWtAcks;
+    maybeFinishDrains();
 }
 
 std::vector<StoreBuffer::DrainGroup>
@@ -442,10 +461,14 @@ GpuL1Cache::maybeFinishDrains()
 {
     if (_pendingWtAcks != 0 || _drainWaiters.empty())
         return;
-    auto waiters = std::move(_drainWaiters);
-    _drainWaiters.clear();
+    // Run this batch from the spare buffer: waiters that start a new
+    // drain queue behind it in _drainWaiters, and neither list gives
+    // up its capacity.
+    std::vector<DoneCallback> waiters = _drainBatch.borrow();
+    waiters.swap(_drainWaiters);
     for (auto &waiter : waiters)
         waiter();
+    _drainBatch.giveBack(std::move(waiters));
 }
 
 void
@@ -507,52 +530,57 @@ void
 GpuL1Cache::sync(const SyncOp &op, ValueCallback cb)
 {
     Scope scope = _config.effectiveScope(op.scope);
-    auto perform = [this, op, scope, cb = std::move(cb)]() mutable {
-        auto finish = [this, op, scope,
-                       cb = std::move(cb)](std::uint32_t value) {
-            finishSync(op, scope, value, std::move(cb));
-        };
-        if (scope == Scope::Local)
-            performLocalAtomic(op, std::move(finish));
-        else
-            performRemoteAtomic(op, std::move(finish));
-    };
+    std::uint32_t slot = _syncs.put({op, scope, std::move(cb)});
 
     // Device- and machine-scoped releases both make prior writes
     // visible beyond this CU's L1, so both drain.
     if (op.isRelease() && scope != Scope::Local) {
         ++_stats.releaseDrains;
-        startDrain(std::move(perform));
+        startDrain([this, slot] { performSync(slot); });
     } else {
-        perform();
+        performSync(slot);
     }
 }
 
 void
-GpuL1Cache::finishSync(const SyncOp &op, Scope scope,
-                       std::uint32_t value, ValueCallback cb)
+GpuL1Cache::performSync(std::uint32_t slot)
 {
-    if (op.isAcquire() && scope != Scope::Local)
-        flashInvalidate();
-    cb(value);
+    if (_syncs[slot].scope == Scope::Local)
+        performLocalAtomic(slot);
+    else
+        performRemoteAtomic(slot);
 }
 
 void
-GpuL1Cache::performRemoteAtomic(const SyncOp &op, ValueCallback cb)
+GpuL1Cache::finishSync(std::uint32_t slot, std::uint32_t value)
+{
+    SyncRecord rec = _syncs.take(slot);
+    if (rec.op.isAcquire() && rec.scope != Scope::Local)
+        flashInvalidate();
+    rec.cb(value);
+}
+
+void
+GpuL1Cache::performRemoteAtomic(std::uint32_t slot)
 {
     ++_stats.syncMisses;
     _energy.atomicAlu();
+    const SyncOp &op = _syncs[slot].op;
     GpuL2Bank &bank = homeBank(op.addr);
     unsigned flits = flitsForWords(1);
     _mesh.send(_node, bank.node(), flits, TrafficClass::Atomic,
-               [this, &bank, op, cb = std::move(cb)] {
-                   bank.handleAtomic(op, _node, std::move(cb));
+               [this, &bank, op, slot] {
+                   bank.handleAtomic(op, _node,
+                                     [this, slot](std::uint32_t v) {
+                                         finishSync(slot, v);
+                                     });
                });
 }
 
 void
-GpuL1Cache::performLocalAtomic(const SyncOp &op, ValueCallback cb)
+GpuL1Cache::performLocalAtomic(std::uint32_t slot)
 {
+    const SyncOp &op = _syncs[slot].op;
     CacheLine *line = _array.lookup(op.addr);
     if (line)
         refreshLine(*line);
@@ -562,27 +590,25 @@ GpuL1Cache::performLocalAtomic(const SyncOp &op, ValueCallback cb)
                     (line->dirty & (1u << w)));
     if (present) {
         ++_stats.syncHits;
-        applyLocalAtomic(*line, op, std::move(cb));
+        applyLocalAtomic(*line, slot);
         return;
     }
 
     // Fetch the line, then perform at L1.
     ++_stats.syncMisses;
     Addr line_addr = lineAlign(op.addr);
-    ReadEntry *entry = _mshr.find(line_addr);
-    if (!entry)
-        entry = &_mshr.allocate(line_addr);
-    entry->atomicTargets.emplace_back(op, std::move(cb));
-    if (!entry->requestOutstanding) {
-        entry->requestOutstanding = true;
+    ReadEntry &entry = entryFor(line_addr);
+    entry.atomicTargets.push_back(slot);
+    if (!entry.requestOutstanding) {
+        entry.requestOutstanding = true;
         issueRead(line_addr);
     }
 }
 
 void
-GpuL1Cache::applyLocalAtomic(CacheLine &line, const SyncOp &op,
-                             ValueCallback cb)
+GpuL1Cache::applyLocalAtomic(CacheLine &line, std::uint32_t slot)
 {
+    const SyncOp &op = _syncs[slot].op;
     _energy.l1Access();
     _energy.atomicAlu();
     unsigned w = wordInLine(op.addr);
@@ -605,8 +631,9 @@ GpuL1Cache::applyLocalAtomic(CacheLine &line, const SyncOp &op,
     line.dirty |= static_cast<WordMask>(1u << w);
     _sb.erase(op.addr);
     _array.touch(line);
-    scheduleIn(_timings.l1Atomic,
-               [cb = std::move(cb), v = res.returned] { cb(v); });
+    scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
+        finishSync(slot, v);
+    });
 }
 
 // ---------------------------------------------------------------------
@@ -658,7 +685,11 @@ GpuL1Cache::snapshot() const
     snap.gauge("mshr", _mshr.size());
     snap.gauge("sb", _sb.size());
     snap.gauge("wt_acks", _pendingWtAcks);
-    snap.gauge("wt_words", _pendingWt.size());
+    std::size_t wt_words = 0;
+    _pendingWt.forEachSorted([&](Addr, const PendingWtLine &pend) {
+        wt_words += popcount(pend.words);
+    });
+    snap.gauge("wt_words", wt_words);
     snap.gauge("stalled_stores", _stalledStores.size());
     snap.gauge("drain_waiters", _drainWaiters.size());
     _mshr.forEach([&](Addr line_addr, const ReadEntry &entry) {
@@ -689,14 +720,25 @@ GpuL1Cache::checkInvariants(bool quiesced) const
             fail(os.str());
         }
     });
-    for (const auto &kv : _pendingWt) {
-        if (kv.second.count == 0) {
+    _pendingWt.forEachSorted([&](Addr line_addr,
+                                 const PendingWtLine &pend) {
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            bool listed = pend.words & (1u << w);
+            if (listed == (pend.count[w] != 0))
+                continue;
             std::ostringstream os;
             os << "pending-writethrough entry for word 0x" << std::hex
-               << kv.first << " with zero refcount";
+               << line_addr + w * kWordBytes << std::dec
+               << " with refcount " << pend.count[w];
             fail(os.str());
         }
-    }
+        if (pend.words == 0) {
+            std::ostringstream os;
+            os << "pending-writethrough entry for line 0x" << std::hex
+               << line_addr << " with no pending words";
+            fail(os.str());
+        }
+    });
 
     if (quiesced) {
         ControllerSnapshot snap = snapshot();

@@ -13,8 +13,8 @@
 #ifndef COHERENCE_GPU_L1_HH
 #define COHERENCE_GPU_L1_HH
 
+#include <array>
 #include <deque>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,6 +23,7 @@
 #include "coherence/l1_controller.hh"
 #include "coherence/snapshot.hh"
 #include "mem/cache_array.hh"
+#include "mem/line_table.hh"
 #include "mem/mshr.hh"
 #include "mem/store_buffer.hh"
 
@@ -89,11 +90,15 @@ class GpuL1Cache : public L1Controller
     {
         bool requestOutstanding = false;
         std::vector<ReadTarget> targets;
-        /** HRF local atomics waiting for the line to arrive. */
-        std::vector<std::pair<SyncOp, ValueCallback>> atomicTargets;
+        /** HRF local atomics (parked sync slots) waiting for the
+         *  line to arrive. */
+        std::vector<std::uint32_t> atomicTargets;
     };
 
     GpuL2Bank &homeBank(Addr addr);
+
+    /** Find or allocate the MSHR entry for a line. */
+    ReadEntry &entryFor(Addr line_addr);
 
     /** Issue the line fetch for an already-allocated MSHR entry. */
     void issueRead(Addr line_addr);
@@ -113,21 +118,23 @@ class GpuL1Cache : public L1Controller
      */
     void refreshLine(CacheLine &line);
 
+    /** Perform the parked sync in @p slot (after any drain). */
+    void performSync(std::uint32_t slot);
+
     /** Execute an atomic at this L1 (HRF local scope). */
-    void performLocalAtomic(const SyncOp &op, ValueCallback cb);
-    void applyLocalAtomic(CacheLine &line, const SyncOp &op,
-                          ValueCallback cb);
+    void performLocalAtomic(std::uint32_t slot);
+    void applyLocalAtomic(CacheLine &line, std::uint32_t slot);
 
     /** Execute an atomic at the home L2 bank (global scope). */
-    void performRemoteAtomic(const SyncOp &op, ValueCallback cb);
+    void performRemoteAtomic(std::uint32_t slot);
 
-    /** Post-drain / post-perform acquire step. */
-    void finishSync(const SyncOp &op, Scope scope, std::uint32_t value,
-                    ValueCallback cb);
+    /** Post-perform acquire step; unparks the sync and replies. */
+    void finishSync(std::uint32_t slot, std::uint32_t value);
 
     /** Send one writethrough group and track its ack. */
     void sendWriteThrough(Addr line_addr, WordMask mask,
                           const LineData &data);
+    void onWriteThroughAck(Addr line_addr, WordMask mask);
 
     /** Collect L1-dirty words not covered by the store buffer. */
     std::vector<StoreBuffer::DrainGroup> collectDirtyWords();
@@ -146,23 +153,32 @@ class GpuL1Cache : public L1Controller
     StoreBuffer _sb;
     CacheTimings _timings;
     MshrTable<ReadEntry> _mshr;
+    /** Target lists of retired MSHR entries, for reuse. */
+    VectorPool<ReadTarget> _targetPool;
 
     /** Outstanding writethrough acks (drains + evictions). */
     unsigned _pendingWtAcks = 0;
     std::vector<DoneCallback> _drainWaiters;
+    VectorPool<DoneCallback> _drainBatch;
 
     /**
-     * Values of writethroughs still in flight, keyed by word
-     * address. A drained store leaves the SB before its data reaches
-     * the L2; loads must keep seeing it (read-own-write), and fills
-     * must not install the L2's stale copy over it.
+     * Writethroughs still in flight, per line: each word's newest
+     * in-flight value and how many unacknowledged writethroughs carry
+     * it. A drained store leaves the SB before its data reaches the
+     * L2; loads must keep seeing it (read-own-write), and fills must
+     * not install the L2's stale copy over it.
      */
-    struct PendingWt
+    struct PendingWtLine
     {
-        std::uint32_t value;
-        unsigned count;
+        /** Words with at least one writethrough in flight. */
+        WordMask words = 0;
+        LineData value{};
+        std::array<std::uint32_t, kWordsPerLine> count{};
     };
-    std::unordered_map<Addr, PendingWt> _pendingWt;
+    LineTable<PendingWtLine> _pendingWt;
+
+    /** The in-flight writethrough value of @p addr, if any. */
+    bool pendingWtValue(Addr addr, std::uint32_t &value) const;
 
     /** Whether a word's freshest copy is a local buffer (SB/WT). */
     bool bufferedValue(Addr addr, std::uint32_t &value) const;

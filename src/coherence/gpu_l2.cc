@@ -48,7 +48,7 @@ GpuL2Bank::installLine(Addr line_addr)
 }
 
 void
-GpuL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
+GpuL2Bank::withLine(Addr line_addr, LineFn fn)
 {
     line_addr = lineAlign(line_addr);
     _energy.l2Access();
@@ -56,9 +56,7 @@ GpuL2Bank::withLine(Addr line_addr, std::function<void(CacheLine &)> fn)
 }
 
 void
-GpuL2Bank::withLineReady(Addr line_addr,
-                         std::function<void(CacheLine &)> fn,
-                         bool queued)
+GpuL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
 {
     // Pipelined bank: one new access per l2CycleTime cycles.
     Tick start = std::max(curTick(), _bankFree);
@@ -69,14 +67,15 @@ GpuL2Bank::withLineReady(Addr line_addr,
         _array.touch(*line);
         // Re-resolve at fire time: a concurrent fetch may evict and
         // repurpose this frame during the access latency window.
-        scheduleIn(queue_delay + _timings.l2Access,
-                   [this, line_addr, fn = std::move(fn)]() mutable {
-                       if (CacheLine *line = _array.lookup(line_addr)) {
-                           fn(*line);
-                           return;
-                       }
-                       withLineReady(line_addr, std::move(fn));
-                   });
+        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
+        scheduleIn(queue_delay + _timings.l2Access, [this, slot] {
+            ParkedAccess access = _parked.take(slot);
+            if (CacheLine *line = _array.lookup(access.lineAddr)) {
+                access.fn(*line);
+                return;
+            }
+            withLineReady(access.lineAddr, std::move(access.fn));
+        });
         return;
     }
 
@@ -125,19 +124,21 @@ GpuL2Bank::processStalled()
 
 void
 GpuL2Bank::handleReadReq(Addr line_addr, NodeId requestor,
-                         std::function<void(const LineData &)> reply)
+                         LineReply reply)
 {
     ++_reads;
     withLine(line_addr, [this, line_addr, requestor,
-                         reply = std::move(reply)](CacheLine &line) {
+                         reply = std::move(reply)](
+                            CacheLine &line) mutable {
         if (_trace) {
             _trace->record(curTick(), trace::Phase::L2ReadServe, _node,
                            line_addr, 0,
                            static_cast<std::uint16_t>(requestor));
         }
-        LineData data = line.data;
         _mesh.send(_node, requestor, kLineFlits, TrafficClass::Read,
-                   [reply, data] { reply(data); });
+                   [reply = std::move(reply), data = line.data] {
+                       reply(data);
+                   });
     });
 }
 
@@ -149,7 +150,7 @@ GpuL2Bank::handleWriteThrough(Addr line_addr, WordMask mask,
     ++_writethroughs;
     withLine(line_addr,
              [this, line_addr, mask, data, requestor,
-              ack = std::move(ack)](CacheLine &line) {
+              ack = std::move(ack)](CacheLine &line) mutable {
                  if (_trace) {
                      _trace->record(curTick(),
                                     trace::Phase::L2WriteThrough,
@@ -172,7 +173,8 @@ GpuL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
     ++_atomics;
     _energy.atomicAlu();
     withLine(op.addr, [this, op, requestor,
-                       reply = std::move(reply)](CacheLine &line) {
+                       reply = std::move(reply)](
+                          CacheLine &line) mutable {
         if (_trace) {
             _trace->record(curTick(), trace::Phase::L2Atomic, _node,
                            op.addr, 0,
@@ -188,7 +190,9 @@ GpuL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
         }
         unsigned flits = flitsForWords(1);
         _mesh.send(_node, requestor, flits, TrafficClass::Atomic,
-                   [reply, v = res.returned] { reply(v); });
+                   [reply = std::move(reply), v = res.returned] {
+                       reply(v);
+                   });
     });
 }
 

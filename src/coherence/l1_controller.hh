@@ -17,13 +17,14 @@
 #define COHERENCE_L1_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "coherence/protocol.hh"
 #include "coherence/snapshot.hh"
 #include "energy/energy_model.hh"
 #include "sim/sim_object.hh"
+#include "sim/recycled.hh"
+#include "sim/small_fn.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -40,11 +41,20 @@ namespace analysis
 class RaceDetector;
 }
 
+/**
+ * Inline capacity of a controller continuation: three words, enough
+ * for the {this, slot, ...} closures of the access path while keeping
+ * a callback as small as the std::function it replaces (so MSHR
+ * targets and waiter lists do not grow). Anything larger is parked in
+ * a per-op record (see L1Controller::SyncRecord) rather than captured.
+ */
+inline constexpr std::size_t kCallbackCapacity = 24;
+
 /** Callback returning a loaded / atomic-returned value. */
-using ValueCallback = std::function<void(std::uint32_t)>;
+using ValueCallback = SmallFn<void(std::uint32_t), kCallbackCapacity>;
 
 /** Completion callback. */
-using DoneCallback = std::function<void()>;
+using DoneCallback = SmallFn<void(), kCallbackCapacity>;
 
 /** Statistics common to every L1 controller flavour. */
 struct L1Stats
@@ -180,6 +190,20 @@ class L1Controller : public SimObject
     }
 
   protected:
+    /**
+     * A sync access between issue and completion. The op, its
+     * effective scope and the caller's callback are parked here so
+     * the release-drain, perform and finish continuations capture
+     * only {this, slot} instead of nesting one closure in the next.
+     */
+    struct SyncRecord
+    {
+        SyncOp op;
+        Scope scope = Scope::Global;
+        ValueCallback cb;
+    };
+    SlotPool<SyncRecord> _syncs;
+
     NodeId _node;
     ProtocolConfig _config;
     EnergyModel &_energy;

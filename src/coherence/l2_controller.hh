@@ -20,6 +20,8 @@
 
 #include "coherence/snapshot.hh"
 #include "sim/sim_object.hh"
+#include "sim/recycled.hh"
+#include "sim/small_fn.hh"
 #include "sim/types.hh"
 
 namespace nosync
@@ -34,6 +36,15 @@ namespace analysis
 {
 class RaceDetector;
 }
+
+struct CacheLine;
+
+/**
+ * A bank access continuation, run on the resident line. Sized for the
+ * largest handler closure: a writeback or writethrough carrying a
+ * line of data plus its ack callback.
+ */
+using LineFn = SmallFn<void(CacheLine &), 128>;
 
 /** Interface common to both L2 bank flavours. */
 class L2Controller : public SimObject
@@ -63,6 +74,17 @@ class L2Controller : public SimObject
     }
 
   protected:
+    /**
+     * An access waiting out the bank's pipeline latency. The pending
+     * event captures only {this, slot}; the continuation stays here.
+     */
+    struct ParkedAccess
+    {
+        Addr lineAddr = 0;
+        LineFn fn;
+    };
+    SlotPool<ParkedAccess> _parked;
+
     NodeId _node;
     /** Observability sink; nullptr when tracing is disabled. */
     trace::TraceSink *_trace = nullptr;

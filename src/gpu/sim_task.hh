@@ -15,11 +15,15 @@
 
 #include <coroutine>
 #include <exception>
-#include <functional>
 #include <utility>
+
+#include "sim/small_fn.hh"
 
 namespace nosync
 {
+
+/** Completion callback of a root task (three words inline). */
+using TaskDoneFn = SmallFn<void(), 24>;
 
 /** A lazily-started, self-destroying coroutine task. */
 class SimTask
@@ -30,7 +34,7 @@ class SimTask
         /** Continuation when awaited by a parent task. */
         std::coroutine_handle<> continuation;
         /** Completion callback when started as a root task. */
-        std::function<void()> onDone;
+        TaskDoneFn onDone;
 
         SimTask
         get_return_object()
@@ -102,7 +106,7 @@ class SimTask
 
     /** Start as a root task; @p on_done fires at completion. */
     void
-    start(std::function<void()> on_done)
+    start(TaskDoneFn on_done)
     {
         auto h = std::exchange(_h, nullptr);
         h.promise().onDone = std::move(on_done);

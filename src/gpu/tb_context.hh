@@ -137,13 +137,39 @@ class TbContext
 
     // Wait-state tracking (hang diagnostics) --------------------------
 
-    /** Record what this TB's coroutine is suspended on. */
-    void
-    beginWait(std::string what)
+    /** What kind of awaiter a suspended TB is parked in. */
+    enum class WaitKind : std::uint8_t
     {
-        _waitWhat = std::move(what);
+        Load,
+        Store,
+        LoadMany,
+        StoreMany,
+        Sync,
+        Delay,
+    };
+
+    /**
+     * Record what this TB's coroutine is suspended on: the awaiter
+     * kind, its (first) address, and its word or cycle count. Nothing
+     * is formatted here; waitSummary() renders the record only when a
+     * hang report asks for it.
+     */
+    void
+    beginWait(WaitKind kind, Addr addr, std::uint64_t count = 0)
+    {
+        _wait.kind = kind;
+        _wait.addr = addr;
+        _wait.count = count;
         _waitSince = _eq.now();
         _waiting = true;
+    }
+
+    /** Record a suspension on the synchronization access @p op. */
+    void
+    beginWait(const SyncOp &op)
+    {
+        _wait.op = op;
+        beginWait(WaitKind::Sync, op.addr);
     }
 
     /** Clear the wait record just before the coroutine resumes. */
@@ -167,7 +193,7 @@ class TbContext
         else if (!_waiting)
             os << "runnable (between awaits)";
         else
-            os << "awaiting " << _waitWhat << " since tick "
+            os << "awaiting " << describeWait() << " since tick "
                << _waitSince;
         return os.str();
     }
@@ -232,7 +258,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait("load " + describeAddr(addr));
+                ctx->beginWait(WaitKind::Load, addr);
                 ctx->issueOp(addr, TbOpKind::Load, [this, h] {
                     ctx->noteDataRead(addr);
                     txn = ctx->beginTxn(trace::TxnClass::Load, addr);
@@ -267,9 +293,8 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait(
-                    "loadMany of " + std::to_string(addrs.size()) +
-                    " words at " + describeAddr(addrs.front()));
+                ctx->beginWait(WaitKind::LoadMany, addrs.front(),
+                               addrs.size());
                 // The whole coalesced batch issues as one scheduled
                 // quantum: a warp's loads are not interleavable.
                 ctx->issueOp(addrs.front(), TbOpKind::Load, [this, h] {
@@ -321,9 +346,8 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait(
-                    "storeMany of " + std::to_string(stores.size()) +
-                    " words at " + describeAddr(stores.front().first));
+                ctx->beginWait(WaitKind::StoreMany,
+                               stores.front().first, stores.size());
                 ctx->issueOp(stores.front().first, TbOpKind::Store,
                              [this, h] {
                     for (const auto &st : stores)
@@ -364,7 +388,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait("store " + describeAddr(addr));
+                ctx->beginWait(WaitKind::Store, addr);
                 ctx->issueOp(addr, TbOpKind::Store, [this, h] {
                     ctx->noteDataWrite(addr);
                     txn = ctx->beginTxn(trace::TxnClass::Store, addr);
@@ -400,7 +424,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait(describeSync(op));
+                ctx->beginWait(op);
                 ctx->issueOp(op.addr, syncOpKind(op), [this, h] {
                     if (ctx->_trace) {
                         txn = ctx->beginTxn(syncClass(op), op.addr);
@@ -439,8 +463,7 @@ class TbContext
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                ctx->beginWait("delay of " + std::to_string(cycles) +
-                               " cycles");
+                ctx->beginWait(WaitKind::Delay, 0, cycles);
                 ctx->_eq.scheduleIn(cycles,
                                     [c = ctx, h] {
                                         c->endWait();
@@ -530,6 +553,36 @@ class TbContext
     }
 
   private:
+    /** The hang-report text of the current wait record. */
+    std::string
+    describeWait() const
+    {
+        std::ostringstream os;
+        switch (_wait.kind) {
+          case WaitKind::Load:
+            os << "load " << describeAddr(_wait.addr);
+            break;
+          case WaitKind::Store:
+            os << "store " << describeAddr(_wait.addr);
+            break;
+          case WaitKind::LoadMany:
+            os << "loadMany of " << _wait.count << " words at "
+               << describeAddr(_wait.addr);
+            break;
+          case WaitKind::StoreMany:
+            os << "storeMany of " << _wait.count << " words at "
+               << describeAddr(_wait.addr);
+            break;
+          case WaitKind::Sync:
+            os << describeSync(_wait.op);
+            break;
+          case WaitKind::Delay:
+            os << "delay of " << _wait.count << " cycles";
+            break;
+        }
+        return os.str();
+    }
+
     static std::string
     describeAddr(Addr addr)
     {
@@ -579,8 +632,17 @@ class TbContext
     /** Exploration scheduler; nullptr outside model checking. */
     TbScheduler *_sched = nullptr;
 
-    // Wait-state tracking for hang diagnostics.
-    std::string _waitWhat;
+    /** What the coroutine is suspended on (hang diagnostics). */
+    struct WaitRecord
+    {
+        WaitKind kind = WaitKind::Load;
+        Addr addr = 0;
+        /** Words (loadMany / storeMany) or cycles (delay). */
+        std::uint64_t count = 0;
+        /** The access itself (sync waits only). */
+        SyncOp op;
+    };
+    WaitRecord _wait;
     Tick _waitSince = 0;
     bool _waiting = false;
     bool _done = false;

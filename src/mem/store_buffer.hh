@@ -14,10 +14,10 @@
 #define MEM_STORE_BUFFER_HH
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/functional_mem.hh"
+#include "mem/line_table.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
 
@@ -31,24 +31,24 @@ class StoreBuffer
     explicit StoreBuffer(std::size_t capacity) : _capacity(capacity) {}
 
     std::size_t capacity() const { return _capacity; }
-    std::size_t size() const { return _entries.size(); }
-    bool empty() const { return _entries.empty(); }
-    bool full() const { return _entries.size() >= _capacity; }
+    std::size_t size() const { return _words; }
+    bool empty() const { return _words == 0; }
+    bool full() const { return _words >= _capacity; }
 
     /** Whether a buffered store to @p addr exists. */
     bool
     contains(Addr addr) const
     {
-        return _entries.count(wordAlign(addr)) != 0;
+        const Line *line = _lines.find(addr);
+        return line && (line->mask & wordMaskOf(addr));
     }
 
     /** Value of the buffered store to @p addr. @pre contains(addr) */
     std::uint32_t
     value(Addr addr) const
     {
-        auto it = _entries.find(wordAlign(addr));
-        panic_if(it == _entries.end(), "store buffer miss on value()");
-        return it->second;
+        panic_if(!contains(addr), "store buffer miss on value()");
+        return _lines.find(addr)->data[wordInLine(addr)];
     }
 
     /**
@@ -59,23 +59,39 @@ class StoreBuffer
     bool
     insert(Addr addr, std::uint32_t value)
     {
-        Addr waddr = wordAlign(addr);
-        auto it = _entries.find(waddr);
-        if (it != _entries.end()) {
-            it->second = value;
+        if (contains(addr)) {
+            _lines.find(addr)->data[wordInLine(addr)] = value;
             return true;
         }
         panic_if(full(), "store buffer overflow must be drained by the "
                  "controller before insert");
-        _entries.emplace(waddr, value);
+        Line &line = _lines[addr];
+        line.mask |= wordMaskOf(addr);
+        line.data[wordInLine(addr)] = value;
+        ++_words;
         return false;
     }
 
     /** Remove the entry for @p addr if present. */
-    void erase(Addr addr) { _entries.erase(wordAlign(addr)); }
+    void
+    erase(Addr addr)
+    {
+        Line *line = _lines.find(addr);
+        if (!line || !(line->mask & wordMaskOf(addr)))
+            return;
+        line->mask &= static_cast<WordMask>(~wordMaskOf(addr));
+        --_words;
+        if (line->mask == 0)
+            _lines.erase(addr);
+    }
 
     /** Drop every entry. */
-    void clear() { _entries.clear(); }
+    void
+    clear()
+    {
+        _lines.clear();
+        _words = 0;
+    }
 
     /** One line's worth of drained stores. */
     struct DrainGroup
@@ -92,26 +108,28 @@ class StoreBuffer
     std::vector<DrainGroup>
     drain()
     {
-        std::map<Addr, DrainGroup> groups;
-        for (const auto &kv : _entries) {
-            Addr line_addr = lineAlign(kv.first);
-            auto [it, inserted] = groups.try_emplace(
-                line_addr, DrainGroup{line_addr, 0, LineData{}});
-            unsigned w = wordInLine(kv.first);
-            it->second.mask |= static_cast<WordMask>(1u << w);
-            it->second.data[w] = kv.second;
-        }
-        _entries.clear();
         std::vector<DrainGroup> out;
-        out.reserve(groups.size());
-        for (auto &kv : groups)
-            out.push_back(kv.second);
+        out.reserve(_lines.size());
+        _lines.forEachSorted([&](Addr line_addr, const Line &line) {
+            out.push_back({line_addr, line.mask, line.data});
+        });
+        clear();
         return out;
     }
 
   private:
+    /** One line's buffered words: which are present, and values. */
+    struct Line
+    {
+        WordMask mask = 0;
+        LineData data{};
+    };
+
     std::size_t _capacity;
-    std::unordered_map<Addr, std::uint32_t> _entries;
+    /** Slab-recycled per-line entries: buffering allocates nothing. */
+    LineTable<Line> _lines;
+    /** Buffered words across all lines (the capacity unit). */
+    std::size_t _words = 0;
 };
 
 } // namespace nosync

@@ -11,8 +11,7 @@ EventQueue::popTop()
     ++_executed;
     // Move the callback out before invoking: running it may schedule
     // new events, which can grow the slab and reuse this slot.
-    EventFn fn = std::move(_fnSlots[top.slot]);
-    _freeSlots.push_back(top.slot);
+    EventFn fn = _fns.take(top.slot);
     _events.pop();
     return fn;
 }

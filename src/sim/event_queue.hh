@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "logging.hh"
+#include "recycled.hh"
 #include "small_fn.hh"
 #include "types.hh"
 
@@ -37,7 +38,7 @@ enum class EventPriority : int
  * on the schedule/execute hot path; larger captures spill to the
  * heap transparently.
  */
-using EventFn = SmallFn<56>;
+using EventFn = SmallFn<void(), 56>;
 
 /**
  * A single-owner discrete-event queue.
@@ -73,15 +74,7 @@ class EventQueue
     {
         panic_if(when < _now, "scheduling event in the past (", when,
                  " < ", _now, ")");
-        std::uint32_t slot;
-        if (_freeSlots.empty()) {
-            slot = static_cast<std::uint32_t>(_fnSlots.size());
-            _fnSlots.push_back(std::move(fn));
-        } else {
-            slot = _freeSlots.back();
-            _freeSlots.pop_back();
-            _fnSlots[slot] = std::move(fn);
-        }
+        std::uint32_t slot = _fns.put(std::move(fn));
         // Same-tick order: priority first, then FIFO. Both fold into
         // one 64-bit key (priority in the top bits, a monotonic
         // sequence below), so the heap comparator is two compares.
@@ -144,14 +137,13 @@ class EventQueue
         }
     };
 
-    /** Pop the top entry and move its callback out of the slab. */
+    /** Pop the top entry and take its callback out of the slab. */
     EventFn popTop();
 
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         std::greater<>>
         _events;
-    std::vector<EventFn> _fnSlots;
-    std::vector<std::uint32_t> _freeSlots;
+    SlotPool<EventFn> _fns;
     Tick _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;

@@ -2,18 +2,24 @@
  * @file
  * Small-buffer-optimized callable for the simulator's hot paths.
  *
- * Every simulated event and every mesh delivery used to carry a
- * std::function<void()>, whose ~16-byte inline buffer (libstdc++)
- * forces a heap allocation for nearly every capture list in the
- * codebase, plus another on each copy out of the event heap. SmallFn
- * stores callables up to Capacity bytes in-place and only falls back
- * to the heap beyond that, so the discrete-event core runs
+ * Every simulated event, mesh delivery and controller continuation is
+ * a SmallFn. std::function's ~16-byte inline buffer (libstdc++) forces
+ * a heap allocation for nearly every capture list in the codebase;
+ * SmallFn stores callables up to Capacity bytes in place and only
+ * falls back to the heap beyond that, so the access path runs
  * allocation-free for ordinary protocol callbacks.
  *
- * Semantics: type-erased void() callable, movable and copyable
- * (copying panics at runtime if the stored callable is not
- * copy-constructible — the mesh needs copies only for duplicated
- * idempotent messages, whose closures are all copyable).
+ * Semantics: SmallFn<R(Args...), Capacity> is a type-erased callable,
+ * movable and copyable (copying panics at runtime if the stored
+ * callable is not copy-constructible — the mesh needs copies only for
+ * duplicated idempotent messages, whose closures are all copyable).
+ * Like std::function, operator() is const and invokes the stored
+ * callable as a mutable lvalue.
+ *
+ * A callable may move its own SmallFn away while it runs (a
+ * continuation handing itself on). Inline storage relocates the
+ * callable in that move, so from then on it must touch only locals;
+ * nothing in SmallFn touches the storage after the call returns.
  */
 
 #ifndef SIM_SMALL_FN_HH
@@ -21,6 +27,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <functional>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -30,8 +37,11 @@
 namespace nosync
 {
 
-template <std::size_t Capacity>
-class SmallFn
+template <typename Signature, std::size_t Capacity>
+class SmallFn;
+
+template <typename R, typename... Args, std::size_t Capacity>
+class SmallFn<R(Args...), Capacity>
 {
   public:
     SmallFn() = default;
@@ -40,7 +50,8 @@ class SmallFn
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, SmallFn> &&
-                  std::is_invocable_r_v<void, std::decay_t<F> &>>>
+                  std::is_invocable_r_v<R, std::decay_t<F> &,
+                                        Args...>>>
     SmallFn(F &&f)
     {
         using Fn = std::decay_t<F>;
@@ -90,14 +101,21 @@ class SmallFn
 
     ~SmallFn() { reset(); }
 
-    void
-    operator()()
+    R
+    operator()(Args... args) const
     {
         panic_if(!_ops, "invoking an empty SmallFn");
-        _ops->invoke(_storage);
+        return _ops->invoke(_storage, std::forward<Args>(args)...);
     }
 
     explicit operator bool() const { return _ops != nullptr; }
+
+    /** Whether the callable lives in the inline buffer (tests). */
+    bool
+    storedInline() const
+    {
+        return _ops != nullptr && !_ops->onHeap;
+    }
 
     void
     reset()
@@ -111,7 +129,7 @@ class SmallFn
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args &&...);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *src, void *dst);
         /** Copy-construct dst from src; null if not copyable. */
@@ -119,9 +137,15 @@ class SmallFn
         void (*destroy)(void *);
         /** Relocation is a plain byte copy (no ops call needed). */
         bool trivialRelocate;
+        bool onHeap;
     };
 
-    static constexpr std::size_t kAlign = alignof(std::max_align_t);
+    /**
+     * Pointer alignment keeps a SmallFn as compact as a std::function
+     * of the same capacity inside the records that hold one; a
+     * callable aligned more strictly lives on the heap.
+     */
+    static constexpr std::size_t kAlign = alignof(void *);
 
     template <typename Fn>
     static constexpr bool
@@ -145,8 +169,24 @@ class SmallFn
     }
 
     template <typename Fn>
+    static R
+    invokeInline(void *s, Args &&...args)
+    {
+        return std::invoke(*std::launder(reinterpret_cast<Fn *>(s)),
+                           std::forward<Args>(args)...);
+    }
+
+    template <typename Fn>
+    static R
+    invokeHeap(void *s, Args &&...args)
+    {
+        return std::invoke(**reinterpret_cast<Fn **>(s),
+                           std::forward<Args>(args)...);
+    }
+
+    template <typename Fn>
     static constexpr Ops inlineOps = {
-        [](void *s) { (*std::launder(reinterpret_cast<Fn *>(s)))(); },
+        &invokeInline<Fn>,
         [](void *src, void *dst) {
             Fn *f = std::launder(reinterpret_cast<Fn *>(src));
             new (dst) Fn(std::move(*f));
@@ -167,11 +207,12 @@ class SmallFn
         },
         std::is_trivially_copyable_v<Fn> &&
             std::is_trivially_destructible_v<Fn>,
+        false,
     };
 
     template <typename Fn>
     static constexpr Ops heapOps = {
-        [](void *s) { (**reinterpret_cast<Fn **>(s))(); },
+        &invokeHeap<Fn>,
         [](void *src, void *dst) {
             *reinterpret_cast<Fn **>(dst) =
                 *reinterpret_cast<Fn **>(src);
@@ -188,9 +229,10 @@ class SmallFn
         }(),
         [](void *s) { delete *reinterpret_cast<Fn **>(s); },
         true, // relocating a heap callable just moves its pointer
+        true,
     };
 
-    alignas(kAlign) unsigned char _storage[Capacity];
+    alignas(kAlign) mutable unsigned char _storage[Capacity];
     const Ops *_ops = nullptr;
 };
 

@@ -1,0 +1,116 @@
+/**
+ * @file
+ * Heap-allocation budget of the simulated access path.
+ *
+ * Runs System::run on a few small cells (FAM_G under GD, DD and DD+SE,
+ * and one no-sync app under DD) with a counting global operator new,
+ * prints each cell's exact run-phase allocation and event counts, and
+ * fails if a cell makes more allocations per event than its budget.
+ * The simulator is deterministic, so the counts only move when the
+ * code does: a change that puts a std::function, a node container or
+ * an over-sized closure back on the access path shows up here as a
+ * budget failure rather than as a slower benchmark weeks later.
+ *
+ * Built as its own executable (the counting operator new would skew
+ * every other test) and not registered under sanitizers, which
+ * replace operator new themselves.
+ *
+ * Usage: alloc_budget   (exit status 0 = every cell within budget)
+ */
+
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <string>
+
+#include "core/system.hh"
+#include "workloads/registry.hh"
+
+namespace
+{
+
+bool gCounting = false;
+std::uint64_t gAllocs = 0;
+
+void *
+countedAlloc(std::size_t size)
+{
+    if (gCounting)
+        ++gAllocs;
+    void *ptr = std::malloc(size == 0 ? 1 : size);
+    if (ptr == nullptr)
+        throw std::bad_alloc();
+    return ptr;
+}
+
+/** One budgeted cell: a workload at 1% scale under one protocol. */
+struct Cell
+{
+    const char *workload;
+    nosync::ProtocolConfig proto;
+    /** Allocations per event the run phase may make. */
+    double budget;
+};
+
+} // namespace
+
+void *operator new(std::size_t size) { return countedAlloc(size); }
+void *operator new[](std::size_t size) { return countedAlloc(size); }
+void operator delete(void *ptr) noexcept { std::free(ptr); }
+void operator delete[](void *ptr) noexcept { std::free(ptr); }
+void operator delete(void *ptr, std::size_t) noexcept { std::free(ptr); }
+void operator delete[](void *ptr, std::size_t) noexcept { std::free(ptr); }
+
+int
+main()
+{
+    using nosync::ProtocolConfig;
+    // Budgets: the counts measured when the access path became
+    // allocation-free (see DESIGN.md section 10), plus headroom of
+    // roughly a fifth. What remains is mostly the workloads' own
+    // per-access vectors (address lists, loadMany results), sub-task
+    // coroutine frames, L2 fetch waiter lists and, on SGEMM, the
+    // end-of-run protocol check.
+    //   FAM_G  GD     30132 allocs / 549053 events = 0.0549
+    //   FAM_G  DD     29294 allocs / 201454 events = 0.1454
+    //   FAM_G  DD+SE  29774 allocs / 584389 events = 0.0509
+    //   SGEMM  DD     26157 allocs / 135627 events = 0.1929
+    const Cell cells[] = {
+        {"FAM_G", ProtocolConfig::gd(), 0.066},
+        {"FAM_G", ProtocolConfig::dd(), 0.175},
+        {"FAM_G", ProtocolConfig::ddse(), 0.061},
+        {"SGEMM", ProtocolConfig::dd(), 0.23},
+    };
+
+    bool ok = true;
+    for (const Cell &cell : cells) {
+        std::unique_ptr<nosync::Workload> workload =
+            nosync::makeScaled(cell.workload, 1);
+        nosync::SystemConfig config;
+        config.protocol = cell.proto;
+        nosync::System system(config);
+
+        std::uint64_t before = gAllocs;
+        gCounting = true;
+        nosync::RunResult result = system.run(*workload);
+        gCounting = false;
+        std::uint64_t allocs = gAllocs - before;
+        std::uint64_t events = result.host.eventsExecuted;
+
+        double per_event =
+            events == 0 ? 0.0 : static_cast<double>(allocs) / events;
+        bool within = result.ok() && per_event <= cell.budget;
+        std::printf("%-6s %-6s allocs=%llu events=%llu "
+                    "allocs/event=%.4f budget=%.3f %s\n",
+                    cell.workload, cell.proto.shortName().c_str(),
+                    static_cast<unsigned long long>(allocs),
+                    static_cast<unsigned long long>(events), per_event,
+                    cell.budget,
+                    !result.ok() ? "RUN FAILED"
+                                 : (within ? "ok" : "OVER BUDGET"));
+        ok = ok && within;
+    }
+    return ok ? 0 : 1;
+}

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "test_util.hh"
 #include "workloads/registry.hh"
 
@@ -230,4 +233,120 @@ TEST(GpuExec, KernelLaunchLatencyDelaysStart)
     System system(config);
     ASSERT_TRUE(system.run(wl).ok());
     EXPECT_GE(wl.seen[0], 777u);
+}
+
+namespace
+{
+
+constexpr AtomicFunc kFuncs[] = {
+    AtomicFunc::Load, AtomicFunc::Store, AtomicFunc::FetchAdd,
+    AtomicFunc::Exchange, AtomicFunc::CompareSwap};
+constexpr const char *kFuncNames[] = {"atomic-load", "atomic-store",
+                                      "fetch-add", "exchange",
+                                      "compare-swap"};
+constexpr Scope kScopes[] = {Scope::Local, Scope::Device, Scope::Global};
+constexpr const char *kScopeNames[] = {"local", "device", "global"};
+
+std::string
+hexAddr(Addr addr)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << addr;
+    return os.str();
+}
+
+} // namespace
+
+// Each awaiter records what its TB is suspended on, and a watchdog
+// hang renders those records. The texts are pinned verbatim: they are
+// what the awaiters printed when they still formatted eagerly.
+TEST(GpuExec, HangReportNamesWhatEachAwaiterWaitsOn)
+{
+    ScopedLeakTolerance tolerate_abandoned_coroutines;
+    // TBs 0-4 spin on the plain awaiters; one TB per atomic function
+    // and scope follows.
+    constexpr unsigned kPlainTbs = 5;
+    constexpr unsigned kTbs = kPlainTbs + 5 * 3;
+
+    LambdaWorkload wl(kTbs, [](TbContext &ctx, LambdaWorkload &self)
+                                -> SimTask {
+        unsigned tb = ctx.tbGlobal();
+        self.seen[tb] = ctx.cu();
+        Addr addr = self.scratchBase + 64 * tb;
+        switch (tb) {
+          case 0:
+            for (;;)
+                co_await ctx.load(addr);
+          case 1:
+            for (;;)
+                co_await ctx.store(addr, 1);
+          case 2:
+            for (;;) {
+                std::vector<Addr> addrs{addr, addr + 4, addr + 8};
+                co_await ctx.loadMany(std::move(addrs));
+            }
+          case 3:
+            for (;;) {
+                std::vector<std::pair<Addr, std::uint32_t>> stores{
+                    {addr, 1}, {addr + 4, 2}};
+                co_await ctx.storeMany(std::move(stores));
+            }
+          case 4:
+            co_await ctx.wait(1'000'000);
+            co_return;
+          default:
+            break;
+        }
+        SyncOp op;
+        op.func = kFuncs[(tb - kPlainTbs) / 3];
+        op.scope = kScopes[(tb - kPlainTbs) % 3];
+        op.addr = addr;
+        for (;;)
+            co_await ctx.atomic(op);
+    });
+
+    for (ProtocolConfig proto :
+         {ProtocolConfig::gd(), ProtocolConfig::dd()}) {
+        SCOPED_TRACE(proto.shortName());
+        SystemConfig config;
+        config.protocol = proto;
+        config.execution.maxCycles = 20'000;
+        System system(config);
+        RunResult result = system.run(wl);
+        ASSERT_TRUE(result.hang.has_value());
+        const std::vector<std::string> &waits = result.hang->tbWaits;
+        ASSERT_EQ(waits.size(), kTbs);
+
+        for (unsigned tb = 0; tb < kTbs; ++tb) {
+            Addr addr = wl.scratchBase + 64 * tb;
+            std::string what;
+            switch (tb) {
+              case 0: what = "load " + hexAddr(addr); break;
+              case 1: what = "store " + hexAddr(addr); break;
+              case 2:
+                what = "loadMany of 3 words at " + hexAddr(addr);
+                break;
+              case 3:
+                what = "storeMany of 2 words at " + hexAddr(addr);
+                break;
+              case 4: what = "delay of 1000000 cycles"; break;
+              default:
+                what = std::string(kFuncNames[(tb - kPlainTbs) / 3]) +
+                       " " + hexAddr(addr) + " (" +
+                       kScopeNames[(tb - kPlainTbs) % 3] + " scope)";
+                break;
+            }
+            std::string expected = "kernel 0 tb " + std::to_string(tb) +
+                                   " (cu " + std::to_string(wl.seen[tb]) +
+                                   "): awaiting " + what + " since tick ";
+            EXPECT_EQ(waits[tb].substr(0, expected.size()), expected);
+            // The rest is the tick the wait began, before the hang.
+            std::string since = waits[tb].substr(expected.size());
+            ASSERT_FALSE(since.empty());
+            EXPECT_EQ(since.find_first_not_of("0123456789"),
+                      std::string::npos)
+                << waits[tb];
+            EXPECT_LE(std::stoull(since), result.hang->tick);
+        }
+    }
 }
