@@ -315,6 +315,7 @@ GpuL1Cache::store(Addr addr, std::uint32_t value, DoneCallback cb)
         line->data[w] = value;
         line->wstate[w] = WordState::Valid;
         line->dirty |= static_cast<WordMask>(1u << w);
+        _anyDirty = true;
         _array.touch(*line);
         scheduleIn(_timings.l1Hit, std::move(cb));
         return;
@@ -420,6 +421,9 @@ std::vector<StoreBuffer::DrainGroup>
 GpuL1Cache::collectDirtyWords()
 {
     std::vector<StoreBuffer::DrainGroup> groups;
+    if (!_anyDirty)
+        return groups;
+    _anyDirty = false;
     _array.forEachValid([&](CacheLine &line) {
         if (line.dirty == 0)
             return;
@@ -629,6 +633,7 @@ GpuL1Cache::applyLocalAtomic(CacheLine &line, std::uint32_t slot)
     line.data[w] = res.newValue;
     line.wstate[w] = WordState::Valid;
     line.dirty |= static_cast<WordMask>(1u << w);
+    _anyDirty = true;
     _sb.erase(op.addr);
     _array.touch(line);
     scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {

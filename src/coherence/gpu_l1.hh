@@ -195,6 +195,13 @@ class GpuL1Cache : public L1Controller
 
     /** Current acquire epoch (lazy flash invalidation). */
     std::uint64_t _curEpoch = 0;
+
+    /**
+     * Whether any frame may hold a dirty word: set with every dirty
+     * bit (HRF stores and local atomics), cleared by the drain scan,
+     * so release drains that cannot find one skip the scan.
+     */
+    bool _anyDirty = false;
 };
 
 } // namespace nosync

@@ -123,15 +123,13 @@ class CacheArray
      */
     CacheArray(std::size_t size_bytes, unsigned assoc)
         : _assoc(assoc), _numSets(size_bytes / kLineBytes / assoc),
-          _lines(_numSets * assoc)
+          _lines(_numSets * assoc, clearedLine())
     {
         panic_if(_numSets == 0, "cache too small: ", size_bytes, " B / ",
                  assoc, "-way");
         panic_if((_numSets & (_numSets - 1)) != 0,
                  "number of sets must be a power of two, got ",
                  _numSets);
-        for (auto &line : _lines)
-            line.clear();
     }
 
     unsigned assoc() const { return _assoc; }
@@ -240,6 +238,15 @@ class CacheArray
     }
 
   private:
+    /** An empty frame, copied into every slot in one pass. */
+    static CacheLine
+    clearedLine()
+    {
+        CacheLine line;
+        line.clear();
+        return line;
+    }
+
     CacheLine *
     setBase(Addr line_addr)
     {

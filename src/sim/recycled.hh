@@ -18,12 +18,11 @@ namespace nosync
 {
 
 /**
- * Slab of parked records addressed by a small slot index. The event
- * queue parks every scheduled callback here; controllers park the
- * state of an in-flight operation (a sync access and its callback, a
- * bank access waiting out its latency) so the continuations they
- * schedule capture only {this, slot} and fit the inline buffer of
- * EventFn / SmallFn. Freed slots are recycled.
+ * Slab of parked records addressed by a small slot index. Controllers
+ * park the state of an in-flight operation (a sync access and its
+ * callback, a bank access waiting out its latency) so the
+ * continuations they schedule capture only {this, slot} and fit the
+ * inline buffer of EventFn / SmallFn. Freed slots are recycled.
  *
  * Records move when the slab grows: never run a parked callable in
  * place — take() it out first.

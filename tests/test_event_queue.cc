@@ -7,6 +7,12 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
+#include <ostream>
+#include <queue>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "sim/event_queue.hh"
 
@@ -179,4 +185,296 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
     eq.schedule(10, [] {});
     eq.run();
     EXPECT_DEATH(eq.schedule(5, [] {}), "past");
+}
+
+// ---------------------------------------------------------------------
+// The timing wheel against the rule it replaced
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+constexpr Tick kW = EventQueue::kWheelTicks;
+
+/**
+ * Reference model of the execution order: one binary heap ordered on
+ * (tick, priority, schedule sequence), with the same run(limit) rule
+ * (now() moves to the limit only while events remain).
+ */
+class ReferenceQueue
+{
+  public:
+    Tick now() const { return _now; }
+
+    void
+    schedule(Tick when, std::function<void()> fn, EventPriority prio)
+    {
+        _heap.push(Entry{when, static_cast<int>(prio), _seq++,
+                         std::move(fn)});
+    }
+
+    std::size_t pending() const { return _heap.size(); }
+
+    Tick
+    nextEventTick() const
+    {
+        return _heap.empty() ? ~Tick{0} : _heap.top().when;
+    }
+
+    Tick
+    run(Tick limit = ~Tick{0})
+    {
+        while (!_heap.empty() && _heap.top().when <= limit)
+            step();
+        if (_now < limit && !_heap.empty())
+            _now = limit;
+        return _now;
+    }
+
+    bool
+    step()
+    {
+        if (_heap.empty())
+            return false;
+        Entry top = _heap.top();
+        _heap.pop();
+        _now = top.when;
+        top.fn();
+        return true;
+    }
+
+  private:
+    struct Entry
+    {
+        Tick when;
+        int prio;
+        std::uint64_t seq;
+        std::function<void()> fn;
+
+        bool
+        operator>(const Entry &other) const
+        {
+            return std::tie(when, prio, seq) >
+                   std::tie(other.when, other.prio, other.seq);
+        }
+    };
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> _heap;
+    Tick _now = 0;
+    std::uint64_t _seq = 0;
+};
+
+/** What one executed event saw. */
+struct Fired
+{
+    std::uint64_t id;
+    Tick now;
+    std::size_t pending;
+    Tick next;
+
+    bool
+    operator==(const Fired &other) const
+    {
+        return std::tie(id, now, pending, next) ==
+               std::tie(other.id, other.now, other.pending, other.next);
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Fired &f)
+{
+    return os << "{id " << f.id << " @" << f.now << " pending "
+              << f.pending << " next " << f.next << "}";
+}
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/** A delay in [0, 3W], weighted toward short ones and the edges. */
+Tick
+drawDelay(std::uint64_t r)
+{
+    std::uint64_t kind = r % 8;
+    std::uint64_t v = r >> 8;
+    if (kind < 3)
+        return v % 4;
+    if (kind == 3)
+        return v % 64;
+    if (kind == 4)
+        return v % kW;
+    if (kind == 5)
+        return kW - 1 + v % 3; // W-1, W, W+1
+    return v % (3 * kW + 1);
+}
+
+/**
+ * A seeded random program over queue type Q. Every event records what
+ * it saw, then schedules 0-3 successors chosen by a hash of its id, so
+ * two queues that agree on the order run the same program.
+ */
+template <typename Q>
+class Program
+{
+  public:
+    Program(Q &q, std::uint64_t seed) : _q(q), _seed(seed) {}
+
+    void
+    scheduleRoot(Tick delay, EventPriority prio)
+    {
+        add(_q.now() + delay, prio);
+    }
+
+    const std::vector<Fired> &log() const { return _log; }
+
+  private:
+    void
+    add(Tick when, EventPriority prio)
+    {
+        std::uint64_t id = _nextId++;
+        _q.schedule(when, [this, id] { fire(id); }, prio);
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        _log.push_back({id, _q.now(), _q.pending(), _q.nextEventTick()});
+        std::uint64_t h = mix(_seed ^ mix(id));
+        // 0, 1, 2 or 3 successors with odds 7:5:3:1 (mean 0.75), so
+        // the program neither dies out at once nor explodes.
+        unsigned draw = h & 15;
+        unsigned children = (draw >= 7) + (draw >= 12) + (draw >= 15);
+        for (unsigned c = 0; c < children; ++c) {
+            std::uint64_t r = mix(h + c);
+            add(_q.now() + drawDelay(r),
+                static_cast<EventPriority>((r >> 4) % 4));
+        }
+    }
+
+    Q &_q;
+    std::uint64_t _seed;
+    std::uint64_t _nextId = 0;
+    std::vector<Fired> _log;
+};
+
+} // namespace
+
+TEST(EventQueueWheel, MatchesReferenceOnRandomPrograms)
+{
+    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        EventQueue wheel;
+        ReferenceQueue ref;
+        Program<EventQueue> pw(wheel, seed);
+        Program<ReferenceQueue> pr(ref, seed);
+        std::uint64_t r = mix(seed);
+        for (int op = 0; op < 400; ++op) {
+            r = mix(r);
+            std::uint64_t kind = r % 10;
+            if (kind < 4) {
+                for (unsigned i = 0; i <= (r >> 8) % 4; ++i) {
+                    std::uint64_t d = mix(r + i);
+                    auto prio = static_cast<EventPriority>(d % 4);
+                    pw.scheduleRoot(drawDelay(d >> 2), prio);
+                    pr.scheduleRoot(drawDelay(d >> 2), prio);
+                }
+            } else if (kind < 7) {
+                EXPECT_EQ(wheel.step(), ref.step());
+            } else {
+                // Limits inside and beyond the window, and short ones.
+                Tick span = kind < 9 ? 3 * kW : 16;
+                Tick limit = wheel.now() + (r >> 8) % span;
+                EXPECT_EQ(wheel.run(limit), ref.run(limit));
+            }
+            ASSERT_EQ(pw.log(), pr.log()) << "after op " << op;
+            ASSERT_EQ(wheel.now(), ref.now());
+            ASSERT_EQ(wheel.pending(), ref.pending());
+            ASSERT_EQ(wheel.nextEventTick(), ref.nextEventTick());
+        }
+        EXPECT_EQ(wheel.run(), ref.run());
+        EXPECT_EQ(pw.log(), pr.log());
+        EXPECT_TRUE(wheel.empty());
+        EXPECT_EQ(wheel.executed(), pw.log().size());
+    }
+}
+
+TEST(EventQueueWheel, NearAndFarEventsShareATickInOrder)
+{
+    EventQueue eq;
+    std::vector<std::string> order;
+    auto rec = [&order](const char *what) {
+        return [&order, what] { order.push_back(what); };
+    };
+    const Tick t = kW + 10;
+    // Scheduled at tick 0, t is beyond the window: these wait aside.
+    eq.schedule(t, rec("far-stats"), EventPriority::Stats);
+    eq.schedule(t, rec("far-default"));
+    eq.schedule(t, rec("far-net"), EventPriority::NetworkDelivery);
+    eq.schedule(t, rec("far-default-2"));
+    // At tick 20, t is inside the window: these go straight in.
+    eq.schedule(20, [&] {
+        eq.schedule(t, rec("near-cu"), EventPriority::CuIssue);
+        eq.schedule(t, rec("near-default"));
+        eq.schedule(t, rec("near-net"), EventPriority::NetworkDelivery);
+    });
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "far-net", "near-net", "far-default",
+                         "far-default-2", "near-default", "near-cu",
+                         "far-stats"}));
+    EXPECT_EQ(eq.now(), t);
+}
+
+TEST(EventQueueWheel, EventsAtTheWindowEdge)
+{
+    EventQueue eq;
+    // Move now to an unaligned tick with something still pending.
+    eq.schedule(5 * kW, [] {});
+    EXPECT_EQ(eq.run(37), 37u);
+    std::vector<Tick> fired;
+    auto rec = [&] { fired.push_back(eq.now()); };
+    const Tick base = eq.now();
+    eq.schedule(base + kW + 1, rec, EventPriority::NetworkDelivery);
+    eq.schedule(base + kW, rec, EventPriority::Stats);
+    eq.schedule(base + kW - 1, rec, EventPriority::CuIssue);
+    EXPECT_EQ(eq.pending(), 4u);
+    EXPECT_EQ(eq.nextEventTick(), base + kW - 1);
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(eq.nextEventTick(), base + kW);
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(eq.nextEventTick(), base + kW + 1);
+    EXPECT_TRUE(eq.step());
+    EXPECT_EQ(eq.nextEventTick(), 5 * kW);
+    EXPECT_EQ(fired,
+              (std::vector<Tick>{base + kW - 1, base + kW, base + kW + 1}));
+    eq.run();
+    EXPECT_EQ(eq.now(), 5 * kW);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueWheel, CallbackSchedulingManyEventsRunsInPlace)
+{
+    EventQueue eq;
+    // The running callback's inline captures must stay intact while
+    // it schedules enough events to allocate several new node chunks.
+    std::array<std::uint64_t, 4> payload{11, 22, 33, 44};
+    int ran = 0;
+    std::uint64_t seen = 0;
+    EventFn fn = [&eq, &ran, &seen, payload] {
+        for (int i = 0; i < 2000; ++i)
+            eq.scheduleIn(i % 7, [&ran] { ++ran; });
+        for (auto v : payload)
+            seen += v;
+    };
+    ASSERT_TRUE(fn.storedInline());
+    eq.schedule(3, std::move(fn));
+    eq.run();
+    EXPECT_EQ(seen, 110u);
+    EXPECT_EQ(ran, 2000);
+    EXPECT_EQ(eq.executed(), 2001u);
 }
