@@ -1,6 +1,5 @@
 #include "coherence/denovo_l1.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <vector>
 
@@ -9,43 +8,6 @@
 
 namespace nosync
 {
-
-namespace
-{
-
-/** Debug tracing for addresses listed in NOSYNC_TRACE (hex, comma
- *  separated). Development aid; zero cost when unset. */
-bool
-traced(nosync::Addr addr)
-{
-    static const std::vector<nosync::Addr> addrs = [] {
-        std::vector<nosync::Addr> out;
-        if (const char *env = std::getenv("NOSYNC_TRACE")) {
-            std::stringstream ss(env);
-            std::string tok;
-            while (std::getline(ss, tok, ','))
-                out.push_back(std::stoull(tok, nullptr, 16));
-        }
-        return out;
-    }();
-    for (nosync::Addr a : addrs) {
-        if (nosync::lineAlign(a) == nosync::lineAlign(addr))
-            return true;
-    }
-    return false;
-}
-
-#define TRACEW(addr, ...)                                             \
-    do {                                                              \
-        if (traced(addr)) {                                           \
-            std::ostringstream os_;                                   \
-            os_ << curTick() << " " << name() << " ";                 \
-            ((os_ << __VA_ARGS__));                                   \
-            std::fprintf(stderr, "%s\n", os_.str().c_str());          \
-        }                                                             \
-    } while (0)
-
-} // namespace
 
 DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
                              stats::StatSet &stats, EnergyModel &energy,
@@ -56,10 +18,9 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
                              const CacheGeometry &geom,
                              const CacheTimings &timings,
                              trace::TraceSink *trace)
-    : L1Controller(name, eq, stats, energy, node, config, trace),
-      _mesh(mesh), _banks(std::move(banks)), _regions(regions),
-      _array(geom.l1Bytes, geom.l1Assoc),
-      _sb(geom.storeBufferEntries), _timings(timings),
+    : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
+                   timings, trace),
+      _banks(std::move(banks)), _regions(regions),
       _mshr(geom.l1MshrEntries),
       _remoteReadsServed(
           stats.registerScalar(name + ".remote_reads_served",
@@ -130,8 +91,6 @@ DenovoL1Cache::ensureFrame(Addr line_addr)
         }
         // The sweep emptied the frame: reinstall it below.
     }
-    TRACEW(line_addr, "ensureFrame fresh install for 0x"
-                          << std::hex << line_addr << std::dec);
     // Avoid evicting lines with in-flight protocol activity: their
     // MSHR state (sync chains, queued remote requests) refers to the
     // frame. With 8 ways and a handful of concurrently busy lines per
@@ -166,12 +125,6 @@ void
 DenovoL1Cache::evictFrame(CacheLine &victim)
 {
     ++_stats.evictions;
-    TRACEW(victim.addr, "evictFrame line=0x"
-                            << std::hex << victim.addr << std::dec
-                            << " regmask=0x" << std::hex
-                            << victim.maskInState(
-                                   WordState::Registered)
-                            << std::dec);
     WordMask reg_mask = victim.maskInState(WordState::Registered);
     if (reg_mask == 0)
         return; // Valid words are dropped silently.
@@ -180,13 +133,6 @@ DenovoL1Cache::evictFrame(CacheLine &victim)
     // and ownership back to the registry. The data stays snoopable in
     // the writeback buffer until the registry acknowledges, so
     // forwarded requests racing the writeback can still be served.
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if (reg_mask & (1u << w)) {
-            TRACEW(victim.addr + w * kWordBytes,
-                   "evict wb word " << w << " val="
-                                    << victim.data[w]);
-        }
-    }
     WbEntry &wb = _wbBuffer[victim.addr];
     wb.mask |= reg_mask;
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
@@ -295,14 +241,9 @@ DenovoL1Cache::load(Addr addr, ValueCallback cb)
 {
     std::uint32_t value;
     if (peekLocal(addr, value)) {
-        TRACEW(addr, "load hit " << std::hex << addr << std::dec
-                     << " = " << value);
-        ++_stats.loadHits;
-        _energy.l1Access();
         if (CacheLine *line = _array.lookup(addr))
             _array.touch(*line);
-        scheduleIn(_timings.l1Hit,
-                   [cb = std::move(cb), value] { cb(value); });
+        loadHit(std::move(cb), value);
         return;
     }
 
@@ -435,10 +376,6 @@ DenovoL1Cache::installReadData(Addr line_addr, WordMask mask,
             continue;
         // Never downgrade a word this L1 registered meanwhile.
         if (frame.wstate[w] == WordState::Invalid) {
-            TRACEW(line_addr + w * kWordBytes,
-                   "install word " << w << " val=" << values[w]
-                                   << " frame=" << (void *)&frame
-                                   << " epoch=" << frame.epoch);
             frame.wstate[w] = WordState::Valid;
             frame.data[w] = values[w];
         }
@@ -474,30 +411,6 @@ DenovoL1Cache::handleFwdData(Addr line_addr, WordMask mask,
 
     installReadData(line_addr, mask, values, sent_epoch);
     settleReads(line_addr, mask, values, sent_epoch);
-}
-
-void
-DenovoL1Cache::serveReadTargets(Addr line_addr)
-{
-    LineEntry *entry = _mshr.find(line_addr);
-    if (!entry)
-        return;
-    // Collect first, invoke after: a resumed coroutine may issue new
-    // loads that push into this very vector.
-    std::vector<ReadyLoad> ready = _readyBatch.borrow();
-    auto &targets = entry->readTargets;
-    for (auto it = targets.begin(); it != targets.end();) {
-        std::uint32_t value;
-        if (peekLocal(it->addr, value)) {
-            ready.emplace_back(value, std::move(it->cb));
-            it = targets.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    for (auto &[value, cb] : ready)
-        cb(value);
-    _readyBatch.giveBack(std::move(ready));
 }
 
 void
@@ -561,100 +474,33 @@ DenovoL1Cache::settleReads(Addr line_addr, WordMask reply_mask,
 // Stores
 // ---------------------------------------------------------------------
 
-void
-DenovoL1Cache::store(Addr addr, std::uint32_t value, DoneCallback cb)
+bool
+DenovoL1Cache::storeInPlace(Addr addr, std::uint32_t value,
+                            DoneCallback &cb)
 {
-    // Owned words complete in the L1 without touching the store
-    // buffer: the key DeNovo write-reuse benefit.
     unsigned w = wordInLine(addr);
-    if (CacheLine *line = _array.lookup(addr)) {
-        if (line->wstate[w] == WordState::Registered) {
-            TRACEW(addr, "store reg-hit " << std::hex << addr
-                         << std::dec << " = " << value);
-            ++_stats.storeHits;
-            _energy.l1Access();
-            line->data[w] = value;
-            // An SB entry from before the word was registered is
-            // now stale: the frame is the authoritative copy.
-            _sb.erase(addr);
-            _array.touch(*line);
-            scheduleIn(_timings.l1Hit, std::move(cb));
-            return;
-        }
-    }
-
-    if (!_stalledStores.empty() ||
-        (_sb.full() && !_sb.contains(addr))) {
-        _stalledStores.push_back({addr, value, std::move(cb)});
-        if (!_overflowDrainActive) {
-            _overflowDrainActive = true;
-            ++_stats.sbOverflowDrains;
-            startDrain([this] {
-                _overflowDrainActive = false;
-                serviceStallQueue();
-            });
-        }
-        return;
-    }
-    acceptStore(addr, value, std::move(cb));
+    CacheLine *line = _array.lookup(addr);
+    if (!line || line->wstate[w] != WordState::Registered)
+        return false;
+    ++_stats.storeHits;
+    _energy.l1Access();
+    line->data[w] = value;
+    // An SB entry from before the word was registered is now stale:
+    // the frame is the authoritative copy.
+    _sb.erase(addr);
+    _array.touch(*line);
+    scheduleIn(_timings.l1Hit, std::move(cb));
+    return true;
 }
 
 void
-DenovoL1Cache::acceptStore(Addr addr, std::uint32_t value,
-                           DoneCallback cb)
+DenovoL1Cache::mirrorStore(Addr addr, std::uint32_t value)
 {
-    TRACEW(addr, "store sb " << std::hex << addr << std::dec
-                 << " = " << value);
-    _energy.l1Access();
-    ++_stats.storeBuffered;
-    if (_sb.insert(addr, value))
-        ++_stats.storeCoalesced;
     if (CacheLine *line = _array.lookup(addr)) {
         refreshLine(*line);
         unsigned w = wordInLine(addr);
         if (line->valid && line->wstate[w] == WordState::Valid)
             line->data[w] = value;
-    }
-    scheduleIn(_timings.l1Hit, std::move(cb));
-}
-
-void
-DenovoL1Cache::serviceStallQueue()
-{
-    while (!_stalledStores.empty()) {
-        StalledStore &front = _stalledStores.front();
-
-        // The word may have become registered while stalled: such
-        // stores complete in place without a buffer slot.
-        unsigned w = wordInLine(front.addr);
-        CacheLine *line = _array.lookup(front.addr);
-        if (line && line->wstate[w] == WordState::Registered) {
-            ++_stats.storeHits;
-            _energy.l1Access();
-            line->data[w] = front.value;
-            _sb.erase(front.addr);
-            _array.touch(*line);
-            scheduleIn(_timings.l1Hit, std::move(front.cb));
-            _stalledStores.pop_front();
-            continue;
-        }
-
-        if (_sb.full() && !_sb.contains(front.addr)) {
-            // Still no room: drain again and retry later.
-            if (!_overflowDrainActive) {
-                _overflowDrainActive = true;
-                ++_stats.sbOverflowDrains;
-                startDrain([this] {
-                    _overflowDrainActive = false;
-                    scheduleIn(0, [this] { serviceStallQueue(); });
-                });
-            }
-            return;
-        }
-
-        StalledStore st = std::move(front);
-        _stalledStores.pop_front();
-        acceptStore(st.addr, st.value, std::move(st.cb));
     }
 }
 
@@ -719,11 +565,6 @@ DenovoL1Cache::grantWords(Addr line_addr, WordMask mask,
         if (!(mask & bit))
             continue;
         frame.wstate[w] = WordState::Registered;
-        TRACEW(line_addr + w * kWordBytes,
-               "grant word " << w << " dataPend="
-                             << ((entry->dataRegPending >> w) & 1)
-                             << " val=" << values[w] << " frame="
-                             << (void *)&frame);
         if (entry->dataRegPending & bit) {
             frame.data[w] = entry->pendingStoreData[w];
             entry->dataRegPending &= ~bit;
@@ -759,7 +600,7 @@ DenovoL1Cache::grantWords(Addr line_addr, WordMask mask,
 }
 
 void
-DenovoL1Cache::startDrain(DoneCallback cb)
+DenovoL1Cache::issueDrain()
 {
     auto groups = _sb.drain();
     for (const auto &group : groups) {
@@ -796,13 +637,8 @@ DenovoL1Cache::startDrain(DoneCallback cb)
             WordMask newly =
                 stream_mask & ~stream_entry.dataRegPending;
             for (unsigned w = 0; w < kWordsPerLine; ++w) {
-                if (stream_mask & (1u << w)) {
-                    stream_entry.pendingStoreData[w] =
-                        group.data[w];
-                    TRACEW(group.lineAddr + w * kWordBytes,
-                           "drain stream word " << w << " val="
-                                                << group.data[w]);
-                }
+                if (stream_mask & (1u << w))
+                    stream_entry.pendingStoreData[w] = group.data[w];
             }
             _pendingWrites += popcount(newly);
             stream_entry.dataRegPending |= stream_mask;
@@ -821,13 +657,6 @@ DenovoL1Cache::startDrain(DoneCallback cb)
             continue;
 
         LineEntry &entry = entryFor(group.lineAddr);
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            if (reg_mask & (1u << w)) {
-                TRACEW(group.lineAddr + w * kWordBytes,
-                       "drain word " << w << " val="
-                                     << group.data[w]);
-            }
-        }
         WordMask newly_pending = reg_mask & ~entry.dataRegPending;
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             if (reg_mask & (1u << w))
@@ -851,8 +680,6 @@ DenovoL1Cache::startDrain(DoneCallback cb)
         if (to_request != 0)
             issueRegistration(group.lineAddr, to_request, false);
     }
-    _drainWaiters.push_back(std::move(cb));
-    maybeFinishDrains();
 }
 
 void
@@ -900,33 +727,6 @@ DenovoL1Cache::onStreamAck(Addr line_addr, WordMask mask)
     maybeFreeEntry(line_addr);
 }
 
-void
-DenovoL1Cache::maybeFinishDrains()
-{
-    if (_pendingWrites != 0 || _drainWaiters.empty())
-        return;
-    // Run this batch from the spare buffer: waiters that start a new
-    // drain queue behind it in _drainWaiters, and neither list gives
-    // up its capacity.
-    std::vector<DoneCallback> waiters = _drainBatch.borrow();
-    waiters.swap(_drainWaiters);
-    for (auto &waiter : waiters)
-        waiter();
-    _drainBatch.giveBack(std::move(waiters));
-}
-
-void
-DenovoL1Cache::drainWrites(Scope scope, DoneCallback cb)
-{
-    if (_config.effectiveScope(scope) == Scope::Local) {
-        // DeNovo-H: locally scoped releases delay obtaining ownership.
-        scheduleIn(0, std::move(cb));
-        return;
-    }
-    ++_stats.releaseDrains;
-    startDrain(std::move(cb));
-}
-
 // ---------------------------------------------------------------------
 // Synchronization accesses (DeNovoSync0)
 // ---------------------------------------------------------------------
@@ -955,22 +755,6 @@ DenovoL1Cache::wordBusy(Addr line_addr, unsigned word)
 }
 
 void
-DenovoL1Cache::sync(const SyncOp &op, ValueCallback cb)
-{
-    Scope scope = _config.effectiveScope(op.scope);
-    std::uint32_t slot = _syncs.put({op, scope, std::move(cb)});
-
-    // Device- and machine-scoped releases both make prior writes
-    // visible beyond this CU's L1, so both drain.
-    if (op.isRelease() && scope != Scope::Local) {
-        ++_stats.releaseDrains;
-        startDrain([this, slot] { performSync(slot); });
-    } else {
-        performSync(slot);
-    }
-}
-
-void
 DenovoL1Cache::performSync(std::uint32_t slot)
 {
     if (_syncs[slot].scope == Scope::Local)
@@ -979,15 +763,6 @@ DenovoL1Cache::performSync(std::uint32_t slot)
         performEngineSync(slot);
     else
         performOwnedSync(slot);
-}
-
-void
-DenovoL1Cache::finishSync(std::uint32_t slot, std::uint32_t value)
-{
-    SyncRecord rec = _syncs.take(slot);
-    if (rec.op.isAcquire() && rec.scope != Scope::Local)
-        invalidateValid();
-    rec.cb(value);
 }
 
 void
@@ -1290,9 +1065,6 @@ DenovoL1Cache::respondTransfer(Addr line_addr, WordMask mask,
         if (!(mask & bit))
             continue;
         if (frame && frame->wstate[w] == WordState::Registered) {
-            TRACEW(line_addr + w * kWordBytes,
-                   "xfer-out word " << w << " val=" << frame->data[w]
-                                    << " to " << target);
             values[w] = frame->data[w];
             frame->wstate[w] = WordState::Invalid;
         } else if (wb && (wb->mask & bit)) {
@@ -1325,50 +1097,66 @@ DenovoL1Cache::respondTransfer(Addr line_addr, WordMask mask,
                });
 }
 
+WordMask
+DenovoL1Cache::servableNow(Addr line_addr, WordMask mask)
+{
+    WordMask immediate = 0;
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        WordMask bit = static_cast<WordMask>(1u << w);
+        if ((mask & bit) && holdsWord(line_addr, w) &&
+            !wordBusy(line_addr, w)) {
+            immediate |= bit;
+        }
+    }
+    return immediate;
+}
+
+void
+DenovoL1Cache::queueRemote(Addr line_addr, QueuedRemote remote)
+{
+    if (remote.mask == 0)
+        return;
+    LineEntry &entry = entryFor(line_addr);
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        WordMask bit = static_cast<WordMask>(1u << w);
+        if (!(remote.mask & bit))
+            continue;
+        panic_if(!holdsWord(line_addr, w) &&
+                     !(bit & (entry.syncRegPending |
+                              entry.dataRegPending)),
+                 "remote request for a word this L1 neither holds nor "
+                 "awaits: at ", name(), " line=0x", std::hex, line_addr,
+                 std::dec, " word=", w, " target=", remote.target,
+                 " transfer=",
+                 remote.kind == QueuedRemote::Kind::Transfer,
+                 " toL2=", remote.toL2, " syncPend=",
+                 entry.syncRegPending, " dataPend=",
+                 entry.dataRegPending);
+    }
+    remote.seq = entry.nextSeq++;
+    WordMask queued = remote.mask;
+    entry.remoteQueue.push_back(remote);
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        if (queued & (1u << w))
+            processSyncQueue(line_addr, w);
+    }
+}
+
 void
 DenovoL1Cache::handleReadFwd(Addr line_addr, WordMask mask,
                              NodeId requestor,
                              std::uint64_t req_epoch)
 {
     line_addr = lineAlign(line_addr);
-
     // Serve every immediately servable word with a single response
     // message (line-granularity transfer); queue only words tied up
     // in local synchronization activity.
-    WordMask immediate = 0;
-    WordMask queued = 0;
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        WordMask bit = static_cast<WordMask>(1u << w);
-        if (!(mask & bit))
-            continue;
-        if (holdsWord(line_addr, w) && !wordBusy(line_addr, w))
-            immediate |= bit;
-        else
-            queued |= bit;
-    }
+    WordMask immediate = servableNow(line_addr, mask);
     if (immediate != 0)
         respondReadFwd(line_addr, immediate, requestor, req_epoch);
-    if (queued == 0)
-        return;
-
-    LineEntry &entry = entryFor(line_addr);
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        WordMask bit = static_cast<WordMask>(1u << w);
-        if (!(queued & bit))
-            continue;
-        panic_if(!holdsWord(line_addr, w) &&
-                     !(bit & (entry.syncRegPending |
-                              entry.dataRegPending)),
-                 "read forward for a word this L1 neither holds nor "
-                 "awaits");
-    }
-    entry.remoteQueue.push_back({QueuedRemote::Kind::ReadFwd, queued,
-                                 requestor, false, false,
-                                 entry.nextSeq++, req_epoch});
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if (queued & (1u << w))
-            processSyncQueue(line_addr, w);
-    }
+    queueRemote(line_addr, {QueuedRemote::Kind::ReadFwd,
+                            static_cast<WordMask>(mask & ~immediate),
+                            requestor, false, false, 0, req_epoch});
 }
 
 void
@@ -1377,65 +1165,20 @@ DenovoL1Cache::handleTransferReq(Addr line_addr, WordMask mask,
                                  bool to_l2)
 {
     line_addr = lineAlign(line_addr);
-
     // Hand over every immediately servable word in one response
     // message; only words tied up in local activity take the queued
     // per-word path.
-    WordMask immediate = 0;
-    WordMask queued = 0;
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        WordMask bit = static_cast<WordMask>(1u << w);
-        if (!(mask & bit))
-            continue;
-        if (holdsWord(line_addr, w) && !wordBusy(line_addr, w))
-            immediate |= bit;
-        else
-            queued |= bit;
-    }
+    WordMask immediate = servableNow(line_addr, mask);
     if (immediate != 0)
-        respondTransfer(line_addr, immediate, new_owner, is_sync,
-                        to_l2);
-    if (queued == 0)
-        return;
-
-    LineEntry &entry = entryFor(line_addr);
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        WordMask bit = static_cast<WordMask>(1u << w);
-        if (!(queued & bit))
-            continue;
-        panic_if(!holdsWord(line_addr, w) &&
-                     !(bit & (entry.syncRegPending |
-                              entry.dataRegPending)),
-                 "ownership transfer for a word this L1 neither "
-                 "holds nor awaits: at ", name(), " line=0x", std::hex, line_addr,
-                 std::dec, " word=", w, " newOwner=", new_owner,
-                 " toL2=", to_l2, " syncPend=", entry.syncRegPending,
-                 " dataPend=", entry.dataRegPending);
-    }
-    entry.remoteQueue.push_back({QueuedRemote::Kind::Transfer, queued,
-                                 new_owner, is_sync, to_l2,
-                                 entry.nextSeq++, 0});
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if (queued & (1u << w))
-            processSyncQueue(line_addr, w);
-    }
+        respondTransfer(line_addr, immediate, new_owner, is_sync, to_l2);
+    queueRemote(line_addr, {QueuedRemote::Kind::Transfer,
+                            static_cast<WordMask>(mask & ~immediate),
+                            new_owner, is_sync, to_l2, 0, 0});
 }
 
 // ---------------------------------------------------------------------
 // Acquire-side invalidation
 // ---------------------------------------------------------------------
-
-void
-DenovoL1Cache::invalidateValid()
-{
-    // Selective self-invalidation is a gang operation in hardware;
-    // the simulator bumps the acquire epoch in O(1) and sweeps each
-    // line lazily on its next touch (refreshLine). Registered words
-    // are exempt by construction; read-only words by configuration.
-    ++_stats.acquireInvalidations;
-    _energy.l1TagAccess();
-    ++_curEpoch;
-}
 
 void
 DenovoL1Cache::refreshLine(CacheLine &line)
@@ -1465,8 +1208,6 @@ DenovoL1Cache::refreshLine(CacheLine &line)
                 ++_stats.wordsPreserved;
                 any_left = true;
             } else {
-                TRACEW(line.addr + w * kWordBytes,
-                       "refresh invalidate word " << w);
                 line.wstate[w] = WordState::Invalid;
                 ++_stats.wordsInvalidated;
             }
@@ -1481,67 +1222,14 @@ DenovoL1Cache::refreshLine(CacheLine &line)
 }
 
 // ---------------------------------------------------------------------
-// Kernel boundaries
+// Diagnostics
 // ---------------------------------------------------------------------
 
 void
-DenovoL1Cache::kernelBegin()
+DenovoL1Cache::describeProtocol(ControllerSnapshot &snap) const
 {
-    invalidateValid();
-}
-
-void
-DenovoL1Cache::kernelEnd(DoneCallback cb)
-{
-    ++_stats.releaseDrains;
-    startDrain(std::move(cb));
-}
-
-// ---------------------------------------------------------------------
-// Test hooks
-// ---------------------------------------------------------------------
-
-std::string
-DenovoL1Cache::dumpState()
-{
-    std::ostringstream os;
-    os << name() << ": sb=" << _sb.size()
-       << " pendingWrites=" << _pendingWrites
-       << " drainWaiters=" << _drainWaiters.size()
-       << " wb=" << _wbBuffer.size()
-       << " stalledStores=" << _stalledStores.size() << "\n";
-    _mshr.forEach([&](Addr line_addr, LineEntry &entry) {
-        os << "  line 0x" << std::hex << line_addr << std::dec
-           << " readPend=0x" << std::hex << entry.readPending
-           << " dataReg=0x" << entry.dataRegPending << " syncReg=0x"
-           << entry.syncRegPending << " syncRun=0x"
-           << entry.syncRunning << std::dec << " targets="
-           << entry.readTargets.size() << " syncQ="
-           << entry.syncQueue.size() << " remoteQ="
-           << entry.remoteQueue.size() << "\n";
-        for (const auto &remote : entry.remoteQueue) {
-            os << "    remote "
-               << (remote.kind == QueuedRemote::Kind::Transfer
-                       ? "xfer"
-                       : "read")
-               << " mask=0x" << std::hex << remote.mask << std::dec
-               << " target=" << remote.target << "\n";
-        }
-    });
-    return os.str();
-}
-
-ControllerSnapshot
-DenovoL1Cache::snapshot() const
-{
-    ControllerSnapshot snap;
-    snap.name = name();
-    snap.gauge("mshr", _mshr.size());
-    snap.gauge("sb", _sb.size());
     snap.gauge("pending_writes", _pendingWrites);
     snap.gauge("wb_lines", _wbBuffer.size());
-    snap.gauge("stalled_stores", _stalledStores.size());
-    snap.gauge("drain_waiters", _drainWaiters.size());
     _mshr.forEach([&](Addr line_addr, const LineEntry &entry) {
         std::ostringstream os;
         os << "line 0x" << std::hex << line_addr
@@ -1560,13 +1248,11 @@ DenovoL1Cache::snapshot() const
            << " mask=0x" << wb.mask << std::dec;
         snap.detail.push_back(os.str());
     });
-    return snap;
 }
 
-std::vector<std::string>
-DenovoL1Cache::checkInvariants(bool quiesced) const
+void
+DenovoL1Cache::checkProtocol(std::vector<std::string> &out) const
 {
-    std::vector<std::string> out;
     auto fail = [&](const std::string &msg) {
         out.push_back(name() + ": " + msg);
     };
@@ -1608,13 +1294,6 @@ DenovoL1Cache::checkInvariants(bool quiesced) const
             }
         }
     });
-
-    if (quiesced) {
-        ControllerSnapshot snap = snapshot();
-        if (!snap.quiescent())
-            fail("state leaked at quiesce: " + snap.summary());
-    }
-    return out;
 }
 
 void

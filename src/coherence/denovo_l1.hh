@@ -18,26 +18,20 @@
 #ifndef COHERENCE_DENOVO_L1_HH
 #define COHERENCE_DENOVO_L1_HH
 
-#include <deque>
 #include <utility>
 #include <vector>
 
-#include "mem/line_table.hh"
-
-#include "coherence/cache_timings.hh"
 #include "coherence/denovo_l2.hh"
 #include "coherence/l1_controller.hh"
 #include "coherence/region_map.hh"
-#include "coherence/snapshot.hh"
-#include "mem/cache_array.hh"
+#include "mem/line_table.hh"
 #include "mem/mshr.hh"
-#include "mem/store_buffer.hh"
 
 namespace nosync
 {
 
 /** DeNovo L1 data cache controller. */
-class DenovoL1Cache : public L1Controller
+class DenovoL1Cache final : public L1Controller
 {
   public:
     DenovoL1Cache(const std::string &name, EventQueue &eq,
@@ -56,12 +50,6 @@ class DenovoL1Cache : public L1Controller
 
     // CU-facing interface --------------------------------------------
     void load(Addr addr, ValueCallback cb) override;
-    void store(Addr addr, std::uint32_t value, DoneCallback cb)
-        override;
-    void sync(const SyncOp &op, ValueCallback cb) override;
-    void kernelBegin() override;
-    void kernelEnd(DoneCallback cb) override;
-    void drainWrites(Scope scope, DoneCallback cb) override;
 
     // Network-facing handlers (invoked at arrival via mesh closures) -
     /**
@@ -99,23 +87,6 @@ class DenovoL1Cache : public L1Controller
         return wordState(addr) == WordState::Registered;
     }
 
-    /** Diagnostic dump of in-flight transaction state. */
-    std::string dumpState();
-    std::size_t storeBufferSize() const { return _sb.size(); }
-    std::size_t mshrEntries() const { return _mshr.size(); }
-
-    // Diagnostics -----------------------------------------------------
-    /** Structured view of outstanding transaction state. */
-    ControllerSnapshot snapshot() const override;
-
-    /**
-     * Controller-local invariant sweep. @p quiesced additionally
-     * requires every outstanding-state structure to be empty (leak
-     * detection). @return violation descriptions; empty when clean.
-     */
-    std::vector<std::string>
-    checkInvariants(bool quiesced) const override;
-
     /** Invoke @p fn with the word address of every Registered word. */
     void forEachRegisteredWord(
         const std::function<void(Addr)> &fn) const;
@@ -128,6 +99,20 @@ class DenovoL1Cache : public L1Controller
     void debugCorruptWordState(Addr addr, WordState st);
 
   private:
+    // L1Controller hooks ----------------------------------------------
+    /** Stores to Registered words complete in the L1 without touching
+     *  the store buffer: the key DeNovo write-reuse benefit. */
+    bool storeInPlace(Addr addr, std::uint32_t value,
+                      DoneCallback &cb) override;
+    void mirrorStore(Addr addr, std::uint32_t value) override;
+    /** Register the SB's words (DD+PR: write streaming-region words
+     *  through); _pendingWrites counts words awaiting completion. */
+    void issueDrain() override;
+    void performSync(std::uint32_t slot) override;
+    std::size_t mshrOccupancy() const override { return _mshr.size(); }
+    void describeProtocol(ControllerSnapshot &snap) const override;
+    void checkProtocol(std::vector<std::string> &out) const override;
+
     /** Remote request queued behind this CU's pending activity. */
     struct QueuedRemote
     {
@@ -155,14 +140,6 @@ class DenovoL1Cache : public L1Controller
         std::uint32_t slot;
         /** Arrival order relative to queued remote requests. */
         std::uint64_t seq = 0;
-    };
-
-    /** A load waiting on a fill, with its acquire epoch at issue. */
-    struct ReadTarget
-    {
-        Addr addr;
-        ValueCallback cb;
-        std::uint64_t epoch;
     };
 
     /** Per-line transaction state (the MSHR payload). */
@@ -275,9 +252,6 @@ class DenovoL1Cache : public L1Controller
                          const LineData &values,
                          std::uint64_t sent_epoch);
 
-    /** Serve read targets now satisfiable from local state. */
-    void serveReadTargets(Addr line_addr);
-
     /**
      * Serve locally satisfiable read targets, then serve targets old
      * enough for the arriving reply data (@p reply_mask words at
@@ -307,11 +281,16 @@ class DenovoL1Cache : public L1Controller
     void respondTransfer(Addr line_addr, WordMask mask, NodeId target,
                          bool is_sync, bool to_l2);
 
+    /** The words of @p mask this L1 can serve right now: held, and
+     *  not tied up in local activity. */
+    WordMask servableNow(Addr line_addr, WordMask mask);
+
+    /** Queue @p remote (its seq assigned here) behind the local
+     *  activity on its words, then service each word's queue. */
+    void queueRemote(Addr line_addr, QueuedRemote remote);
+
     /** Whether a word has pending local activity (sync coalescing). */
     bool wordBusy(Addr line_addr, unsigned word);
-
-    /** Acquire-side self-invalidation of Valid words (O(1), lazy). */
-    void invalidateValid();
 
     /**
      * Lazily apply acquire invalidations this line missed: sweep
@@ -319,9 +298,6 @@ class DenovoL1Cache : public L1Controller
      * Registered words are never invalidated).
      */
     void refreshLine(CacheLine &line);
-
-    /** Perform the parked sync in @p slot (after any drain). */
-    void performSync(std::uint32_t slot);
 
     /** Obtain ownership of the sync word, then perform at this L1. */
     void performOwnedSync(std::uint32_t slot);
@@ -333,50 +309,17 @@ class DenovoL1Cache : public L1Controller
      */
     void performEngineSync(std::uint32_t slot);
 
-    /** Post-perform acquire step; unparks the sync and replies. */
-    void finishSync(std::uint32_t slot, std::uint32_t value);
-
-    void startDrain(DoneCallback cb);
-    void maybeFinishDrains();
-
-    void acceptStore(Addr addr, std::uint32_t value, DoneCallback cb);
-    void serviceStallQueue();
-
-    Mesh &_mesh;
     std::vector<DenovoL2Bank *> _banks;
     std::vector<DenovoL1Cache *> _peers;
     const RegionMap &_regions;
-    CacheArray _array;
-    StoreBuffer _sb;
-    CacheTimings _timings;
     MshrTable<LineEntry> _mshr;
-
-    /** Read-target lists of retired MSHR entries, for reuse. */
-    VectorPool<ReadTarget> _targetPool;
 
     /** Line-keyed, slab-stable: probed by every load's peekLocal. */
     LineTable<WbEntry> _wbBuffer;
 
-    /** Words awaiting data-write registration across all lines. */
-    unsigned _pendingWrites = 0;
-    std::vector<DoneCallback> _drainWaiters;
-    VectorPool<DoneCallback> _drainBatch;
-
     /** A satisfied load: its value and callback (read batches). */
     using ReadyLoad = std::pair<std::uint32_t, ValueCallback>;
     VectorPool<ReadyLoad> _readyBatch;
-
-    struct StalledStore
-    {
-        Addr addr;
-        std::uint32_t value;
-        DoneCallback cb;
-    };
-    std::deque<StalledStore> _stalledStores;
-    bool _overflowDrainActive = false;
-
-    /** Current acquire epoch (lazy self-invalidation). */
-    std::uint64_t _curEpoch = 0;
 
     stats::Handle<stats::Scalar> _remoteReadsServed;
     stats::Handle<stats::Scalar> _ownershipTransfers;

@@ -15,10 +15,8 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
                            const CacheGeometry &geom,
                            const CacheTimings &timings,
                            trace::TraceSink *trace)
-    : L2Controller(name, eq, node, trace), _mesh(mesh),
-      _energy(energy), _memory(memory),
-      _array(geom.l2BankBytes, geom.l2Assoc), _timings(timings),
-      _fetches(geom.l2MshrEntries),
+    : L2Controller(name, eq, energy, mesh, node, memory, geom, timings,
+                   trace),
       _reads(stats.registerScalar(name + ".reads",
                                   "read requests served")),
       _registrations(
@@ -57,19 +55,16 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
 // Line residency
 // ---------------------------------------------------------------------
 
-void
-DenovoL2Bank::withLine(Addr line_addr, LineFn fn)
+bool
+DenovoL2Bank::deferWhileRecalling(Addr line_addr, LineFn &fn)
 {
-    line_addr = lineAlign(line_addr);
-    _energy.l2Access();
-
-    if (recalling(line_addr)) {
-        // The line is being evicted; replay the request once the
-        // recall completes (the line will then re-fetch from memory).
-        _recalls[line_addr].deferred.push_back(std::move(fn));
-        return;
-    }
-    withLineReady(line_addr, std::move(fn));
+    RecallState *recall = _recalls.find(line_addr);
+    if (!recall)
+        return false;
+    // The line is being evicted; replay the request once the recall
+    // completes (the line will then re-fetch from memory).
+    recall->deferred.push_back(std::move(fn));
+    return true;
 }
 
 void
@@ -77,68 +72,6 @@ DenovoL2Bank::replayParked(std::uint32_t slot)
 {
     ParkedAccess access = _parked.take(slot);
     withLine(access.lineAddr, std::move(access.fn));
-}
-
-void
-DenovoL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
-{
-    // Pipelined bank: one new access per l2CycleTime cycles.
-    Tick start = std::max(curTick(), _bankFree);
-    _bankFree = start + _timings.l2CycleTime;
-    Cycles queue_delay = start - curTick();
-
-    if (CacheLine *line = _array.lookup(line_addr)) {
-        _array.touch(*line);
-        // Re-resolve at fire time: a concurrent fetch may evict and
-        // repurpose this frame, or a recall may start, during the
-        // access latency window.
-        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
-        scheduleIn(queue_delay + _timings.l2Access, [this, slot] {
-            ParkedAccess access = _parked.take(slot);
-            if (recalling(access.lineAddr)) {
-                _recalls[access.lineAddr].deferred.push_back(
-                    std::move(access.fn));
-                return;
-            }
-            if (CacheLine *line = _array.lookup(access.lineAddr)) {
-                access.fn(*line);
-                return;
-            }
-            withLineReady(access.lineAddr, std::move(access.fn));
-        });
-        return;
-    }
-
-    if (FetchEntry *entry = _fetches.find(line_addr)) {
-        entry->waiters.push_back(std::move(fn));
-        return;
-    }
-
-    if ((!queued && !_stalled.empty()) || _fetches.full()) {
-        if (queued) {
-            // Re-stall at the head to preserve arrival order.
-            _stalled.emplace_front(line_addr, std::move(fn));
-            return;
-        }
-        // All fetch MSHRs busy: stall in strict arrival order (the
-        // protocol relies on per-source FIFO processing).
-        _stalled.emplace_back(line_addr, std::move(fn));
-        return;
-    }
-
-    FetchEntry &entry = _fetches.allocate(line_addr);
-    entry.waiters.push_back(std::move(fn));
-    startFetch(line_addr);
-}
-
-void
-DenovoL2Bank::processStalled()
-{
-    while (!_stalled.empty() && !_fetches.full()) {
-        auto [line_addr, fn] = std::move(_stalled.front());
-        _stalled.pop_front();
-        withLineReady(line_addr, std::move(fn), true);
-    }
 }
 
 void
@@ -659,14 +592,6 @@ DenovoL2Bank::servePendingSyncs(CacheLine &line, Addr line_addr)
 // Test hooks
 // ---------------------------------------------------------------------
 
-std::uint32_t
-DenovoL2Bank::peekWord(Addr addr)
-{
-    if (CacheLine *line = _array.lookup(lineAlign(addr)))
-        return line->data[wordInLine(addr)];
-    return _memory.readWord(addr);
-}
-
 NodeId
 DenovoL2Bank::ownerOf(Addr addr)
 {
@@ -683,13 +608,9 @@ DenovoL2Bank::ownerOf(Addr addr)
 // Diagnostics
 // ---------------------------------------------------------------------
 
-ControllerSnapshot
-DenovoL2Bank::snapshot() const
+void
+DenovoL2Bank::describeProtocol(ControllerSnapshot &snap) const
 {
-    ControllerSnapshot snap;
-    snap.name = name();
-    snap.gauge("fetches", _fetches.size());
-    snap.gauge("stalled", _stalled.size());
     snap.gauge("recalls", _recalls.size());
     snap.gauge("pending_syncs", _pendingSyncs.size());
     _fetches.forEach([&](Addr line_addr, const FetchEntry &entry) {
@@ -708,13 +629,11 @@ DenovoL2Bank::snapshot() const
            << " blockedFetches=" << state.blockedFetches.size();
         snap.detail.push_back(os.str());
     });
-    return snap;
 }
 
-std::vector<std::string>
-DenovoL2Bank::checkInvariants(bool quiesced) const
+void
+DenovoL2Bank::checkProtocol(std::vector<std::string> &out) const
 {
-    std::vector<std::string> out;
     _array.forEachValid([&](const CacheLine &line) {
         for (unsigned w = 0; w < kWordsPerLine; ++w) {
             if (line.wstate[w] != WordState::Registered)
@@ -731,14 +650,6 @@ DenovoL2Bank::checkInvariants(bool quiesced) const
             }
         }
     });
-    if (quiesced) {
-        ControllerSnapshot snap = snapshot();
-        if (!snap.quiescent()) {
-            out.push_back(name() + ": state leaked at quiesce: " +
-                          snap.summary());
-        }
-    }
-    return out;
 }
 
 void

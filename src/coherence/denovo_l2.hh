@@ -18,15 +18,11 @@
 #include <functional>
 #include <vector>
 
-#include "coherence/cache_timings.hh"
 #include "coherence/l1_controller.hh"
 #include "coherence/l2_controller.hh"
 #include "coherence/protocol.hh"
-#include "coherence/snapshot.hh"
-#include "mem/cache_array.hh"
 #include "mem/functional_mem.hh"
 #include "mem/line_table.hh"
-#include "mem/mshr.hh"
 #include "noc/mesh.hh"
 
 namespace nosync
@@ -48,7 +44,7 @@ using RegReply = SmallFn<void(WordMask direct_mask, const LineData &data),
                          kCallbackCapacity>;
 
 /** One bank of the DeNovo registry. */
-class DenovoL2Bank : public L2Controller
+class DenovoL2Bank final : public L2Controller
 {
   public:
     DenovoL2Bank(const std::string &name, EventQueue &eq,
@@ -112,21 +108,8 @@ class DenovoL2Bank : public L2Controller
     void handleSyncOp(const SyncOp &op, NodeId requestor,
                       ValueCallback reply);
 
-    /** Test hooks. */
-    std::uint32_t peekWord(Addr addr) override;
+    /** Test hook: the L1 registered for @p addr, or kNoNode. */
     NodeId ownerOf(Addr addr);
-
-    // Diagnostics -----------------------------------------------------
-    /** Structured view of outstanding transaction state. */
-    ControllerSnapshot snapshot() const override;
-
-    /**
-     * Bank-local invariant sweep: every registry entry must point at
-     * a live L1; @p quiesced additionally requires empty fetch MSHRs,
-     * stall queues, and recalls. @return violations; empty if clean.
-     */
-    std::vector<std::string>
-    checkInvariants(bool quiesced) const override;
 
     /** Invoke @p fn(word_addr, owner) for every registered word. */
     void forEachRegisteredWord(
@@ -141,8 +124,15 @@ class DenovoL2Bank : public L2Controller
     void debugSetOwner(Addr addr, NodeId owner);
 
   private:
-    void withLine(Addr line_addr, LineFn fn);
-    void startFetch(Addr line_addr);
+    /** Park @p fn on the line's recall, if one is in progress. */
+    bool deferWhileRecalling(Addr line_addr, LineFn &fn) override;
+    void startFetch(Addr line_addr) override;
+    /** Adds the recalls and pending_syncs gauges. */
+    void describeProtocol(ControllerSnapshot &snap) const override;
+    /** Every registry entry must point at a live L1. */
+    void checkProtocol(std::vector<std::string> &out) const override;
+    /** Install a fetched line once its DRAM data arrived and no
+     *  recall blocks the victim. */
     void finishFetch(Addr line_addr);
 
     /** Begin recalling every registered word of @p victim. */
@@ -152,17 +142,6 @@ class DenovoL2Bank : public L2Controller
     /** Replay the parked access in @p slot through withLine. */
     void replayParked(std::uint32_t slot);
 
-    /** Whether @p line_addr is currently being recalled. */
-    bool recalling(Addr line_addr) const
-    {
-        return _recalls.contains(line_addr);
-    }
-
-    Mesh &_mesh;
-    EnergyModel &_energy;
-    FunctionalMem &_memory;
-    CacheArray _array;
-    CacheTimings _timings;
     std::vector<DenovoL1Cache *> _l1s;
 
     /**
@@ -173,26 +152,6 @@ class DenovoL2Bank : public L2Controller
      * ascending NodeId order, matching the old map order exactly.
      */
     std::vector<WordMask> _fwdScratch;
-
-    /** Next tick the pipelined bank accepts an access. */
-    Tick _bankFree = 0;
-
-    struct FetchEntry
-    {
-        std::vector<LineFn> waiters;
-        bool dramDone = false;
-    };
-    MshrTable<FetchEntry> _fetches;
-
-    /**
-     * Requests stalled on a full fetch MSHR, processed strictly in
-     * arrival order: the protocol's writeback/registration races rely
-     * on per-source FIFO processing, so the bank must not reorder.
-     */
-    std::deque<std::pair<Addr, LineFn>> _stalled;
-
-    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
-    void processStalled();
 
     struct RecallState
     {

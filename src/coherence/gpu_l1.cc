@@ -14,11 +14,9 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
                        const CacheGeometry &geom,
                        const CacheTimings &timings,
                        trace::TraceSink *trace)
-    : L1Controller(name, eq, stats, energy, node, config, trace),
-      _mesh(mesh), _banks(std::move(banks)),
-      _array(geom.l1Bytes, geom.l1Assoc),
-      _sb(geom.storeBufferEntries), _timings(timings),
-      _mshr(geom.l1MshrEntries)
+    : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
+                   timings, trace),
+      _banks(std::move(banks)), _mshr(geom.l1MshrEntries)
 {
     panic_if(_config.protocol() != CoherenceProtocol::Gpu,
              "GpuL1Cache built with a non-GPU protocol config");
@@ -62,10 +60,7 @@ GpuL1Cache::load(Addr addr, ValueCallback cb)
     // Store-buffer forwarding: the SB holds the CU's freshest
     // values.
     if (_sb.contains(addr)) {
-        ++_stats.loadHits;
-        _energy.l1Access();
-        scheduleIn(_timings.l1Hit, [cb = std::move(cb),
-                                    v = _sb.value(addr)] { cb(v); });
+        loadHit(std::move(cb), _sb.value(addr));
         return;
     }
 
@@ -73,11 +68,8 @@ GpuL1Cache::load(Addr addr, ValueCallback cb)
     if (CacheLine *line = _array.lookup(addr)) {
         refreshLine(*line);
         if (line->valid && line->wstate[w] == WordState::Valid) {
-            ++_stats.loadHits;
-            _energy.l1Access();
             _array.touch(*line);
-            scheduleIn(_timings.l1Hit, [cb = std::move(cb),
-                                        v = line->data[w]] { cb(v); });
+            loadHit(std::move(cb), line->data[w]);
             return;
         }
     }
@@ -88,10 +80,7 @@ GpuL1Cache::load(Addr addr, ValueCallback cb)
     // above is at least as fresh.
     std::uint32_t in_flight;
     if (pendingWtValue(addr, in_flight)) {
-        ++_stats.loadHits;
-        _energy.l1Access();
-        scheduleIn(_timings.l1Hit,
-                   [cb = std::move(cb), v = in_flight] { cb(v); });
+        loadHit(std::move(cb), in_flight);
         return;
     }
 
@@ -173,23 +162,8 @@ GpuL1Cache::installFill(Addr line_addr, const LineData &data)
     }
 
     CacheLine *victim = _array.findVictim(line_addr);
-    if (victim->valid) {
-        ++_stats.evictions;
-        // Under HRF, locally performed atomics leave dirty words that
-        // exist only in this L1; they must be written through before
-        // the frame is reused. Words also buffered in the SB are
-        // skipped: the SB drain will write them through.
-        WordMask to_flush = 0;
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            WordMask bit = static_cast<WordMask>(1u << w);
-            if ((victim->dirty & bit) &&
-                !_sb.contains(victim->addr + w * kWordBytes)) {
-                to_flush |= bit;
-            }
-        }
-        if (to_flush != 0)
-            sendWriteThrough(victim->addr, to_flush, victim->data);
-    }
+    if (victim->valid)
+        evictFrame(*victim);
     _array.install(*victim, line_addr);
     victim->data = data;
     victim->wstate.fill(WordState::Valid);
@@ -204,6 +178,22 @@ GpuL1Cache::installFill(Addr line_addr, const LineData &data)
     }
     _energy.l1Access();
     return *victim;
+}
+
+void
+GpuL1Cache::evictFrame(CacheLine &victim)
+{
+    ++_stats.evictions;
+    WordMask to_flush = 0;
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        WordMask bit = static_cast<WordMask>(1u << w);
+        if ((victim.dirty & bit) &&
+            !_sb.contains(victim.addr + w * kWordBytes)) {
+            to_flush |= bit;
+        }
+    }
+    if (to_flush != 0)
+        sendWriteThrough(victim.addr, to_flush, victim.data);
 }
 
 void
@@ -271,80 +261,47 @@ GpuL1Cache::onFill(Addr line_addr, const LineData &data,
 // Stores
 // ---------------------------------------------------------------------
 
-void
-GpuL1Cache::store(Addr addr, std::uint32_t value, DoneCallback cb)
+bool
+GpuL1Cache::storeInPlace(Addr addr, std::uint32_t value,
+                         DoneCallback &cb)
 {
-    if (_config.consistency() == ConsistencyModel::Hrf) {
-        // GPU-H keeps a dirty bit per word in the L1 (the paper's 3%
-        // overhead): stores write-allocate into the cache and retire
-        // immediately; a global release scans and flushes dirty
-        // words, so the store buffer never backs up.
-        ++_stats.storeHits;
-        _energy.l1Access();
-        CacheLine *line = _array.lookup(addr);
-        if (line) {
-            refreshLine(*line);
-            if (!line->valid)
-                line = nullptr;
-        }
-        if (!line) {
-            // Allocate without fetching: only this word becomes
-            // valid (partial-block write).
-            CacheLine *victim = _array.findVictim(addr);
-            if (victim->valid) {
-                ++_stats.evictions;
-                WordMask to_flush = 0;
-                for (unsigned w = 0; w < kWordsPerLine; ++w) {
-                    WordMask bit = static_cast<WordMask>(1u << w);
-                    if ((victim->dirty & bit) &&
-                        !_sb.contains(victim->addr +
-                                      w * kWordBytes)) {
-                        to_flush |= bit;
-                    }
-                }
-                if (to_flush != 0) {
-                    sendWriteThrough(victim->addr, to_flush,
-                                     victim->data);
-                }
-            }
-            _array.install(*victim, lineAlign(addr));
-            victim->epoch = _curEpoch;
-            line = victim;
-        }
-        unsigned w = wordInLine(addr);
-        line->data[w] = value;
-        line->wstate[w] = WordState::Valid;
-        line->dirty |= static_cast<WordMask>(1u << w);
-        _anyDirty = true;
-        _array.touch(*line);
-        scheduleIn(_timings.l1Hit, std::move(cb));
-        return;
+    if (_config.consistency() != ConsistencyModel::Hrf)
+        return false;
+    // GPU-H keeps a dirty bit per word in the L1 (the paper's 3%
+    // overhead): stores write-allocate into the cache and retire
+    // immediately; a global release scans and flushes dirty words, so
+    // the store buffer never backs up.
+    ++_stats.storeHits;
+    _energy.l1Access();
+    CacheLine *line = _array.lookup(addr);
+    if (line) {
+        refreshLine(*line);
+        if (!line->valid)
+            line = nullptr;
     }
-
-    if (!_stalledStores.empty() || (_sb.full() && !_sb.contains(addr))) {
-        _stalledStores.push_back({addr, value, std::move(cb)});
-        if (!_overflowDrainActive) {
-            _overflowDrainActive = true;
-            ++_stats.sbOverflowDrains;
-            startDrain([this] {
-                _overflowDrainActive = false;
-                serviceStallQueue();
-            });
-        }
-        return;
+    if (!line) {
+        // Allocate without fetching: only this word becomes valid
+        // (partial-block write).
+        CacheLine *victim = _array.findVictim(addr);
+        if (victim->valid)
+            evictFrame(*victim);
+        _array.install(*victim, lineAlign(addr));
+        victim->epoch = _curEpoch;
+        line = victim;
     }
-    acceptStore(addr, value, std::move(cb));
+    unsigned w = wordInLine(addr);
+    line->data[w] = value;
+    line->wstate[w] = WordState::Valid;
+    line->dirty |= static_cast<WordMask>(1u << w);
+    _anyDirty = true;
+    _array.touch(*line);
+    scheduleIn(_timings.l1Hit, std::move(cb));
+    return true;
 }
 
 void
-GpuL1Cache::acceptStore(Addr addr, std::uint32_t value, DoneCallback cb)
+GpuL1Cache::mirrorStore(Addr addr, std::uint32_t value)
 {
-    _energy.l1Access();
-    ++_stats.storeBuffered;
-    if (_sb.insert(addr, value))
-        ++_stats.storeCoalesced;
-
-    // Keep the local copy coherent for same-CU readers.
     if (CacheLine *line = _array.lookup(addr)) {
         refreshLine(*line);
         if (line->valid) {
@@ -353,17 +310,6 @@ GpuL1Cache::acceptStore(Addr addr, std::uint32_t value, DoneCallback cb)
             line->wstate[w] = WordState::Valid;
             _array.touch(*line);
         }
-    }
-    scheduleIn(_timings.l1Hit, std::move(cb));
-}
-
-void
-GpuL1Cache::serviceStallQueue()
-{
-    while (!_stalledStores.empty() && !_sb.full()) {
-        StalledStore st = std::move(_stalledStores.front());
-        _stalledStores.pop_front();
-        acceptStore(st.addr, st.value, std::move(st.cb));
     }
 }
 
@@ -379,7 +325,7 @@ GpuL1Cache::sendWriteThrough(Addr line_addr, WordMask mask,
         _trace->record(curTick(), trace::Phase::L1WriteThrough, _node,
                        line_addr, 0, mask);
     }
-    ++_pendingWtAcks;
+    ++_pendingWrites;
     // Keep the in-flight values forwardable until the L2 merged them.
     PendingWtLine &pend = _pendingWt[line_addr];
     pend.words |= mask;
@@ -413,7 +359,7 @@ GpuL1Cache::onWriteThroughAck(Addr line_addr, WordMask mask)
     }
     if (pend->words == 0)
         _pendingWt.erase(line_addr);
-    --_pendingWtAcks;
+    --_pendingWrites;
     maybeFinishDrains();
 }
 
@@ -446,7 +392,7 @@ GpuL1Cache::collectDirtyWords()
 }
 
 void
-GpuL1Cache::startDrain(DoneCallback cb)
+GpuL1Cache::issueDrain()
 {
     // Collect L1-dirty words first: words still buffered in the SB
     // are skipped there (the SB drain below writes them through) and
@@ -456,51 +402,11 @@ GpuL1Cache::startDrain(DoneCallback cb)
     groups.insert(groups.end(), sb_groups.begin(), sb_groups.end());
     for (const auto &group : groups)
         sendWriteThrough(group.lineAddr, group.mask, group.data);
-    _drainWaiters.push_back(std::move(cb));
-    maybeFinishDrains();
-}
-
-void
-GpuL1Cache::maybeFinishDrains()
-{
-    if (_pendingWtAcks != 0 || _drainWaiters.empty())
-        return;
-    // Run this batch from the spare buffer: waiters that start a new
-    // drain queue behind it in _drainWaiters, and neither list gives
-    // up its capacity.
-    std::vector<DoneCallback> waiters = _drainBatch.borrow();
-    waiters.swap(_drainWaiters);
-    for (auto &waiter : waiters)
-        waiter();
-    _drainBatch.giveBack(std::move(waiters));
-}
-
-void
-GpuL1Cache::drainWrites(Scope scope, DoneCallback cb)
-{
-    if (_config.effectiveScope(scope) == Scope::Local) {
-        // Locally scoped release: nothing to make globally visible.
-        scheduleIn(0, std::move(cb));
-        return;
-    }
-    ++_stats.releaseDrains;
-    startDrain(std::move(cb));
 }
 
 // ---------------------------------------------------------------------
 // Invalidations (acquire-side)
 // ---------------------------------------------------------------------
-
-void
-GpuL1Cache::flashInvalidate()
-{
-    // Flash invalidation is a gang-clear in hardware; the simulator
-    // implements it lazily by bumping the acquire epoch and sweeping
-    // each line on its next touch (refreshLine).
-    ++_stats.acquireInvalidations;
-    _energy.l1TagAccess();
-    ++_curEpoch;
-}
 
 void
 GpuL1Cache::refreshLine(CacheLine &line)
@@ -531,37 +437,12 @@ GpuL1Cache::refreshLine(CacheLine &line)
 // ---------------------------------------------------------------------
 
 void
-GpuL1Cache::sync(const SyncOp &op, ValueCallback cb)
-{
-    Scope scope = _config.effectiveScope(op.scope);
-    std::uint32_t slot = _syncs.put({op, scope, std::move(cb)});
-
-    // Device- and machine-scoped releases both make prior writes
-    // visible beyond this CU's L1, so both drain.
-    if (op.isRelease() && scope != Scope::Local) {
-        ++_stats.releaseDrains;
-        startDrain([this, slot] { performSync(slot); });
-    } else {
-        performSync(slot);
-    }
-}
-
-void
 GpuL1Cache::performSync(std::uint32_t slot)
 {
     if (_syncs[slot].scope == Scope::Local)
         performLocalAtomic(slot);
     else
         performRemoteAtomic(slot);
-}
-
-void
-GpuL1Cache::finishSync(std::uint32_t slot, std::uint32_t value)
-{
-    SyncRecord rec = _syncs.take(slot);
-    if (rec.op.isAcquire() && rec.scope != Scope::Local)
-        flashInvalidate();
-    rec.cb(value);
 }
 
 void
@@ -642,23 +523,6 @@ GpuL1Cache::applyLocalAtomic(CacheLine &line, std::uint32_t slot)
 }
 
 // ---------------------------------------------------------------------
-// Kernel boundaries
-// ---------------------------------------------------------------------
-
-void
-GpuL1Cache::kernelBegin()
-{
-    flashInvalidate();
-}
-
-void
-GpuL1Cache::kernelEnd(DoneCallback cb)
-{
-    ++_stats.releaseDrains;
-    startDrain(std::move(cb));
-}
-
-// ---------------------------------------------------------------------
 // Test hooks
 // ---------------------------------------------------------------------
 
@@ -682,21 +546,15 @@ GpuL1Cache::wordValid(Addr addr) const
 // Diagnostics
 // ---------------------------------------------------------------------
 
-ControllerSnapshot
-GpuL1Cache::snapshot() const
+void
+GpuL1Cache::describeProtocol(ControllerSnapshot &snap) const
 {
-    ControllerSnapshot snap;
-    snap.name = name();
-    snap.gauge("mshr", _mshr.size());
-    snap.gauge("sb", _sb.size());
-    snap.gauge("wt_acks", _pendingWtAcks);
+    snap.gauge("wt_acks", _pendingWrites);
     std::size_t wt_words = 0;
     _pendingWt.forEachSorted([&](Addr, const PendingWtLine &pend) {
         wt_words += popcount(pend.words);
     });
     snap.gauge("wt_words", wt_words);
-    snap.gauge("stalled_stores", _stalledStores.size());
-    snap.gauge("drain_waiters", _drainWaiters.size());
     _mshr.forEach([&](Addr line_addr, const ReadEntry &entry) {
         std::ostringstream os;
         os << "line 0x" << std::hex << line_addr << std::dec
@@ -705,13 +563,11 @@ GpuL1Cache::snapshot() const
            << " atomics=" << entry.atomicTargets.size();
         snap.detail.push_back(os.str());
     });
-    return snap;
 }
 
-std::vector<std::string>
-GpuL1Cache::checkInvariants(bool quiesced) const
+void
+GpuL1Cache::checkProtocol(std::vector<std::string> &out) const
 {
-    std::vector<std::string> out;
     auto fail = [&](const std::string &msg) {
         out.push_back(name() + ": " + msg);
     };
@@ -744,13 +600,6 @@ GpuL1Cache::checkInvariants(bool quiesced) const
             fail(os.str());
         }
     });
-
-    if (quiesced) {
-        ControllerSnapshot snap = snapshot();
-        if (!snap.quiescent())
-            fail("state leaked at quiesce: " + snap.summary());
-    }
-    return out;
 }
 
 } // namespace nosync

@@ -14,24 +14,19 @@
 #define COHERENCE_GPU_L1_HH
 
 #include <array>
-#include <deque>
 #include <utility>
 #include <vector>
 
-#include "coherence/cache_timings.hh"
 #include "coherence/gpu_l2.hh"
 #include "coherence/l1_controller.hh"
-#include "coherence/snapshot.hh"
-#include "mem/cache_array.hh"
 #include "mem/line_table.hh"
 #include "mem/mshr.hh"
-#include "mem/store_buffer.hh"
 
 namespace nosync
 {
 
 /** GPU-coherence L1 data cache controller. */
-class GpuL1Cache : public L1Controller
+class GpuL1Cache final : public L1Controller
 {
   public:
     GpuL1Cache(const std::string &name, EventQueue &eq,
@@ -42,39 +37,23 @@ class GpuL1Cache : public L1Controller
                trace::TraceSink *trace = nullptr);
 
     void load(Addr addr, ValueCallback cb) override;
-    void store(Addr addr, std::uint32_t value, DoneCallback cb)
-        override;
-    void sync(const SyncOp &op, ValueCallback cb) override;
-    void kernelBegin() override;
-    void kernelEnd(DoneCallback cb) override;
-    void drainWrites(Scope scope, DoneCallback cb) override;
 
     /** Test hook: whether the word is valid in the L1 array. */
     bool wordValid(Addr addr) const;
-    /** Test hook: number of buffered stores. */
-    std::size_t storeBufferSize() const { return _sb.size(); }
-
-    // Diagnostics -----------------------------------------------------
-    /** Structured view of outstanding transaction state. */
-    ControllerSnapshot snapshot() const override;
-
-    /**
-     * Controller-local invariant sweep. @p quiesced additionally
-     * requires every outstanding-state structure to be empty (leak
-     * detection after the workload completed and the event queue
-     * drained). @return violation descriptions; empty when clean.
-     */
-    std::vector<std::string>
-    checkInvariants(bool quiesced) const override;
 
   private:
-    /** A load waiting on a fill, with its acquire epoch at issue. */
-    struct ReadTarget
-    {
-        Addr addr;
-        ValueCallback cb;
-        std::uint64_t epoch;
-    };
+    // L1Controller hooks ----------------------------------------------
+    /** GH: write-allocate into the frame and set the word's dirty
+     *  bit; GD buffers every store. */
+    bool storeInPlace(Addr addr, std::uint32_t value,
+                      DoneCallback &cb) override;
+    void mirrorStore(Addr addr, std::uint32_t value) override;
+    /** Write through the SB and (GH) the L1-dirty words. */
+    void issueDrain() override;
+    void performSync(std::uint32_t slot) override;
+    std::size_t mshrOccupancy() const override { return _mshr.size(); }
+    void describeProtocol(ControllerSnapshot &snap) const override;
+    void checkProtocol(std::vector<std::string> &out) const override;
 
     /**
      * Per-line outstanding read transaction.
@@ -108,8 +87,13 @@ class GpuL1Cache : public L1Controller
     /** Install a fetched line, evicting (and flushing) a victim. */
     CacheLine &installFill(Addr line_addr, const LineData &data);
 
-    /** Flash self-invalidation (global acquire / kernel begin). */
-    void flashInvalidate();
+    /**
+     * Prepare @p victim for reuse: under HRF, locally performed
+     * atomics and stores leave dirty words that exist only in this
+     * L1, so they are written through first. Words also buffered in
+     * the SB are skipped: the SB drain writes them through.
+     */
+    void evictFrame(CacheLine &victim);
 
     /**
      * Lazily apply any flash invalidations this line missed: a line
@@ -118,18 +102,12 @@ class GpuL1Cache : public L1Controller
      */
     void refreshLine(CacheLine &line);
 
-    /** Perform the parked sync in @p slot (after any drain). */
-    void performSync(std::uint32_t slot);
-
     /** Execute an atomic at this L1 (HRF local scope). */
     void performLocalAtomic(std::uint32_t slot);
     void applyLocalAtomic(CacheLine &line, std::uint32_t slot);
 
     /** Execute an atomic at the home L2 bank (global scope). */
     void performRemoteAtomic(std::uint32_t slot);
-
-    /** Post-perform acquire step; unparks the sync and replies. */
-    void finishSync(std::uint32_t slot, std::uint32_t value);
 
     /** Send one writethrough group and track its ack. */
     void sendWriteThrough(Addr line_addr, WordMask mask,
@@ -139,34 +117,17 @@ class GpuL1Cache : public L1Controller
     /** Collect L1-dirty words not covered by the store buffer. */
     std::vector<StoreBuffer::DrainGroup> collectDirtyWords();
 
-    /** Start a full drain; cb fires when every ack returned. */
-    void startDrain(DoneCallback cb);
-    void maybeFinishDrains();
-
-    /** Accept a store into the SB, draining on overflow. */
-    void acceptStore(Addr addr, std::uint32_t value, DoneCallback cb);
-    void serviceStallQueue();
-
-    Mesh &_mesh;
     std::vector<GpuL2Bank *> _banks;
-    CacheArray _array;
-    StoreBuffer _sb;
-    CacheTimings _timings;
     MshrTable<ReadEntry> _mshr;
-    /** Target lists of retired MSHR entries, for reuse. */
-    VectorPool<ReadTarget> _targetPool;
-
-    /** Outstanding writethrough acks (drains + evictions). */
-    unsigned _pendingWtAcks = 0;
-    std::vector<DoneCallback> _drainWaiters;
-    VectorPool<DoneCallback> _drainBatch;
 
     /**
      * Writethroughs still in flight, per line: each word's newest
      * in-flight value and how many unacknowledged writethroughs carry
      * it. A drained store leaves the SB before its data reaches the
      * L2; loads must keep seeing it (read-own-write), and fills must
-     * not install the L2's stale copy over it.
+     * not install the L2's stale copy over it. The shell's
+     * _pendingWrites counts the writethrough messages (drains and
+     * evictions) awaiting their ack.
      */
     struct PendingWtLine
     {
@@ -182,19 +143,6 @@ class GpuL1Cache : public L1Controller
 
     /** Whether a word's freshest copy is a local buffer (SB/WT). */
     bool bufferedValue(Addr addr, std::uint32_t &value) const;
-
-    /** Stores stalled on a full store buffer. */
-    struct StalledStore
-    {
-        Addr addr;
-        std::uint32_t value;
-        DoneCallback cb;
-    };
-    std::deque<StalledStore> _stalledStores;
-    bool _overflowDrainActive = false;
-
-    /** Current acquire epoch (lazy flash invalidation). */
-    std::uint64_t _curEpoch = 0;
 
     /**
      * Whether any frame may hold a dirty word: set with every dirty

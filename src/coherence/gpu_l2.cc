@@ -12,10 +12,8 @@ GpuL2Bank::GpuL2Bank(const std::string &name, EventQueue &eq,
                      const CacheGeometry &geom,
                      const CacheTimings &timings,
                      trace::TraceSink *trace)
-    : L2Controller(name, eq, node, trace), _mesh(mesh),
-      _energy(energy), _memory(memory),
-      _array(geom.l2BankBytes, geom.l2Assoc), _timings(timings),
-      _fetches(geom.l2MshrEntries),
+    : L2Controller(name, eq, energy, mesh, node, memory, geom, timings,
+                   trace),
       _reads(stats.registerScalar(name + ".reads",
                                   "read requests served")),
       _writethroughs(stats.registerScalar(
@@ -48,56 +46,8 @@ GpuL2Bank::installLine(Addr line_addr)
 }
 
 void
-GpuL2Bank::withLine(Addr line_addr, LineFn fn)
+GpuL2Bank::startFetch(Addr line_addr)
 {
-    line_addr = lineAlign(line_addr);
-    _energy.l2Access();
-    withLineReady(line_addr, std::move(fn));
-}
-
-void
-GpuL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
-{
-    // Pipelined bank: one new access per l2CycleTime cycles.
-    Tick start = std::max(curTick(), _bankFree);
-    _bankFree = start + _timings.l2CycleTime;
-    Cycles queue_delay = start - curTick();
-
-    if (CacheLine *line = _array.lookup(line_addr)) {
-        _array.touch(*line);
-        // Re-resolve at fire time: a concurrent fetch may evict and
-        // repurpose this frame during the access latency window.
-        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
-        scheduleIn(queue_delay + _timings.l2Access, [this, slot] {
-            ParkedAccess access = _parked.take(slot);
-            if (CacheLine *line = _array.lookup(access.lineAddr)) {
-                access.fn(*line);
-                return;
-            }
-            withLineReady(access.lineAddr, std::move(access.fn));
-        });
-        return;
-    }
-
-    if (FetchEntry *entry = _fetches.find(line_addr)) {
-        entry->waiters.push_back(std::move(fn));
-        return;
-    }
-
-    if ((!queued && !_stalled.empty()) || _fetches.full()) {
-        if (queued) {
-            // Re-stall at the head to preserve arrival order.
-            _stalled.emplace_front(line_addr, std::move(fn));
-            return;
-        }
-        // All fetch MSHRs busy: stall in strict arrival order (the
-        // protocols rely on per-source FIFO processing).
-        _stalled.emplace_back(line_addr, std::move(fn));
-        return;
-    }
-
-    FetchEntry &entry = _fetches.allocate(line_addr);
-    entry.waiters.push_back(std::move(fn));
     ++_dramFetches;
     scheduleIn(_timings.l2Access + _timings.dramLatency,
                [this, line_addr] {
@@ -110,16 +60,6 @@ GpuL2Bank::withLineReady(Addr line_addr, LineFn fn, bool queued)
                        waiter(line);
                    processStalled();
                });
-}
-
-void
-GpuL2Bank::processStalled()
-{
-    while (!_stalled.empty() && !_fetches.full()) {
-        auto [line_addr, fn] = std::move(_stalled.front());
-        _stalled.pop_front();
-        withLineReady(line_addr, std::move(fn), true);
-    }
 }
 
 void
@@ -196,50 +136,15 @@ GpuL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
     });
 }
 
-std::uint32_t
-GpuL2Bank::peekWord(Addr addr)
+void
+GpuL2Bank::describeProtocol(ControllerSnapshot &snap) const
 {
-    if (CacheLine *line = _array.lookup(lineAlign(addr)))
-        return line->data[wordInLine(addr)];
-    return _memory.readWord(addr);
-}
-
-ControllerSnapshot
-GpuL2Bank::snapshot() const
-{
-    ControllerSnapshot snap;
-    snap.name = name();
-    snap.gauge("fetches", _fetches.size());
-    snap.gauge("stalled", _stalled.size());
     _fetches.forEach([&](Addr line_addr, const FetchEntry &entry) {
         std::ostringstream os;
         os << "fetch line 0x" << std::hex << line_addr << std::dec
            << " waiters=" << entry.waiters.size();
         snap.detail.push_back(os.str());
     });
-    return snap;
-}
-
-std::vector<std::string>
-GpuL2Bank::checkInvariants(bool quiesced) const
-{
-    std::vector<std::string> out;
-    _fetches.forEach([&](Addr line_addr, const FetchEntry &entry) {
-        if (entry.waiters.empty()) {
-            std::ostringstream os;
-            os << name() << ": DRAM fetch of line 0x" << std::hex
-               << line_addr << " with no waiters";
-            out.push_back(os.str());
-        }
-    });
-    if (quiesced) {
-        ControllerSnapshot snap = snapshot();
-        if (!snap.quiescent()) {
-            out.push_back(name() + ": state leaked at quiesce: " +
-                          snap.summary());
-        }
-    }
-    return out;
 }
 
 } // namespace nosync

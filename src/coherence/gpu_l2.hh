@@ -11,17 +11,12 @@
 #ifndef COHERENCE_GPU_L2_HH
 #define COHERENCE_GPU_L2_HH
 
-#include <deque>
 #include <vector>
 
-#include "coherence/cache_timings.hh"
 #include "coherence/l1_controller.hh"
 #include "coherence/l2_controller.hh"
 #include "coherence/protocol.hh"
-#include "coherence/snapshot.hh"
-#include "mem/cache_array.hh"
 #include "mem/functional_mem.hh"
-#include "mem/mshr.hh"
 #include "noc/mesh.hh"
 
 namespace nosync
@@ -31,7 +26,7 @@ namespace nosync
 using LineReply = SmallFn<void(const LineData &), kCallbackCapacity>;
 
 /** One bank of the shared GPU L2. */
-class GpuL2Bank : public L2Controller
+class GpuL2Bank final : public L2Controller
 {
   public:
     GpuL2Bank(const std::string &name, EventQueue &eq,
@@ -56,49 +51,13 @@ class GpuL2Bank : public L2Controller
     void handleAtomic(const SyncOp &op, NodeId requestor,
                       ValueCallback reply);
 
-    /** Direct functional peek used by tests. */
-    std::uint32_t peekWord(Addr addr) override;
-
-    // Diagnostics -----------------------------------------------------
-    /** Structured view of outstanding transaction state. */
-    ControllerSnapshot snapshot() const override;
-
-    /** Bank-local invariant sweep (see GpuL1Cache::checkInvariants). */
-    std::vector<std::string>
-    checkInvariants(bool quiesced) const override;
-
   private:
-    /** Run @p fn on the (possibly DRAM-fetched) line after timing. */
-    void withLine(Addr line_addr, LineFn fn);
+    /** Fetch, install and serve the waiters in one DRAM latency. */
+    void startFetch(Addr line_addr) override;
+    void describeProtocol(ControllerSnapshot &snap) const override;
 
     /** Install a line fetched from memory, evicting as needed. */
     CacheLine &installLine(Addr line_addr);
-
-    Mesh &_mesh;
-    EnergyModel &_energy;
-    FunctionalMem &_memory;
-    CacheArray _array;
-    CacheTimings _timings;
-
-    /** Next tick the pipelined bank accepts an access. */
-    Tick _bankFree = 0;
-
-    /** Outstanding DRAM fetches, merged per line. */
-    struct FetchEntry
-    {
-        std::vector<LineFn> waiters;
-    };
-    MshrTable<FetchEntry> _fetches;
-
-    /**
-     * Requests stalled on a full fetch MSHR, processed strictly in
-     * arrival order: the protocols rely on per-source FIFO delivery,
-     * so the bank must not reorder stalled requests.
-     */
-    std::deque<std::pair<Addr, LineFn>> _stalled;
-
-    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
-    void processStalled();
 
     stats::Handle<stats::Scalar> _reads;
     stats::Handle<stats::Scalar> _writethroughs;

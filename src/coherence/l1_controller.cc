@@ -1,0 +1,218 @@
+#include "coherence/l1_controller.hh"
+
+namespace nosync
+{
+
+L1Controller::L1Controller(const std::string &name, EventQueue &eq,
+                           stats::StatSet &stats, EnergyModel &energy,
+                           Mesh &mesh, NodeId node,
+                           const ProtocolConfig &config,
+                           const CacheGeometry &geom,
+                           const CacheTimings &timings,
+                           trace::TraceSink *trace)
+    : SimObject(name, eq), _node(node), _config(config),
+      _energy(energy), _stats(stats, name), _trace(trace), _mesh(mesh),
+      _array(geom.l1Bytes, geom.l1Assoc), _sb(geom.storeBufferEntries),
+      _timings(timings)
+{}
+
+void
+L1Controller::loadHit(ValueCallback cb, std::uint32_t value)
+{
+    ++_stats.loadHits;
+    _energy.l1Access();
+    scheduleIn(_timings.l1Hit,
+               [cb = std::move(cb), value] { cb(value); });
+}
+
+// ---------------------------------------------------------------------
+// Stores
+// ---------------------------------------------------------------------
+
+void
+L1Controller::store(Addr addr, std::uint32_t value, DoneCallback cb)
+{
+    if (storeInPlace(addr, value, cb))
+        return;
+
+    if (!_stalledStores.empty() || (_sb.full() && !_sb.contains(addr))) {
+        _stalledStores.push_back({addr, value, std::move(cb)});
+        if (!_overflowDrainActive) {
+            _overflowDrainActive = true;
+            ++_stats.sbOverflowDrains;
+            startDrain([this] {
+                _overflowDrainActive = false;
+                serviceStallQueue();
+            });
+        }
+        return;
+    }
+    acceptStore(addr, value, std::move(cb));
+}
+
+void
+L1Controller::acceptStore(Addr addr, std::uint32_t value, DoneCallback cb)
+{
+    _energy.l1Access();
+    ++_stats.storeBuffered;
+    if (_sb.insert(addr, value))
+        ++_stats.storeCoalesced;
+    mirrorStore(addr, value);
+    scheduleIn(_timings.l1Hit, std::move(cb));
+}
+
+void
+L1Controller::serviceStallQueue()
+{
+    while (!_stalledStores.empty()) {
+        StalledStore &front = _stalledStores.front();
+
+        // The word may have become storable in place while stalled
+        // (a DeNovo registration): no buffer slot needed.
+        if (storeInPlace(front.addr, front.value, front.cb)) {
+            _stalledStores.pop_front();
+            continue;
+        }
+
+        if (_sb.full() && !_sb.contains(front.addr)) {
+            // Still no room: drain again and retry later.
+            if (!_overflowDrainActive) {
+                _overflowDrainActive = true;
+                ++_stats.sbOverflowDrains;
+                startDrain([this] {
+                    _overflowDrainActive = false;
+                    scheduleIn(0, [this] { serviceStallQueue(); });
+                });
+            }
+            return;
+        }
+
+        StalledStore st = std::move(front);
+        _stalledStores.pop_front();
+        acceptStore(st.addr, st.value, std::move(st.cb));
+    }
+}
+
+// ---------------------------------------------------------------------
+// Drains (release-side visibility)
+// ---------------------------------------------------------------------
+
+void
+L1Controller::startDrain(DoneCallback cb)
+{
+    issueDrain();
+    _drainWaiters.push_back(std::move(cb));
+    maybeFinishDrains();
+}
+
+void
+L1Controller::maybeFinishDrains()
+{
+    if (_pendingWrites != 0 || _drainWaiters.empty())
+        return;
+    // Run this batch from the spare buffer: waiters that start a new
+    // drain queue behind it in _drainWaiters, and neither list gives
+    // up its capacity.
+    std::vector<DoneCallback> waiters = _drainBatch.borrow();
+    waiters.swap(_drainWaiters);
+    for (auto &waiter : waiters)
+        waiter();
+    _drainBatch.giveBack(std::move(waiters));
+}
+
+void
+L1Controller::drainWrites(Scope scope, DoneCallback cb)
+{
+    if (_config.effectiveScope(scope) == Scope::Local) {
+        // Locally scoped release: nothing to make globally visible
+        // (GH), or obtaining ownership is delayed (DH).
+        scheduleIn(0, std::move(cb));
+        return;
+    }
+    ++_stats.releaseDrains;
+    startDrain(std::move(cb));
+}
+
+// ---------------------------------------------------------------------
+// Synchronization accesses and kernel boundaries
+// ---------------------------------------------------------------------
+
+void
+L1Controller::sync(const SyncOp &op, ValueCallback cb)
+{
+    Scope scope = _config.effectiveScope(op.scope);
+    std::uint32_t slot = _syncs.put({op, scope, std::move(cb)});
+
+    // Device- and machine-scoped releases both make prior writes
+    // visible beyond this CU's L1, so both drain.
+    if (op.isRelease() && scope != Scope::Local) {
+        ++_stats.releaseDrains;
+        startDrain([this, slot] { performSync(slot); });
+    } else {
+        performSync(slot);
+    }
+}
+
+void
+L1Controller::finishSync(std::uint32_t slot, std::uint32_t value)
+{
+    SyncRecord rec = _syncs.take(slot);
+    if (rec.op.isAcquire() && rec.scope != Scope::Local)
+        selfInvalidate();
+    rec.cb(value);
+}
+
+void
+L1Controller::selfInvalidate()
+{
+    ++_stats.acquireInvalidations;
+    _energy.l1TagAccess();
+    ++_curEpoch;
+}
+
+void
+L1Controller::kernelBegin()
+{
+    selfInvalidate();
+}
+
+void
+L1Controller::kernelEnd(DoneCallback cb)
+{
+    ++_stats.releaseDrains;
+    startDrain(std::move(cb));
+}
+
+// ---------------------------------------------------------------------
+// Diagnostics
+// ---------------------------------------------------------------------
+
+ControllerSnapshot
+L1Controller::snapshot() const
+{
+    ControllerSnapshot snap;
+    snap.name = name();
+    snap.gauge("mshr", mshrOccupancy());
+    snap.gauge("sb", _sb.size());
+    describeProtocol(snap);
+    snap.gauge("stalled_stores", _stalledStores.size());
+    snap.gauge("drain_waiters", _drainWaiters.size());
+    return snap;
+}
+
+std::vector<std::string>
+L1Controller::checkInvariants(bool quiesced) const
+{
+    std::vector<std::string> out;
+    checkProtocol(out);
+    if (quiesced) {
+        ControllerSnapshot snap = snapshot();
+        if (!snap.quiescent()) {
+            out.push_back(name() + ": state leaked at quiesce: " +
+                          snap.summary());
+        }
+    }
+    return out;
+}
+
+} // namespace nosync

@@ -1,6 +1,6 @@
 /**
  * @file
- * Abstract L1 cache controller interface.
+ * L1 cache controller: the interface and the protocol-independent shell.
  *
  * A compute unit drives its L1 through this interface. The controller
  * owns the full consistency-model sequencing for synchronization
@@ -17,11 +17,15 @@
 #define COHERENCE_L1_CONTROLLER_HH
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
+#include "coherence/cache_timings.hh"
 #include "coherence/protocol.hh"
 #include "coherence/snapshot.hh"
 #include "energy/energy_model.hh"
+#include "mem/cache_array.hh"
+#include "mem/store_buffer.hh"
 #include "sim/sim_object.hh"
 #include "sim/recycled.hh"
 #include "sim/small_fn.hh"
@@ -40,6 +44,8 @@ namespace analysis
 {
 class RaceDetector;
 }
+
+class Mesh;
 
 /**
  * Inline capacity of a controller continuation: three words, enough
@@ -119,28 +125,45 @@ struct L1Stats
     stats::Handle<stats::Scalar> evictions;
 };
 
-/** Interface a compute unit uses to access memory through its L1. */
+/**
+ * The L1 a compute unit accesses memory through, and the half of it
+ * both protocol families share (Table 1): the coalescing store buffer
+ * with its overflow stall queue, release drains and their waiters,
+ * parked sync accesses, acquire-side self-invalidation (an epoch bump;
+ * each protocol sweeps a line lazily) and the kernel-boundary hooks.
+ * A protocol supplies only its state transitions: loads and fills,
+ * how a write becomes visible, and how a sync performs.
+ */
 class L1Controller : public SimObject
 {
   public:
     L1Controller(const std::string &name, EventQueue &eq,
-                 stats::StatSet &stats, EnergyModel &energy,
+                 stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                  NodeId node, const ProtocolConfig &config,
-                 trace::TraceSink *trace = nullptr)
-        : SimObject(name, eq), _node(node), _config(config),
-          _energy(energy), _stats(stats, name), _trace(trace)
-    {}
+                 const CacheGeometry &geom, const CacheTimings &timings,
+                 trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
     const ProtocolConfig &config() const { return _config; }
     const L1Stats &l1Stats() const { return _stats; }
 
-    /** Structured occupancy snapshot for hang diagnostics. */
-    virtual ControllerSnapshot snapshot() const = 0;
+    /** Test hook: number of buffered stores. */
+    std::size_t storeBufferSize() const { return _sb.size(); }
 
-    /** Protocol invariant sweep; returns violation descriptions. */
-    virtual std::vector<std::string>
-    checkInvariants(bool quiesced) const = 0;
+    /**
+     * Structured occupancy snapshot for hang diagnostics. Gauges, in
+     * order: mshr, sb, the protocol's gauges, stalled_stores,
+     * drain_waiters.
+     */
+    ControllerSnapshot snapshot() const;
+
+    /**
+     * Protocol invariant sweep. @p quiesced additionally requires
+     * every outstanding-state structure to be empty (leak detection
+     * after the workload completed and the event queue drained).
+     * @return violation descriptions; empty when clean.
+     */
+    std::vector<std::string> checkInvariants(bool quiesced) const;
 
     /** Issue a data load; @p cb fires with the value when it returns. */
     virtual void load(Addr addr, ValueCallback cb) = 0;
@@ -151,8 +174,7 @@ class L1Controller : public SimObject
      * controller stalls the callback while the store buffer drains if
      * it is full.
      */
-    virtual void store(Addr addr, std::uint32_t value,
-                       DoneCallback cb) = 0;
+    void store(Addr addr, std::uint32_t value, DoneCallback cb);
 
     /**
      * Issue a synchronization access. Release sequencing (prior-write
@@ -160,23 +182,23 @@ class L1Controller : public SimObject
      * sequencing (self-invalidation) happens when it completes; then
      * @p cb fires with the atomic's return value.
      */
-    virtual void sync(const SyncOp &op, ValueCallback cb) = 0;
+    void sync(const SyncOp &op, ValueCallback cb);
 
     /**
      * Kernel-boundary begin: the implicit global acquire at kernel
      * launch (self-invalidate per protocol).
      */
-    virtual void kernelBegin() = 0;
+    void kernelBegin();
 
     /**
      * Kernel-boundary end: the implicit global release at kernel
      * completion; @p cb fires once all prior writes are visible per
      * the protocol.
      */
-    virtual void kernelEnd(DoneCallback cb) = 0;
+    void kernelEnd(DoneCallback cb);
 
     /** Drain any buffered writes at the given scope (fence helper). */
-    virtual void drainWrites(Scope scope, DoneCallback cb) = 0;
+    void drainWrites(Scope scope, DoneCallback cb);
 
     /**
      * Attach the happens-before race detector (nullptr = disabled).
@@ -190,6 +212,58 @@ class L1Controller : public SimObject
     }
 
   protected:
+    // Protocol hooks --------------------------------------------------
+    /**
+     * Complete a store without a buffer slot if the protocol can (GH
+     * write-allocate, a DeNovo Registered hit): retire it and move
+     * @p cb into the reply. @return false, leaving @p cb alone, when
+     * the store must be buffered.
+     */
+    virtual bool storeInPlace(Addr addr, std::uint32_t value,
+                              DoneCallback &cb) = 0;
+
+    /** Keep the local copy of a just-buffered store coherent. */
+    virtual void mirrorStore(Addr addr, std::uint32_t value) = 0;
+
+    /**
+     * Start making every buffered store visible (GPU: writethroughs;
+     * DeNovo: registrations), counting each word or message still
+     * unacknowledged in _pendingWrites.
+     */
+    virtual void issueDrain() = 0;
+
+    /** Perform the parked sync in @p slot (after any release drain). */
+    virtual void performSync(std::uint32_t slot) = 0;
+
+    /** Snapshot parts: MSHR entries, then the protocol's own gauges
+     *  (including its name for _pendingWrites) and detail lines. */
+    virtual std::size_t mshrOccupancy() const = 0;
+    virtual void describeProtocol(ControllerSnapshot &snap) const = 0;
+
+    /** Protocol-specific invariant violations, appended to @p out. */
+    virtual void checkProtocol(std::vector<std::string> &out) const = 0;
+
+    // Shared machinery ------------------------------------------------
+    /** Reply to a load served by this L1 (frame or local buffer). */
+    void loadHit(ValueCallback cb, std::uint32_t value);
+
+    /** Drain the store buffer; @p cb fires when every write is
+     *  visible (the protocol's acks all returned). */
+    void startDrain(DoneCallback cb);
+    /** Run the drain waiters once nothing is pending. */
+    void maybeFinishDrains();
+
+    /** Post-perform acquire step; unparks the sync and replies. */
+    void finishSync(std::uint32_t slot, std::uint32_t value);
+
+    /**
+     * Acquire-side self-invalidation. A gang operation in hardware;
+     * here an O(1) epoch bump, and each protocol's refreshLine sweeps
+     * a line whose epoch lags on its next touch, keeping the words
+     * that protocol preserves.
+     */
+    void selfInvalidate();
+
     /**
      * A sync access between issue and completion. The op, its
      * effective scope and the caller's callback are parked here so
@@ -204,6 +278,16 @@ class L1Controller : public SimObject
     };
     SlotPool<SyncRecord> _syncs;
 
+    /** A load waiting on a fill, with its acquire epoch at issue. */
+    struct ReadTarget
+    {
+        Addr addr;
+        ValueCallback cb;
+        std::uint64_t epoch;
+    };
+    /** Target lists of retired MSHR entries, for reuse. */
+    VectorPool<ReadTarget> _targetPool;
+
     NodeId _node;
     ProtocolConfig _config;
     EnergyModel &_energy;
@@ -212,6 +296,37 @@ class L1Controller : public SimObject
     trace::TraceSink *_trace = nullptr;
     /** Race detector; nullptr when race checking is disabled. */
     analysis::RaceDetector *_races = nullptr;
+
+    Mesh &_mesh;
+    CacheArray _array;
+    StoreBuffer _sb;
+    CacheTimings _timings;
+
+    /** Drained writes not yet visible (see issueDrain). */
+    unsigned _pendingWrites = 0;
+
+    /** Current acquire epoch (lazy self-invalidation). */
+    std::uint64_t _curEpoch = 0;
+
+  private:
+    /** Buffer a store that has a slot (or coalesces). */
+    void acceptStore(Addr addr, std::uint32_t value, DoneCallback cb);
+
+    /** Retry stalled stores in order, draining again when full. */
+    void serviceStallQueue();
+
+    std::vector<DoneCallback> _drainWaiters;
+    VectorPool<DoneCallback> _drainBatch;
+
+    /** Stores stalled on a full store buffer. */
+    struct StalledStore
+    {
+        Addr addr;
+        std::uint32_t value;
+        DoneCallback cb;
+    };
+    std::deque<StalledStore> _stalledStores;
+    bool _overflowDrainActive = false;
 };
 
 } // namespace nosync

@@ -1,6 +1,6 @@
 /**
  * @file
- * Abstract L2 bank controller interface.
+ * L2 bank controller: the interface and the shared bank pipeline.
  *
  * Both bank flavours (GPU writethrough, DeNovo ownership) share the
  * surface the rest of the system needs: a mesh node, a debug word
@@ -15,10 +15,15 @@
 #define COHERENCE_L2_CONTROLLER_HH
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "coherence/cache_timings.hh"
 #include "coherence/snapshot.hh"
+#include "mem/cache_array.hh"
+#include "mem/mshr.hh"
 #include "sim/sim_object.hh"
 #include "sim/recycled.hh"
 #include "sim/small_fn.hh"
@@ -37,7 +42,9 @@ namespace analysis
 class RaceDetector;
 }
 
-struct CacheLine;
+class EnergyModel;
+class FunctionalMem;
+class Mesh;
 
 /**
  * A bank access continuation, run on the resident line. Sized for the
@@ -46,26 +53,38 @@ struct CacheLine;
  */
 using LineFn = SmallFn<void(CacheLine &), 128>;
 
-/** Interface common to both L2 bank flavours. */
+/**
+ * The L2 bank interface, and the bank pipeline both flavours share:
+ * the pipelined access timing, per-line DRAM fetch MSHRs and the
+ * arrival-order stall queue behind them. A flavour supplies how a
+ * fetch completes and (DeNovo) which accesses wait out a recall.
+ */
 class L2Controller : public SimObject
 {
   public:
-    L2Controller(const std::string &name, EventQueue &eq, NodeId node,
-                 trace::TraceSink *trace = nullptr)
-        : SimObject(name, eq), _node(node), _trace(trace)
-    {}
+    L2Controller(const std::string &name, EventQueue &eq,
+                 EnergyModel &energy, Mesh &mesh, NodeId node,
+                 FunctionalMem &memory, const CacheGeometry &geom,
+                 const CacheTimings &timings,
+                 trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
 
     /** Debug probe: current value of @p addr at this bank. */
-    virtual std::uint32_t peekWord(Addr addr) = 0;
+    std::uint32_t peekWord(Addr addr);
 
-    /** Structured occupancy snapshot for hang diagnostics. */
-    virtual ControllerSnapshot snapshot() const = 0;
+    /**
+     * Structured occupancy snapshot for hang diagnostics. Gauges, in
+     * order: fetches, stalled, the flavour's gauges.
+     */
+    ControllerSnapshot snapshot() const;
 
-    /** Protocol invariant sweep; returns violation descriptions. */
-    virtual std::vector<std::string>
-    checkInvariants(bool quiesced) const = 0;
+    /**
+     * Bank invariant sweep: no fetch MSHR without waiters, plus the
+     * flavour's checks; @p quiesced additionally requires every gauge
+     * at zero. @return violation descriptions; empty when clean.
+     */
+    std::vector<std::string> checkInvariants(bool quiesced) const;
 
     /** Attach the happens-before race detector (nullptr = disabled). */
     void setRaceDetector(analysis::RaceDetector *races)
@@ -74,6 +93,38 @@ class L2Controller : public SimObject
     }
 
   protected:
+    // Flavour hooks ---------------------------------------------------
+    /**
+     * Whether @p line_addr is being recalled; if so, park @p fn until
+     * the recall ends (DeNovo). The GPU bank never recalls.
+     */
+    virtual bool
+    deferWhileRecalling(Addr /*line_addr*/, LineFn & /*fn*/)
+    {
+        return false;
+    }
+
+    /** Fetch @p line_addr from DRAM for its just-allocated entry. */
+    virtual void startFetch(Addr line_addr) = 0;
+
+    /** The flavour's gauges and detail lines (fetch lines included). */
+    virtual void describeProtocol(ControllerSnapshot &snap) const = 0;
+
+    /** Flavour-specific invariant violations, appended to @p out. */
+    virtual void checkProtocol(std::vector<std::string> & /*out*/) const
+    {}
+
+    // Bank pipeline ---------------------------------------------------
+    /** Run @p fn on the (possibly DRAM-fetched) line after timing. */
+    void withLine(Addr line_addr, LineFn fn);
+
+    /** withLine after its energy and recall checks; @p queued marks
+     *  a retry from the stall queue. */
+    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
+
+    /** Retry stalled requests while fetch MSHRs are free. */
+    void processStalled();
+
     /**
      * An access waiting out the bank's pipeline latency. The pending
      * event captures only {this, slot}; the continuation stays here.
@@ -90,6 +141,33 @@ class L2Controller : public SimObject
     trace::TraceSink *_trace = nullptr;
     /** Race detector; nullptr when race checking is disabled. */
     analysis::RaceDetector *_races = nullptr;
+
+    Mesh &_mesh;
+    EnergyModel &_energy;
+    FunctionalMem &_memory;
+    CacheArray _array;
+    CacheTimings _timings;
+
+    /** Next tick the pipelined bank accepts an access. */
+    Tick _bankFree = 0;
+
+    /** Outstanding DRAM fetches, merged per line. */
+    struct FetchEntry
+    {
+        std::vector<LineFn> waiters;
+        /** DeNovo: the data arrived but the install waits on a
+         *  recall of the chosen victim. */
+        bool dramDone = false;
+    };
+    MshrTable<FetchEntry> _fetches;
+
+    /**
+     * Requests stalled on a full fetch MSHR, processed strictly in
+     * arrival order: the protocols rely on per-source FIFO delivery
+     * (DeNovo's writeback/registration races included), so the bank
+     * must not reorder stalled requests.
+     */
+    std::deque<std::pair<Addr, LineFn>> _stalled;
 };
 
 } // namespace nosync
