@@ -1,15 +1,17 @@
 /**
  * @file
- * Static litmus-program IR for the axiomatic memory-model checker.
+ * Static litmus-program IR, shared by the axiomatic memory-model
+ * checker and the DPOR explorer.
  *
- * A Program is the declarative twin of an explore::LitmusWorkload:
- * the same memory operations the coroutine body issues, written down
- * as per-thread operation lists over symbolic variables so they can
- * be analyzed without running a single simulated cycle. Reads land in
+ * A Program is the one definition of a litmus program: per-thread
+ * operation lists over symbolic variables. The axiomatic checker
+ * analyzes it without running a single simulated cycle, and
+ * explore::LitmusWorkload runs the same lists on the simulator by
+ * interpreting each op on a thread block. Reads land in
  * numbered registers; conditional behavior (message passing reads the
  * data word only when the flag acquire observed the publication) is a
- * guard naming the register and required value; the mis-scoped
- * program's long wait() is a Delay phase barrier. Every sync
+ * guard naming the register and required value; a Delay is a phase
+ * barrier (the mis-scoped program's long wait()). Every sync
  * operation carries its scope annotation — Local, Device, or Global —
  * which is what the per-configuration axiom sets interpret.
  *
@@ -48,7 +50,7 @@ struct Op
         AtomicLoad,  ///< sync read (acquire)
         AtomicStore, ///< sync write (release)
         AtomicRmw,   ///< sync fetch-add (acquire-release)
-        Delay,       ///< phase barrier (the litmus long wait())
+        Delay,       ///< phase barrier (runs as a long wait())
     };
 
     Kind kind = Kind::Load;

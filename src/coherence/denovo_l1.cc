@@ -114,10 +114,6 @@ DenovoL1Cache::ensureFrame(Addr line_addr)
              "registered words");
     _array.install(*victim, line_addr);
     victim->epoch = _curEpoch;
-    if (_config.readOnlyRegions()) {
-        victim->readOnly = _regions.readOnlyMask(line_addr);
-        victim->regionVersion = _regions.version();
-    }
     return *victim;
 }
 
@@ -1185,16 +1181,12 @@ DenovoL1Cache::refreshLine(CacheLine &line)
 {
     if (line.epoch == _curEpoch)
         return;
-    bool keep_ro = _config.readOnlyRegions();
-    // A declareReadOnly (or per-region policy declaration) issued
-    // since this line filled invalidates its mask snapshot: refresh
-    // from the live map before deciding which words the sweep keeps,
-    // or a word no longer read-only would wrongly survive the acquire
-    // and serve stale data.
-    if (keep_ro && line.regionVersion != _regions.version()) {
-        line.readOnly = _regions.readOnlyMask(line.addr);
-        line.regionVersion = _regions.version();
-    }
+    // Read the live region map, never a fill-time copy: regions
+    // re-declared since this line filled must not leave a word that
+    // is no longer read-only surviving the acquire with stale data.
+    WordMask keep_ro = _config.readOnlyRegions()
+                           ? _regions.readOnlyMask(line.addr)
+                           : 0;
     bool any_left = false;
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         WordMask bit = static_cast<WordMask>(1u << w);
@@ -1204,7 +1196,7 @@ DenovoL1Cache::refreshLine(CacheLine &line)
             any_left = true;
             break;
           case WordState::Valid:
-            if (keep_ro && (line.readOnly & bit)) {
+            if (keep_ro & bit) {
                 ++_stats.wordsPreserved;
                 any_left = true;
             } else {
@@ -1329,12 +1321,10 @@ DenovoL1Cache::wordState(Addr addr) const
     unsigned w = wordInLine(addr);
     WordState st = line->wstate[w];
     if (st == WordState::Valid && line->epoch != _curEpoch) {
-        // Interpret lazy invalidation without mutating; mirror
-        // refreshLine's mask refresh when the snapshot is stale.
-        WordMask ro = line->regionVersion == _regions.version()
-                          ? line->readOnly
-                          : _regions.readOnlyMask(line->addr);
-        bool kept = _config.readOnlyRegions() && (ro & (1u << w));
+        // Interpret lazy invalidation without mutating, as
+        // refreshLine would.
+        bool kept = _config.readOnlyRegions() &&
+                    (_regions.readOnlyMask(line->addr) & (1u << w));
         return kept ? WordState::Valid : WordState::Invalid;
     }
     return st;

@@ -97,7 +97,6 @@ class RegionMap
         if (bytes == 0)
             return true;
         Addr end = base + bytes;
-        ++_version;
 
         // Window of every range overlapping or adjacent to
         // [base, end). Declarations are init-time rare, so the linear
@@ -161,7 +160,6 @@ class RegionMap
     {
         _ranges.clear();
         _conflicts.clear();
-        ++_version;
     }
 
     /**
@@ -216,15 +214,6 @@ class RegionMap
 
     /** Coalesced range count (tests: observes adjacency merging). */
     std::size_t rangeCount() const { return _ranges.size(); }
-
-    /**
-     * Monotonic declaration counter: bumped by every declare/clear.
-     * Cache lines snapshot region masks at fill; a line stamped with
-     * an older version re-snapshots before the mask is trusted, so
-     * re-declaring regions between kernels can never leave resident
-     * lines honoring stale masks.
-     */
-    std::uint32_t version() const { return _version; }
 
   private:
     /** A coalesced [base, end) byte range with its policy. */
@@ -290,8 +279,6 @@ class RegionMap
 
     /** Rejected cross-policy overlap declarations. */
     std::vector<std::string> _conflicts;
-
-    std::uint32_t _version = 0;
 };
 
 } // namespace nosync

@@ -1,6 +1,7 @@
 #include "explore/litmus.hh"
 
 #include <sstream>
+#include <utility>
 
 namespace nosync
 {
@@ -10,18 +11,10 @@ namespace
 {
 
 /**
- * Common scaffolding: every program allocates each shared variable on
- * its own cache line and parks per-TB observations in private result
- * words (single writer, read back post-run via debugRead — no
- * conflicting accesses, so the results themselves never race).
+ * Cycles a Delay op waits. It dominates every bounded perturbation
+ * the explorer can apply, so the temporal order around it is fixed.
  */
-std::string
-kv(const char *k, std::uint32_t v)
-{
-    std::ostringstream os;
-    os << k << "=" << v;
-    return os.str();
-}
+constexpr Cycles kDelayCycles = 50000;
 
 /**
  * Message-passing programs (mp, mp_dev, misscoped) share one static
@@ -81,515 +74,225 @@ xyShape(const char *name, bool load_first)
     return prog;
 }
 
-/**
- * Message passing (MP): producer stores data then releases a flag;
- * consumer acquires the flag and reads the data only if the flag was
- * observed set. Under every studied configuration the acquire orders
- * the data read after the store, so "f=1 d=0" is forbidden; "f=0"
- * (the acquire lost the race to the release) is always allowed.
- */
-class MpLitmus : public LitmusWorkload
+/** Two writers, two readers reading x, y in opposite orders. */
+axiom::Program
+iriwShape()
 {
-  public:
-    std::string name() const override { return "mp"; }
-
-    void
-    init(WorkloadEnv &env) override
-    {
-        _data = env.alloc(kLineBytes);
-        _flag = env.alloc(kLineBytes);
-        _rf = env.alloc(kLineBytes);
-        _rd = env.alloc(kLineBytes);
-    }
-
-    KernelInfo kernelInfo(unsigned) const override { return {2}; }
-
-    SimTask
-    tbMain(TbContext &ctx) override
-    {
-        if (ctx.tbGlobal() == 0) {
-            co_await ctx.store(_data, 41);
-            co_await ctx.atomic(
-                ctx.atomicStore(_flag, 1, Scope::Global));
-            co_return;
-        }
-        std::uint32_t f = co_await ctx.atomic(
-            ctx.atomicLoad(_flag, Scope::Global));
-        std::uint32_t d = 0;
-        if (f == 1)
-            d = co_await ctx.load(_data);
-        co_await ctx.store(_rf, f);
-        co_await ctx.store(_rd, d);
-    }
-
-    std::string
-    outcome(WorkloadEnv &env) override
-    {
-        std::uint32_t f = env.debugRead(_rf);
-        if (f == 0)
-            return "f=0";
-        return kv("f", f) + " " + kv("d", env.debugRead(_rd));
-    }
-
-    bool
-    allowed(const std::string &outcome,
-            const ProtocolConfig &) const override
-    {
-        return outcome == "f=0" || outcome == "f=1 d=41";
-    }
-
-    axiom::Program
-    axiomProgram() const override
-    {
-        return mpShape("mp", Scope::Global, true, false);
-    }
-
-    std::string
-    formatOutcome(
-        const std::vector<std::uint32_t> &regs) const override
-    {
-        if (regs[0] == 0)
-            return "f=0";
-        return kv("f", regs[0]) + " " + kv("d", regs[1]);
-    }
-
-  private:
-    Addr _data = 0, _flag = 0, _rf = 0, _rd = 0;
-};
+    axiom::Program prog;
+    prog.name = "iriw";
+    prog.numVars = 2;
+    prog.numRegs = 4;
+    prog.varNames = {"x", "y"};
+    axiom::Thread wx, wy, rxy, ryx;
+    wx.ops = {axiom::atomicStore(0, 1, Scope::Global)};
+    wy.ops = {axiom::atomicStore(1, 1, Scope::Global)};
+    rxy.ops = {axiom::atomicLoad(0, Scope::Global, 0),
+               axiom::atomicLoad(1, Scope::Global, 1)};
+    ryx.ops = {axiom::atomicLoad(1, Scope::Global, 2),
+               axiom::atomicLoad(0, Scope::Global, 3)};
+    prog.threads = {wx, wy, rxy, ryx};
+    return prog;
+}
 
 /**
- * Device-scoped message passing (mp_dev): the mp shape with the
- * release annotated Scope::Device. The litmus machine has one device,
- * so the Device tier folds into Global under every configuration —
- * the program is as well-synchronized as mp and allows the same
- * outcomes — but it drives the Device branch of both the dynamic
- * detector's reach rules and the checker's publication axiom. (The
- * genuinely multi-device Device-scope behavior is exercised purely
- * statically in tests/test_axiom.cc, where a 2-device geometry makes
- * the same release invisible across the link.)
+ * The suite table, in canonical order.
+ *
+ * - mp: producer stores data then releases a flag; consumer acquires
+ *   the flag and reads the data only if it observed the flag set.
+ *   The acquire orders the data read after the store under every
+ *   studied configuration, so "f=1 d=0" is forbidden; "f=0" (the
+ *   acquire lost the race to the release) is always allowed.
+ * - mp_dev: mp with both sync ops annotated Scope::Device. The
+ *   litmus machine has one device, so Device folds into Global
+ *   everywhere and the outcomes are mp's, but it drives the Device
+ *   branch of the dynamic detector's reach rules and the checker's
+ *   publication axiom. (The genuinely multi-device behavior is
+ *   exercised statically in tests/test_axiom.cc.)
+ * - sb: each TB stores its own variable then loads the other's.
+ *   Atomics perform in program order at each word's coherence point,
+ *   which makes them sequentially consistent here: both loads
+ *   observing the initial value is forbidden.
+ * - lb: each TB loads the other's variable then stores its own. Both
+ *   loads observing the other's later store needs a causality cycle.
+ * - iriw: the readers disagreeing on the write order is forbidden;
+ *   per-word coherence points give the atomic stores one order.
+ * - misscoped (the examples/misscoped_race.cpp shape): the producer
+ *   releases the flag with Local scope, but the consumer acquires
+ *   globally from another CU after a Delay. On HRF configurations
+ *   the local release stops at the producer's L1: every schedule
+ *   must flag a scope race and any outcome is permitted (on GH even
+ *   the flag may never reach the L2). On DRF configurations every
+ *   sync is globally effective and only the clean outcome is
+ *   allowed. The data read is unguarded: what varies across
+ *   configurations is visibility alone.
  */
-class MpDevLitmus : public LitmusWorkload
+const std::vector<LitmusSpec> &
+suiteTable()
 {
-  public:
-    std::string name() const override { return "mp_dev"; }
-
-    void
-    init(WorkloadEnv &env) override
-    {
-        _data = env.alloc(kLineBytes);
-        _flag = env.alloc(kLineBytes);
-        _rf = env.alloc(kLineBytes);
-        _rd = env.alloc(kLineBytes);
-    }
-
-    KernelInfo kernelInfo(unsigned) const override { return {2}; }
-
-    SimTask
-    tbMain(TbContext &ctx) override
-    {
-        if (ctx.tbGlobal() == 0) {
-            co_await ctx.store(_data, 41);
-            co_await ctx.atomic(
-                ctx.atomicStore(_flag, 1, Scope::Device));
-            co_return;
-        }
-        std::uint32_t f = co_await ctx.atomic(
-            ctx.atomicLoad(_flag, Scope::Device));
-        std::uint32_t d = 0;
-        if (f == 1)
-            d = co_await ctx.load(_data);
-        co_await ctx.store(_rf, f);
-        co_await ctx.store(_rd, d);
-    }
-
-    std::string
-    outcome(WorkloadEnv &env) override
-    {
-        std::uint32_t f = env.debugRead(_rf);
-        if (f == 0)
-            return "f=0";
-        return kv("f", f) + " " + kv("d", env.debugRead(_rd));
-    }
-
-    bool
-    allowed(const std::string &outcome,
-            const ProtocolConfig &) const override
-    {
-        return outcome == "f=0" || outcome == "f=1 d=41";
-    }
-
-    axiom::Program
-    axiomProgram() const override
-    {
-        axiom::Program prog =
+    static const std::vector<LitmusSpec> table = [] {
+        auto mp_allowed = [](const std::string &outcome,
+                             const ProtocolConfig &) {
+            return outcome == "f=0" || outcome == "f=1 d=41";
+        };
+        axiom::Program mp_dev =
             mpShape("mp_dev", Scope::Device, true, false);
-        prog.threads[1].ops[0].scope = Scope::Device;
-        return prog;
-    }
-
-    std::string
-    formatOutcome(
-        const std::vector<std::uint32_t> &regs) const override
-    {
-        if (regs[0] == 0)
-            return "f=0";
-        return kv("f", regs[0]) + " " + kv("d", regs[1]);
-    }
-
-  private:
-    Addr _data = 0, _flag = 0, _rf = 0, _rd = 0;
-};
-
-/**
- * Store buffering (SB): each TB stores its own variable then loads
- * the other's. Atomics perform in program order at each word's
- * coherence point, which makes them sequentially consistent in this
- * simulator — both loads observing the initial value is forbidden.
- */
-class SbLitmus : public LitmusWorkload
-{
-  public:
-    std::string name() const override { return "sb"; }
-
-    void
-    init(WorkloadEnv &env) override
-    {
-        _x = env.alloc(kLineBytes);
-        _y = env.alloc(kLineBytes);
-        _r0 = env.alloc(kLineBytes);
-        _r1 = env.alloc(kLineBytes);
-    }
-
-    KernelInfo kernelInfo(unsigned) const override { return {2}; }
-
-    SimTask
-    tbMain(TbContext &ctx) override
-    {
-        bool first = ctx.tbGlobal() == 0;
-        Addr mine = first ? _x : _y;
-        Addr other = first ? _y : _x;
-        co_await ctx.atomic(ctx.atomicStore(mine, 1, Scope::Global));
-        std::uint32_t v = co_await ctx.atomic(
-            ctx.atomicLoad(other, Scope::Global));
-        co_await ctx.store(first ? _r0 : _r1, v);
-    }
-
-    std::string
-    outcome(WorkloadEnv &env) override
-    {
-        return kv("r0", env.debugRead(_r0)) + " " +
-               kv("r1", env.debugRead(_r1));
-    }
-
-    bool
-    allowed(const std::string &outcome,
-            const ProtocolConfig &) const override
-    {
-        return outcome != "r0=0 r1=0";
-    }
-
-    axiom::Program
-    axiomProgram() const override
-    {
-        return xyShape("sb", false);
-    }
-
-    std::string
-    formatOutcome(
-        const std::vector<std::uint32_t> &regs) const override
-    {
-        return kv("r0", regs[0]) + " " + kv("r1", regs[1]);
-    }
-
-  private:
-    Addr _x = 0, _y = 0, _r0 = 0, _r1 = 0;
-};
-
-/**
- * Load buffering (LB): each TB loads the other's variable then
- * stores its own. Both loads observing the other's (program-order
- * later) store would need a causality cycle — forbidden everywhere.
- */
-class LbLitmus : public LitmusWorkload
-{
-  public:
-    std::string name() const override { return "lb"; }
-
-    void
-    init(WorkloadEnv &env) override
-    {
-        _x = env.alloc(kLineBytes);
-        _y = env.alloc(kLineBytes);
-        _r0 = env.alloc(kLineBytes);
-        _r1 = env.alloc(kLineBytes);
-    }
-
-    KernelInfo kernelInfo(unsigned) const override { return {2}; }
-
-    SimTask
-    tbMain(TbContext &ctx) override
-    {
-        bool first = ctx.tbGlobal() == 0;
-        Addr mine = first ? _x : _y;
-        Addr other = first ? _y : _x;
-        std::uint32_t v = co_await ctx.atomic(
-            ctx.atomicLoad(other, Scope::Global));
-        co_await ctx.atomic(ctx.atomicStore(mine, 1, Scope::Global));
-        co_await ctx.store(first ? _r0 : _r1, v);
-    }
-
-    std::string
-    outcome(WorkloadEnv &env) override
-    {
-        return kv("r0", env.debugRead(_r0)) + " " +
-               kv("r1", env.debugRead(_r1));
-    }
-
-    bool
-    allowed(const std::string &outcome,
-            const ProtocolConfig &) const override
-    {
-        return outcome != "r0=1 r1=1";
-    }
-
-    axiom::Program
-    axiomProgram() const override
-    {
-        return xyShape("lb", true);
-    }
-
-    std::string
-    formatOutcome(
-        const std::vector<std::uint32_t> &regs) const override
-    {
-        return kv("r0", regs[0]) + " " + kv("r1", regs[1]);
-    }
-
-  private:
-    Addr _x = 0, _y = 0, _r0 = 0, _r1 = 0;
-};
-
-/**
- * Independent reads of independent writes (IRIW): two writers, two
- * readers reading the two variables in opposite orders. The readers
- * disagreeing on the write order is forbidden — per-word coherence
- * points give the atomic stores a single global order.
- */
-class IriwLitmus : public LitmusWorkload
-{
-  public:
-    std::string name() const override { return "iriw"; }
-
-    void
-    init(WorkloadEnv &env) override
-    {
-        _x = env.alloc(kLineBytes);
-        _y = env.alloc(kLineBytes);
-        for (Addr &r : _r)
-            r = env.alloc(kLineBytes);
-    }
-
-    KernelInfo kernelInfo(unsigned) const override { return {4}; }
-
-    SimTask
-    tbMain(TbContext &ctx) override
-    {
-        switch (ctx.tbGlobal()) {
-          case 0:
-            co_await ctx.atomic(
-                ctx.atomicStore(_x, 1, Scope::Global));
-            co_return;
-          case 1:
-            co_await ctx.atomic(
-                ctx.atomicStore(_y, 1, Scope::Global));
-            co_return;
-          case 2: {
-            std::uint32_t a = co_await ctx.atomic(
-                ctx.atomicLoad(_x, Scope::Global));
-            std::uint32_t b = co_await ctx.atomic(
-                ctx.atomicLoad(_y, Scope::Global));
-            co_await ctx.store(_r[0], a);
-            co_await ctx.store(_r[1], b);
-            co_return;
-          }
-          default: {
-            std::uint32_t c = co_await ctx.atomic(
-                ctx.atomicLoad(_y, Scope::Global));
-            std::uint32_t d = co_await ctx.atomic(
-                ctx.atomicLoad(_x, Scope::Global));
-            co_await ctx.store(_r[2], c);
-            co_await ctx.store(_r[3], d);
-          }
-        }
-    }
-
-    std::string
-    outcome(WorkloadEnv &env) override
-    {
-        return kv("a", env.debugRead(_r[0])) + " " +
-               kv("b", env.debugRead(_r[1])) + " " +
-               kv("c", env.debugRead(_r[2])) + " " +
-               kv("d", env.debugRead(_r[3]));
-    }
-
-    bool
-    allowed(const std::string &outcome,
-            const ProtocolConfig &) const override
-    {
-        return outcome != "a=1 b=0 c=1 d=0";
-    }
-
-    axiom::Program
-    axiomProgram() const override
-    {
-        axiom::Program prog;
-        prog.name = "iriw";
-        prog.numVars = 2;
-        prog.numRegs = 4;
-        prog.varNames = {"x", "y"};
-        axiom::Thread wx, wy, rxy, ryx;
-        wx.ops = {axiom::atomicStore(0, 1, Scope::Global)};
-        wy.ops = {axiom::atomicStore(1, 1, Scope::Global)};
-        rxy.ops = {axiom::atomicLoad(0, Scope::Global, 0),
-                   axiom::atomicLoad(1, Scope::Global, 1)};
-        ryx.ops = {axiom::atomicLoad(1, Scope::Global, 2),
-                   axiom::atomicLoad(0, Scope::Global, 3)};
-        prog.threads = {wx, wy, rxy, ryx};
-        return prog;
-    }
-
-    std::string
-    formatOutcome(
-        const std::vector<std::uint32_t> &regs) const override
-    {
-        return kv("a", regs[0]) + " " + kv("b", regs[1]) + " " +
-               kv("c", regs[2]) + " " + kv("d", regs[3]);
-    }
-
-  private:
-    Addr _x = 0, _y = 0;
-    Addr _r[4] = {0, 0, 0, 0};
-};
-
-/**
- * The examples/misscoped_race.cpp shape: the producer releases the
- * flag with *local* scope but the consumer acquires globally from
- * another CU. On HRF configurations (GH/DH) the local release stops
- * at the producer's L1 — every schedule must flag a scope race, and
- * any outcome is permitted (the program is racy by construction; on
- * GH even the flag value itself may never reach the L2). On DRF
- * configurations the same annotations are sound: every sync is
- * globally effective, the long consumer delay puts the publication
- * far in the past, and the only allowed outcome is the clean one.
- */
-class MisscopedLitmus : public LitmusWorkload
-{
-  public:
-    std::string name() const override { return "misscoped"; }
-
-    void
-    init(WorkloadEnv &env) override
-    {
-        _data = env.alloc(kLineBytes);
-        _flag = env.alloc(kLineBytes);
-        _rf = env.alloc(kLineBytes);
-        _rd = env.alloc(kLineBytes);
-    }
-
-    KernelInfo kernelInfo(unsigned) const override { return {2}; }
-
-    SimTask
-    tbMain(TbContext &ctx) override
-    {
-        if (ctx.tbGlobal() == 0) {
-            co_await ctx.store(_data, 41);
-            // BUG: Scope::Local, but the consumer is on another CU.
-            co_await ctx.atomic(
-                ctx.atomicStore(_flag, 1, Scope::Local));
-            co_return;
-        }
-        // The delay dominates every bounded perturbation the
-        // explorer can apply, so the temporal order is fixed — what
-        // varies across configurations is whether the local release
-        // made the publication *visible* and *ordered*.
-        co_await ctx.wait(50000);
-        std::uint32_t f = co_await ctx.atomic(
-            ctx.atomicLoad(_flag, Scope::Global));
-        std::uint32_t d = co_await ctx.load(_data);
-        co_await ctx.store(_rf, f);
-        co_await ctx.store(_rd, d);
-    }
-
-    std::string
-    outcome(WorkloadEnv &env) override
-    {
-        return kv("f", env.debugRead(_rf)) + " " +
-               kv("d", env.debugRead(_rd));
-    }
-
-    bool
-    allowed(const std::string &outcome,
-            const ProtocolConfig &proto) const override
-    {
-        if (proto.consistency() == ConsistencyModel::Hrf) {
-            // Racy program: any combination of stale/fresh values.
-            return outcome == "f=0 d=0" || outcome == "f=0 d=41" ||
-                   outcome == "f=1 d=0" || outcome == "f=1 d=41";
-        }
-        return outcome == "f=1 d=41";
-    }
-
-    bool
-    expectScopeRace(const ProtocolConfig &proto) const override
-    {
-        return proto.consistency() == ConsistencyModel::Hrf;
-    }
-
-    axiom::Program
-    axiomProgram() const override
-    {
-        // Unguarded data read behind a Delay phase barrier: the
-        // consumer always reads both words after the producer is
-        // done, so what varies across models is visibility alone.
-        return mpShape("misscoped", Scope::Local, false, true);
-    }
-
-    std::string
-    formatOutcome(
-        const std::vector<std::uint32_t> &regs) const override
-    {
-        return kv("f", regs[0]) + " " + kv("d", regs[1]);
-    }
-
-  private:
-    Addr _data = 0, _flag = 0, _rf = 0, _rd = 0;
-};
+        mp_dev.threads[1].ops[0].scope = Scope::Device;
+        return std::vector<LitmusSpec>{
+            {mpShape("mp", Scope::Global, true, false),
+             {"f", "d"},
+             mp_allowed},
+            {mp_dev, {"f", "d"}, mp_allowed},
+            {xyShape("sb", false),
+             {"r0", "r1"},
+             [](const std::string &outcome, const ProtocolConfig &) {
+                 return outcome != "r0=0 r1=0";
+             }},
+            {xyShape("lb", true),
+             {"r0", "r1"},
+             [](const std::string &outcome, const ProtocolConfig &) {
+                 return outcome != "r0=1 r1=1";
+             }},
+            {iriwShape(),
+             {"a", "b", "c", "d"},
+             [](const std::string &outcome, const ProtocolConfig &) {
+                 return outcome != "a=1 b=0 c=1 d=0";
+             }},
+            {mpShape("misscoped", Scope::Local, false, true),
+             {"f", "d"},
+             [](const std::string &outcome,
+                const ProtocolConfig &proto) {
+                 if (proto.consistency() == ConsistencyModel::Hrf) {
+                     // Racy program: any combination of stale/fresh
+                     // values.
+                     return outcome == "f=0 d=0" ||
+                            outcome == "f=0 d=41" ||
+                            outcome == "f=1 d=0" ||
+                            outcome == "f=1 d=41";
+                 }
+                 return outcome == "f=1 d=41";
+             },
+             true},
+        };
+    }();
+    return table;
+}
 
 } // namespace
+
+LitmusWorkload::LitmusWorkload(LitmusSpec spec) : _spec(std::move(spec))
+{
+}
+
+void
+LitmusWorkload::init(WorkloadEnv &env)
+{
+    _vars.resize(_spec.program.numVars);
+    _regs.resize(_spec.program.numRegs);
+    for (Addr &var : _vars)
+        var = env.alloc(kLineBytes);
+    for (Addr &reg : _regs)
+        reg = env.alloc(kLineBytes);
+}
+
+SimTask
+LitmusWorkload::tbMain(TbContext &ctx)
+{
+    const axiom::Thread &thread =
+        _spec.program.threads[ctx.tbGlobal()];
+    std::vector<std::uint32_t> regs(_spec.program.numRegs, 0);
+    std::vector<bool> mine(_spec.program.numRegs, false);
+    for (const axiom::Op &op : thread.ops)
+        if (op.dest != axiom::kNoReg)
+            mine[op.dest] = true;
+    for (const axiom::Op &op : thread.ops) {
+        if (op.guardReg != axiom::kNoReg &&
+            regs[op.guardReg] != op.guardValue)
+            continue;
+        Addr addr = _vars[op.var];
+        std::uint32_t value = 0;
+        switch (op.kind) {
+          case axiom::Op::Kind::Load:
+            value = co_await ctx.load(addr);
+            break;
+          case axiom::Op::Kind::Store:
+            co_await ctx.store(addr, op.value);
+            break;
+          case axiom::Op::Kind::AtomicLoad:
+            value = co_await ctx.atomic(ctx.atomicLoad(addr, op.scope));
+            break;
+          case axiom::Op::Kind::AtomicStore:
+            co_await ctx.atomic(
+                ctx.atomicStore(addr, op.value, op.scope));
+            break;
+          case axiom::Op::Kind::AtomicRmw:
+            value = co_await ctx.atomic(
+                ctx.fetchAdd(addr, op.value, op.scope));
+            break;
+          case axiom::Op::Kind::Delay:
+            co_await ctx.wait(kDelayCycles);
+            break;
+        }
+        if (op.dest != axiom::kNoReg)
+            regs[op.dest] = value;
+    }
+    // Publish every register this thread is the dest of, in register
+    // order; one a guard skipped publishes its initial 0.
+    for (unsigned r = 0; r < _spec.program.numRegs; ++r)
+        if (mine[r])
+            co_await ctx.store(_regs[r], regs[r]);
+}
+
+std::string
+LitmusWorkload::outcome(WorkloadEnv &env) const
+{
+    std::vector<std::uint32_t> regs;
+    regs.reserve(_regs.size());
+    for (Addr reg : _regs)
+        regs.push_back(env.debugRead(reg));
+    return formatOutcome(regs);
+}
+
+std::string
+LitmusWorkload::formatOutcome(
+    const std::vector<std::uint32_t> &regs) const
+{
+    std::vector<bool> shown(regs.size(), true);
+    for (const axiom::Thread &thread : _spec.program.threads)
+        for (const axiom::Op &op : thread.ops)
+            if (op.dest != axiom::kNoReg &&
+                op.guardReg != axiom::kNoReg &&
+                regs[op.guardReg] != op.guardValue)
+                shown[op.dest] = false;
+    std::ostringstream os;
+    const char *sep = "";
+    for (unsigned r = 0; r < regs.size(); ++r) {
+        if (!shown[r])
+            continue;
+        os << sep << _spec.regNames[r] << "=" << regs[r];
+        sep = " ";
+    }
+    return os.str();
+}
 
 const std::vector<std::string> &
 litmusSuite()
 {
-    static const std::vector<std::string> suite = {
-        "mp", "mp_dev", "sb", "lb", "iriw", "misscoped"};
+    static const std::vector<std::string> suite = [] {
+        std::vector<std::string> names;
+        names.reserve(suiteTable().size());
+        for (const LitmusSpec &spec : suiteTable())
+            names.push_back(spec.program.name);
+        return names;
+    }();
     return suite;
 }
 
 std::unique_ptr<LitmusWorkload>
 makeLitmus(const std::string &name)
 {
-    if (name == "mp")
-        return std::make_unique<MpLitmus>();
-    if (name == "mp_dev")
-        return std::make_unique<MpDevLitmus>();
-    if (name == "sb")
-        return std::make_unique<SbLitmus>();
-    if (name == "lb")
-        return std::make_unique<LbLitmus>();
-    if (name == "iriw")
-        return std::make_unique<IriwLitmus>();
-    if (name == "misscoped")
-        return std::make_unique<MisscopedLitmus>();
+    for (const LitmusSpec &spec : suiteTable())
+        if (spec.program.name == name)
+            return std::make_unique<LitmusWorkload>(spec);
     return nullptr;
 }
 

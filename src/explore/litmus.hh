@@ -2,28 +2,24 @@
  * @file
  * Litmus programs for the stateless model checker.
  *
- * Each program is a small, spin-free Workload whose interesting
- * behavior is a handful of memory operations racing through the
- * simulated protocol stack. Spin-freedom matters: a spinning consumer
- * makes the schedule space unbounded (every extra poll is a new
- * interleaving), so the classic shapes are recast with conditional
- * reads — e.g. message passing reads the data word only when the flag
- * acquire actually observed the publication.
+ * A litmus program is an axiom::Program, and nothing else: the DPOR
+ * explorer runs it operationally by interpreting each thread's
+ * operation list on a simulated thread block, and the axiomatic
+ * checker (src/axiom/) evaluates the very same list statically. The
+ * two checkers share the program and nothing more, which is what
+ * makes their agreement a cross-validation.
  *
- * A LitmusWorkload extends Workload with the verdict interface the
- * explorer checks on every terminal state: the observed outcome
- * string, the set of outcomes the configuration's consistency model
- * allows, and whether the program must flag a scope race (the
- * mis-scoped message-passing program does, exactly on the HRF
- * configurations).
+ * Programs are spin-free: a spinning consumer makes the schedule
+ * space unbounded (every extra poll is a new interleaving), so the
+ * classic shapes are recast with guarded reads — e.g. message passing
+ * reads the data word only when the flag acquire actually observed
+ * the publication.
  *
- * Each program additionally exposes its declarative twin — an
- * axiom::Program of the same memory operations with the same scope
- * annotations — so the axiomatic checker (src/axiom/) can compute the
- * allowed outcome set and race verdict without running the simulator,
- * and formatOutcome() renders the checker's final register state in
- * the exact string format outcome() produces, which is what makes the
- * two outcome sets directly comparable.
+ * Beside the program, a LitmusSpec row carries the register names the
+ * outcome string prints, the hand-written allowed-outcome predicate
+ * (the explorer's independent oracle; never derived from the checker)
+ * and whether HRF configurations must flag a scope race (the
+ * mis-scoped message-passing program does).
  */
 
 #ifndef EXPLORE_LITMUS_HH
@@ -42,42 +38,78 @@ namespace nosync
 namespace explore
 {
 
-/** A litmus program: a workload plus its allowed-outcome oracle. */
-class LitmusWorkload : public Workload
+/** One litmus program and its verdict oracle. */
+struct LitmusSpec
+{
+    axiom::Program program;
+
+    /** Outcome-string name of each register, e.g. "f", "d". */
+    std::vector<std::string> regNames;
+
+    /** Whether an outcome is permitted under a configuration. */
+    bool (*allowed)(const std::string &outcome,
+                    const ProtocolConfig &proto) = nullptr;
+
+    /** Every schedule must flag a scope race on HRF configurations. */
+    bool hrfScopeRace = false;
+};
+
+/**
+ * A LitmusSpec as a Workload. Thread t of the program runs as thread
+ * block t, one per CU. Each variable and each register gets its own
+ * cache line; after its operations a thread stores every register it
+ * wrote into that register's line (single writer, read back post-run
+ * via debugRead, so the results themselves never race).
+ */
+class LitmusWorkload final : public Workload
 {
   public:
-    /** Observed outcome of a completed run, e.g. "f=1 d=41". */
-    virtual std::string outcome(WorkloadEnv &env) = 0;
+    explicit LitmusWorkload(LitmusSpec spec);
 
-    /** Whether @p outcome is permitted under @p proto. */
-    virtual bool allowed(const std::string &outcome,
-                         const ProtocolConfig &proto) const = 0;
+    std::string name() const override { return _spec.program.name; }
+    void init(WorkloadEnv &env) override;
+    SimTask tbMain(TbContext &ctx) override;
 
-    /**
-     * Whether every schedule must flag a scope race under @p proto.
-     * True only for deliberately mis-scoped programs on HRF configs.
-     */
-    virtual bool
-    expectScopeRace(const ProtocolConfig &proto) const
+    KernelInfo
+    kernelInfo(unsigned) const override
     {
-        (void)proto;
-        return false;
+        return {static_cast<unsigned>(_spec.program.threads.size())};
     }
 
-    /**
-     * The program as a static operation list for the axiomatic
-     * checker: same memory operations, same scope annotations, with
-     * reads landing in numbered registers.
-     */
-    virtual axiom::Program axiomProgram() const = 0;
+    /** Observed outcome of a completed run, e.g. "f=1 d=41". */
+    std::string outcome(WorkloadEnv &env) const;
+
+    /** Whether @p outcome is permitted under @p proto. */
+    bool
+    allowed(const std::string &outcome,
+            const ProtocolConfig &proto) const
+    {
+        return _spec.allowed(outcome, proto);
+    }
+
+    /** Whether every schedule must flag a scope race under @p proto. */
+    bool
+    expectScopeRace(const ProtocolConfig &proto) const
+    {
+        return _spec.hrfScopeRace &&
+               proto.consistency() == ConsistencyModel::Hrf;
+    }
+
+    /** The program both checkers run. */
+    const axiom::Program &axiomProgram() const { return _spec.program; }
 
     /**
-     * Render a final register state of axiomProgram() in the exact
-     * format outcome() produces, so axiomatic and operational
-     * outcome sets compare as plain string sets.
+     * Render a final register state as "name=value" pairs in register
+     * order. A register written by a guarded operation is printed
+     * only when its guard holds (mp prints "f=0", not "f=0 d=0").
      */
-    virtual std::string
-    formatOutcome(const std::vector<std::uint32_t> &regs) const = 0;
+    std::string
+    formatOutcome(const std::vector<std::uint32_t> &regs) const;
+
+  private:
+    LitmusSpec _spec;
+    std::vector<Addr> _vars;
+    std::vector<Addr> _regs;
 };
 
 /** Names of the litmus suite, in canonical order. */

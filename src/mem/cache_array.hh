@@ -55,17 +55,6 @@ struct CacheLine
     /** Words written locally and not yet made globally visible. */
     WordMask dirty = 0;
 
-    /** Words belonging to the software read-only region (DD+RO). */
-    WordMask readOnly = 0;
-
-    /**
-     * RegionMap::version() at which `readOnly` was snapshotted. A
-     * resident line whose stamp lags the live map re-snapshots before
-     * the mask is trusted (regions re-declared between kernels must
-     * not leave stale masks exempting words from self-invalidation).
-     */
-    std::uint32_t regionVersion = 0;
-
     /** LRU timestamp. */
     std::uint64_t lruStamp = 0;
 
@@ -97,8 +86,6 @@ struct CacheLine
     {
         valid = false;
         dirty = 0;
-        readOnly = 0;
-        regionVersion = 0;
         epoch = 0;
         data = LineData{};
         wstate.fill(WordState::Invalid);

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "axiom/checker.hh"
 #include "axiom/model.hh"
 #include "axiom/program.hh"
+#include "core/system.hh"
 #include "explore/explorer.hh"
 #include "explore/litmus.hh"
 
@@ -57,39 +59,44 @@ exploreOne(const std::string &program, const ProtocolConfig &proto)
 }
 
 /**
- * The mis-scoped message-passing shape over an explicit machine
- * geometry: producer on CU 0, consumer on CU 1, release at
+ * The suite's mis-scoped message-passing program over an explicit
+ * machine geometry: producer on CU 0, consumer on CU 1, release at
  * @p release_scope, consumer delayed past the producer.
  */
 Program
-misscopedShape(Scope release_scope, unsigned cus_per_device,
-               unsigned devices)
+misscopedOn(const explore::LitmusWorkload &misscoped,
+            Scope release_scope, unsigned cus_per_device,
+            unsigned devices)
 {
-    Program prog;
-    prog.name = "misscoped_shape";
-    prog.numVars = 2;
-    prog.numRegs = 2;
-    prog.varNames = {"data", "flag"};
+    Program prog = misscoped.axiomProgram();
     prog.cusPerDevice = cus_per_device;
     prog.devices = devices;
-
-    Thread producer;
-    producer.ops = {store(0, 41), atomicStore(1, 1, release_scope)};
-    Thread consumer;
-    consumer.ops = {delay(), atomicLoad(1, Scope::Global, 0),
-                    load(0, 1)};
-    prog.threads = {producer, consumer};
+    prog.threads[0].ops[1].scope = release_scope;
     return prog;
 }
 
 OutcomeFormatter
-fdFormatter()
+formatterOf(const explore::LitmusWorkload &workload)
 {
-    return [](const std::vector<std::uint32_t> &regs) {
-        std::ostringstream os;
-        os << "f=" << regs[0] << " d=" << regs[1];
-        return os.str();
+    return [&workload](const std::vector<std::uint32_t> &regs) {
+        return workload.formatOutcome(regs);
     };
+}
+
+/** Two threads each fetch-add 1 to one counter, at global scope. */
+Program
+incIncProgram()
+{
+    Program prog;
+    prog.name = "inc_inc";
+    prog.numVars = 1;
+    prog.numRegs = 2;
+    prog.varNames = {"counter"};
+    Thread t0, t1;
+    t0.ops = {atomicRmw(0, 1, Scope::Global, 0)};
+    t1.ops = {atomicRmw(0, 1, Scope::Global, 1)};
+    prog.threads = {t0, t1};
+    return prog;
 }
 
 } // namespace
@@ -220,26 +227,29 @@ TEST(AxiomChecker, DeviceScopeFoldsOnSingleDevice)
 // unscoped DRF axioms make the same annotation machine-wide (clean).
 TEST(AxiomChecker, DeviceScopeStopsAtTheLinkUnderHrf)
 {
-    Program prog = misscopedShape(Scope::Device, 1, 2);
+    std::unique_ptr<explore::LitmusWorkload> misscoped =
+        explore::makeLitmus("misscoped");
+    ASSERT_NE(misscoped, nullptr);
+    Program prog = misscopedOn(*misscoped, Scope::Device, 1, 2);
+    ASSERT_EQ(prog.threads[0].ops[1].kind, Op::Kind::AtomicStore);
+    OutcomeFormatter format = formatterOf(*misscoped);
 
     AxiomModel hrf = modelFor(ProtocolConfig::gh(), 2);
-    AxiomCellReport scoped =
-        checkProgram(prog, hrf, fdFormatter(), nullptr);
+    AxiomCellReport scoped = checkProgram(prog, hrf, format, nullptr);
     EXPECT_EQ(scoped.verdict, "scope-race");
     EXPECT_EQ(outcomeSet(scoped),
               (std::vector<std::string>{"f=0 d=0"}));
 
     AxiomModel drf = modelFor(ProtocolConfig::gd(), 2);
-    AxiomCellReport unscoped =
-        checkProgram(prog, drf, fdFormatter(), nullptr);
+    AxiomCellReport unscoped = checkProgram(prog, drf, format, nullptr);
     EXPECT_EQ(unscoped.verdict, "race-free");
     EXPECT_EQ(outcomeSet(unscoped),
               (std::vector<std::string>{"f=1 d=41"}));
 
     // Same-device consumer: the device tier is enough even scoped.
-    Program same_device = misscopedShape(Scope::Device, 2, 2);
+    Program same_device = misscopedOn(*misscoped, Scope::Device, 2, 2);
     AxiomCellReport local =
-        checkProgram(same_device, hrf, fdFormatter(), nullptr);
+        checkProgram(same_device, hrf, format, nullptr);
     EXPECT_EQ(local.verdict, "race-free");
     EXPECT_EQ(outcomeSet(local),
               (std::vector<std::string>{"f=1 d=41"}));
@@ -249,18 +259,8 @@ TEST(AxiomChecker, DeviceScopeStopsAtTheLinkUnderHrf)
 // always sum, each observing the other or zero, never lost.
 TEST(AxiomChecker, RmwIncrementsNeverLost)
 {
-    Program prog;
-    prog.name = "inc_inc";
-    prog.numVars = 1;
-    prog.numRegs = 2;
-    prog.varNames = {"counter"};
-    Thread t0, t1;
-    t0.ops = {atomicRmw(0, 1, Scope::Global, 0)};
-    t1.ops = {atomicRmw(0, 1, Scope::Global, 1)};
-    prog.threads = {t0, t1};
-
     AxiomCellReport cell = checkProgram(
-        prog, modelFor(ProtocolConfig::gd()),
+        incIncProgram(), modelFor(ProtocolConfig::gd()),
         [](const std::vector<std::uint32_t> &regs) {
             std::ostringstream os;
             os << "r0=" << regs[0] << " r1=" << regs[1];
@@ -270,6 +270,45 @@ TEST(AxiomChecker, RmwIncrementsNeverLost)
     EXPECT_EQ(cell.verdict, "race-free");
     EXPECT_EQ(outcomeSet(cell),
               (std::vector<std::string>{"r0=0 r1=1", "r0=1 r1=0"}));
+}
+
+// A program outside the suite runs on the simulator unchanged: the
+// litmus interpreter's AtomicRmw path (which no suite program takes)
+// performs each fetch-add and publishes its result register, and the
+// operational outcome lands in the checker's set on every column.
+TEST(LitmusInterpreter, RmwProgramRunsOnEveryColumn)
+{
+    explore::LitmusSpec spec;
+    spec.program = incIncProgram();
+    spec.regNames = {"r0", "r1"};
+    spec.allowed = [](const std::string &outcome,
+                      const ProtocolConfig &) {
+        return outcome == "r0=0 r1=1" || outcome == "r0=1 r1=0";
+    };
+    explore::LitmusWorkload workload(spec);
+    EXPECT_EQ(workload.name(), "inc_inc");
+
+    for (const ProtocolConfig &proto : ProtocolConfig::all()) {
+        AxiomCellReport cell = checkCell(workload, proto);
+        EXPECT_EQ(outcomeSet(cell),
+                  (std::vector<std::string>{"r0=0 r1=1", "r0=1 r1=0"}))
+            << proto.shortName();
+
+        SystemConfig config;
+        config.protocol = proto;
+        config.checking.raceCheckEnabled = true;
+        System system(config);
+        RunResult result = system.run(workload);
+        ASSERT_FALSE(result.hang.has_value()) << proto.shortName();
+        EXPECT_EQ(result.races.failureCount(), 0u)
+            << proto.shortName();
+        std::string outcome = workload.outcome(system);
+        std::vector<std::string> set = outcomeSet(cell);
+        EXPECT_NE(std::find(set.begin(), set.end(), outcome), set.end())
+            << proto.shortName() << ": " << outcome;
+        EXPECT_TRUE(workload.allowed(outcome, proto))
+            << proto.shortName() << ": " << outcome;
+    }
 }
 
 // THE closing of the loop: on every litmus×config cell the axiomatic
