@@ -5,6 +5,9 @@
  * protocol end-to-end) — useful when optimizing the simulator itself.
  */
 
+#include <array>
+#include <span>
+
 #include <benchmark/benchmark.h>
 
 #include "coherence/region_map.hh"
@@ -233,6 +236,62 @@ BM_TbAwaitSyncHit(benchmark::State &state)
     state.SetLabel("1000 L1-hit atomics through one TB on 2x2 DD");
 }
 BENCHMARK(BM_TbAwaitSyncHit);
+
+/** One TB doing @p count loadMany + storeMany rounds over @p addrs. */
+static SimTask
+warpLoop(TbContext &ctx, std::span<const Addr> addrs,
+         std::span<std::uint32_t> values, unsigned count,
+         unsigned &done)
+{
+    for (unsigned i = 0; i < count; ++i) {
+        co_await ctx.loadMany(addrs, values);
+        for (std::uint32_t &v : values)
+            ++v;
+        co_await ctx.storeMany(addrs, values);
+    }
+    ++done;
+}
+
+static void
+BM_TbAwaitWarpHit(benchmark::State &state)
+{
+    // The awaiter layer for coalesced warp accesses: one TB's
+    // loadMany + storeMany of 8 resident words on 2x2 DD. Every load
+    // hits in the L1 (or forwards from the store buffer) and every
+    // store coalesces into the buffer, so each access is one event.
+    SystemConfig config;
+    config.protocol = ProtocolConfig::dd();
+    config.topology.mesh.width = 2;
+    config.topology.mesh.height = 2;
+    config.topology.cusPerDevice = 3;
+    System system(config);
+    EventQueue &eq = system.eventQueue();
+    TbContext ctx(eq, system.l1(0), system.energy(), Rng(1), 0, 0, 0, 0,
+                  3, 1);
+    std::array<Addr, 8> addrs;
+    for (std::size_t i = 0; i < addrs.size(); ++i)
+        addrs[i] = 0x1000 + i * kWordBytes;
+    std::array<std::uint32_t, 8> values{};
+    unsigned done = 0;
+    // Warm-up: the first round misses and fills the line.
+    warpLoop(ctx, addrs, values, 1, done).start([] {});
+    eq.run();
+    const L1Stats &stats = system.l1(0).l1Stats();
+    double misses_before = stats.loadMisses->value();
+    double stalls_before = stats.sbOverflowDrains->value();
+    for (auto _ : state) {
+        warpLoop(ctx, addrs, values, 1000, done).start([] {});
+        eq.run();
+    }
+    benchmark::DoNotOptimize(done);
+    if (stats.loadMisses->value() != misses_before ||
+        stats.sbOverflowDrains->value() != stalls_before)
+        state.SkipWithError("a warp word missed in the L1");
+    state.SetItemsProcessed(state.iterations() * 1000);
+    state.SetLabel("1000 8-word loadMany+storeMany rounds through one "
+                   "TB on 2x2 DD");
+}
+BENCHMARK(BM_TbAwaitWarpHit);
 
 static void
 BM_EndToEndNN(benchmark::State &state)

@@ -232,17 +232,19 @@ DenovoL1Cache::peekLocal(Addr addr, std::uint32_t &value)
 // Loads
 // ---------------------------------------------------------------------
 
-void
-DenovoL1Cache::load(Addr addr, ValueCallback cb)
+bool
+DenovoL1Cache::loadLocal(Addr addr, std::uint32_t &value)
 {
-    std::uint32_t value;
-    if (peekLocal(addr, value)) {
-        if (CacheLine *line = _array.lookup(addr))
-            _array.touch(*line);
-        loadHit(std::move(cb), value);
-        return;
-    }
+    if (!peekLocal(addr, value))
+        return false;
+    if (CacheLine *line = _array.lookup(addr))
+        _array.touch(*line);
+    return true;
+}
 
+void
+DenovoL1Cache::loadMiss(Addr addr, ValueCallback cb)
+{
     ++_stats.loadMisses;
     _energy.l1TagAccess();
     Addr line_addr = lineAlign(addr);
@@ -471,8 +473,7 @@ DenovoL1Cache::settleReads(Addr line_addr, WordMask reply_mask,
 // ---------------------------------------------------------------------
 
 bool
-DenovoL1Cache::storeInPlace(Addr addr, std::uint32_t value,
-                            DoneCallback &cb)
+DenovoL1Cache::storeInPlace(Addr addr, std::uint32_t value)
 {
     unsigned w = wordInLine(addr);
     CacheLine *line = _array.lookup(addr);
@@ -485,7 +486,6 @@ DenovoL1Cache::storeInPlace(Addr addr, std::uint32_t value,
     // the frame is the authoritative copy.
     _sb.erase(addr);
     _array.touch(*line);
-    scheduleIn(_timings.l1Hit, std::move(cb));
     return true;
 }
 

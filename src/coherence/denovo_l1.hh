@@ -48,9 +48,6 @@ class DenovoL1Cache final : public L1Controller
         _peers = std::move(peers);
     }
 
-    // CU-facing interface --------------------------------------------
-    void load(Addr addr, ValueCallback cb) override;
-
     // Network-facing handlers (invoked at arrival via mesh closures) -
     /**
      * Registry forwarded a data read: we own the words. @p req_epoch
@@ -100,10 +97,15 @@ class DenovoL1Cache final : public L1Controller
 
   private:
     // L1Controller hooks ----------------------------------------------
+    /** Any word peekLocal finds (SB, pending registration, frame,
+     *  writeback buffer). */
+    bool loadLocal(Addr addr, std::uint32_t &value) override;
+    /** Wait on a pending registration of the word, or coalesce a
+     *  line read for this cycle. */
+    void loadMiss(Addr addr, ValueCallback cb) override;
     /** Stores to Registered words complete in the L1 without touching
      *  the store buffer: the key DeNovo write-reuse benefit. */
-    bool storeInPlace(Addr addr, std::uint32_t value,
-                      DoneCallback &cb) override;
+    bool storeInPlace(Addr addr, std::uint32_t value) override;
     void mirrorStore(Addr addr, std::uint32_t value) override;
     /** Register the SB's words (DD+PR: write streaming-region words
      *  through); _pendingWrites counts words awaiting completion. */

@@ -54,14 +54,14 @@ GpuL1Cache::homeBank(Addr addr)
 // Loads
 // ---------------------------------------------------------------------
 
-void
-GpuL1Cache::load(Addr addr, ValueCallback cb)
+bool
+GpuL1Cache::loadLocal(Addr addr, std::uint32_t &value)
 {
     // Store-buffer forwarding: the SB holds the CU's freshest
     // values.
     if (_sb.contains(addr)) {
-        loadHit(std::move(cb), _sb.value(addr));
-        return;
+        value = _sb.value(addr);
+        return true;
     }
 
     unsigned w = wordInLine(addr);
@@ -69,8 +69,8 @@ GpuL1Cache::load(Addr addr, ValueCallback cb)
         refreshLine(*line);
         if (line->valid && line->wstate[w] == WordState::Valid) {
             _array.touch(*line);
-            loadHit(std::move(cb), line->data[w]);
-            return;
+            value = line->data[w];
+            return true;
         }
     }
 
@@ -78,12 +78,12 @@ GpuL1Cache::load(Addr addr, ValueCallback cb)
     // cache, on eviction) but has not merged at the L2 yet. Fills
     // never install over such words, so any valid frame copy checked
     // above is at least as fresh.
-    std::uint32_t in_flight;
-    if (pendingWtValue(addr, in_flight)) {
-        loadHit(std::move(cb), in_flight);
-        return;
-    }
+    return pendingWtValue(addr, value);
+}
 
+void
+GpuL1Cache::loadMiss(Addr addr, ValueCallback cb)
+{
     ++_stats.loadMisses;
     _energy.l1TagAccess();
     Addr line_addr = lineAlign(addr);
@@ -262,8 +262,7 @@ GpuL1Cache::onFill(Addr line_addr, const LineData &data,
 // ---------------------------------------------------------------------
 
 bool
-GpuL1Cache::storeInPlace(Addr addr, std::uint32_t value,
-                         DoneCallback &cb)
+GpuL1Cache::storeInPlace(Addr addr, std::uint32_t value)
 {
     if (_config.consistency() != ConsistencyModel::Hrf)
         return false;
@@ -295,7 +294,6 @@ GpuL1Cache::storeInPlace(Addr addr, std::uint32_t value,
     line->dirty |= static_cast<WordMask>(1u << w);
     _anyDirty = true;
     _array.touch(*line);
-    scheduleIn(_timings.l1Hit, std::move(cb));
     return true;
 }
 

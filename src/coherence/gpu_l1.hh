@@ -36,17 +36,18 @@ class GpuL1Cache final : public L1Controller
                const CacheGeometry &geom, const CacheTimings &timings,
                trace::TraceSink *trace = nullptr);
 
-    void load(Addr addr, ValueCallback cb) override;
-
     /** Test hook: whether the word is valid in the L1 array. */
     bool wordValid(Addr addr) const;
 
   private:
     // L1Controller hooks ----------------------------------------------
+    /** Forward from the SB, then the frame, then an in-flight
+     *  writethrough. */
+    bool loadLocal(Addr addr, std::uint32_t &value) override;
+    void loadMiss(Addr addr, ValueCallback cb) override;
     /** GH: write-allocate into the frame and set the word's dirty
      *  bit; GD buffers every store. */
-    bool storeInPlace(Addr addr, std::uint32_t value,
-                      DoneCallback &cb) override;
+    bool storeInPlace(Addr addr, std::uint32_t value) override;
     void mirrorStore(Addr addr, std::uint32_t value) override;
     /** Write through the SB and (GH) the L1-dirty words. */
     void issueDrain() override;

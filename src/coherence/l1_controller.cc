@@ -1,5 +1,7 @@
 #include "coherence/l1_controller.hh"
 
+#include "sim/logging.hh"
+
 namespace nosync
 {
 
@@ -16,13 +18,65 @@ L1Controller::L1Controller(const std::string &name, EventQueue &eq,
       _timings(timings)
 {}
 
-void
-L1Controller::loadHit(ValueCallback cb, std::uint32_t value)
+// ---------------------------------------------------------------------
+// Loads
+// ---------------------------------------------------------------------
+
+bool
+L1Controller::loadHit(Addr addr, std::uint32_t &value)
 {
+    if (!loadLocal(addr, value))
+        return false;
     ++_stats.loadHits;
     _energy.l1Access();
-    scheduleIn(_timings.l1Hit,
-               [cb = std::move(cb), value] { cb(value); });
+    return true;
+}
+
+void
+L1Controller::load(Addr addr, ValueCallback cb)
+{
+    std::uint32_t value;
+    if (loadHit(addr, value)) {
+        scheduleIn(_timings.l1Hit,
+                   [cb = std::move(cb), value] { cb(value); });
+        return;
+    }
+    loadMiss(addr, std::move(cb));
+}
+
+void
+L1Controller::loadMany(std::span<const Addr> addrs,
+                       std::span<std::uint32_t> values, WarpBatch &batch)
+{
+    panic_if(addrs.empty() || addrs.size() != values.size(),
+             "loadMany of ", addrs.size(), " addresses into ",
+             values.size(), " values");
+    batch.remaining = static_cast<unsigned>(addrs.size());
+    unsigned hits = 0;
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        if (loadHit(addrs[i], values[i])) {
+            ++hits;
+            continue;
+        }
+        loadMiss(addrs[i], [&batch, dst = &values[i]](std::uint32_t v) {
+            *dst = v;
+            batch.complete(1);
+        });
+    }
+    replyBatchHits(batch, hits);
+}
+
+void
+L1Controller::replyBatchHits(WarpBatch &batch, unsigned hits)
+{
+    // One event stands for every hit: only a batch's last completion
+    // has any effect, and this event runs where the last per-word hit
+    // reply would have. Words issued after that one missed or stalled.
+    // A miss schedules nothing at hit latency. A stall can retire
+    // other stalled stores first, but then it replies after them, so
+    // the batch is not yet complete when this event runs.
+    if (hits != 0)
+        scheduleIn(_timings.l1Hit, [&batch, hits] { batch.complete(hits); });
 }
 
 // ---------------------------------------------------------------------
@@ -32,33 +86,65 @@ L1Controller::loadHit(ValueCallback cb, std::uint32_t value)
 void
 L1Controller::store(Addr addr, std::uint32_t value, DoneCallback cb)
 {
-    if (storeInPlace(addr, value, cb))
-        return;
-
-    if (!_stalledStores.empty() || (_sb.full() && !_sb.contains(addr))) {
-        _stalledStores.push_back({addr, value, std::move(cb)});
-        if (!_overflowDrainActive) {
-            _overflowDrainActive = true;
-            ++_stats.sbOverflowDrains;
-            startDrain([this] {
-                _overflowDrainActive = false;
-                serviceStallQueue();
-            });
-        }
-        return;
-    }
-    acceptStore(addr, value, std::move(cb));
+    if (retireStore(addr, value))
+        scheduleIn(_timings.l1Hit, std::move(cb));
+    else
+        stallStore(addr, value, std::move(cb));
 }
 
 void
-L1Controller::acceptStore(Addr addr, std::uint32_t value, DoneCallback cb)
+L1Controller::storeMany(std::span<const Addr> addrs,
+                        std::span<const std::uint32_t> values,
+                        WarpBatch &batch)
+{
+    panic_if(addrs.empty() || addrs.size() != values.size(),
+             "storeMany of ", addrs.size(), " addresses with ",
+             values.size(), " values");
+    batch.remaining = static_cast<unsigned>(addrs.size());
+    unsigned hits = 0;
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+        if (retireStore(addrs[i], values[i]))
+            ++hits;
+        else
+            stallStore(addrs[i], values[i],
+                       [&batch] { batch.complete(1); });
+    }
+    replyBatchHits(batch, hits);
+}
+
+bool
+L1Controller::retireStore(Addr addr, std::uint32_t value)
+{
+    if (storeInPlace(addr, value))
+        return true;
+    if (!_stalledStores.empty() || (_sb.full() && !_sb.contains(addr)))
+        return false;
+    acceptStore(addr, value);
+    return true;
+}
+
+void
+L1Controller::stallStore(Addr addr, std::uint32_t value, DoneCallback cb)
+{
+    _stalledStores.push_back({addr, value, std::move(cb)});
+    if (!_overflowDrainActive) {
+        _overflowDrainActive = true;
+        ++_stats.sbOverflowDrains;
+        startDrain([this] {
+            _overflowDrainActive = false;
+            serviceStallQueue();
+        });
+    }
+}
+
+void
+L1Controller::acceptStore(Addr addr, std::uint32_t value)
 {
     _energy.l1Access();
     ++_stats.storeBuffered;
     if (_sb.insert(addr, value))
         ++_stats.storeCoalesced;
     mirrorStore(addr, value);
-    scheduleIn(_timings.l1Hit, std::move(cb));
 }
 
 void
@@ -69,7 +155,8 @@ L1Controller::serviceStallQueue()
 
         // The word may have become storable in place while stalled
         // (a DeNovo registration): no buffer slot needed.
-        if (storeInPlace(front.addr, front.value, front.cb)) {
+        if (storeInPlace(front.addr, front.value)) {
+            scheduleIn(_timings.l1Hit, std::move(front.cb));
             _stalledStores.pop_front();
             continue;
         }
@@ -89,7 +176,8 @@ L1Controller::serviceStallQueue()
 
         StalledStore st = std::move(front);
         _stalledStores.pop_front();
-        acceptStore(st.addr, st.value, std::move(st.cb));
+        acceptStore(st.addr, st.value);
+        scheduleIn(_timings.l1Hit, std::move(st.cb));
     }
 }
 

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <vector>
 
 #include "coherence/cache_timings.hh"
@@ -61,6 +62,30 @@ using ValueCallback = SmallFn<void(std::uint32_t), kCallbackCapacity>;
 
 /** Completion callback. */
 using DoneCallback = SmallFn<void(), kCallbackCapacity>;
+
+/**
+ * Completion state of one coalesced warp access in flight
+ * (L1Controller::loadMany / storeMany). The issuer owns it and keeps
+ * it in place until @c done fires, once, after the last word.
+ */
+struct WarpBatch
+{
+    /** Words not yet complete. */
+    unsigned remaining = 0;
+    DoneCallback done;
+
+    /** Count @p words as complete; run @c done after the last one. */
+    void
+    complete(unsigned words)
+    {
+        remaining -= words;
+        if (remaining == 0) {
+            // Move out first: done may end the issuer, and this with it.
+            DoneCallback fn = std::move(done);
+            fn();
+        }
+    }
+};
 
 /** Statistics common to every L1 controller flavour. */
 struct L1Stats
@@ -166,7 +191,17 @@ class L1Controller : public SimObject
     std::vector<std::string> checkInvariants(bool quiesced) const;
 
     /** Issue a data load; @p cb fires with the value when it returns. */
-    virtual void load(Addr addr, ValueCallback cb) = 0;
+    void load(Addr addr, ValueCallback cb);
+
+    /**
+     * Issue a coalesced warp of independent loads: @p values[i]
+     * receives the word at @p addrs[i]. The words this L1 serves count
+     * toward @p batch together and share one hit-latency event; a miss
+     * completes at its own fill. @p batch.done fires after the last
+     * word. @pre addrs is not empty and matches values in size
+     */
+    void loadMany(std::span<const Addr> addrs,
+                  std::span<std::uint32_t> values, WarpBatch &batch);
 
     /**
      * Issue a data store; @p cb fires when the store retires from the
@@ -175,6 +210,17 @@ class L1Controller : public SimObject
      * it is full.
      */
     void store(Addr addr, std::uint32_t value, DoneCallback cb);
+
+    /**
+     * Issue a coalesced warp of independent stores of @p values[i] to
+     * @p addrs[i]. Stores that retire at once (in place or into the
+     * store buffer) share one hit-latency event; a store that stalls
+     * on a full buffer completes on its own. @p batch.done fires after
+     * the last word. @pre addrs is not empty and matches values in size
+     */
+    void storeMany(std::span<const Addr> addrs,
+                   std::span<const std::uint32_t> values,
+                   WarpBatch &batch);
 
     /**
      * Issue a synchronization access. Release sequencing (prior-write
@@ -214,13 +260,21 @@ class L1Controller : public SimObject
   protected:
     // Protocol hooks --------------------------------------------------
     /**
-     * Complete a store without a buffer slot if the protocol can (GH
-     * write-allocate, a DeNovo Registered hit): retire it and move
-     * @p cb into the reply. @return false, leaving @p cb alone, when
-     * the store must be buffered.
+     * Serve a load from this L1 if it can (frame, store buffer or a
+     * write still in flight), setting @p value. @return false on a
+     * miss, with nothing changed but lazy self-invalidation.
      */
-    virtual bool storeInPlace(Addr addr, std::uint32_t value,
-                              DoneCallback &cb) = 0;
+    virtual bool loadLocal(Addr addr, std::uint32_t &value) = 0;
+
+    /** Fetch a word loadLocal missed; @p cb fires with its value. */
+    virtual void loadMiss(Addr addr, ValueCallback cb) = 0;
+
+    /**
+     * Retire a store without a buffer slot if the protocol can (GH
+     * write-allocate, a DeNovo Registered hit). @return false when
+     * the store must be buffered. The shell sends the reply.
+     */
+    virtual bool storeInPlace(Addr addr, std::uint32_t value) = 0;
 
     /** Keep the local copy of a just-buffered store coherent. */
     virtual void mirrorStore(Addr addr, std::uint32_t value) = 0;
@@ -244,9 +298,6 @@ class L1Controller : public SimObject
     virtual void checkProtocol(std::vector<std::string> &out) const = 0;
 
     // Shared machinery ------------------------------------------------
-    /** Reply to a load served by this L1 (frame or local buffer). */
-    void loadHit(ValueCallback cb, std::uint32_t value);
-
     /** Drain the store buffer; @p cb fires when every write is
      *  visible (the protocol's acks all returned). */
     void startDrain(DoneCallback cb);
@@ -309,8 +360,24 @@ class L1Controller : public SimObject
     std::uint64_t _curEpoch = 0;
 
   private:
+    /** loadLocal plus the hit's stats and energy. */
+    bool loadHit(Addr addr, std::uint32_t &value);
+
+    /**
+     * Retire a store now if it needs no wait (in place, or into the
+     * store buffer); the caller then owes the hit-latency reply.
+     * @return false when the store must stall on a full buffer.
+     */
+    bool retireStore(Addr addr, std::uint32_t value);
+
+    /** Park a store on the stall queue until the buffer drains. */
+    void stallStore(Addr addr, std::uint32_t value, DoneCallback cb);
+
+    /** Reply to a batch's @p hits words at hit latency (none: no event). */
+    void replyBatchHits(WarpBatch &batch, unsigned hits);
+
     /** Buffer a store that has a slot (or coalesces). */
-    void acceptStore(Addr addr, std::uint32_t value, DoneCallback cb);
+    void acceptStore(Addr addr, std::uint32_t value);
 
     /** Retry stalled stores in order, draining again when full. */
     void serviceStallQueue();

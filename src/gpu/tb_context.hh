@@ -13,9 +13,9 @@
 #define GPU_TB_CONTEXT_HH
 
 #include <coroutine>
+#include <span>
 #include <sstream>
 #include <string>
-#include <vector>
 
 #include "analysis/race_detector.hh"
 #include "coherence/l1_controller.hh"
@@ -276,16 +276,21 @@ class TbContext
         return Awaiter{this, addr};
     }
 
-    /** Awaitable batch of independent loads (a coalesced warp). */
+    /**
+     * Awaitable batch of independent loads (a coalesced warp):
+     * @p values[i] receives the word at @p addrs[i]. Both spans are
+     * storage the caller owns and keeps until the await returns; the
+     * awaiter copies neither.
+     */
     auto
-    loadMany(std::vector<Addr> addrs)
+    loadMany(std::span<const Addr> addrs, std::span<std::uint32_t> values)
     {
         struct Awaiter
         {
             TbContext *ctx;
-            std::vector<Addr> addrs;
-            std::vector<std::uint32_t> values;
-            unsigned remaining = 0;
+            std::span<const Addr> addrs;
+            std::span<std::uint32_t> values;
+            WarpBatch batch;
             std::uint64_t txn = 0;
 
             bool await_ready() { return addrs.empty(); }
@@ -305,71 +310,61 @@ class TbContext
                     // load.
                     txn = ctx->beginTxn(trace::TxnClass::Load,
                                         addrs.front());
-                    values.assign(addrs.size(), 0);
-                    remaining = static_cast<unsigned>(addrs.size());
-                    for (std::size_t i = 0; i < addrs.size(); ++i) {
-                        ctx->_l1.load(addrs[i],
-                                      [this, i, h](std::uint32_t v) {
-                                          values[i] = v;
-                                          if (--remaining == 0) {
-                                              ctx->endTxn(txn);
-                                              ctx->endWait();
-                                              h.resume();
-                                          }
-                                      });
-                    }
-                });
-            }
-
-            std::vector<std::uint32_t>
-            await_resume()
-            {
-                return std::move(values);
-            }
-        };
-        return Awaiter{this, std::move(addrs), {}, 0};
-    }
-
-    /** Awaitable batch of independent stores (a coalesced warp). */
-    auto
-    storeMany(std::vector<std::pair<Addr, std::uint32_t>> stores)
-    {
-        struct Awaiter
-        {
-            TbContext *ctx;
-            std::vector<std::pair<Addr, std::uint32_t>> stores;
-            unsigned remaining = 0;
-            std::uint64_t txn = 0;
-
-            bool await_ready() { return stores.empty(); }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                ctx->beginWait(WaitKind::StoreMany,
-                               stores.front().first, stores.size());
-                ctx->issueOp(stores.front().first, TbOpKind::Store,
-                             [this, h] {
-                    for (const auto &st : stores)
-                        ctx->noteDataWrite(st.first);
-                    txn = ctx->beginTxn(trace::TxnClass::Store,
-                                        stores.front().first);
-                    remaining = static_cast<unsigned>(stores.size());
-                    for (const auto &[addr, value] : stores) {
-                        ctx->_l1.store(addr, value, [this, h] {
-                            if (--remaining == 0) {
-                                ctx->endTxn(txn);
-                                ctx->endWait();
-                                h.resume();
-                            }
-                        });
-                    }
+                    batch.done = [this, h] {
+                        ctx->endTxn(txn);
+                        ctx->endWait();
+                        h.resume();
+                    };
+                    ctx->_l1.loadMany(addrs, values, batch);
                 });
             }
 
             void await_resume() {}
         };
-        return Awaiter{this, std::move(stores), 0};
+        return Awaiter{this, addrs, values, {}};
+    }
+
+    /**
+     * Awaitable batch of independent stores (a coalesced warp) of
+     * @p values[i] to @p addrs[i], over caller-owned storage as in
+     * loadMany.
+     */
+    auto
+    storeMany(std::span<const Addr> addrs,
+              std::span<const std::uint32_t> values)
+    {
+        struct Awaiter
+        {
+            TbContext *ctx;
+            std::span<const Addr> addrs;
+            std::span<const std::uint32_t> values;
+            WarpBatch batch;
+            std::uint64_t txn = 0;
+
+            bool await_ready() { return addrs.empty(); }
+
+            void
+            await_suspend(std::coroutine_handle<> h)
+            {
+                ctx->beginWait(WaitKind::StoreMany, addrs.front(),
+                               addrs.size());
+                ctx->issueOp(addrs.front(), TbOpKind::Store, [this, h] {
+                    for (Addr addr : addrs)
+                        ctx->noteDataWrite(addr);
+                    txn = ctx->beginTxn(trace::TxnClass::Store,
+                                        addrs.front());
+                    batch.done = [this, h] {
+                        ctx->endTxn(txn);
+                        ctx->endWait();
+                        h.resume();
+                    };
+                    ctx->_l1.storeMany(addrs, values, batch);
+                });
+            }
+
+            void await_resume() {}
+        };
+        return Awaiter{this, addrs, values, {}};
     }
 
     /** Awaitable data store (completes when accepted/retired). */

@@ -1,5 +1,7 @@
 #include "workloads/microbench.hh"
 
+#include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "sim/logging.hh"
@@ -10,18 +12,16 @@ namespace nosync
 namespace
 {
 
-/** Addresses of one warp-coalesced access round. */
-std::vector<Addr>
-roundAddrs(Addr base, unsigned round, unsigned threads)
+/**
+ * Fill @p addrs with the addresses of one warp-coalesced access round:
+ * thread t touches word round * addrs.size() + t past @p base.
+ */
+void
+roundAddrs(std::span<Addr> addrs, Addr base, unsigned round)
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t) {
-        addrs.push_back(base +
-                        (static_cast<Addr>(round) * threads + t) *
-                            kWordBytes);
-    }
-    return addrs;
+    Addr first = static_cast<Addr>(round) * addrs.size();
+    for (std::size_t t = 0; t < addrs.size(); ++t)
+        addrs[t] = base + (first + t) * kWordBytes;
 }
 
 } // namespace
@@ -128,6 +128,12 @@ MutexBench::tbMain(TbContext &ctx)
 
     Addr ro = _roInput[group];
 
+    // One warp's buffers, reused by every round. ro_vals and values
+    // are live together, so they stay apart.
+    std::vector<Addr> addrs(_params.threads);
+    std::vector<std::uint32_t> ro_vals(_params.threads);
+    std::vector<std::uint32_t> values(_params.threads);
+
     for (unsigned iter = 0; iter < _params.iterations; ++iter) {
         MutexTicket ticket;
         co_await mutexLock(ctx, mutex, _kind, scope, ticket);
@@ -135,17 +141,13 @@ MutexBench::tbMain(TbContext &ctx)
         // loads its read-only increment, then read-modify-writes its
         // shared data word; one coalesced warp access per round.
         for (unsigned round = 0; round < _params.workWords; ++round) {
-            auto ro_vals = co_await ctx.loadMany(
-                roundAddrs(ro, round, _params.threads));
-            auto addrs = roundAddrs(data, round, _params.threads);
-            auto values = co_await ctx.loadMany(addrs);
-            std::vector<std::pair<Addr, std::uint32_t>> stores;
-            stores.reserve(addrs.size());
-            for (std::size_t i = 0; i < addrs.size(); ++i) {
-                stores.emplace_back(addrs[i],
-                                    values[i] + ro_vals[i]);
-            }
-            co_await ctx.storeMany(std::move(stores));
+            roundAddrs(addrs, ro, round);
+            co_await ctx.loadMany(addrs, ro_vals);
+            roundAddrs(addrs, data, round);
+            co_await ctx.loadMany(addrs, values);
+            for (std::size_t i = 0; i < values.size(); ++i)
+                values[i] += ro_vals[i];
+            co_await ctx.storeMany(addrs, values);
         }
         co_await mutexUnlock(ctx, mutex, _kind, scope, ticket);
     }
@@ -233,27 +235,28 @@ SemaphoreBench::tbMain(TbContext &ctx)
     Addr data = _data[ctx.cu()];
     unsigned half_words = _params.footprintWords();
 
+    // One warp's buffers, reused by every round.
+    std::vector<Addr> addrs(_params.threads);
+    std::vector<std::uint32_t> values(_params.threads);
+
     if (ctx.tbOnCu() == 0) {
         // Writer: take the whole semaphore, write iteration tag to
         // every word of both halves except the markers (20 St/thr).
         for (unsigned iter = 0; iter < _params.iterations; ++iter) {
             co_await semaphoreWriterWait(ctx, sem, kReaders, scope,
                                          _backoff);
+            std::fill(values.begin(), values.end(), iter + 1);
             for (unsigned half = 0; half < 2; ++half) {
                 Addr base = data + Addr(half) * half_words *
                                        kWordBytes;
                 for (unsigned round = 0; round < _params.workWords;
                      ++round) {
-                    std::vector<std::pair<Addr, std::uint32_t>> st;
-                    st.reserve(_params.threads);
-                    for (unsigned t = 0; t < _params.threads; ++t) {
-                        unsigned w = round * _params.threads + t;
-                        if (w == 0)
-                            continue; // marker word
-                        st.emplace_back(base + Addr(w) * kWordBytes,
-                                        iter + 1);
-                    }
-                    co_await ctx.storeMany(std::move(st));
+                    roundAddrs(addrs, base, round);
+                    // Round 0 skips thread 0's word: the marker.
+                    std::size_t skip = round == 0 ? 1 : 0;
+                    co_await ctx.storeMany(
+                        std::span(addrs).subspan(skip),
+                        std::span(values).subspan(skip));
                 }
             }
             co_await semaphoreWriterPost(ctx, sem, kReaders, scope);
@@ -271,8 +274,8 @@ SemaphoreBench::tbMain(TbContext &ctx)
         bool first = true;
         std::uint32_t tag = 0;
         for (unsigned round = 0; round < _params.workWords; ++round) {
-            auto addrs = roundAddrs(base, round, _params.threads);
-            auto values = co_await ctx.loadMany(addrs);
+            roundAddrs(addrs, base, round);
+            co_await ctx.loadMany(addrs, values);
             for (std::size_t i = 0; i < values.size(); ++i) {
                 unsigned w = round * _params.threads +
                              static_cast<unsigned>(i);
@@ -403,18 +406,18 @@ TreeBarrierBench::tbMain(TbContext &ctx)
     std::uint32_t checksum = 0;
     unsigned local_participants = _params.tbsPerCu;
     Addr own_chunk = chunkAddr(ctx.tbGlobal(), 0);
+    // One warp's buffers, reused by every round.
+    std::vector<Addr> addrs(_params.threads);
+    std::vector<std::uint32_t> values(_params.threads);
 
     for (unsigned iter = 0; iter < _params.iterations; ++iter) {
         // Compute phase: increment every word of this TB's chunk.
         for (unsigned round = 0; round < _params.workWords; ++round) {
-            auto addrs = roundAddrs(own_chunk, round,
-                                    _params.threads);
-            auto values = co_await ctx.loadMany(addrs);
-            std::vector<std::pair<Addr, std::uint32_t>> stores;
-            stores.reserve(addrs.size());
-            for (std::size_t i = 0; i < addrs.size(); ++i)
-                stores.emplace_back(addrs[i], values[i] + 1);
-            co_await ctx.storeMany(std::move(stores));
+            roundAddrs(addrs, own_chunk, round);
+            co_await ctx.loadMany(addrs, values);
+            for (std::uint32_t &v : values)
+                ++v;
+            co_await ctx.storeMany(addrs, values);
         }
 
         co_await barrierJoin(ctx, local, local_participants,
@@ -429,12 +432,10 @@ TreeBarrierBench::tbMain(TbContext &ctx)
                 sibling_on_cu * ctx.numCus() + ctx.cu();
             for (unsigned round = 0; round < _params.workWords;
                  ++round) {
-                auto addrs = roundAddrs(chunkAddr(sibling, 0), round,
-                                        _params.threads);
-                for (std::uint32_t v :
-                     co_await ctx.loadMany(addrs)) {
+                roundAddrs(addrs, chunkAddr(sibling, 0), round);
+                co_await ctx.loadMany(addrs, values);
+                for (std::uint32_t v : values)
                     checksum += v;
-                }
             }
             co_await barrierJoin(ctx, local, local_participants,
                                  local_epoch++, Scope::Local);
@@ -456,9 +457,9 @@ TreeBarrierBench::tbMain(TbContext &ctx)
                               _numCus;
         unsigned partner = ctx.tbOnCu() * ctx.numCus() + partner_cu;
         for (unsigned round = 0; round < _params.workWords; ++round) {
-            auto addrs = roundAddrs(chunkAddr(partner, 0), round,
-                                    _params.threads);
-            for (std::uint32_t v : co_await ctx.loadMany(addrs))
+            roundAddrs(addrs, chunkAddr(partner, 0), round);
+            co_await ctx.loadMany(addrs, values);
+            for (std::uint32_t v : values)
                 checksum += v;
         }
 

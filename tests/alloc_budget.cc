@@ -67,20 +67,20 @@ int
 main()
 {
     using nosync::ProtocolConfig;
-    // Budgets: the counts measured when the access path became
-    // allocation-free (see DESIGN.md section 10), plus headroom of
-    // roughly a fifth. What remains is mostly the workloads' own
-    // per-access vectors (address lists, loadMany results), sub-task
-    // coroutine frames, L2 fetch waiter lists and, on SGEMM, the
-    // end-of-run protocol check.
-    //   FAM_G  GD     30132 allocs / 549053 events = 0.0549
-    //   FAM_G  DD     29294 allocs / 201454 events = 0.1454
-    //   FAM_G  DD+SE  29774 allocs / 584389 events = 0.0509
-    //   SGEMM  DD     26157 allocs / 135627 events = 0.1929
+    // Budgets: the counts measured once a coalesced warp access took
+    // one event and no allocations (DESIGN.md section 10), plus
+    // headroom of roughly a fifth. What remains on FAM_G is mostly
+    // sub-task coroutine frames and L2 fetch waiter lists; SGEMM's is
+    // the workload's own per-tile vectors and the end-of-run protocol
+    // check.
+    //   FAM_G  GD     3248 allocs / 512471 events = 0.0063
+    //   FAM_G  DD     2413 allocs / 131902 events = 0.0183
+    //   FAM_G  DD+SE  2890 allocs / 546771 events = 0.0053
+    //   SGEMM  DD    26131 allocs / 135627 events = 0.1927
     const Cell cells[] = {
-        {"FAM_G", ProtocolConfig::gd(), 0.066},
-        {"FAM_G", ProtocolConfig::dd(), 0.175},
-        {"FAM_G", ProtocolConfig::ddse(), 0.061},
+        {"FAM_G", ProtocolConfig::gd(), 0.0076},
+        {"FAM_G", ProtocolConfig::dd(), 0.022},
+        {"FAM_G", ProtocolConfig::ddse(), 0.0064},
         {"SGEMM", ProtocolConfig::dd(), 0.23},
     };
 
@@ -103,7 +103,7 @@ main()
             events == 0 ? 0.0 : static_cast<double>(allocs) / events;
         bool within = result.ok() && per_event <= cell.budget;
         std::printf("%-6s %-6s allocs=%llu events=%llu "
-                    "allocs/event=%.4f budget=%.3f %s\n",
+                    "allocs/event=%.4f budget=%.4f %s\n",
                     cell.workload, cell.proto.shortName().c_str(),
                     static_cast<unsigned long long>(allocs),
                     static_cast<unsigned long long>(events), per_event,

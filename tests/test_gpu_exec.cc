@@ -77,7 +77,8 @@ TEST(GpuExec, LoadManyReturnsValuesInOrder)
         std::vector<Addr> addrs{self.scratchBase,
                                 self.scratchBase + 4,
                                 self.scratchBase + 8};
-        auto values = co_await ctx.loadMany(std::move(addrs));
+        std::vector<std::uint32_t> values(addrs.size());
+        co_await ctx.loadMany(addrs, values);
         self.seen[0] = values[0];
         self.seen[1] = values[1];
         self.seen[2] = values[2];
@@ -94,8 +95,9 @@ TEST(GpuExec, EmptyLoadManyCompletesImmediately)
 {
     LambdaWorkload wl(1, [](TbContext &ctx, LambdaWorkload &self)
                           -> SimTask {
-        auto values = co_await ctx.loadMany(std::vector<Addr>{});
-        self.seen[0] = static_cast<std::uint32_t>(values.size());
+        Tick before = ctx.now();
+        co_await ctx.loadMany({}, {});
+        self.seen[0] = static_cast<std::uint32_t>(ctx.now() - before);
         ++self.observations;
         co_await ctx.wait(1);
     });
@@ -108,16 +110,18 @@ TEST(GpuExec, StoreManyWritesAllWords)
 {
     LambdaWorkload wl(1, [](TbContext &ctx, LambdaWorkload &self)
                           -> SimTask {
-        std::vector<std::pair<Addr, std::uint32_t>> stores;
+        std::vector<Addr> addrs;
+        std::vector<std::uint32_t> values;
         for (unsigned i = 0; i < 20; ++i) {
-            stores.emplace_back(self.scratchBase + 64 + i * 4,
-                                1000 + i);
+            addrs.push_back(self.scratchBase + 64 + i * 4);
+            values.push_back(1000 + i);
         }
-        co_await ctx.storeMany(std::move(stores));
+        co_await ctx.storeMany(addrs, values);
         // Read back through the same L1.
         std::vector<Addr> check_addrs{self.scratchBase + 64,
                                       self.scratchBase + 64 + 19 * 4};
-        auto values = co_await ctx.loadMany(std::move(check_addrs));
+        co_await ctx.loadMany(check_addrs,
+                              std::span(values).first(2));
         self.seen[0] = values[0];
         self.seen[1] = values[1];
     });
@@ -282,14 +286,15 @@ TEST(GpuExec, HangReportNamesWhatEachAwaiterWaitsOn)
                 co_await ctx.store(addr, 1);
           case 2:
             for (;;) {
-                std::vector<Addr> addrs{addr, addr + 4, addr + 8};
-                co_await ctx.loadMany(std::move(addrs));
+                Addr addrs[] = {addr, addr + 4, addr + 8};
+                std::uint32_t values[3];
+                co_await ctx.loadMany(addrs, values);
             }
           case 3:
             for (;;) {
-                std::vector<std::pair<Addr, std::uint32_t>> stores{
-                    {addr, 1}, {addr + 4, 2}};
-                co_await ctx.storeMany(std::move(stores));
+                Addr addrs[] = {addr, addr + 4};
+                std::uint32_t values[] = {1, 2};
+                co_await ctx.storeMany(addrs, values);
             }
           case 4:
             co_await ctx.wait(1'000'000);
