@@ -7,6 +7,7 @@
 
 #include <array>
 #include <span>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -292,6 +293,62 @@ BM_TbAwaitWarpHit(benchmark::State &state)
                    "TB on 2x2 DD");
 }
 BENCHMARK(BM_TbAwaitWarpHit);
+
+/** A dim x dim machine: one CU per node, the last node the CPU. */
+static SystemConfig
+meshConfig(unsigned dim, ProtocolConfig proto)
+{
+    SystemConfig config;
+    config.protocol = proto;
+    config.topology.mesh.width = dim;
+    config.topology.mesh.height = dim;
+    config.topology.cusPerDevice = dim * dim - 1;
+    return config;
+}
+
+static void
+BM_SystemBuild(benchmark::State &state)
+{
+    // The core layer's set-up cost on its own: every controller, mesh
+    // table and cache array of a DD machine, built and torn down with
+    // no run.
+    unsigned dim = static_cast<unsigned>(state.range(0));
+    SystemConfig config = meshConfig(dim, ProtocolConfig::dd());
+    for (auto _ : state) {
+        System system(config);
+        benchmark::DoNotOptimize(&system);
+    }
+    state.SetLabel(std::to_string(dim) + "x" + std::to_string(dim) +
+                   " DD System constructed and destroyed");
+}
+BENCHMARK(BM_SystemBuild)->Arg(4)->Arg(12)->Unit(benchmark::kMicrosecond);
+
+static void
+BM_DebugRead(benchmark::State &state)
+{
+    // The end-of-run oracle: System::debugRead over a fixed range of
+    // words after a short FAM_L run on the 12x12 machine. Under GD no
+    // L1 can own a word, so each read goes straight to its home bank;
+    // under DD every L1 is asked first.
+    ProtocolConfig proto =
+        state.range(0) == 0 ? ProtocolConfig::gd() : ProtocolConfig::dd();
+    System system(meshConfig(12, proto));
+    auto workload = makeScaled("FAM_L", 1);
+    if (!system.run(*workload).ok()) {
+        state.SkipWithError("FAM_L run failed");
+        return;
+    }
+    constexpr Addr kWords = 1024;
+    std::uint32_t sink = 0;
+    for (auto _ : state) {
+        for (Addr w = 0; w < kWords; ++w)
+            sink += system.debugRead(System::kAllocBase + w * kWordBytes);
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * kWords);
+    state.SetLabel("1024 words after FAM_L on 12x12 " + proto.shortName());
+}
+BENCHMARK(BM_DebugRead)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 static void
 BM_EndToEndNN(benchmark::State &state)

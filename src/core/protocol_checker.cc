@@ -1,7 +1,9 @@
 #include "core/protocol_checker.hh"
 
-#include <map>
+#include <algorithm>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "core/system.hh"
 
@@ -58,19 +60,43 @@ ProtocolChecker::sweep(bool quiesced) const
 
     // At most one L1 holds any word Registered, at every tick: on an
     // ownership transfer the old owner downgrades before the transfer
-    // message is even sent.
-    std::map<Addr, std::vector<unsigned>> owners;
+    // message is even sent. The owner list holds one (word, cu) entry
+    // per registered word, filled in ascending cu order; the stable
+    // sort by word keeps that order within each word's run.
+    struct Owner
+    {
+        Addr addr;
+        unsigned cu;
+    };
+    std::vector<Owner> owners;
     for (unsigned cu = 0; cu < num_cus; ++cu) {
         as<DenovoL1Cache>(_sys.l1(cu))->forEachRegisteredWord(
-            [&](Addr addr) { owners[addr].push_back(cu); });
+            [&](Addr addr) { owners.push_back({addr, cu}); });
     }
-    for (const auto &[addr, cus] : owners) {
-        if (cus.size() > 1) {
+    std::stable_sort(owners.begin(), owners.end(),
+                     [](const Owner &a, const Owner &b) {
+                         return a.addr < b.addr;
+                     });
+    // Calls fn(addr, run) once per registered word, in ascending
+    // address order, with the run of that word's owners.
+    auto forEachOwnedWord = [&owners](auto &&fn) {
+        for (std::size_t i = 0; i < owners.size();) {
+            std::size_t end = i + 1;
+            while (end < owners.size() &&
+                   owners[end].addr == owners[i].addr)
+                ++end;
+            fn(owners[i].addr,
+               std::span<const Owner>(&owners[i], end - i));
+            i = end;
+        }
+    };
+    forEachOwnedWord([&](Addr addr, std::span<const Owner> run) {
+        if (run.size() > 1) {
             std::ostringstream os;
             os << "word " << hexWord(addr) << " registered in "
-               << cus.size() << " L1s simultaneously (cus:";
-            for (unsigned cu : cus)
-                os << " " << cu;
+               << run.size() << " L1s simultaneously (cus:";
+            for (const Owner &owner : run)
+                os << " " << owner.cu;
             os << ")";
             out.push_back(os.str());
         }
@@ -92,7 +118,7 @@ ProtocolChecker::sweep(bool quiesced) const
                           " registered despite lying in a declared "
                           "streaming region (DD+PR)");
         }
-    }
+    });
 
     if (!quiesced)
         return out;
@@ -106,19 +132,20 @@ ProtocolChecker::sweep(bool quiesced) const
     // names owners by mesh node id, so cross-checking against a CU's
     // L1 goes through the topology's cu<->node map.
     const MachineTopology &topo = _sys.config().topology;
-    for (const auto &[addr, cus] : owners) {
+    forEachOwnedWord([&](Addr addr, std::span<const Owner> run) {
         unsigned bank = static_cast<unsigned>(
             (lineAlign(addr) / kLineBytes) % num_nodes);
         NodeId reg_owner =
             as<DenovoL2Bank>(_sys.l2Bank(bank))->ownerOf(addr);
-        if (reg_owner != topo.nodeOfCu(cus.front())) {
+        unsigned cu = run.front().cu;
+        if (reg_owner != topo.nodeOfCu(cu)) {
             std::ostringstream os;
             os << "word " << hexWord(addr) << " registered in L1 of cu "
-               << cus.front() << " (node " << topo.nodeOfCu(cus.front())
+               << cu << " (node " << topo.nodeOfCu(cu)
                << ") but the registry names node " << reg_owner;
             out.push_back(os.str());
         }
-    }
+    });
     for (unsigned bank = 0; bank < num_nodes; ++bank) {
         as<DenovoL2Bank>(_sys.l2Bank(bank))
             ->forEachRegisteredWord([&](Addr addr, NodeId owner) {

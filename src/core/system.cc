@@ -136,12 +136,12 @@ System::debugRead(Addr addr)
 {
     // Coherent whole-hierarchy read: a DeNovo L1 owning the word has
     // the only up-to-date copy; otherwise the home L2 bank (or memory
-    // behind it) does.
-    for (L1Controller *l1 : _l1s) {
-        auto *dl1 = as<DenovoL1Cache>(*l1);
-        if (dl1 != nullptr && dl1->ownsWord(addr)) {
+    // behind it) does. GPU L1s never own a word, and _denovoL1s is
+    // empty under GD/GH.
+    for (auto &l1 : _denovoL1s) {
+        if (l1->ownsWord(addr)) {
             std::uint32_t value = 0;
-            dl1->peekWord(addr, value);
+            l1->peekWord(addr, value);
             return value;
         }
     }

@@ -15,7 +15,9 @@
 #define MEM_CACHE_ARRAY_HH
 
 #include <array>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "mem/functional_mem.hh"
@@ -100,6 +102,15 @@ struct CacheLine
  * controllers. Victim selection never evicts here; the controller asks
  * for a victim, performs any writeback/recall protocol work, then
  * installs the new line.
+ *
+ * Sets materialize on first use. The frames are one uninitialized
+ * allocation, and a per-set live bit records which sets have been
+ * cleared. Victim selection (the only way to a frame that install
+ * accepts) clears a dead set's ways and marks it live; lookup and
+ * forEachValid skip dead sets without reading them. A dead set holds
+ * no valid frame and a fresh set's first victim is way 0, so every
+ * result is the one an eagerly cleared array would give, while a run
+ * pays only for the sets it touches.
  */
 class CacheArray
 {
@@ -110,7 +121,8 @@ class CacheArray
      */
     CacheArray(std::size_t size_bytes, unsigned assoc)
         : _assoc(assoc), _numSets(size_bytes / kLineBytes / assoc),
-          _lines(_numSets * assoc, clearedLine())
+          _live((_numSets + 63) / 64, 0),
+          _lines(std::allocator<CacheLine>().allocate(_numSets * assoc))
     {
         panic_if(_numSets == 0, "cache too small: ", size_bytes, " B / ",
                  assoc, "-way");
@@ -119,18 +131,41 @@ class CacheArray
                  _numSets);
     }
 
+    ~CacheArray()
+    {
+        // CacheLine is trivially destructible: releasing the storage
+        // ends the lifetime of every materialized frame.
+        std::allocator<CacheLine>().deallocate(_lines, _numSets * _assoc);
+    }
+
+    CacheArray(const CacheArray &) = delete;
+    CacheArray &operator=(const CacheArray &) = delete;
+
     unsigned assoc() const { return _assoc; }
     std::size_t numSets() const { return _numSets; }
+
+    /** Number of sets materialized so far. */
+    std::size_t
+    liveSets() const
+    {
+        std::size_t live = 0;
+        for (std::uint64_t bits : _live)
+            live += static_cast<std::size_t>(std::popcount(bits));
+        return live;
+    }
 
     /** Find the frame holding @p line_addr, or nullptr. */
     CacheLine *
     lookup(Addr line_addr)
     {
         line_addr = lineAlign(line_addr);
-        CacheLine *set = setBase(line_addr);
+        std::size_t set = setOf(line_addr);
+        if (!isLive(set))
+            return nullptr;
+        CacheLine *frames = &_lines[set * _assoc];
         for (unsigned way = 0; way < _assoc; ++way) {
-            if (set[way].valid && set[way].addr == line_addr)
-                return &set[way];
+            if (frames[way].valid && frames[way].addr == line_addr)
+                return &frames[way];
         }
         return nullptr;
     }
@@ -149,7 +184,7 @@ class CacheArray
     CacheLine *
     findVictim(Addr line_addr)
     {
-        CacheLine *set = setBase(lineAlign(line_addr));
+        CacheLine *set = liveSet(lineAlign(line_addr));
         CacheLine *victim = &set[0];
         for (unsigned way = 0; way < _assoc; ++way) {
             if (!set[way].valid)
@@ -170,7 +205,7 @@ class CacheArray
     CacheLine *
     findVictimPreferring(Addr line_addr, Pred &&preferred)
     {
-        CacheLine *set = setBase(lineAlign(line_addr));
+        CacheLine *set = liveSet(lineAlign(line_addr));
         CacheLine *best_pref = nullptr;
         CacheLine *best_any = &set[0];
         for (unsigned way = 0; way < _assoc; ++way) {
@@ -203,14 +238,26 @@ class CacheArray
         touch(frame);
     }
 
-    /** Iterate over every valid frame (for flash operations). */
+    /**
+     * Iterate over every valid frame (for flash operations and
+     * checker sweeps), in ascending set order and then way order.
+     */
     template <typename Fn>
     void
     forEachValid(Fn &&fn)
     {
-        for (auto &line : _lines) {
-            if (line.valid)
-                fn(line);
+        for (std::size_t word = 0; word < _live.size(); ++word) {
+            for (std::uint64_t bits = _live[word]; bits != 0;
+                 bits &= bits - 1) {
+                std::size_t set =
+                    word * 64 +
+                    static_cast<std::size_t>(std::countr_zero(bits));
+                CacheLine *frames = &_lines[set * _assoc];
+                for (unsigned way = 0; way < _assoc; ++way) {
+                    if (frames[way].valid)
+                        fn(frames[way]);
+                }
+            }
         }
     }
 
@@ -218,33 +265,43 @@ class CacheArray
     void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &line : _lines) {
-            if (line.valid)
-                fn(line);
-        }
+        const_cast<CacheArray *>(this)->forEachValid(
+            [&fn](const CacheLine &line) { fn(line); });
     }
 
   private:
-    /** An empty frame, copied into every slot in one pass. */
-    static CacheLine
-    clearedLine()
+    std::size_t
+    setOf(Addr line_addr) const
     {
-        CacheLine line;
-        line.clear();
-        return line;
+        return (line_addr / kLineBytes) & (_numSets - 1);
     }
 
-    CacheLine *
-    setBase(Addr line_addr)
+    bool
+    isLive(std::size_t set) const
     {
-        std::size_t set =
-            (line_addr / kLineBytes) & (_numSets - 1);
-        return &_lines[set * _assoc];
+        return (_live[set / 64] >> (set % 64)) & 1;
+    }
+
+    /** The frames of @p line_addr's set, cleared on first use. */
+    CacheLine *
+    liveSet(Addr line_addr)
+    {
+        std::size_t set = setOf(line_addr);
+        CacheLine *frames = &_lines[set * _assoc];
+        if (!isLive(set)) {
+            for (unsigned way = 0; way < _assoc; ++way)
+                std::construct_at(&frames[way])->clear();
+            _live[set / 64] |= std::uint64_t{1} << (set % 64);
+        }
+        return frames;
     }
 
     unsigned _assoc;
     std::size_t _numSets;
-    std::vector<CacheLine> _lines;
+    /** One bit per set: its frames have been cleared. */
+    std::vector<std::uint64_t> _live;
+    /** _numSets * _assoc frames; a set's are constructed when live. */
+    CacheLine *_lines;
     std::uint64_t _lruCounter = 0;
 };
 

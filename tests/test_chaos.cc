@@ -9,6 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/protocol_checker.hh"
 #include "core/report.hh"
 #include "core/system.hh"
@@ -201,6 +205,33 @@ TEST(ChaosChecker, CatchesDoubleRegistration)
     for (const auto &v : violations)
         found |= v.find("registered in 2 L1s") != std::string::npos;
     EXPECT_TRUE(found) << violations.front();
+}
+
+TEST(ChaosChecker, ReportsOwnersInWordThenCuOrder)
+{
+    // Owners corrupted in neither word nor cu order: the report lists
+    // words in ascending address order, each with its cus ascending.
+    System system(faultedConfig(ProtocolConfig::dd(), 0));
+    for (auto [cu, addr] : {std::pair<unsigned, Addr>{5, 0x10040},
+                            {2, 0x10000},
+                            {1, 0x10040},
+                            {3, 0x10040},
+                            {0, 0x10000}}) {
+        as<DenovoL1Cache>(system.l1(cu))->debugCorruptWordState(
+            addr, WordState::Registered);
+    }
+
+    std::vector<std::string> doubles;
+    for (const auto &v : ProtocolChecker(system).sweepRacy()) {
+        if (v.find("simultaneously") != std::string::npos)
+            doubles.push_back(v);
+    }
+    EXPECT_EQ(doubles,
+              (std::vector<std::string>{
+                  "word 0x10000 registered in 2 L1s simultaneously "
+                  "(cus: 0 2)",
+                  "word 0x10040 registered in 3 L1s simultaneously "
+                  "(cus: 1 3 5)"}));
 }
 
 TEST(ChaosChecker, CatchesBogusRegistryOwner)

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "coherence/region_map.hh"
@@ -14,6 +17,7 @@
 #include "mem/line_table.hh"
 #include "mem/mshr.hh"
 #include "mem/store_buffer.hh"
+#include "sim/rng.hh"
 
 using namespace nosync;
 
@@ -102,6 +106,268 @@ TEST(CacheArrayDeathTest, NonPowerOfTwoSetsPanics)
 {
     EXPECT_DEATH(CacheArray(3 * 64, 1), "power of two");
 }
+
+TEST(CacheArray, LookupLeavesUntouchedSetDead)
+{
+    // 1024 B, 2-way -> 8 sets; 0x0000 and 0x1000 map to set 0, 0x0040
+    // to set 1.
+    CacheArray array(1024, 2);
+    EXPECT_EQ(array.lookup(0x1000), nullptr);
+    EXPECT_EQ(array.liveSets(), 0u);
+
+    array.install(*array.findVictim(0x0000), 0x0000);
+    EXPECT_EQ(array.liveSets(), 1u);
+    EXPECT_EQ(array.lookup(0x0040), nullptr);
+    EXPECT_EQ(array.liveSets(), 1u);
+
+    std::vector<Addr> visited;
+    array.forEachValid([&](CacheLine &line) { visited.push_back(line.addr); });
+    EXPECT_EQ(visited, std::vector<Addr>{0x0000});
+}
+
+TEST(CacheArray, FreshSetVictimIsWayZero)
+{
+    CacheArray array(1024, 2);
+    CacheLine *first = array.findVictim(0x0040);
+    // A materialized frame is cleared exactly as install expects.
+    EXPECT_FALSE(first->valid);
+    EXPECT_EQ(first->lruStamp, 0u);
+    EXPECT_EQ(first->owner[0], kNoNode);
+    array.install(*first, 0x0040);
+    CacheLine *second = array.findVictim(0x2040);
+    EXPECT_EQ(second, first + 1);
+    array.install(*second, 0x2040);
+
+    std::vector<const CacheLine *> order;
+    array.forEachValid([&](CacheLine &line) { order.push_back(&line); });
+    EXPECT_EQ(order, (std::vector<const CacheLine *>{first, second}));
+}
+
+TEST(CacheArray, ConstLookupSeesSameFrames)
+{
+    CacheArray array(1024, 2);
+    const CacheArray &view = array;
+    EXPECT_EQ(view.lookup(0x0080), nullptr);
+    EXPECT_EQ(view.liveSets(), 0u);
+
+    array.install(*array.findVictim(0x0080), 0x0080);
+    ASSERT_NE(array.lookup(0x0080), nullptr);
+    EXPECT_EQ(view.lookup(0x0084), array.lookup(0x0080));
+    EXPECT_EQ(view.lookup(0x2080), nullptr);
+
+    std::vector<const CacheLine *> visited;
+    view.forEachValid(
+        [&](const CacheLine &line) { visited.push_back(&line); });
+    EXPECT_EQ(visited,
+              std::vector<const CacheLine *>{array.lookup(0x0080)});
+}
+
+namespace
+{
+
+/**
+ * Reference for the differential test: an array whose frames are all
+ * cleared up front, with the same lookup, victim and LRU rules,
+ * naming frames by their index (set * assoc + way).
+ */
+class DenseCacheArray
+{
+  public:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    DenseCacheArray(std::size_t size_bytes, unsigned assoc)
+        : _assoc(assoc), _numSets(size_bytes / kLineBytes / assoc),
+          _lines(_numSets * assoc)
+    {
+        for (CacheLine &line : _lines)
+            line.clear();
+    }
+
+    CacheLine &frame(std::size_t index) { return _lines[index]; }
+
+    std::size_t
+    lookup(Addr addr) const
+    {
+        addr = lineAlign(addr);
+        for (std::size_t i = setBase(addr); i < setBase(addr) + _assoc;
+             ++i) {
+            if (_lines[i].valid && _lines[i].addr == addr)
+                return i;
+        }
+        return kNone;
+    }
+
+    template <typename Pred>
+    std::size_t
+    findVictim(Addr addr, Pred &&preferred) const
+    {
+        std::size_t best_pref = kNone;
+        std::size_t best_any = setBase(lineAlign(addr));
+        for (std::size_t i = best_any; i < setBase(lineAlign(addr)) + _assoc;
+             ++i) {
+            if (!_lines[i].valid)
+                return i;
+            if (_lines[i].lruStamp < _lines[best_any].lruStamp)
+                best_any = i;
+            if (preferred(_lines[i]) &&
+                (best_pref == kNone ||
+                 _lines[i].lruStamp < _lines[best_pref].lruStamp)) {
+                best_pref = i;
+            }
+        }
+        return best_pref != kNone ? best_pref : best_any;
+    }
+
+    void touch(std::size_t index) { _lines[index].lruStamp = ++_lru; }
+
+    void
+    install(std::size_t index, Addr addr)
+    {
+        _lines[index].clear();
+        _lines[index].addr = lineAlign(addr);
+        _lines[index].valid = true;
+        touch(index);
+    }
+
+    /** (frame index, line address, LRU stamp) of every valid frame. */
+    std::vector<std::tuple<std::size_t, Addr, std::uint64_t>>
+    validFrames() const
+    {
+        std::vector<std::tuple<std::size_t, Addr, std::uint64_t>> out;
+        for (std::size_t i = 0; i < _lines.size(); ++i) {
+            if (_lines[i].valid)
+                out.emplace_back(i, _lines[i].addr, _lines[i].lruStamp);
+        }
+        return out;
+    }
+
+  private:
+    std::size_t
+    setBase(Addr line_addr) const
+    {
+        return ((line_addr / kLineBytes) & (_numSets - 1)) * _assoc;
+    }
+
+    unsigned _assoc;
+    std::size_t _numSets;
+    std::vector<CacheLine> _lines;
+    std::uint64_t _lru = 0;
+};
+
+bool
+noRegisteredWords(const CacheLine &line)
+{
+    return line.maskInState(WordState::Registered) == 0;
+}
+
+} // namespace
+
+class CacheArrayDifferential
+    : public ::testing::TestWithParam<std::tuple<std::size_t, unsigned>>
+{
+};
+
+TEST_P(CacheArrayDifferential, MatchesEagerReference)
+{
+    // Seeded random lookup/findVictim/findVictimPreferring/install/
+    // touch sequences, with protocol-style edits to hit frames
+    // (registering a word, invalidating the line), run on both arrays.
+    // Every returned frame and the full forEachValid sequence must
+    // match the eagerly cleared reference after every step.
+    const auto [size_bytes, assoc] = GetParam();
+    constexpr std::size_t kNone = DenseCacheArray::kNone;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        CacheArray lazy(size_bytes, assoc);
+        DenseCacheArray dense(size_bytes, assoc);
+        const std::size_t num_sets = lazy.numSets();
+        // Set 0's first victim is way 0 of set 0: the frame that
+        // names every other frame's index.
+        CacheLine *base = lazy.findVictim(0);
+        ASSERT_EQ(dense.findVictim(0, noRegisteredWords), 0u);
+        std::set<std::size_t> victim_sets{0};
+
+        auto index = [&](const CacheLine *line) {
+            return line == nullptr ? kNone
+                                   : static_cast<std::size_t>(line - base);
+        };
+        Rng rng(seed);
+        // A pool of lines four times the capacity, so sets conflict
+        // and (in the larger arrays) many stay untouched.
+        std::vector<Addr> pool(64);
+        for (Addr &line : pool)
+            line = rng.below(4 * num_sets * assoc) * kLineBytes;
+
+        for (int step = 0; step < 400; ++step) {
+            Addr addr = pool[rng.below(pool.size())] + rng.below(kLineBytes);
+            std::size_t hit = dense.lookup(addr);
+            switch (rng.below(7)) {
+              case 0:
+                ASSERT_EQ(index(lazy.lookup(addr)), hit);
+                break;
+              case 1: {
+                const CacheArray &view = lazy;
+                ASSERT_EQ(index(view.lookup(addr)), hit);
+                break;
+              }
+              case 2:
+              case 3: {
+                bool prefer = rng.below(2) == 0;
+                CacheLine *victim =
+                    prefer ? lazy.findVictimPreferring(addr,
+                                                       noRegisteredWords)
+                           : lazy.findVictim(addr);
+                std::size_t want = dense.findVictim(
+                    addr, [&](const CacheLine &line) {
+                        return !prefer || noRegisteredWords(line);
+                    });
+                ASSERT_EQ(index(victim), want);
+                victim_sets.insert((lineAlign(addr) / kLineBytes) &
+                                   (num_sets - 1));
+                if (hit == kNone && rng.below(4) != 0) {
+                    lazy.install(*victim, addr);
+                    dense.install(want, addr);
+                }
+                break;
+              }
+              case 4:
+                if (hit != kNone) {
+                    lazy.touch(*lazy.lookup(addr));
+                    dense.touch(hit);
+                }
+                break;
+              case 5:
+                if (hit != kNone) {
+                    unsigned w = static_cast<unsigned>(
+                        rng.below(kWordsPerLine));
+                    lazy.lookup(addr)->wstate[w] = WordState::Registered;
+                    dense.frame(hit).wstate[w] = WordState::Registered;
+                }
+                break;
+              default:
+                if (hit != kNone) {
+                    lazy.lookup(addr)->valid = false;
+                    dense.frame(hit).valid = false;
+                }
+                break;
+            }
+
+            std::vector<std::tuple<std::size_t, Addr, std::uint64_t>> got;
+            lazy.forEachValid([&](CacheLine &line) {
+                got.emplace_back(index(&line), line.addr, line.lruStamp);
+            });
+            ASSERT_EQ(got, dense.validFrames()) << "after step " << step;
+        }
+        // Only victim selection materializes a set.
+        EXPECT_EQ(lazy.liveSets(), victim_sets.size());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheArrayDifferential,
+    ::testing::Values(std::make_tuple(std::size_t{1024}, 2u),
+                      std::make_tuple(std::size_t{16 * 1024}, 4u),
+                      std::make_tuple(std::size_t{64 * 1024}, 2u)));
 
 // ---------------------------------------------------------------------
 // StoreBuffer
