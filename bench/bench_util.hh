@@ -341,6 +341,28 @@ withFileLabel(Options opts, const std::string &label)
 }
 
 /**
+ * The SystemConfig of a cell on @p proto with the common options
+ * applied: --devices, --link-latency, --trace, --race-check,
+ * --race-cap and --max-cycles. Every harness builds its configs here,
+ * so a common flag it accepts is never dropped.
+ */
+inline SystemConfig
+cellConfig(const ProtocolConfig &proto, const Options &opts)
+{
+    SystemConfig config;
+    config.protocol = proto;
+    config.topology.devices = opts.devices;
+    if (opts.linkLatency != 0)
+        config.topology.link.latency = opts.linkLatency;
+    config.observability.traceEnabled = !opts.tracePath.empty();
+    config.checking.raceCheckEnabled = opts.raceCheck;
+    config.checking.raceRecordCap = opts.raceCap;
+    if (opts.maxCycles != 0)
+        config.execution.maxCycles = opts.maxCycles;
+    return config;
+}
+
+/**
  * Run one simulation cell: @p workload_name on @p proto, with an
  * optional SystemConfig tweak (ablation sweeps) and an optional
  * post-run visitor that reads counters off the finished System.
@@ -354,16 +376,7 @@ runCell(const std::string &workload_name, const ProtocolConfig &proto,
         const std::function<void(const System &)> &inspect = {})
 {
     auto workload = makeScaled(workload_name, opts.scalePercent);
-    SystemConfig config;
-    config.protocol = proto;
-    config.topology.devices = opts.devices;
-    if (opts.linkLatency != 0)
-        config.topology.link.latency = opts.linkLatency;
-    config.observability.traceEnabled = !opts.tracePath.empty();
-    config.checking.raceCheckEnabled = opts.raceCheck;
-    config.checking.raceRecordCap = opts.raceCap;
-    if (opts.maxCycles != 0)
-        config.execution.maxCycles = opts.maxCycles;
+    SystemConfig config = cellConfig(proto, opts);
     if (tweak)
         tweak(config);
     System system(config);

@@ -3,7 +3,8 @@
  * Chaos sweep: fault-injection robustness harness.
  *
  * Runs a set of synchronization-heavy workloads across the five
- * studied configurations, each under several fault-injection seeds
+ * studied configurations (plus DD+SE under --sync-engine, and with
+ * every other common flag applied), each under several fault seeds
  * (message latency jitter, cross-pair reordering, duplicated
  * idempotent requests). For every run it demands:
  *
@@ -46,11 +47,10 @@ namespace
 {
 
 SystemConfig
-makeConfig(const ProtocolConfig &proto, Tick check_period,
-           std::uint64_t fault_seed)
+makeConfig(const ProtocolConfig &proto, const Options &opts,
+           Tick check_period, std::uint64_t fault_seed)
 {
-    SystemConfig config;
-    config.protocol = proto;
+    SystemConfig config = cellConfig(proto, opts);
     config.checking.checkPeriod = check_period;
     if (fault_seed != 0) {
         config.execution.faults.enabled = true;
@@ -116,8 +116,7 @@ main(int argc, char **argv)
         "SS_L",   // sleeping semaphore, local scope
         "TB_LG",  // tree barrier, mixed scope
     };
-    const std::vector<ProtocolConfig> configs =
-        ProtocolConfig::studied();
+    const std::vector<ProtocolConfig> configs = standardConfigs(opts);
 
     struct CellSpec
     {
@@ -143,7 +142,7 @@ main(int argc, char **argv)
                            RunResult &result_out) {
             auto workload = makeScaled(name, opts.scalePercent);
             auto system = std::make_unique<System>(
-                makeConfig(proto, check_period, fault_seed));
+                makeConfig(proto, opts, check_period, fault_seed));
             result_out = system->run(*workload);
             ++out.runs;
             out.cells.push_back(SweepCell{});
@@ -264,7 +263,10 @@ main(int argc, char **argv)
 
     if (!opts.jsonPath.empty()) {
         record.wallMillis = timer.millis();
-        record.writeJson(opts.jsonPath);
+        if (!record.writeJson(opts.jsonPath)) {
+            std::cerr << "error: cannot write " << opts.jsonPath << "\n";
+            return 1;
+        }
     }
 
     std::cout << "chaos sweep clean: " << runs << " runs ("

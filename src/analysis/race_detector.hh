@@ -17,9 +17,10 @@
  *    order IS coherence order) joins what was published;
  *  - TB barriers and mutexes (sync_primitives.hh) reduce to chains of
  *    such atomics and need no special handling;
- *  - kernel launch/drain: the implicit device-wide release/acquire of
- *    fence_policy.hh §2 — every TB of kernel k happens-before every
- *    TB of kernel k+1.
+ *  - kernel launch/drain: the implicit device-wide release/acquire at
+ *    kernel boundaries (paper §2; L1Controller::kernelEnd and
+ *    kernelBegin) — every TB of kernel k happens-before every TB of
+ *    kernel k+1.
  *
  * Scope handling mirrors ProtocolConfig::effectiveScope. Under DRF
  * configurations (GD/DD/DD+RO) every sync is global and a conflicting

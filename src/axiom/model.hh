@@ -61,14 +61,6 @@ struct AxiomModel
     bool scoped = false;
 
     /**
-     * Sync operations perform at the memory-side engine (DD+SE).
-     * Purely descriptive under the current axioms: the per-word
-     * total order exists either way; carried so reports and docs can
-     * say which ordering point a column was checked under.
-     */
-    bool engineSideSync = false;
-
-    /**
      * Number of devices in the machine being modeled. On a single
      * device the Device tier folds into Global, mirroring
      * analysis::RaceDetector's reach rules bit for bit.
@@ -87,7 +79,6 @@ modelFor(const ProtocolConfig &proto, unsigned devices = 1)
         model.scoped = true;
     } else if (proto.syncEngine()) {
         model.name = "sc-drf-engine";
-        model.engineSideSync = true;
     } else {
         model.name = "sc-drf";
     }

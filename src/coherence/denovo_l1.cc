@@ -975,10 +975,12 @@ DenovoL1Cache::performLocalHrfSync(std::uint32_t slot)
     const SyncOp op = _syncs[slot].op;
     std::uint32_t old_val;
     if (!peekLocal(op.addr, old_val)) {
-        // Fetch the line first, then perform locally.
+        // Fetch the line first, then perform locally. loadLocal would
+        // miss just as peekLocal did, so this goes straight to loadMiss.
         ++_stats.syncMisses;
-        load(op.addr,
-             [this, slot](std::uint32_t) { performLocalHrfSync(slot); });
+        loadMiss(op.addr, [this, slot](std::uint32_t) {
+            performLocalHrfSync(slot);
+        });
         return;
     }
 

@@ -22,28 +22,6 @@ L1Controller::L1Controller(const std::string &name, EventQueue &eq,
 // Loads
 // ---------------------------------------------------------------------
 
-bool
-L1Controller::loadHit(Addr addr, std::uint32_t &value)
-{
-    if (!loadLocal(addr, value))
-        return false;
-    ++_stats.loadHits;
-    _energy.l1Access();
-    return true;
-}
-
-void
-L1Controller::load(Addr addr, ValueCallback cb)
-{
-    std::uint32_t value;
-    if (loadHit(addr, value)) {
-        scheduleIn(_timings.l1Hit,
-                   [cb = std::move(cb), value] { cb(value); });
-        return;
-    }
-    loadMiss(addr, std::move(cb));
-}
-
 void
 L1Controller::loadMany(std::span<const Addr> addrs,
                        std::span<std::uint32_t> values, WarpBatch &batch)
@@ -54,7 +32,9 @@ L1Controller::loadMany(std::span<const Addr> addrs,
     batch.remaining = static_cast<unsigned>(addrs.size());
     unsigned hits = 0;
     for (std::size_t i = 0; i < addrs.size(); ++i) {
-        if (loadHit(addrs[i], values[i])) {
+        if (loadLocal(addrs[i], values[i])) {
+            ++_stats.loadHits;
+            _energy.l1Access();
             ++hits;
             continue;
         }
@@ -82,15 +62,6 @@ L1Controller::replyBatchHits(WarpBatch &batch, unsigned hits)
 // ---------------------------------------------------------------------
 // Stores
 // ---------------------------------------------------------------------
-
-void
-L1Controller::store(Addr addr, std::uint32_t value, DoneCallback cb)
-{
-    if (retireStore(addr, value))
-        scheduleIn(_timings.l1Hit, std::move(cb));
-    else
-        stallStore(addr, value, std::move(cb));
-}
 
 void
 L1Controller::storeMany(std::span<const Addr> addrs,

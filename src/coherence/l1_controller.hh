@@ -190,33 +190,24 @@ class L1Controller : public SimObject
      */
     std::vector<std::string> checkInvariants(bool quiesced) const;
 
-    /** Issue a data load; @p cb fires with the value when it returns. */
-    void load(Addr addr, ValueCallback cb);
-
     /**
      * Issue a coalesced warp of independent loads: @p values[i]
-     * receives the word at @p addrs[i]. The words this L1 serves count
-     * toward @p batch together and share one hit-latency event; a miss
-     * completes at its own fill. @p batch.done fires after the last
-     * word. @pre addrs is not empty and matches values in size
+     * receives the word at @p addrs[i]. Every data load enters the L1
+     * here; a plain load is a warp of one. The words this L1 serves
+     * count toward @p batch together and share one hit-latency event;
+     * a miss completes at its own fill. @p batch.done fires after the
+     * last word. @pre addrs is not empty and matches values in size
      */
     void loadMany(std::span<const Addr> addrs,
                   std::span<std::uint32_t> values, WarpBatch &batch);
 
     /**
-     * Issue a data store; @p cb fires when the store retires from the
-     * issuing thread's perspective (it may still be buffered). The
-     * controller stalls the callback while the store buffer drains if
-     * it is full.
-     */
-    void store(Addr addr, std::uint32_t value, DoneCallback cb);
-
-    /**
      * Issue a coalesced warp of independent stores of @p values[i] to
-     * @p addrs[i]. Stores that retire at once (in place or into the
-     * store buffer) share one hit-latency event; a store that stalls
-     * on a full buffer completes on its own. @p batch.done fires after
-     * the last word. @pre addrs is not empty and matches values in size
+     * @p addrs[i]; a plain store is a warp of one. Stores that retire
+     * at once (in place or into the store buffer) share one
+     * hit-latency event; a store that stalls on a full buffer
+     * completes on its own. @p batch.done fires after the last word.
+     * @pre addrs is not empty and matches values in size
      */
     void storeMany(std::span<const Addr> addrs,
                    std::span<const std::uint32_t> values,
@@ -360,9 +351,6 @@ class L1Controller : public SimObject
     std::uint64_t _curEpoch = 0;
 
   private:
-    /** loadLocal plus the hit's stats and energy. */
-    bool loadHit(Addr addr, std::uint32_t &value);
-
     /**
      * Retire a store now if it needs no wait (in place, or into the
      * store buffer); the caller then owes the hit-latency reply.

@@ -22,6 +22,7 @@
 #include "energy/energy_model.hh"
 #include "gpu/sim_task.hh"
 #include "sim/event_queue.hh"
+#include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/tb_scheduler.hh"
 #include "trace/trace_sink.hh"
@@ -142,8 +143,6 @@ class TbContext
     {
         Load,
         Store,
-        LoadMany,
-        StoreMany,
         Sync,
         Delay,
     };
@@ -242,39 +241,120 @@ class TbContext
         return TbOpKind::AtomicRmw;
     }
 
-    /** Awaitable data load. */
-    auto
-    load(Addr addr)
+    /**
+     * Awaiter of a batch of independent loads (a coalesced warp):
+     * values[i] receives the word at addrs[i]. A plain load is a batch
+     * of one over the awaiter's own word, which await_resume returns.
+     */
+    class LoadAwaiter
     {
-        struct Awaiter
+      public:
+        /** A warp over caller-owned spans, kept until the await ends. */
+        LoadAwaiter(TbContext *ctx, std::span<const Addr> addrs,
+                    std::span<std::uint32_t> values)
+            : _ctx(ctx), _addrs(addrs.data()), _values(values.data()),
+              _count(static_cast<std::uint32_t>(addrs.size()))
+        {}
+
+        /** One word. */
+        LoadAwaiter(TbContext *ctx, Addr addr)
+            : _ctx(ctx), _addrs(&_addr), _values(&_value), _count(1),
+              _addr(addr)
+        {}
+
+        // A one-word awaiter points into itself: it never moves.
+        LoadAwaiter(const LoadAwaiter &) = delete;
+        LoadAwaiter &operator=(const LoadAwaiter &) = delete;
+
+        bool await_ready() { return _count == 0; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
         {
-            TbContext *ctx;
-            Addr addr;
-            std::uint32_t value = 0;
-            std::uint64_t txn = 0;
+            _ctx->beginWait(WaitKind::Load, _addrs[0], _count);
+            // The whole coalesced batch issues as one scheduled
+            // quantum: a warp's loads are not interleavable.
+            _ctx->issueOp(_addrs[0], TbOpKind::Load, [this, h] {
+                std::span<const Addr> addrs(_addrs, _count);
+                for (Addr addr : addrs)
+                    _ctx->noteDataRead(addr);
+                // One transaction spans the whole batch: its latency
+                // is the slowest constituent load.
+                WarpBatch &batch =
+                    _ctx->beginAccess(trace::TxnClass::Load, _addrs[0], h);
+                _ctx->_l1.loadMany(addrs, {_values, _count}, batch);
+            });
+        }
 
-            bool await_ready() { return false; }
+        /** The loaded word of a one-word load (0 after a warp). */
+        std::uint32_t await_resume() { return _value; }
 
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                ctx->beginWait(WaitKind::Load, addr);
-                ctx->issueOp(addr, TbOpKind::Load, [this, h] {
-                    ctx->noteDataRead(addr);
-                    txn = ctx->beginTxn(trace::TxnClass::Load, addr);
-                    ctx->_l1.load(addr, [this, h](std::uint32_t v) {
-                        value = v;
-                        ctx->endTxn(txn);
-                        ctx->endWait();
-                        h.resume();
-                    });
-                });
-            }
+      private:
+        // Pointers and a count rather than spans keep the awaiter, which
+        // sits in the coroutine frame at every await site, small.
+        TbContext *_ctx;
+        const Addr *_addrs;
+        std::uint32_t *_values;
+        std::uint32_t _count;
+        std::uint32_t _value = 0;
+        Addr _addr = 0;
+    };
 
-            std::uint32_t await_resume() { return value; }
-        };
-        return Awaiter{this, addr};
-    }
+    /**
+     * Awaiter of a batch of independent stores (a coalesced warp) of
+     * values[i] to addrs[i]; it completes when every store retired
+     * (it may still be buffered). A plain store is a batch of one over
+     * the awaiter's own word.
+     */
+    class StoreAwaiter
+    {
+      public:
+        /** A warp over caller-owned spans, kept until the await ends. */
+        StoreAwaiter(TbContext *ctx, std::span<const Addr> addrs,
+                     std::span<const std::uint32_t> values)
+            : _ctx(ctx), _addrs(addrs.data()), _values(values.data()),
+              _count(static_cast<std::uint32_t>(addrs.size()))
+        {}
+
+        /** One word. */
+        StoreAwaiter(TbContext *ctx, Addr addr, std::uint32_t value)
+            : _ctx(ctx), _addrs(&_addr), _values(&_value), _count(1),
+              _value(value), _addr(addr)
+        {}
+
+        // A one-word awaiter points into itself: it never moves.
+        StoreAwaiter(const StoreAwaiter &) = delete;
+        StoreAwaiter &operator=(const StoreAwaiter &) = delete;
+
+        bool await_ready() { return _count == 0; }
+
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            _ctx->beginWait(WaitKind::Store, _addrs[0], _count);
+            _ctx->issueOp(_addrs[0], TbOpKind::Store, [this, h] {
+                std::span<const Addr> addrs(_addrs, _count);
+                for (Addr addr : addrs)
+                    _ctx->noteDataWrite(addr);
+                WarpBatch &batch =
+                    _ctx->beginAccess(trace::TxnClass::Store, _addrs[0], h);
+                _ctx->_l1.storeMany(addrs, {_values, _count}, batch);
+            });
+        }
+
+        void await_resume() {}
+
+      private:
+        TbContext *_ctx;
+        const Addr *_addrs;
+        const std::uint32_t *_values;
+        std::uint32_t _count;
+        std::uint32_t _value = 0;
+        Addr _addr = 0;
+    };
+
+    /** Awaitable data load. */
+    LoadAwaiter load(Addr addr) { return {this, addr}; }
 
     /**
      * Awaitable batch of independent loads (a coalesced warp):
@@ -282,46 +362,17 @@ class TbContext
      * storage the caller owns and keeps until the await returns; the
      * awaiter copies neither.
      */
-    auto
+    LoadAwaiter
     loadMany(std::span<const Addr> addrs, std::span<std::uint32_t> values)
     {
-        struct Awaiter
-        {
-            TbContext *ctx;
-            std::span<const Addr> addrs;
-            std::span<std::uint32_t> values;
-            WarpBatch batch;
-            std::uint64_t txn = 0;
+        return {this, addrs, values};
+    }
 
-            bool await_ready() { return addrs.empty(); }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                ctx->beginWait(WaitKind::LoadMany, addrs.front(),
-                               addrs.size());
-                // The whole coalesced batch issues as one scheduled
-                // quantum: a warp's loads are not interleavable.
-                ctx->issueOp(addrs.front(), TbOpKind::Load, [this, h] {
-                    for (Addr addr : addrs)
-                        ctx->noteDataRead(addr);
-                    // One transaction spans the whole coalesced
-                    // batch: its latency is the slowest constituent
-                    // load.
-                    txn = ctx->beginTxn(trace::TxnClass::Load,
-                                        addrs.front());
-                    batch.done = [this, h] {
-                        ctx->endTxn(txn);
-                        ctx->endWait();
-                        h.resume();
-                    };
-                    ctx->_l1.loadMany(addrs, values, batch);
-                });
-            }
-
-            void await_resume() {}
-        };
-        return Awaiter{this, addrs, values, {}};
+    /** Awaitable data store (completes when accepted/retired). */
+    StoreAwaiter
+    store(Addr addr, std::uint32_t value)
+    {
+        return {this, addr, value};
     }
 
     /**
@@ -329,75 +380,11 @@ class TbContext
      * @p values[i] to @p addrs[i], over caller-owned storage as in
      * loadMany.
      */
-    auto
+    StoreAwaiter
     storeMany(std::span<const Addr> addrs,
               std::span<const std::uint32_t> values)
     {
-        struct Awaiter
-        {
-            TbContext *ctx;
-            std::span<const Addr> addrs;
-            std::span<const std::uint32_t> values;
-            WarpBatch batch;
-            std::uint64_t txn = 0;
-
-            bool await_ready() { return addrs.empty(); }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                ctx->beginWait(WaitKind::StoreMany, addrs.front(),
-                               addrs.size());
-                ctx->issueOp(addrs.front(), TbOpKind::Store, [this, h] {
-                    for (Addr addr : addrs)
-                        ctx->noteDataWrite(addr);
-                    txn = ctx->beginTxn(trace::TxnClass::Store,
-                                        addrs.front());
-                    batch.done = [this, h] {
-                        ctx->endTxn(txn);
-                        ctx->endWait();
-                        h.resume();
-                    };
-                    ctx->_l1.storeMany(addrs, values, batch);
-                });
-            }
-
-            void await_resume() {}
-        };
-        return Awaiter{this, addrs, values, {}};
-    }
-
-    /** Awaitable data store (completes when accepted/retired). */
-    auto
-    store(Addr addr, std::uint32_t value)
-    {
-        struct Awaiter
-        {
-            TbContext *ctx;
-            Addr addr;
-            std::uint32_t value;
-            std::uint64_t txn = 0;
-
-            bool await_ready() { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                ctx->beginWait(WaitKind::Store, addr);
-                ctx->issueOp(addr, TbOpKind::Store, [this, h] {
-                    ctx->noteDataWrite(addr);
-                    txn = ctx->beginTxn(trace::TxnClass::Store, addr);
-                    ctx->_l1.store(addr, value, [this, h] {
-                        ctx->endTxn(txn);
-                        ctx->endWait();
-                        h.resume();
-                    });
-                });
-            }
-
-            void await_resume() {}
-        };
-        return Awaiter{this, addr, value};
+        return {this, addrs, values};
     }
 
     /** Awaitable synchronization (atomic) access. */
@@ -432,9 +419,7 @@ class TbContext
                     }
                     ctx->_l1.sync(op, [this, h](std::uint32_t v) {
                         value = v;
-                        ctx->endTxn(txn);
-                        ctx->endWait();
-                        h.resume();
+                        ctx->resumeAfter(txn, h);
                     });
                 });
             }
@@ -548,6 +533,31 @@ class TbContext
     }
 
   private:
+    /** Close @p txn and the wait record, then resume @p h. */
+    void
+    resumeAfter(std::uint64_t txn, std::coroutine_handle<> h)
+    {
+        endTxn(txn);
+        endWait();
+        h.resume();
+    }
+
+    /**
+     * Start the data load or store issuing now: open its trace
+     * transaction and arm _access to resume @p h after its last word.
+     * A TB has at most one data access in flight, so one WarpBatch per
+     * TB serves them all and the awaiters stay small.
+     */
+    WarpBatch &
+    beginAccess(trace::TxnClass cls, Addr addr, std::coroutine_handle<> h)
+    {
+        panic_if(_access.remaining != 0, "tb ", _tbGlobal,
+                 " issued a data access with one in flight");
+        _accessTxn = beginTxn(cls, addr);
+        _access.done = [this, h] { resumeAfter(_accessTxn, h); };
+        return _access;
+    }
+
     /** The hang-report text of the current wait record. */
     std::string
     describeWait() const
@@ -555,18 +565,11 @@ class TbContext
         std::ostringstream os;
         switch (_wait.kind) {
           case WaitKind::Load:
-            os << "load " << describeAddr(_wait.addr);
-            break;
           case WaitKind::Store:
-            os << "store " << describeAddr(_wait.addr);
-            break;
-          case WaitKind::LoadMany:
-            os << "loadMany of " << _wait.count << " words at "
-               << describeAddr(_wait.addr);
-            break;
-          case WaitKind::StoreMany:
-            os << "storeMany of " << _wait.count << " words at "
-               << describeAddr(_wait.addr);
+            os << (_wait.kind == WaitKind::Load ? "load" : "store");
+            if (_wait.count != 1)
+                os << "Many of " << _wait.count << " words at";
+            os << " " << describeAddr(_wait.addr);
             break;
           case WaitKind::Sync:
             os << describeSync(_wait.op);
@@ -626,13 +629,16 @@ class TbContext
     unsigned _raceSlot = analysis::kNoRaceSlot;
     /** Exploration scheduler; nullptr outside model checking. */
     TbScheduler *_sched = nullptr;
+    /** The data access in flight (beginAccess) and its transaction. */
+    WarpBatch _access;
+    std::uint64_t _accessTxn = 0;
 
     /** What the coroutine is suspended on (hang diagnostics). */
     struct WaitRecord
     {
         WaitKind kind = WaitKind::Load;
         Addr addr = 0;
-        /** Words (loadMany / storeMany) or cycles (delay). */
+        /** Words (load / store) or cycles (delay). */
         std::uint64_t count = 0;
         /** The access itself (sync waits only). */
         SyncOp op;

@@ -113,7 +113,6 @@ TEST(AxiomModel, ModelPerConfig)
 
     EXPECT_TRUE(modelFor(ProtocolConfig::gh()).scoped);
     EXPECT_FALSE(modelFor(ProtocolConfig::gd()).scoped);
-    EXPECT_TRUE(modelFor(ProtocolConfig::ddse()).engineSideSync);
 
     // DRF folds every annotation; HRF keeps them.
     AxiomModel drf = modelFor(ProtocolConfig::dd());

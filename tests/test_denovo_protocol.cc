@@ -309,13 +309,14 @@ TEST(DenovoProtocol, ConcurrentMixedReadersAndWriter)
     // Concurrent remote reads and one remote write.
     unsigned done = 0;
     std::vector<std::uint32_t> read_values(4, 0);
+    WordAccesses words;
     for (unsigned i = 0; i < 4; ++i) {
-        sys.l1(1 + i).load(kData, [&, i](std::uint32_t v) {
+        words.load(sys.l1(1 + i), kData, [&, i](std::uint32_t v) {
             read_values[i] = v;
             ++done;
         });
     }
-    sys.l1(7).store(kData, 9, [&] { ++done; });
+    words.store(sys.l1(7), kData, 9, [&] { ++done; });
     bool drained = false;
     sys.l1(7).drainWrites(Scope::Global, [&] { drained = true; });
     while ((done < 5 || !drained) && sys.eventQueue().step()) {

@@ -1,13 +1,15 @@
 /**
  * @file
  * Tests of the protocol-independent L1 shell (L1Controller): store
- * buffer overflow and the stall queue on every protocol column, and
- * the snapshot gauges that hang reports print, taken from both L1
- * families in the middle of an overflow drain.
+ * buffer overflow and the stall queue on every protocol column, the
+ * snapshot gauges that hang reports print, taken from both L1
+ * families in the middle of an overflow drain, and the fences a sync
+ * access implies under each consistency model.
  */
 
 #include <gtest/gtest.h>
 
+#include "coherence/denovo_l1.hh"
 #include "test_util.hh"
 
 using namespace nosync;
@@ -32,11 +34,11 @@ smallSbConfig(const ProtocolConfig &protocol)
 
 /** Issue kStores back-to-back stores on CU 0 without stepping. */
 void
-issueStores(System &sys, unsigned &done)
+issueStores(System &sys, WordAccesses &words, unsigned &done)
 {
     for (unsigned i = 0; i < kStores; ++i) {
-        sys.l1(0).store(kData + i * kWordBytes, i + 1,
-                        [&done] { ++done; });
+        words.store(sys.l1(0), kData + i * kWordBytes, i + 1,
+                    [&done] { ++done; });
     }
 }
 
@@ -52,7 +54,8 @@ TEST_P(L1Shell, StallQueueLongerThanStoreBuffer)
 {
     System sys(smallSbConfig(GetParam()));
     unsigned done = 0;
-    issueStores(sys, done);
+    WordAccesses words;
+    issueStores(sys, words, done);
     drainEvents(sys);
     EXPECT_EQ(done, kStores);
 
@@ -83,7 +86,8 @@ snapshotMidOverflowDrain(const ProtocolConfig &protocol)
 {
     System sys(smallSbConfig(protocol));
     unsigned done = 0;
-    issueStores(sys, done);
+    WordAccesses words;
+    issueStores(sys, words, done);
     ControllerSnapshot snap = sys.l1(0).snapshot();
 
     drainEvents(sys);
@@ -127,4 +131,77 @@ TEST(L1ShellSnapshot, DenovoGaugesMidOverflowDrain)
                   "line 0x10000 readPend=0x0 dataReg=0xf syncReg=0x0 "
                   "syncRun=0x0 waitWb=0x0 targets=0 syncQ=0 "
                   "remoteQ=0"});
+}
+
+namespace
+{
+
+/** What the L1 shell did around one sync access. */
+struct Fences
+{
+    double releaseDrains;
+    double acquireInvalidations;
+};
+
+SystemConfig
+configFor(const ProtocolConfig &protocol)
+{
+    SystemConfig config;
+    config.protocol = protocol;
+    return config;
+}
+
+/**
+ * Issue one sync access of @p scope and @p sem on CU 0 of the fresh
+ * System @p sys and count the fences its L1 applied.
+ */
+Fences
+fencesOfOneSync(System &sys, Scope scope, SyncSemantics sem)
+{
+    AtomicFunc func = sem == SyncSemantics::Acquire
+                          ? AtomicFunc::Load
+                          : AtomicFunc::FetchAdd;
+    doSync(sys, 0, makeSync(func, kData, 1, 0, scope, sem));
+    const stats::StatSet &stats = sys.stats();
+    return {stats.find("l1.0.release_drains")->value(),
+            stats.find("l1.0.acquire_invalidations")->value()};
+}
+
+} // namespace
+
+// DRF ignores the local annotation: the acq_rel sync drains before it
+// performs and self-invalidates after.
+TEST(FencePolicy, GpuDrfGlobalSyncDrainsAndInvalidates)
+{
+    System sys(configFor(ProtocolConfig::gd()));
+    Fences f = fencesOfOneSync(sys, Scope::Local,
+                               SyncSemantics::AcquireRelease);
+    EXPECT_EQ(f.releaseDrains, 1.0);
+    EXPECT_EQ(f.acquireInvalidations, 1.0);
+}
+
+// HRF honours it: a local acq_rel sync applies neither fence.
+TEST(FencePolicy, HrfLocalSyncSkipsFences)
+{
+    for (const ProtocolConfig &proto :
+         {ProtocolConfig::gh(), ProtocolConfig::dh()}) {
+        SCOPED_TRACE(proto.shortName());
+        System sys(configFor(proto));
+        Fences f = fencesOfOneSync(sys, Scope::Local,
+                                   SyncSemantics::AcquireRelease);
+        EXPECT_EQ(f.releaseDrains, 0.0);
+        EXPECT_EQ(f.acquireInvalidations, 0.0);
+    }
+}
+
+// A global pure acquire on DeNovo only self-invalidates, and it
+// performs at the L1, which now owns the sync word.
+TEST(FencePolicy, DenovoExecutesLocally)
+{
+    System sys(configFor(ProtocolConfig::dd()));
+    Fences f = fencesOfOneSync(sys, Scope::Global,
+                               SyncSemantics::Acquire);
+    EXPECT_EQ(f.releaseDrains, 0.0);
+    EXPECT_EQ(f.acquireInvalidations, 1.0);
+    EXPECT_TRUE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData));
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for protocol vocabulary: atomic semantics, configuration
- * naming/scoping, fence policy, energy model, and feature tables.
+ * naming/scoping, energy model, and feature tables.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "coherence/protocol.hh"
-#include "consistency/fence_policy.hh"
 #include "core/features.hh"
 #include "energy/energy_model.hh"
 
@@ -151,39 +150,6 @@ TEST(ProtocolConfig, DrfIgnoresScopeAnnotations)
               Scope::Local);
     EXPECT_EQ(ProtocolConfig::dh().effectiveScope(Scope::Global),
               Scope::Global);
-}
-
-TEST(FencePolicy, GpuDrfGlobalSyncDrainsAndInvalidates)
-{
-    SyncOp op;
-    op.sem = SyncSemantics::AcquireRelease;
-    op.scope = Scope::Local; // annotation ignored under DRF
-    FenceActions a = fenceActionsFor(op, ProtocolConfig::gd());
-    EXPECT_TRUE(a.drainBefore);
-    EXPECT_TRUE(a.invalidateAfter);
-    EXPECT_FALSE(a.mayExecuteLocally);
-}
-
-TEST(FencePolicy, HrfLocalSyncSkipsFences)
-{
-    SyncOp op;
-    op.sem = SyncSemantics::AcquireRelease;
-    op.scope = Scope::Local;
-    FenceActions a = fenceActionsFor(op, ProtocolConfig::gh());
-    EXPECT_FALSE(a.drainBefore);
-    EXPECT_FALSE(a.invalidateAfter);
-    EXPECT_TRUE(a.mayExecuteLocally);
-}
-
-TEST(FencePolicy, DenovoExecutesLocally)
-{
-    SyncOp op;
-    op.sem = SyncSemantics::Acquire;
-    op.scope = Scope::Global;
-    FenceActions a = fenceActionsFor(op, ProtocolConfig::dd());
-    EXPECT_TRUE(a.mayExecuteLocally);
-    EXPECT_TRUE(a.invalidateAfter);
-    EXPECT_FALSE(a.drainBefore); // pure acquire
 }
 
 TEST(EnergyModel, ComponentsAccumulate)

@@ -55,7 +55,8 @@ TEST(ProtocolRaces, FillMustNotShadowBufferedStoreDenovo)
     // Buffer a store, then force a fill of the same line via a load
     // of a different word while the store is still in the SB.
     bool stored = false;
-    sys.l1(0).store(kLine, 222, [&] { stored = true; });
+    WordAccesses words;
+    words.store(sys.l1(0), kLine, 222, [&] { stored = true; });
     std::uint32_t other = doLoad(sys, 0, kOther);
     EXPECT_EQ(other, 0u);
     while (!stored && sys.eventQueue().step()) {
@@ -69,7 +70,8 @@ TEST(ProtocolRaces, FillMustNotShadowBufferedStoreGpu)
     System sys(gd());
     sys.writeInit(kLine, 111);
     bool stored = false;
-    sys.l1(0).store(kLine, 222, [&] { stored = true; });
+    WordAccesses words;
+    words.store(sys.l1(0), kLine, 222, [&] { stored = true; });
     doLoad(sys, 0, kOther);
     while (!stored && sys.eventQueue().step()) {
     }
@@ -82,7 +84,8 @@ TEST(ProtocolRaces, DrainedStoreStaysVisibleUntilRegistered)
     // Store, start the drain, and read back at every step until the
     // registration completes: the value must never flicker.
     bool stored = false;
-    sys.l1(0).store(kLine, 77, [&] { stored = true; });
+    WordAccesses words;
+    words.store(sys.l1(0), kLine, 77, [&] { stored = true; });
     while (!stored && sys.eventQueue().step()) {
     }
     bool drained = false;
@@ -102,7 +105,8 @@ TEST(ProtocolRaces, DrainedStoreStaysVisibleGpu)
 {
     System sys(gd());
     bool stored = false;
-    sys.l1(0).store(kLine, 88, [&] { stored = true; });
+    WordAccesses words;
+    words.store(sys.l1(0), kLine, 88, [&] { stored = true; });
     while (!stored && sys.eventQueue().step()) {
     }
     bool drained = false;
@@ -220,12 +224,12 @@ TEST(ProtocolRaces, ReadForwardServedFromWritebackBuffer)
     // Trigger the eviction but do NOT wait for the writeback to
     // land; immediately read from CU 1.
     bool evicted = false;
-    sys.l1(0).load(kLine + 0x100, [&](std::uint32_t) {});
-    sys.l1(0).load(kLine + 0x200, [&](std::uint32_t) {});
-    sys.l1(0).load(kLine + 0x300, [&](std::uint32_t) {});
-    sys.l1(0).load(kLine + 0x400, [&](std::uint32_t) {
-        evicted = true;
-    });
+    WordAccesses words;
+    words.load(sys.l1(0), kLine + 0x100);
+    words.load(sys.l1(0), kLine + 0x200);
+    words.load(sys.l1(0), kLine + 0x300);
+    words.load(sys.l1(0), kLine + 0x400,
+               [&](std::uint32_t) { evicted = true; });
     while (!evicted && sys.eventQueue().step()) {
     }
     EXPECT_EQ(doLoad(sys, 1, kLine), 909u);
@@ -240,16 +244,17 @@ TEST(ProtocolRaces, RegistrationWaitsForWritebackAck)
     config.geometry.l1Bytes = 256;
     config.geometry.l1Assoc = 2;
     System sys(config);
+    WordAccesses words;
 
     for (std::uint32_t round = 0; round < 6; ++round) {
         doStore(sys, 0, kLine, 100 + round);
         doDrain(sys, 0);
         // Evict (writeback leaves), then without waiting store the
         // next value and drain again.
-        sys.l1(0).load(kLine + 0x100, [](std::uint32_t) {});
-        sys.l1(0).load(kLine + 0x200, [](std::uint32_t) {});
-        sys.l1(0).load(kLine + 0x300, [](std::uint32_t) {});
-        sys.l1(0).load(kLine + 0x400, [](std::uint32_t) {});
+        words.load(sys.l1(0), kLine + 0x100);
+        words.load(sys.l1(0), kLine + 0x200);
+        words.load(sys.l1(0), kLine + 0x300);
+        words.load(sys.l1(0), kLine + 0x400);
         doStore(sys, 0, kLine, 200 + round);
         doDrain(sys, 0);
         drainEvents(sys);
@@ -267,7 +272,8 @@ TEST(ProtocolRaces, EpochPreciseFillServing)
 
     // Issue a load (fill in flight)...
     std::uint32_t first = 0xdead;
-    sys.l1(0).load(kLine, [&](std::uint32_t v) { first = v; });
+    WordAccesses words;
+    words.load(sys.l1(0), kLine, [&](std::uint32_t v) { first = v; });
     // ...meanwhile CU 1 updates the word and releases...
     doStore(sys, 1, kLine + 0x1000, 0); // unrelated warmup
     // ...and CU 0 performs an acquire before the fill lands.
@@ -312,12 +318,13 @@ TEST(ProtocolRaces, ConcurrentDrainAndRemoteReadKeepsCoherence)
     sys.l1(0).drainWrites(Scope::Global, [&] { drained = true; });
     std::vector<std::uint32_t> got(8, 0xdead);
     unsigned done = 0;
+    WordAccesses words;
     for (unsigned i = 0; i < 8; ++i) {
-        sys.l1(1).load(kLine + i * kLineBytes,
-                       [&, i](std::uint32_t v) {
-                           got[i] = v;
-                           ++done;
-                       });
+        words.load(sys.l1(1), kLine + i * kLineBytes,
+                   [&, i](std::uint32_t v) {
+                       got[i] = v;
+                       ++done;
+                   });
     }
     while ((!drained || done < 8) && sys.eventQueue().step()) {
     }

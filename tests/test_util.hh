@@ -7,6 +7,8 @@
 #define TESTS_TEST_UTIL_HH
 
 #include <cstdio>
+#include <deque>
+#include <functional>
 #include <ostream>
 #include <string>
 
@@ -83,13 +85,72 @@ drainEvents(System &system, Tick limit = 50'000'000)
     system.eventQueue().run(system.eventQueue().now() + limit);
 }
 
+/**
+ * One-word data accesses issued straight into an L1, as a thread
+ * block issues a plain load or store: a one-word loadMany or
+ * storeMany. Each access's WarpBatch stays in place until this object
+ * goes, so an access still in flight when a test ends is freed with
+ * it; declare the object after the System it drives.
+ */
+class WordAccesses
+{
+  public:
+    /** Load @p addr through @p l1; @p done gets the value. */
+    void
+    load(L1Controller &l1, Addr addr,
+         std::function<void(std::uint32_t)> done = {})
+    {
+        Word &w = issue(addr, 0, std::move(done));
+        l1.loadMany({&w.addr, 1}, {&w.value, 1}, w.batch);
+    }
+
+    /** Store @p value to @p addr through @p l1; @p done fires when
+     *  the store retires. */
+    void
+    store(L1Controller &l1, Addr addr, std::uint32_t value,
+          std::function<void()> done = {})
+    {
+        Word &w = issue(addr, value, [done = std::move(done)](
+                                         std::uint32_t) {
+            if (done)
+                done();
+        });
+        l1.storeMany({&w.addr, 1}, {&w.value, 1}, w.batch);
+    }
+
+  private:
+    struct Word
+    {
+        Addr addr;
+        std::uint32_t value;
+        std::function<void(std::uint32_t)> done;
+        WarpBatch batch;
+    };
+
+    Word &
+    issue(Addr addr, std::uint32_t value,
+          std::function<void(std::uint32_t)> done)
+    {
+        // A deque keeps every Word in place as more are issued.
+        Word &w = _words.emplace_back(addr, value, std::move(done));
+        w.batch.done = [&w] {
+            if (w.done)
+                w.done(w.value);
+        };
+        return w;
+    }
+
+    std::deque<Word> _words;
+};
+
 /** Synchronously perform a load through a CU's L1. */
 inline std::uint32_t
 doLoad(System &system, unsigned cu, Addr addr)
 {
     std::uint32_t out = 0;
     bool done = false;
-    system.l1(cu).load(addr, [&](std::uint32_t v) {
+    WordAccesses words;
+    words.load(system.l1(cu), addr, [&](std::uint32_t v) {
         out = v;
         done = true;
     });
@@ -104,7 +165,8 @@ inline void
 doStore(System &system, unsigned cu, Addr addr, std::uint32_t value)
 {
     bool done = false;
-    system.l1(cu).store(addr, value, [&] { done = true; });
+    WordAccesses words;
+    words.store(system.l1(cu), addr, value, [&] { done = true; });
     while (!done && system.eventQueue().step()) {
     }
     EXPECT_TRUE(done) << "store never completed";

@@ -85,8 +85,9 @@ initWords(System &sys, const std::vector<Addr> &addrs)
 }
 
 /**
- * Issue plain loads of @p addrs at once on CU 0 of a fresh system:
- * the per-word reference a batch must finish with.
+ * Issue plain loads of @p addrs at once on CU 0 of a fresh system,
+ * each its own one-word batch: the per-word reference a batch must
+ * finish with.
  */
 struct PlainLoads
 {
@@ -100,8 +101,9 @@ plainLoads(System &sys, const std::vector<Addr> &addrs)
     PlainLoads ref;
     EventQueue &eq = sys.eventQueue();
     std::uint64_t before = eq.executed();
+    WordAccesses words;
     for (Addr addr : addrs) {
-        sys.l1(0).load(addr, [&ref, &eq](std::uint32_t) {
+        words.load(sys.l1(0), addr, [&ref, &eq](std::uint32_t) {
             ref.lastDone = std::max(ref.lastDone, eq.now());
         });
     }
@@ -328,11 +330,12 @@ TEST_P(WarpAccess, SynchronousOverflowDrainKeepsEveryTick)
     System sys(smallSb(GetParam()));
     EventQueue &eq = sys.eventQueue();
     L1Controller &l1 = sys.l1(0);
+    WordAccesses words;
     for (unsigned i = 0; i < 4; ++i)
-        l1.store(kBase + i * kWordBytes, 1 + i, [] {});
+        words.store(l1, kBase + i * kWordBytes, 1 + i);
     l1.drainWrites(Scope::Global, [] {});
     for (unsigned i = 0; i < 4; ++i)
-        l1.store(kBase + i * kWordBytes, 11 + i, [] {});
+        words.store(l1, kBase + i * kWordBytes, 11 + i);
     eq.run();
     Tick start = eq.now();
 
