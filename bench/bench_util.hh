@@ -309,10 +309,13 @@ class WallTimer
 /**
  * @p base with ".<label>" inserted before its extension (".json" if
  * it has none): per-cell trace and race files, per-scale records.
+ * An empty @p label leaves @p base as it is.
  */
 inline std::string
 labeledPath(const std::string &base, const std::string &label)
 {
+    if (label.empty())
+        return base;
     std::string::size_type dot = base.rfind('.');
     std::string::size_type slash = base.rfind('/');
     std::string stem = base;
@@ -453,54 +456,6 @@ requireAllOk(const std::vector<RunResult> &results)
 }
 
 /**
- * Run a workload group across configurations, fanned out over
- * opts.jobs threads. Cells are aggregated in (workload, config)
- * order, so every downstream table is bitwise identical regardless
- * of the thread count.
- */
-inline std::vector<WorkloadResults>
-runMatrix(const std::vector<std::string> &workloads,
-          const std::vector<ProtocolConfig> &configs,
-          const Options &opts,
-          const std::function<void(SystemConfig &)> &tweak = {})
-{
-    struct CellSpec
-    {
-        const std::string *workload;
-        const ProtocolConfig *proto;
-    };
-    std::vector<CellSpec> cells;
-    cells.reserve(workloads.size() * configs.size());
-    for (const auto &name : workloads) {
-        for (const auto &proto : configs)
-            cells.push_back(CellSpec{&name, &proto});
-    }
-
-    SweepRunner runner(opts.jobs);
-    std::vector<RunResult> flat =
-        runner.map(cells.size(), [&](std::size_t i) {
-            SweepRunner::log("  running " + *cells[i].workload +
-                             " on " + cells[i].proto->shortName() +
-                             "...");
-            return runCell(*cells[i].workload, *cells[i].proto, opts,
-                           tweak);
-        });
-    requireAllOk(flat);
-
-    std::vector<WorkloadResults> results;
-    results.reserve(workloads.size());
-    std::size_t i = 0;
-    for (const auto &name : workloads) {
-        WorkloadResults wr;
-        wr.workload = name;
-        for (std::size_t c = 0; c < configs.size(); ++c)
-            wr.runs.push_back(std::move(flat[i++]));
-        results.push_back(std::move(wr));
-    }
-    return results;
-}
-
-/**
  * Emit @p runs as a BENCH_*.json record when --json=PATH was given.
  * Call once per record, at the end, with every cell it holds. A
  * harness that writes several records names each with a @p label:
@@ -520,8 +475,7 @@ maybeWriteJson(const Options &opts, const std::string &harness,
     for (const RunResult &run : runs)
         record.add(run, opts.scalePercent);
     record.wallMillis = timer.millis();
-    std::string path =
-        label.empty() ? opts.jsonPath : labeledPath(opts.jsonPath, label);
+    std::string path = labeledPath(opts.jsonPath, label);
     if (!record.writeJson(path)) {
         std::cerr << "error: cannot write " << path << "\n";
         std::exit(1);

@@ -15,10 +15,7 @@ System::System(const SystemConfig &config) : _config(config)
     fatal_if(!invalid.empty(), "invalid SystemConfig: ", invalid);
 
     if (_config.observability.traceEnabled) {
-        _trace = std::make_unique<trace::TraceSink>(
-            _stats, _config.observability.traceCapacity
-                        ? _config.observability.traceCapacity
-                        : trace::TraceSink::kDefaultCapacity);
+        _trace = std::make_unique<trace::TraceSink>(_stats);
     }
     if (_config.checking.raceCheckEnabled) {
         _races = std::make_unique<analysis::RaceDetector>(
@@ -326,10 +323,8 @@ System::run(Workload &workload)
     collectMetrics(result);
 
     result.checkFailures = workload.check(*this);
-    if (_config.checking.checkAtQuiesce) {
-        for (auto &v : checker.sweepQuiesced())
-            result.checkFailures.push_back(std::move(v));
-    }
+    for (auto &v : checker.sweepQuiesced())
+        result.checkFailures.push_back(std::move(v));
     if (_races) {
         result.races =
             _races->finalize(result.workload, result.config);

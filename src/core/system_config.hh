@@ -83,9 +83,6 @@ struct SystemConfig
          */
         Tick checkPeriod = 0;
 
-        /** Run the full invariant sweep after the workload quiesces. */
-        bool checkAtQuiesce = true;
-
         /**
          * Happens-before race checking: when set, the System
          * constructs an analysis::RaceDetector and wires it into the
@@ -119,9 +116,6 @@ struct SystemConfig
          * same run produce bitwise-identical simulated results.
          */
         bool traceEnabled = false;
-
-        /** Trace ring capacity in events; 0 uses the sink default. */
-        std::size_t traceCapacity = 0;
     };
     Observability observability{};
 

@@ -111,24 +111,6 @@ StatSet::findDistribution(const std::string &name) const
     return it == _dists.end() ? nullptr : it->second.get();
 }
 
-double
-StatSet::get(const std::string &name) const
-{
-    const Scalar *s = find(name);
-    return s ? s->value() : 0.0;
-}
-
-double
-StatSet::getVec(const std::string &name, const std::string &subname)
-    const
-{
-    const Vector *vec = findVector(name);
-    if (!vec)
-        return 0.0;
-    int i = vec->indexOf(subname);
-    return i < 0 ? 0.0 : vec->value(static_cast<std::size_t>(i));
-}
-
 void
 StatSet::resetAll()
 {

@@ -257,9 +257,8 @@ class StatSet
                    const std::vector<std::string> &subnames);
 
     /**
-     * Look up a scalar; nullptr when absent. Unlike the deprecated
-     * get(), a caller can tell "never registered" (a typo'd name)
-     * from "registered but zero".
+     * Look up a scalar; nullptr when absent, so a caller can tell
+     * "never registered" (a typo'd name) from "registered but zero".
      */
     const Scalar *find(const std::string &name) const;
 
@@ -268,22 +267,6 @@ class StatSet
 
     /** Look up a distribution; nullptr when absent. */
     const Distribution *findDistribution(const std::string &name) const;
-
-    /**
-     * Look up a scalar's value; returns 0 when absent.
-     * @deprecated use find() — a return of 0.0 is ambiguous between
-     * a zero-valued statistic and a typo'd name.
-     */
-    [[deprecated("use find(); 0.0 is ambiguous for absent stats")]]
-    double get(const std::string &name) const;
-
-    /**
-     * Look up one entry of a vector by "name::subname" convention.
-     * @deprecated use findVector() + Vector::indexOf().
-     */
-    [[deprecated("use findVector() + indexOf()")]]
-    double getVec(const std::string &name,
-                  const std::string &subname) const;
 
     /** Reset every statistic to zero. */
     void resetAll();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "core/report.hh"
+#include "matrices.hh"
 #include "test_util.hh"
 #include "workloads/apps.hh"
 #include "workloads/registry.hh"
@@ -72,6 +73,75 @@ TEST(Report, RenderFigureContainsRowsAndAverage)
     EXPECT_NE(table.find("GD"), std::string::npos);
     EXPECT_NE(table.find("80.00%"), std::string::npos);
     EXPECT_NE(table.find("AVG"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Headline claims over the Fig. 2-4 matrices
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Two workloads per Fig. 2-4 matrix, each column's time, energy and
+ * traffic equal to its rank: DH < DD+RO < GH < DD < GD, so every
+ * reproduced direction holds.
+ */
+bench::FigureResults
+rankedFigures()
+{
+    const std::map<std::string, double> rank = {
+        {"DH", 1}, {"DD+RO", 2}, {"GH", 3}, {"DD", 4}, {"GD", 5}};
+    bench::FigureResults figures;
+    for (const char *name :
+         {"fig2_apps", "fig3_global_sync", "fig4_local_sync"}) {
+        const bench::MatrixSpec &spec = bench::matrix(name);
+        for (const char *workload : {"W0", "W1"}) {
+            WorkloadResults wr;
+            wr.workload = workload;
+            for (const ProtocolConfig &proto :
+                 spec.columns(bench::Options())) {
+                double r = rank.at(proto.shortName());
+                wr.runs.push_back(fakeRun(proto.shortName(),
+                                          static_cast<Tick>(r), r, r));
+            }
+            figures[name].push_back(wr);
+        }
+    }
+    return figures;
+}
+
+} // namespace
+
+TEST(HeadlineClaims, EveryDirectionHoldsOnRankedTable)
+{
+    EXPECT_TRUE(bench::flippedClaims(rankedFigures()).empty());
+}
+
+TEST(HeadlineClaims, NamesTheOneFlippedDirection)
+{
+    // DD+RO overtakes DH on Fig. 4 time: only H6's DD+RO row flips.
+    bench::FigureResults figures = rankedFigures();
+    for (WorkloadResults &wr : figures["fig4_local_sync"])
+        wr.runs[bench::columnOf(figures["fig4_local_sync"], "DD+RO")]
+            .cycles = 0;
+    std::vector<std::string> flipped = bench::flippedClaims(figures);
+    ASSERT_EQ(flipped.size(), 1u);
+    EXPECT_EQ(flipped[0], "H6: Fig4a average DH 20.00% is not below "
+                          "DD+RO 0.00%");
+}
+
+TEST(HeadlineClaims, FlippedTrafficNamesItsFigurePart)
+{
+    // GD carries less Fig. 3 traffic than DD: H2's traffic row flips,
+    // its time and energy rows hold.
+    bench::FigureResults figures = rankedFigures();
+    for (WorkloadResults &wr : figures["fig3_global_sync"])
+        wr.runs[0].trafficTotal = 2;
+    std::vector<std::string> flipped = bench::flippedClaims(figures);
+    ASSERT_EQ(flipped.size(), 1u);
+    EXPECT_EQ(flipped[0], "H2: Fig3c average DD 200.00% is not below "
+                          "GD 100.00%");
 }
 
 // ---------------------------------------------------------------------
