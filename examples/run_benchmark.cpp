@@ -4,9 +4,10 @@
  * configuration, optionally dumping the full statistics report.
  *
  * Usage: run_benchmark <workload> <GD|GH|DD|DD+RO|DH|DD+SE|DD+PR>
- *                      [scale-percent] [--stats] [--progress]
+ *                      [scale-percent] [--stats] [--watchdog=CYCLES]
  */
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
@@ -31,6 +32,20 @@ parseConfig(const std::string &name)
     std::exit(2);
 }
 
+/** A decimal in [1, max]; anything else (a sign, a space) exits 2. */
+unsigned long long
+parseNumber(const char *text, unsigned long long max)
+{
+    unsigned long long num = 0;
+    const char *end = text + std::strlen(text);
+    auto [stop, err] = std::from_chars(text, end, num);
+    if (err == std::errc() && stop == end && num >= 1 && num <= max)
+        return num;
+    std::cerr << "error: expected a number in [1, " << max
+              << "], got '" << text << "'\n";
+    std::exit(2);
+}
+
 } // namespace
 
 int
@@ -39,44 +54,28 @@ main(int argc, char **argv)
     if (argc < 3) {
         std::cerr << "usage: " << argv[0]
                   << " <workload> <config> [scale%] [--stats]"
-                  << " [--progress]\n";
+                  << " [--watchdog=CYCLES]\n";
         return 2;
     }
-    std::string workload_name = argv[1];
-    ProtocolConfig proto = parseConfig(argv[2]);
+    SystemConfig config;
+    config.protocol = parseConfig(argv[2]);
     unsigned scale = 100;
     bool dump_stats = false;
-    bool progress = false;
-    Tick watchdog = 0;
     for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--stats") == 0)
+        if (std::strcmp(argv[i], "--stats") == 0) {
             dump_stats = true;
-        else if (std::strcmp(argv[i], "--progress") == 0)
-            progress = true;
-        else if (std::strncmp(argv[i], "--watchdog=", 11) == 0)
-            watchdog = std::strtoull(argv[i] + 11, nullptr, 10);
-        else
-            scale = static_cast<unsigned>(std::atoi(argv[i]));
+        } else if (std::strncmp(argv[i], "--watchdog=", 11) == 0) {
+            config.execution.maxCycles = parseNumber(argv[i] + 11, ~0ull);
+        } else if (std::strncmp(argv[i], "--", 2) == 0) {
+            std::cerr << "error: unknown flag " << argv[i] << "\n";
+            return 2;
+        } else {
+            scale = parseNumber(argv[i], 100);
+        }
     }
 
-    auto workload = makeScaled(workload_name, scale);
-    SystemConfig config;
-    config.protocol = proto;
-    if (watchdog != 0)
-        config.execution.maxCycles = watchdog;
+    auto workload = makeScaled(argv[1], scale);
     System system(config);
-
-    if (progress) {
-        // Periodic heartbeat so hangs are visible.
-        std::function<void()> beat = [&] {
-            std::cerr << "  tick " << system.eventQueue().now()
-                      << " events "
-                      << system.eventQueue().executed() << "\n";
-            system.eventQueue().scheduleIn(100000, beat);
-        };
-        system.eventQueue().scheduleIn(100000, beat);
-    }
-
     RunResult result = system.run(*workload);
 
     std::cout << result.workload << " on " << result.config << "\n"

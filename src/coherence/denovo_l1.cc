@@ -172,6 +172,23 @@ DenovoL1Cache::evictFrame(CacheLine &victim)
 }
 
 void
+DenovoL1Cache::registerUnlessHeld(LineEntry &entry, Addr line_addr,
+                                  WordMask mask, bool is_sync)
+{
+    // A word whose writeback is still in flight must not re-register
+    // until the ack returns, or the registry could process the
+    // requests out of order and accept the stale writeback over the
+    // new registration.
+    if (const WbEntry *wb = _wbBuffer.find(line_addr)) {
+        WordMask held = mask & wb->mask;
+        entry.regWaitingWb |= held;
+        mask &= ~held;
+    }
+    if (mask != 0)
+        issueRegistration(line_addr, mask, is_sync);
+}
+
+void
 DenovoL1Cache::releaseHeldRegistrations(Addr line_addr)
 {
     LineEntry *entry = _mshr.find(line_addr);
@@ -337,17 +354,11 @@ DenovoL1Cache::installReadData(Addr line_addr, WordMask mask,
                                const LineData &values,
                                std::uint64_t sent_epoch)
 {
+    // An acquire intervened: only words that survive it may install.
+    if (sent_epoch != _curEpoch)
+        mask &= acquireSurvivors(line_addr);
     if (mask == 0)
         return;
-    if (sent_epoch != _curEpoch) {
-        // An acquire intervened: only read-only-region words (exempt
-        // from self-invalidation under DD+RO) may still install.
-        if (!_config.readOnlyRegions())
-            return;
-        mask &= _regions.readOnlyMask(line_addr);
-        if (mask == 0)
-            return;
-    }
     if (LineEntry *entry = _mshr.find(line_addr)) {
         // Never install over a word whose fresh value is still
         // pending locally (awaiting registration or a sync grant):
@@ -660,21 +671,10 @@ DenovoL1Cache::issueDrain()
         }
         _pendingWrites += popcount(newly_pending);
         entry.dataRegPending |= reg_mask;
-        WordMask to_request =
-            newly_pending & ~entry.syncRegPending & ~entry.syncRunning;
-        // A word whose writeback is still in flight must not
-        // re-register until the ack returns, or the registry could
-        // process the requests out of order and accept the stale
-        // writeback over the new registration.
-        if (const WbEntry *wb = _wbBuffer.find(group.lineAddr)) {
-            WordMask held = to_request & wb->mask;
-            if (held != 0) {
-                entry.regWaitingWb |= held;
-                to_request &= ~held;
-            }
-        }
-        if (to_request != 0)
-            issueRegistration(group.lineAddr, to_request, false);
+        registerUnlessHeld(entry, group.lineAddr,
+                           newly_pending & ~entry.syncRegPending &
+                               ~entry.syncRunning,
+                           false);
     }
 }
 
@@ -835,13 +835,7 @@ DenovoL1Cache::performOwnedSync(std::uint32_t slot)
 
     ++_stats.syncMisses;
     entry.syncRegPending |= bit;
-    const WbEntry *wb = _wbBuffer.find(line_addr);
-    if (wb && (wb->mask & bit)) {
-        // Writeback in flight: register once it is acknowledged.
-        entry.regWaitingWb |= bit;
-        return;
-    }
-    issueRegistration(line_addr, bit, true);
+    registerUnlessHeld(entry, line_addr, bit, true);
 }
 
 bool
@@ -925,11 +919,7 @@ DenovoL1Cache::processSyncQueue(Addr line_addr, unsigned word)
             !(entry->dataRegPending & bit)) {
             ++_stats.syncMisses;
             entry->syncRegPending |= bit;
-            const WbEntry *wb = _wbBuffer.find(line_addr);
-            if (wb && (wb->mask & bit))
-                entry->regWaitingWb |= bit;
-            else
-                issueRegistration(line_addr, bit, true);
+            registerUnlessHeld(*entry, line_addr, bit, true);
         }
         maybeFreeEntry(line_addr);
         return;
@@ -1178,6 +1168,13 @@ DenovoL1Cache::handleTransferReq(Addr line_addr, WordMask mask,
 // Acquire-side invalidation
 // ---------------------------------------------------------------------
 
+WordMask
+DenovoL1Cache::acquireSurvivors(Addr line_addr) const
+{
+    return _config.readOnlyRegions() ? _regions.readOnlyMask(line_addr)
+                                     : 0;
+}
+
 void
 DenovoL1Cache::refreshLine(CacheLine &line)
 {
@@ -1186,9 +1183,7 @@ DenovoL1Cache::refreshLine(CacheLine &line)
     // Read the live region map, never a fill-time copy: regions
     // re-declared since this line filled must not leave a word that
     // is no longer read-only surviving the acquire with stale data.
-    WordMask keep_ro = _config.readOnlyRegions()
-                           ? _regions.readOnlyMask(line.addr)
-                           : 0;
+    WordMask keep_ro = acquireSurvivors(line.addr);
     bool any_left = false;
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         WordMask bit = static_cast<WordMask>(1u << w);
@@ -1325,8 +1320,7 @@ DenovoL1Cache::wordState(Addr addr) const
     if (st == WordState::Valid && line->epoch != _curEpoch) {
         // Interpret lazy invalidation without mutating, as
         // refreshLine would.
-        bool kept = _config.readOnlyRegions() &&
-                    (_regions.readOnlyMask(line->addr) & (1u << w));
+        bool kept = acquireSurvivors(line->addr) & (1u << w);
         return kept ? WordState::Valid : WordState::Invalid;
     }
     return st;

@@ -230,6 +230,9 @@ class DenovoL1Cache final : public L1Controller
                              const LineData &data);
     void onStreamAck(Addr line_addr, WordMask mask);
 
+    /** Register @p mask; words a writeback still holds wait for it. */
+    void registerUnlessHeld(LineEntry &entry, Addr line_addr,
+                            WordMask mask, bool is_sync);
     /** Issue registrations that were waiting for a writeback ack. */
     void releaseHeldRegistrations(Addr line_addr);
 
@@ -300,6 +303,8 @@ class DenovoL1Cache final : public L1Controller
      * Registered words are never invalidated).
      */
     void refreshLine(CacheLine &line);
+    /** Words that survive an acquire (DD+RO: the read-only ones). */
+    WordMask acquireSurvivors(Addr line_addr) const;
 
     /** Obtain ownership of the sync word, then perform at this L1. */
     void performOwnedSync(std::uint32_t slot);

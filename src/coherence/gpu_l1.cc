@@ -415,10 +415,10 @@ GpuL1Cache::refreshLine(CacheLine &line)
         WordMask bit = static_cast<WordMask>(1u << w);
         if (line.wstate[w] != WordState::Valid)
             continue;
-        // HRF keeps this CU's own partial writes: racing writes from
-        // other scopes would be heterogeneous races anyway.
-        if (_config.consistency() == ConsistencyModel::Hrf &&
-            (line.dirty & bit)) {
+        // HRF keeps this CU's own partial writes (only HRF sets
+        // dirty bits): racing writes from other scopes would be
+        // heterogeneous races anyway.
+        if (line.dirty & bit) {
             ++_stats.wordsPreserved;
             continue;
         }
@@ -534,10 +534,7 @@ GpuL1Cache::wordValid(Addr addr) const
     if (line->wstate[w] != WordState::Valid)
         return false;
     // Interpret lazy flash invalidation without mutating.
-    if (line->epoch == _curEpoch)
-        return true;
-    return _config.consistency() == ConsistencyModel::Hrf &&
-           (line->dirty & (1u << w));
+    return line->epoch == _curEpoch || (line->dirty & (1u << w));
 }
 
 // ---------------------------------------------------------------------

@@ -1,6 +1,7 @@
 #include "workloads/registry.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "sim/logging.hh"
 #include "workloads/apps.hh"
@@ -14,6 +15,7 @@ namespace nosync
 namespace
 {
 
+/** Fewer iterations and threads below 100%; the defaults at 100. */
 MicrobenchParams
 scaledMicro(unsigned scale_percent)
 {
@@ -25,6 +27,7 @@ scaledMicro(unsigned scale_percent)
     return params;
 }
 
+/** Fewer tree nodes below 100%; the paper's 16K at 100. */
 UtsParams
 scaledUts(unsigned scale_percent)
 {
@@ -34,27 +37,51 @@ scaledUts(unsigned scale_percent)
     return params;
 }
 
-/** Reduced-scale graph variant, or nullptr if @p name is not one. */
-std::unique_ptr<Workload>
-scaledGraph(const std::string &name)
+/** An app row: its paper-size arguments at 100%, reduced below. */
+template <class App>
+WorkloadFactory
+app(std::array<unsigned, 2> paper, std::array<unsigned, 2> reduced)
 {
-    GraphParams params;
-    params.nodes = 64;
-    params.rounds = 3;
-    Traversal dir = name.find("_PUSH") != std::string::npos
-                        ? Traversal::Push
-                        : Traversal::Pull;
-    GraphShape shape =
-        name.size() > 3 && name.compare(name.size() - 3, 3, "_PL") == 0
-            ? GraphShape::PowerLaw
-            : GraphShape::Mesh;
-    if (name.rfind("BFS_", 0) == 0)
-        return std::make_unique<Bfs>(dir, shape, params);
-    if (name.rfind("PR_", 0) == 0)
-        return std::make_unique<Pagerank>(dir, shape, params);
-    if (name.rfind("SSSP_", 0) == 0)
-        return std::make_unique<Sssp>(dir, shape, params);
-    return nullptr;
+    return [=](unsigned scale_percent) {
+        const auto &args = scale_percent < 100 ? reduced : paper;
+        return std::make_unique<App>(args[0], args[1]);
+    };
+}
+
+/** A mutex row: its (kind, scope) pair with the scaled params. */
+WorkloadFactory
+mutex(MutexKind kind, Scope scope)
+{
+    return [=](unsigned scale_percent) {
+        return std::make_unique<MutexBench>(kind, scope,
+                                            scaledMicro(scale_percent));
+    };
+}
+
+/** A microbenchmark built from its one flag and the scaled params. */
+template <class Bench>
+WorkloadFactory
+micro(bool variant)
+{
+    return [=](unsigned scale_percent) {
+        return std::make_unique<Bench>(variant,
+                                       scaledMicro(scale_percent));
+    };
+}
+
+/** A graph row: 64 vertices and 3 rounds below 100%. */
+template <class Graph>
+WorkloadFactory
+graph(Traversal dir, GraphShape shape)
+{
+    return [=](unsigned scale_percent) {
+        GraphParams params;
+        if (scale_percent < 100) {
+            params.nodes = 64;
+            params.rounds = 3;
+        }
+        return std::make_unique<Graph>(dir, shape, params);
+    };
 }
 
 } // namespace
@@ -65,158 +92,93 @@ workloadRegistry()
     static const std::vector<WorkloadDesc> registry = {
         // Applications without intra-kernel synchronization.
         {"BP", "no-sync", "512-in x 128-hid layer",
-         [] { return std::make_unique<Backprop>(512, 128); }},
+         app<Backprop>({512, 128}, {128, 64})},
         {"PF", "no-sync", "10 x 100K grid",
-         [] { return std::make_unique<Pathfinder>(100000, 10); }},
+         app<Pathfinder>({100000, 10}, {2048, 8})},
         {"LUD", "no-sync", "128x128 matrix, 32 steps",
-         [] { return std::make_unique<Lud>(128, 32); }},
+         app<Lud>({128, 32}, {48, 12})},
         {"NW", "no-sync", "256x256 matrix, 16x16 blocks",
-         [] { return std::make_unique<Nw>(256, 16); }},
+         app<Nw>({256, 16}, {96, 8})},
         {"SGEMM", "no-sync", "256x256, 16x16 tiles",
-         [] { return std::make_unique<Sgemm>(256, 16); }},
+         app<Sgemm>({256, 16}, {96, 16})},
         {"ST", "no-sync", "512x512 grid, 4 iters",
-         [] { return std::make_unique<Stencil>(512, 4); }},
+         app<Stencil>({512, 4}, {64, 4})},
         {"HS", "no-sync", "512x512 grid, 2 iters",
-         [] { return std::make_unique<Hotspot>(512, 2); }},
-        {"NN", "no-sync", "64K records",
-         [] { return std::make_unique<Nn>(65536, 30); }},
+         app<Hotspot>({512, 2}, {64, 2})},
+        {"NN", "no-sync", "64K records", app<Nn>({65536, 30}, {8192, 30})},
         {"SRAD", "no-sync", "256x256 image, 2 iters",
-         [] { return std::make_unique<Srad>(256, 2); }},
+         app<Srad>({256, 2}, {64, 2})},
         {"LAVA", "no-sync", "4x4x4 boxes, 20 particles",
-         [] { return std::make_unique<LavaMd>(); }},
+         app<LavaMd>({4, 20}, {3, 16})},
 
         // Globally scoped fine-grained synchronization.
         {"FAM_G", "global-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::FetchAdd,
-                                                 Scope::Global);
-         }},
+         mutex(MutexKind::FetchAdd, Scope::Global)},
         {"SLM_G", "global-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::Sleep,
-                                                 Scope::Global);
-         }},
+         mutex(MutexKind::Sleep, Scope::Global)},
         {"SPM_G", "global-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::Spin,
-                                                 Scope::Global);
-         }},
+         mutex(MutexKind::Spin, Scope::Global)},
         {"SPMBO_G", "global-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(
-                 MutexKind::SpinBackoff, Scope::Global);
-         }},
+         mutex(MutexKind::SpinBackoff, Scope::Global)},
 
         // Device-scoped synchronization (multi-device machines): one
         // mutex per device, synced at device scope. On one device
         // these degenerate to the _G variants.
         {"FAM_D", "device-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::FetchAdd,
-                                                 Scope::Device);
-         }},
+         mutex(MutexKind::FetchAdd, Scope::Device)},
         {"SPM_D", "device-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::Spin,
-                                                 Scope::Device);
-         }},
+         mutex(MutexKind::Spin, Scope::Device)},
 
         // Locally scoped / hybrid synchronization.
         {"FAM_L", "local-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::FetchAdd,
-                                                 Scope::Local);
-         }},
+         mutex(MutexKind::FetchAdd, Scope::Local)},
         {"SLM_L", "local-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::Sleep,
-                                                 Scope::Local);
-         }},
+         mutex(MutexKind::Sleep, Scope::Local)},
         {"SPM_L", "local-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(MutexKind::Spin,
-                                                 Scope::Local);
-         }},
+         mutex(MutexKind::Spin, Scope::Local)},
         {"SPMBO_L", "local-sync", "3 TB/CU, 100 iters, 10 Ld&St",
-         [] {
-             return std::make_unique<MutexBench>(
-                 MutexKind::SpinBackoff, Scope::Local);
-         }},
+         mutex(MutexKind::SpinBackoff, Scope::Local)},
         {"SS_L", "local-sync", "1 writer + 2 readers/CU, 100 iters",
-         [] { return std::make_unique<SemaphoreBench>(false); }},
+         micro<SemaphoreBench>(false)},
         {"SSBO_L", "local-sync", "1 writer + 2 readers/CU, 100 iters",
-         [] { return std::make_unique<SemaphoreBench>(true); }},
+         micro<SemaphoreBench>(true)},
         {"TB_LG", "local-sync", "3 TB/CU, 100 iters, 10-word chunks",
-         [] { return std::make_unique<TreeBarrierBench>(false); }},
+         micro<TreeBarrierBench>(false)},
         {"TBEX_LG", "local-sync", "3 TB/CU, 100 iters, 10-word chunks",
-         [] { return std::make_unique<TreeBarrierBench>(true); }},
+         micro<TreeBarrierBench>(true)},
         {"UTS", "local-sync", "16K nodes",
-         [] { return std::make_unique<Uts>(); }},
+         [](unsigned scale_percent) {
+             return std::make_unique<Uts>(scaledUts(scale_percent));
+         }},
 
         // Graph analytics: {BFS, PageRank, SSSP} x {push, pull} x
         // {power-law (_PL), 2-D mesh (_M)}. Pull variants declare
         // their double buffers streaming (exercised by DD+PR); push
         // variants scatter through globally scoped atomics.
         {"BFS_PUSH_PL", "graph", "160-vertex power-law, 5 levels",
-         [] {
-             return std::make_unique<Bfs>(Traversal::Push,
-                                          GraphShape::PowerLaw);
-         }},
+         graph<Bfs>(Traversal::Push, GraphShape::PowerLaw)},
         {"BFS_PULL_PL", "graph", "160-vertex power-law, 5 levels",
-         [] {
-             return std::make_unique<Bfs>(Traversal::Pull,
-                                          GraphShape::PowerLaw);
-         }},
+         graph<Bfs>(Traversal::Pull, GraphShape::PowerLaw)},
         {"BFS_PUSH_M", "graph", "12x12 mesh, 5 levels",
-         [] {
-             return std::make_unique<Bfs>(Traversal::Push,
-                                          GraphShape::Mesh);
-         }},
+         graph<Bfs>(Traversal::Push, GraphShape::Mesh)},
         {"BFS_PULL_M", "graph", "12x12 mesh, 5 levels",
-         [] {
-             return std::make_unique<Bfs>(Traversal::Pull,
-                                          GraphShape::Mesh);
-         }},
+         graph<Bfs>(Traversal::Pull, GraphShape::Mesh)},
         {"PR_PUSH_PL", "graph", "160-vertex power-law, 5 iters",
-         [] {
-             return std::make_unique<Pagerank>(Traversal::Push,
-                                               GraphShape::PowerLaw);
-         }},
+         graph<Pagerank>(Traversal::Push, GraphShape::PowerLaw)},
         {"PR_PULL_PL", "graph", "160-vertex power-law, 5 iters",
-         [] {
-             return std::make_unique<Pagerank>(Traversal::Pull,
-                                               GraphShape::PowerLaw);
-         }},
+         graph<Pagerank>(Traversal::Pull, GraphShape::PowerLaw)},
         {"PR_PUSH_M", "graph", "12x12 mesh, 5 iters",
-         [] {
-             return std::make_unique<Pagerank>(Traversal::Push,
-                                               GraphShape::Mesh);
-         }},
+         graph<Pagerank>(Traversal::Push, GraphShape::Mesh)},
         {"PR_PULL_M", "graph", "12x12 mesh, 5 iters",
-         [] {
-             return std::make_unique<Pagerank>(Traversal::Pull,
-                                               GraphShape::Mesh);
-         }},
+         graph<Pagerank>(Traversal::Pull, GraphShape::Mesh)},
         {"SSSP_PUSH_PL", "graph", "160-vertex power-law, 5 rounds",
-         [] {
-             return std::make_unique<Sssp>(Traversal::Push,
-                                           GraphShape::PowerLaw);
-         }},
+         graph<Sssp>(Traversal::Push, GraphShape::PowerLaw)},
         {"SSSP_PULL_PL", "graph", "160-vertex power-law, 5 rounds",
-         [] {
-             return std::make_unique<Sssp>(Traversal::Pull,
-                                           GraphShape::PowerLaw);
-         }},
+         graph<Sssp>(Traversal::Pull, GraphShape::PowerLaw)},
         {"SSSP_PUSH_M", "graph", "12x12 mesh, 5 rounds",
-         [] {
-             return std::make_unique<Sssp>(Traversal::Push,
-                                           GraphShape::Mesh);
-         }},
+         graph<Sssp>(Traversal::Push, GraphShape::Mesh)},
         {"SSSP_PULL_M", "graph", "12x12 mesh, 5 rounds",
-         [] {
-             return std::make_unique<Sssp>(Traversal::Pull,
-                                           GraphShape::Mesh);
-         }},
+         graph<Sssp>(Traversal::Pull, GraphShape::Mesh)},
     };
     return registry;
 }
@@ -245,80 +207,11 @@ findWorkload(const std::string &name)
 std::unique_ptr<Workload>
 makeScaled(const std::string &name, unsigned scale_percent)
 {
-    if (scale_percent >= 100) {
-        const WorkloadDesc *desc = findWorkload(name);
-        fatal_if(!desc, "unknown workload ", name);
-        return desc->make();
-    }
-
-    MicrobenchParams micro = scaledMicro(scale_percent);
-    if (name == "FAM_G")
-        return std::make_unique<MutexBench>(MutexKind::FetchAdd,
-                                            Scope::Global, micro);
-    if (name == "SLM_G")
-        return std::make_unique<MutexBench>(MutexKind::Sleep,
-                                            Scope::Global, micro);
-    if (name == "SPM_G")
-        return std::make_unique<MutexBench>(MutexKind::Spin,
-                                            Scope::Global, micro);
-    if (name == "SPMBO_G")
-        return std::make_unique<MutexBench>(MutexKind::SpinBackoff,
-                                            Scope::Global, micro);
-    if (name == "FAM_D")
-        return std::make_unique<MutexBench>(MutexKind::FetchAdd,
-                                            Scope::Device, micro);
-    if (name == "SPM_D")
-        return std::make_unique<MutexBench>(MutexKind::Spin,
-                                            Scope::Device, micro);
-    if (name == "FAM_L")
-        return std::make_unique<MutexBench>(MutexKind::FetchAdd,
-                                            Scope::Local, micro);
-    if (name == "SLM_L")
-        return std::make_unique<MutexBench>(MutexKind::Sleep,
-                                            Scope::Local, micro);
-    if (name == "SPM_L")
-        return std::make_unique<MutexBench>(MutexKind::Spin,
-                                            Scope::Local, micro);
-    if (name == "SPMBO_L")
-        return std::make_unique<MutexBench>(MutexKind::SpinBackoff,
-                                            Scope::Local, micro);
-    if (name == "SS_L")
-        return std::make_unique<SemaphoreBench>(false, micro);
-    if (name == "SSBO_L")
-        return std::make_unique<SemaphoreBench>(true, micro);
-    if (name == "TB_LG")
-        return std::make_unique<TreeBarrierBench>(false, micro);
-    if (name == "TBEX_LG")
-        return std::make_unique<TreeBarrierBench>(true, micro);
-    if (name == "UTS")
-        return std::make_unique<Uts>(scaledUts(scale_percent));
-
-    // Applications: reduced-scale variants keep the same structure.
-    if (name == "BP")
-        return std::make_unique<Backprop>(128, 64);
-    if (name == "PF")
-        return std::make_unique<Pathfinder>(2048, 8);
-    if (name == "LUD")
-        return std::make_unique<Lud>(48, 12);
-    if (name == "NW")
-        return std::make_unique<Nw>(96, 8);
-    if (name == "SGEMM")
-        return std::make_unique<Sgemm>(96, 16);
-    if (name == "ST")
-        return std::make_unique<Stencil>(64, 4);
-    if (name == "HS")
-        return std::make_unique<Hotspot>(64, 2);
-    if (name == "NN")
-        return std::make_unique<Nn>(8192, 30);
-    if (name == "SRAD")
-        return std::make_unique<Srad>(64, 2);
-    if (name == "LAVA")
-        return std::make_unique<LavaMd>(3, 16);
-    if (auto graph = scaledGraph(name))
-        return graph;
+    fatal_if(scale_percent < 1 || scale_percent > 100, "scale ",
+             scale_percent, "% is outside [1, 100]");
     const WorkloadDesc *desc = findWorkload(name);
     fatal_if(!desc, "unknown workload ", name);
-    return desc->make();
+    return desc->make(scale_percent);
 }
 
 } // namespace nosync

@@ -17,18 +17,27 @@
 namespace nosync
 {
 
-/** Registry entry: a benchmark and its Table 4 metadata. */
+/** Builds a benchmark at a scale in [1, 100] percent. */
+using WorkloadFactory =
+    std::function<std::unique_ptr<Workload>(unsigned scale_percent)>;
+
+/**
+ * Registry entry: a benchmark and its Table 4 metadata. The row is
+ * the benchmark's one definition: @c make builds the paper's input
+ * at 100 and the reduced variant (same structure, fewer iterations,
+ * nodes or elements) below it.
+ */
 struct WorkloadDesc
 {
     std::string name;
     /// "no-sync" | "global-sync" | "device-sync" | "local-sync" |
     /// "graph"
     std::string group;
-    std::string input; ///< Table 4 input description (scaled)
-    std::function<std::unique_ptr<Workload>()> make;
+    std::string input; ///< Table 4 input description (paper scale)
+    WorkloadFactory make;
 };
 
-/** All benchmarks at paper scale. */
+/** All benchmarks, one row each. */
 const std::vector<WorkloadDesc> &workloadRegistry();
 
 /** Benchmarks of one group, in the paper's figure order. */
@@ -39,8 +48,9 @@ std::vector<const WorkloadDesc *> workloadsInGroup(
 const WorkloadDesc *findWorkload(const std::string &name);
 
 /**
- * A smaller-scale variant of a benchmark for fast runs (tests, CI):
- * identical structure, reduced iterations / nodes.
+ * Build benchmark @p name from its registry row at @p scale_percent
+ * (100 = paper scale). Fatal for an unknown name or a scale outside
+ * [1, 100].
  */
 std::unique_ptr<Workload> makeScaled(const std::string &name,
                                      unsigned scale_percent);

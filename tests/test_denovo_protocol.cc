@@ -226,6 +226,93 @@ TEST(DenovoProtocol, EvictionWritesRegisteredWordsBack)
     EXPECT_EQ(doLoad(sys, 1, kData), 64u);
 }
 
+namespace
+{
+
+/**
+ * Own kData in CU 0's 2-way L1, then march conflicting lines through
+ * its set until the line is evicted: its writeback is then in flight,
+ * not yet acknowledged by the registry.
+ */
+void
+evictOwnedLine(System &sys, WordAccesses &words)
+{
+    doStore(sys, 0, kData, 64);
+    doDrain(sys, 0);
+    ASSERT_TRUE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData));
+    words.load(sys.l1(0), kData + 0x100);
+    words.load(sys.l1(0), kData + 0x200);
+    while (as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData) &&
+           sys.eventQueue().step()) {
+    }
+    ASSERT_FALSE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData));
+}
+
+/** Whether CU 0's MSHR holds kData's word 0 behind its writeback. */
+bool
+heldBehindWriteback(System &sys)
+{
+    for (const std::string &line : sys.l1(0).snapshot().detail) {
+        if (line.find("line 0x10000 ") == 0 &&
+            line.find(" waitWb=0x1 ") != std::string::npos)
+            return true;
+    }
+    return false;
+}
+
+SystemConfig
+smallL1DdConfig()
+{
+    SystemConfig config = ddConfig();
+    config.geometry.l1Bytes = 256; // 2 sets x 2 ways
+    config.geometry.l1Assoc = 2;
+    return config;
+}
+
+} // namespace
+
+TEST(DenovoProtocol, SyncRegistrationWaitsForWriteback)
+{
+    System sys(smallL1DdConfig());
+    WordAccesses words;
+    evictOwnedLine(sys, words);
+    // A sync miss on the word being written back registers only once
+    // the writeback is acknowledged, then performs on its value.
+    std::uint32_t old_val = 0;
+    bool done = false;
+    sys.l1(0).sync(makeSync(AtomicFunc::FetchAdd, kData, 1),
+                   [&](std::uint32_t v) {
+                       old_val = v;
+                       done = true;
+                   });
+    EXPECT_TRUE(heldBehindWriteback(sys));
+    drainEvents(sys);
+    ASSERT_TRUE(done);
+    EXPECT_EQ(old_val, 64u);
+    EXPECT_TRUE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData));
+    EXPECT_EQ(sys.debugRead(kData), 65u);
+}
+
+TEST(DenovoProtocol, DrainRegistrationWaitsForWriteback)
+{
+    System sys(smallL1DdConfig());
+    WordAccesses words;
+    evictOwnedLine(sys, words);
+    // A drained store to the word being written back registers only
+    // once the writeback is acknowledged, so its value wins.
+    bool stored = false;
+    bool drained = false;
+    words.store(sys.l1(0), kData, 77, [&] { stored = true; });
+    sys.l1(0).drainWrites(Scope::Global, [&] { drained = true; });
+    EXPECT_TRUE(heldBehindWriteback(sys));
+    drainEvents(sys);
+    EXPECT_TRUE(stored);
+    ASSERT_TRUE(drained);
+    EXPECT_TRUE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData));
+    EXPECT_EQ(sys.debugRead(kData), 77u);
+    EXPECT_EQ(doLoad(sys, 1, kData), 77u);
+}
+
 TEST(DenovoProtocol, RegistryRecallOnL2Eviction)
 {
     SystemConfig config = ddConfig();

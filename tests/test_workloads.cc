@@ -34,10 +34,24 @@ TEST(Registry, LookupByName)
 
 TEST(Registry, FactoriesProduceMatchingNames)
 {
-    for (const auto &desc : workloadRegistry()) {
-        auto workload = desc.make();
-        EXPECT_EQ(workload->name(), desc.name);
+    // Below 100 every row builds its reduced variant; at 100, the
+    // paper's input. Both must carry the row's name.
+    for (unsigned scale : {1u, 10u, 99u, 100u}) {
+        for (const auto &desc : workloadRegistry()) {
+            EXPECT_EQ(desc.make(scale)->name(), desc.name)
+                << "scale " << scale;
+            EXPECT_EQ(makeScaled(desc.name, scale)->name(), desc.name)
+                << "scale " << scale;
+        }
     }
+}
+
+TEST(RegistryDeathTest, MakeScaledRefusesScaleOutsideRange)
+{
+    EXPECT_EXIT(makeScaled("FAM_G", 0), ::testing::ExitedWithCode(1),
+                "outside \\[1, 100\\]");
+    EXPECT_EXIT(makeScaled("FAM_G", 101), ::testing::ExitedWithCode(1),
+                "outside \\[1, 100\\]");
 }
 
 namespace
