@@ -14,6 +14,7 @@
 #define BENCH_BENCH_UTIL_HH
 
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -188,11 +189,12 @@ struct FlagSpec
         }
         // Strict parse: a garbled count must not silently fall back
         // to a default and masquerade as the requested experiment.
-        char *end = nullptr;
-        errno = 0;
-        unsigned long long num = std::strtoull(value, &end, 10);
-        if (*value == '\0' || end == nullptr || *end != '\0' ||
-            errno == ERANGE || num < min || num > max) {
+        // from_chars takes digits only: no sign, no leading space.
+        unsigned long long num = 0;
+        const char *end = value + std::strlen(value);
+        auto [stop, err] = std::from_chars(value, end, num);
+        if (err != std::errc() || stop != end || num < min ||
+            num > max) {
             std::cerr << "error: " << name << " expects " << expects
                       << ", got '" << value << "'\n";
             std::exit(2);

@@ -8,10 +8,10 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "core/system.hh"
+#include "parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -20,9 +20,12 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "UTS";
-    unsigned scale = argc > 2
-                         ? static_cast<unsigned>(std::atoi(argv[2]))
-                         : 25;
+    unsigned scale = 25;
+    if (argc > 2) {
+        scale = static_cast<unsigned>(examples::parseNumber(
+            argv[2], 100,
+            std::string(argv[0]) + " [workload] [scale-percent]"));
+    }
 
     std::printf("Comparing configurations on %s (scale %u%%)\n\n",
                 name.c_str(), scale);

@@ -6,10 +6,11 @@
  * Usage: quickstart [workload] [scale-percent]
  */
 
-#include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "core/system.hh"
+#include "parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -18,9 +19,12 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "SPM_G";
-    unsigned scale = argc > 2
-                         ? static_cast<unsigned>(std::atoi(argv[2]))
-                         : 30;
+    unsigned scale = 30;
+    if (argc > 2) {
+        scale = static_cast<unsigned>(examples::parseNumber(
+            argv[2], 100,
+            std::string(argv[0]) + " [workload] [scale-percent]"));
+    }
 
     SystemConfig base;
     for (const ProtocolConfig &proto : ProtocolConfig::studied()) {

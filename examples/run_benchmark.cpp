@@ -7,13 +7,14 @@
  *                      [scale-percent] [--stats] [--watchdog=CYCLES]
  */
 
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <optional>
+#include <string>
 
 #include "core/system.hh"
+#include "parse_number.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -32,29 +33,16 @@ parseConfig(const std::string &name)
     std::exit(2);
 }
 
-/** A decimal in [1, max]; anything else (a sign, a space) exits 2. */
-unsigned long long
-parseNumber(const char *text, unsigned long long max)
-{
-    unsigned long long num = 0;
-    const char *end = text + std::strlen(text);
-    auto [stop, err] = std::from_chars(text, end, num);
-    if (err == std::errc() && stop == end && num >= 1 && num <= max)
-        return num;
-    std::cerr << "error: expected a number in [1, " << max
-              << "], got '" << text << "'\n";
-    std::exit(2);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    std::string usage = std::string(argv[0]) +
+                        " <workload> <config> [scale%] [--stats]"
+                        " [--watchdog=CYCLES]";
     if (argc < 3) {
-        std::cerr << "usage: " << argv[0]
-                  << " <workload> <config> [scale%] [--stats]"
-                  << " [--watchdog=CYCLES]\n";
+        std::cerr << "usage: " << usage << "\n";
         return 2;
     }
     SystemConfig config;
@@ -65,12 +53,14 @@ main(int argc, char **argv)
         if (std::strcmp(argv[i], "--stats") == 0) {
             dump_stats = true;
         } else if (std::strncmp(argv[i], "--watchdog=", 11) == 0) {
-            config.execution.maxCycles = parseNumber(argv[i] + 11, ~0ull);
+            config.execution.maxCycles =
+                examples::parseNumber(argv[i] + 11, ~0ull, usage);
         } else if (std::strncmp(argv[i], "--", 2) == 0) {
             std::cerr << "error: unknown flag " << argv[i] << "\n";
             return 2;
         } else {
-            scale = parseNumber(argv[i], 100);
+            scale = static_cast<unsigned>(
+                examples::parseNumber(argv[i], 100, usage));
         }
     }
 

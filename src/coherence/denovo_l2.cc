@@ -68,13 +68,6 @@ DenovoL2Bank::deferWhileRecalling(Addr line_addr, LineFn &fn)
 }
 
 void
-DenovoL2Bank::replayParked(std::uint32_t slot)
-{
-    ParkedAccess access = _parked.take(slot);
-    withLine(access.lineAddr, std::move(access.fn));
-}
-
-void
 DenovoL2Bank::startFetch(Addr line_addr)
 {
     ++_dramFetches;
@@ -217,8 +210,13 @@ DenovoL2Bank::finishRecall(Addr line_addr)
     RecallState state = std::move(*live);
     _recalls.erase(line_addr);
     for (auto &fn : state.deferred) {
-        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
-        scheduleIn(0, [this, slot] { replayParked(slot); });
+        auto replay = [this, line_addr, fn = std::move(fn)]() mutable {
+            withLine(line_addr, std::move(fn));
+        };
+        static_assert(EventFn::fitsInline<decltype(replay)>(),
+                      "an L2 recall replay outgrew EventFn's inline "
+                      "buffer");
+        scheduleIn(0, std::move(replay));
     }
     for (Addr blocked : state.blockedFetches)
         finishFetch(blocked);

@@ -139,9 +139,6 @@ class DenovoL2Bank final : public L2Controller
     void startRecall(CacheLine &victim);
     void finishRecall(Addr line_addr);
 
-    /** Replay the parked access in @p slot through withLine. */
-    void replayParked(std::uint32_t slot);
-
     std::vector<DenovoL1Cache *> _l1s;
 
     /**

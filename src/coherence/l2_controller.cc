@@ -51,17 +51,19 @@ L2Controller::withLineReady(Addr line_addr, LineFn fn, bool queued)
         // Re-resolve at fire time: a concurrent fetch may evict and
         // repurpose this frame, or a recall may start, during the
         // access latency window.
-        std::uint32_t slot = _parked.put({line_addr, std::move(fn)});
-        scheduleIn(queue_delay + _timings.l2Access, [this, slot] {
-            ParkedAccess access = _parked.take(slot);
-            if (deferWhileRecalling(access.lineAddr, access.fn))
+        auto access = [this, line_addr, fn = std::move(fn)]() mutable {
+            if (deferWhileRecalling(line_addr, fn))
                 return;
-            if (CacheLine *line = _array.lookup(access.lineAddr)) {
-                access.fn(*line);
+            if (CacheLine *line = _array.lookup(line_addr)) {
+                fn(*line);
                 return;
             }
-            withLineReady(access.lineAddr, std::move(access.fn));
-        });
+            withLineReady(line_addr, std::move(fn));
+        };
+        static_assert(EventFn::fitsInline<decltype(access)>(),
+                      "an L2 bank access outgrew EventFn's inline "
+                      "buffer");
+        scheduleIn(queue_delay + _timings.l2Access, std::move(access));
         return;
     }
 

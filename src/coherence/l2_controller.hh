@@ -25,7 +25,6 @@
 #include "mem/cache_array.hh"
 #include "mem/mshr.hh"
 #include "sim/sim_object.hh"
-#include "sim/recycled.hh"
 #include "sim/small_fn.hh"
 #include "sim/types.hh"
 
@@ -49,7 +48,9 @@ class Mesh;
 /**
  * A bank access continuation, run on the resident line. Sized for the
  * largest handler closure: a writeback or writethrough carrying a
- * line of data plus its ack callback.
+ * line of data plus its ack callback. An access waiting out the bank
+ * latency is an event holding {this, line, LineFn}, which EventFn
+ * holds inline.
  */
 using LineFn = SmallFn<void(CacheLine &), 128>;
 
@@ -124,17 +125,6 @@ class L2Controller : public SimObject
 
     /** Retry stalled requests while fetch MSHRs are free. */
     void processStalled();
-
-    /**
-     * An access waiting out the bank's pipeline latency. The pending
-     * event captures only {this, slot}; the continuation stays here.
-     */
-    struct ParkedAccess
-    {
-        Addr lineAddr = 0;
-        LineFn fn;
-    };
-    SlotPool<ParkedAccess> _parked;
 
     NodeId _node;
     /** Observability sink; nullptr when tracing is disabled. */

@@ -129,7 +129,7 @@ Mesh::buildRouteTable()
 }
 
 void
-Mesh::deliverSlot(std::uint32_t slot)
+Mesh::retire(std::uint32_t slot)
 {
     InFlightRecord &rec = _records[slot];
     if (_trace) {
@@ -137,19 +137,13 @@ Mesh::deliverSlot(std::uint32_t slot)
                        rec.msg.dst, 0, 0,
                        static_cast<std::uint16_t>(rec.msg.flits));
     }
-    // Move the closure out before running it: delivery may send new
-    // messages, growing the slab and recycling this very slot.
-    DeliverFn fn = std::move(rec.deliver);
     rec.live = false;
     --_liveMsgs;
     _freeRecords.push_back(slot);
-    fn();
 }
 
-void
-Mesh::scheduleDelivery(Tick arrives, NodeId src, NodeId dst,
-                       TrafficClass cls, unsigned flits,
-                       DeliverFn deliver, bool duplicate)
+std::uint32_t
+Mesh::track(const InFlightMsg &msg)
 {
     std::uint32_t slot;
     if (_freeRecords.empty()) {
@@ -161,20 +155,15 @@ Mesh::scheduleDelivery(Tick arrives, NodeId src, NodeId dst,
     }
     InFlightRecord &rec = _records[slot];
     rec.id = _nextMsgId++;
-    rec.msg = InFlightMsg{src,     dst,     cls,      flits,
-                          curTick(), arrives, duplicate};
-    rec.deliver = std::move(deliver);
+    rec.msg = msg;
     rec.live = true;
     ++_liveMsgs;
-
-    eventQueue().schedule(arrives,
-                          [this, slot] { deliverSlot(slot); },
-                          EventPriority::NetworkDelivery);
+    return slot;
 }
 
-void
-Mesh::send(NodeId src, NodeId dst, unsigned flits, TrafficClass cls,
-           DeliverFn deliver, bool idempotent)
+Mesh::Route
+Mesh::reserveRoute(NodeId src, NodeId dst, unsigned flits,
+                   TrafficClass cls, bool idempotent)
 {
     panic_if(src < 0 || dst < 0 ||
                  static_cast<unsigned>(src) >= numNodes() ||
@@ -214,25 +203,24 @@ Mesh::send(NodeId src, NodeId dst, unsigned flits, TrafficClass cls,
         }
     }
 
+    Route route;
+    route.arrives = t;
     if (_delivery != nullptr) {
-        t = _delivery->adjust(src, dst, t);
+        route.arrives = _delivery->adjust(src, dst, t);
         if (idempotent && _delivery->rollDuplicate()) {
             // Second delivery of the same closure, after the first
             // (adjust() clamps to the pair's latest arrival, so the
             // duplicate never overtakes the original).
-            Tick dup_t = _delivery->adjust(
-                src, dst, t + _delivery->duplicateDelay());
+            route.duplicate = true;
+            route.duplicateArrives = _delivery->adjust(
+                src, dst, route.arrives + _delivery->duplicateDelay());
             _messages->add(cls_idx);
             _flitCrossings->add(cls_idx,
                                 static_cast<double>(flits) *
                                     num_hops);
-            scheduleDelivery(dup_t, src, dst, cls, flits, deliver,
-                             true);
         }
     }
-
-    scheduleDelivery(t, src, dst, cls, flits, std::move(deliver),
-                     false);
+    return route;
 }
 
 Cycles

@@ -18,16 +18,19 @@
  *
  * Delivery is closure-based: the sender provides the action to run at
  * the destination when the message arrives, keeping the network
- * independent of protocol message formats. That seam also hosts the
- * optional DeliveryPolicy (FaultInjector chaos perturbation or the
- * model checker's ExploringPolicy) and an in-flight message registry
- * consumed by hang diagnostics.
+ * independent of protocol message formats. The closure keeps its
+ * concrete type all the way into the delivery event, which runs it in
+ * place. That seam also hosts the optional DeliveryPolicy
+ * (FaultInjector chaos perturbation or the model checker's
+ * ExploringPolicy) and an in-flight message registry consumed by hang
+ * diagnostics.
  */
 
 #ifndef NOC_MESH_HH
 #define NOC_MESH_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "noc/delivery_policy.hh"
@@ -36,7 +39,6 @@
 #include "noc/traffic.hh"
 #include "sim/event_queue.hh"
 #include "sim/sim_object.hh"
-#include "sim/small_fn.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -47,14 +49,6 @@ namespace trace
 {
 class TraceSink;
 }
-
-/**
- * Delivery action run at a message's destination. Sized so every
- * protocol closure in the tree — including the line-data-carrying
- * replies (a 64-byte LineData plus a reply functor) — stays in the
- * inline buffer and never touches the heap.
- */
-using DeliverFn = SmallFn<void(), 112>;
 
 /** A message injected but not yet delivered (diagnostics). */
 struct InFlightMsg
@@ -90,11 +84,26 @@ class Mesh : public SimObject
      * the message @p idempotent when delivering it twice is
      * harmless (pure requests whose responses are deduplicated by
      * the receiver); only such messages may be duplicated by an
-     * attached fault injector (duplication copies the closure, so
-     * idempotent closures must be copyable).
+     * attached fault injector. Duplication copies the closure, so
+     * every closure sent must be copyable (checked at compile time).
      */
-    void send(NodeId src, NodeId dst, unsigned flits, TrafficClass cls,
-              DeliverFn deliver, bool idempotent = false);
+    template <typename Fn>
+    void
+    send(NodeId src, NodeId dst, unsigned flits, TrafficClass cls,
+         Fn &&deliver, bool idempotent = false)
+    {
+        Route route = reserveRoute(src, dst, flits, cls, idempotent);
+        if (route.duplicate) {
+            // The duplicate's record and event come first, as its
+            // arrival was drawn first.
+            scheduleDelivery(InFlightMsg{src, dst, cls, flits, curTick(),
+                                         route.duplicateArrives, true},
+                             deliver);
+        }
+        scheduleDelivery(InFlightMsg{src, dst, cls, flits, curTick(),
+                                     route.arrives, false},
+                         std::forward<Fn>(deliver));
+    }
 
     /**
      * Best-case (uncontended) one-way latency between two nodes for a
@@ -142,10 +151,50 @@ class Mesh : public SimObject
     /** Append the intra-device XY route @p from -> @p to. */
     void appendLocalRoute(NodeId from, NodeId to, unsigned &num_hops);
 
-    /** Track the message and schedule its delivery at @p arrives. */
-    void scheduleDelivery(Tick arrives, NodeId src, NodeId dst,
-                          TrafficClass cls, unsigned flits,
-                          DeliverFn deliver, bool duplicate);
+    /** Arrival ticks of one message (and of its duplicate). */
+    struct Route
+    {
+        Tick arrives = 0;
+        bool duplicate = false;
+        Tick duplicateArrives = 0;
+    };
+
+    /**
+     * Check the endpoints, count and trace the message, reserve every
+     * link on its route and apply the delivery policy (which may add
+     * a duplicate). Everything in send() that does not depend on the
+     * closure's type.
+     */
+    Route reserveRoute(NodeId src, NodeId dst, unsigned flits,
+                       TrafficClass cls, bool idempotent);
+
+    /**
+     * Register @p msg in flight and schedule @p deliver at its
+     * arrival tick. The event captures the closure itself, so the
+     * closure is built into the event node once and runs there.
+     */
+    template <typename Fn>
+    void
+    scheduleDelivery(const InFlightMsg &msg, Fn &&deliver)
+    {
+        std::uint32_t slot = track(msg);
+        auto event = [this, slot,
+                      fn = std::forward<Fn>(deliver)]() mutable {
+            retire(slot);
+            fn();
+        };
+        static_assert(EventFn::fitsInline<decltype(event)>(),
+                      "a mesh delivery closure outgrew EventFn's "
+                      "inline buffer");
+        eventQueue().schedule(msg.arrives, std::move(event),
+                              EventPriority::NetworkDelivery);
+    }
+
+    /** Add @p msg to the in-flight registry; @return its slot. */
+    std::uint32_t track(const InFlightMsg &msg);
+
+    /** Trace the delivery of the record in @p slot and free it. */
+    void retire(std::uint32_t slot);
 
     /** Fill the per-pair route/hop tables (ctor helper). */
     void buildRouteTable();
@@ -172,20 +221,17 @@ class Mesh : public SimObject
 
     /**
      * In-flight registry: slab-recycled records so steady-state
-     * message traffic performs no allocation. Each record owns its
-     * delivery closure; the scheduled event only carries {this,
-     * slot}. Records keep their monotonic id for injection-order
+     * message traffic performs no allocation. A record holds only
+     * diagnostics; the delivery closure lives in the scheduled event.
+     * Records keep their monotonic id for injection-order
      * diagnostics.
      */
     struct InFlightRecord
     {
         std::uint64_t id = 0;
         InFlightMsg msg;
-        DeliverFn deliver;
         bool live = false;
     };
-    /** Deliver and free the record in @p slot. */
-    void deliverSlot(std::uint32_t slot);
 
     std::vector<InFlightRecord> _records;
     std::vector<std::uint32_t> _freeRecords;

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "logging.hh"
@@ -47,9 +48,10 @@ enum class EventPriority : int
  * Callback type for scheduled events. Captures up to the inline
  * capacity live inside the event node itself — no heap allocation
  * on the schedule/execute hot path; larger captures spill to the
- * heap transparently.
+ * heap transparently. The capacity holds the largest continuation a
+ * component schedules: an L2 bank access, {this, line, LineFn}.
  */
-using EventFn = SmallFn<void(), 56>;
+using EventFn = SmallFn<void(), 152>;
 
 /**
  * A single-owner discrete-event queue.
@@ -72,16 +74,19 @@ class EventQueue
     Tick now() const { return _now; }
 
     /**
-     * Schedule @p fn to run at absolute tick @p when.
+     * Schedule @p fn to run at absolute tick @p when. The callable
+     * is built once, in the event node that runs it.
      * @pre when >= now()
      */
+    template <typename F>
     void
-    schedule(Tick when, EventFn fn,
+    schedule(Tick when, F &&fn,
              EventPriority prio = EventPriority::Default)
     {
         panic_if(when < _now, "scheduling event in the past (", when,
                  " < ", _now, ")");
-        std::uint32_t idx = allocNode(std::move(fn));
+        std::uint32_t idx = allocNode();
+        node(idx).fn.emplace(std::forward<F>(fn));
         ++_pending;
         if (when - _now < kWheelTicks) {
             link(when, static_cast<unsigned>(prio), idx);
@@ -98,11 +103,12 @@ class EventQueue
     }
 
     /** Schedule @p fn to run @p delay ticks from now. */
+    template <typename F>
     void
-    scheduleIn(Cycles delay, EventFn fn,
+    scheduleIn(Cycles delay, F &&fn,
                EventPriority prio = EventPriority::Default)
     {
-        schedule(_now + delay, std::move(fn), prio);
+        schedule(_now + delay, std::forward<F>(fn), prio);
     }
 
     /** Whether any events remain. */
@@ -153,9 +159,9 @@ class EventQueue
     /** One scheduled (or free) event. */
     struct Node
     {
-        EventFn fn;
         /** Next node in its bucket list, or in the free list. */
         std::uint32_t next = kNil;
+        EventFn fn;
     };
 
     /** Intrusive FIFO list of nodes. */
@@ -190,16 +196,14 @@ class EventQueue
         return _chunks[idx >> kChunkBits][idx & (kChunkNodes - 1)];
     }
 
-    /** Take a free node (allocating a chunk if none) holding @p fn. */
+    /** Take a free (empty) node, allocating a chunk if none. */
     std::uint32_t
-    allocNode(EventFn fn)
+    allocNode()
     {
         if (_freeNode == kNil)
             addChunk();
         std::uint32_t idx = _freeNode;
-        Node &n = node(idx);
-        _freeNode = n.next;
-        n.fn = std::move(fn);
+        _freeNode = node(idx).next;
         return idx;
     }
 

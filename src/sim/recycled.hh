@@ -2,7 +2,7 @@
  * @file
  * Recycled storage for the access path: parked records and batch
  * buffers that keep their memory across uses, so that once warm the
- * event queue and the controllers allocate nothing per access.
+ * controllers allocate nothing per access.
  */
 
 #ifndef SIM_RECYCLED_HH
@@ -18,11 +18,12 @@ namespace nosync
 {
 
 /**
- * Slab of parked records addressed by a small slot index. Controllers
- * park the state of an in-flight operation (a sync access and its
- * callback, a bank access waiting out its latency) so the
- * continuations they schedule capture only {this, slot} and fit the
- * inline buffer of EventFn / SmallFn. Freed slots are recycled.
+ * Slab of parked records addressed by a small slot index. An L1
+ * parks a sync access (op, scope, callback) here for the whole of an
+ * operation that spans several messages and events — drain, perform,
+ * finish — so each step's continuation names the same record by
+ * {this, slot}. (State that lives for one event belongs in that
+ * event's closure instead.) Freed slots are recycled.
  *
  * Records move when the slab grows: never run a parked callable in
  * place — take() it out first.

@@ -39,11 +39,12 @@ class SimObject
 
   protected:
     /** Schedule a member callback @p delay cycles from now. */
+    template <typename F>
     void
-    scheduleIn(Cycles delay, EventFn fn,
+    scheduleIn(Cycles delay, F &&fn,
                EventPriority prio = EventPriority::Default)
     {
-        _eq.scheduleIn(delay, std::move(fn), prio);
+        _eq.scheduleIn(delay, std::forward<F>(fn), prio);
     }
 
   private:

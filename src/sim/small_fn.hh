@@ -11,10 +11,12 @@
  *
  * Semantics: SmallFn<R(Args...), Capacity> is a type-erased callable,
  * movable and copyable (copying panics at runtime if the stored
- * callable is not copy-constructible — the mesh needs copies only for
- * duplicated idempotent messages, whose closures are all copyable).
- * Like std::function, operator() is const and invokes the stored
- * callable as a mutable lvalue.
+ * callable is not copy-constructible — a duplicated mesh message
+ * copies its closure, and with it every SmallFn the closure
+ * captures). Like std::function, operator() is const and invokes the
+ * stored callable as a mutable lvalue. emplace() builds a callable
+ * straight into an existing SmallFn, which is how the event queue
+ * fills its nodes.
  *
  * A callable may move its own SmallFn away while it runs (a
  * continuation handing itself on). Inline storage relocates the
@@ -54,15 +56,7 @@ class SmallFn<R(Args...), Capacity>
                                         Args...>>>
     SmallFn(F &&f)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            new (_storage) Fn(std::forward<F>(f));
-            _ops = &inlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn **>(_storage) =
-                new Fn(std::forward<F>(f));
-            _ops = &heapOps<Fn>;
-        }
+        construct(std::forward<F>(f));
     }
 
     SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
@@ -108,6 +102,24 @@ class SmallFn<R(Args...), Capacity>
         return _ops->invoke(_storage, std::forward<Args>(args)...);
     }
 
+    /**
+     * Replace the stored callable with @p f, built directly in this
+     * SmallFn's storage: no temporary SmallFn, no type-erased
+     * relocation. Another SmallFn of this type is move- or
+     * copy-assigned.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        if constexpr (std::is_same_v<std::decay_t<F>, SmallFn>) {
+            *this = std::forward<F>(f);
+        } else {
+            reset();
+            construct(std::forward<F>(f));
+        }
+    }
+
     explicit operator bool() const { return _ops != nullptr; }
 
     /** Whether the callable lives in the inline buffer (tests). */
@@ -115,6 +127,15 @@ class SmallFn<R(Args...), Capacity>
     storedInline() const
     {
         return _ops != nullptr && !_ops->onHeap;
+    }
+
+    /** Whether a callable of type @p Fn is stored inline. */
+    template <typename Fn>
+    static constexpr bool
+    fitsInline()
+    {
+        return sizeof(Fn) <= Capacity && alignof(Fn) <= kAlign &&
+               std::is_nothrow_move_constructible_v<Fn>;
     }
 
     void
@@ -147,12 +168,20 @@ class SmallFn<R(Args...), Capacity>
      */
     static constexpr std::size_t kAlign = alignof(void *);
 
-    template <typename Fn>
-    static constexpr bool
-    fitsInline()
+    /** Build @p f in the (empty) storage. */
+    template <typename F>
+    void
+    construct(F &&f)
     {
-        return sizeof(Fn) <= Capacity && alignof(Fn) <= kAlign &&
-               std::is_nothrow_move_constructible_v<Fn>;
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            new (_storage) Fn(std::forward<F>(f));
+            _ops = &inlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn **>(_storage) =
+                new Fn(std::forward<F>(f));
+            _ops = &heapOps<Fn>;
+        }
     }
 
     void
@@ -232,8 +261,9 @@ class SmallFn<R(Args...), Capacity>
         true,
     };
 
-    alignas(kAlign) mutable unsigned char _storage[Capacity];
+    /** First, so a small callable shares a cache line with it. */
     const Ops *_ops = nullptr;
+    alignas(kAlign) mutable unsigned char _storage[Capacity];
 };
 
 } // namespace nosync

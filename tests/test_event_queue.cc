@@ -165,18 +165,69 @@ TEST(EventQueue, PriorityStillBeatsFifoAfterRecycling)
 TEST(EventQueue, LargeCapturesBeyondInlineBufferWork)
 {
     EventQueue eq;
-    // An 80-byte capture exceeds the EventFn inline buffer and takes
+    // A 200-byte capture exceeds the EventFn inline buffer and takes
     // the heap-fallback path; it must still run and destroy cleanly.
-    std::array<std::uint64_t, 10> payload{};
+    std::array<std::uint64_t, 25> payload{};
     for (std::size_t i = 0; i < payload.size(); ++i)
         payload[i] = i + 1;
     std::uint64_t sum = 0;
-    eq.schedule(1, [payload, &sum] {
+    auto fn = [payload, &sum] {
         for (auto v : payload)
             sum += v;
-    });
+    };
+    static_assert(!EventFn::fitsInline<decltype(fn)>());
+    eq.schedule(1, std::move(fn));
     eq.run();
-    EXPECT_EQ(sum, 55u);
+    EXPECT_EQ(sum, 325u);
+}
+
+namespace
+{
+
+/** Counts how a callable is built, relocated and run. */
+struct Lifecycle
+{
+    int constructed = 0;
+    int moved = 0;
+    int copied = 0;
+    int ran = 0;
+};
+
+struct CountingFn
+{
+    Lifecycle *life;
+
+    explicit CountingFn(Lifecycle *l) : life(l) { ++life->constructed; }
+    CountingFn(const CountingFn &other) : life(other.life)
+    {
+        ++life->copied;
+    }
+    CountingFn(CountingFn &&other) noexcept : life(other.life)
+    {
+        ++life->moved;
+    }
+    void operator()() { ++life->ran; }
+};
+
+} // namespace
+
+TEST(EventQueue, CallableIsBuiltOnceInItsNode)
+{
+    // A scheduled callable reaches its event node by at most one
+    // (inline, concrete) move from the caller's temporary; the queue
+    // never copies it or relocates it through type erasure.
+    static_assert(EventFn::fitsInline<CountingFn>());
+    EventQueue eq;
+    Lifecycle at, in;
+    eq.schedule(2, CountingFn{&at});
+    eq.scheduleIn(3, CountingFn{&in}, EventPriority::CuIssue);
+    eq.run();
+    for (const Lifecycle *life : {&at, &in}) {
+        EXPECT_EQ(life->constructed, 1);
+        EXPECT_LE(life->moved, 1);
+        EXPECT_EQ(life->copied, 0);
+        EXPECT_EQ(life->ran, 1);
+    }
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastPanics)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+
 #include "noc/mesh.hh"
 #include "sim/stats.hh"
 
@@ -122,6 +125,30 @@ TEST_F(MeshFixture, MessagesCountedPerClass)
     ASSERT_GE(regist, 0);
     EXPECT_DOUBLE_EQ(
         messages->value(static_cast<std::size_t>(regist)), 2.0);
+}
+
+TEST_F(MeshFixture, DeliveryCapturesSurviveRegistryGrowth)
+{
+    // The delivery closure runs in its event node. While it runs it
+    // sends enough messages to grow the in-flight registry (and the
+    // event queue) several times; its captures must stay intact.
+    std::array<std::uint64_t, 8> payload{1, 2, 3, 4, 5, 6, 7, 8};
+    int delivered = 0;
+    std::uint64_t seen = 0;
+    mesh.send(0, 15, 5, TrafficClass::Read,
+              [this, &delivered, &seen, payload] {
+                  for (int i = 0; i < 1000; ++i) {
+                      mesh.send(3, 12, 1, TrafficClass::Read,
+                                [&delivered] { ++delivered; });
+                  }
+                  EXPECT_EQ(mesh.inFlightCount(), 1000u);
+                  for (auto v : payload)
+                      seen += v;
+              });
+    eq.run();
+    EXPECT_EQ(seen, 36u);
+    EXPECT_EQ(delivered, 1000);
+    EXPECT_EQ(mesh.inFlightCount(), 0u);
 }
 
 TEST(MeshTraffic, FlitsForPayload)
