@@ -20,7 +20,8 @@ int
 main(int argc, char **argv)
 {
     WallTimer timer;
-    Options opts = Options::parse(argc, argv);
+    Options opts = Options::parse(
+        argc, argv, cellFlags({flag::raceCheck, flag::devices}));
     // Cells run at no more than half scale.
     Options cell_opts = opts;
     cell_opts.scalePercent = std::min(opts.scalePercent, 50u);

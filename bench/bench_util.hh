@@ -2,17 +2,19 @@
  * @file
  * Shared helpers for the figure-regeneration harnesses.
  *
- * All harnesses accept a common option set (--scale, --jobs, --json,
- * --no-breakdowns) and run their (workload x config) matrices through
- * the SweepRunner, so `--jobs=N` parallelizes any harness across host
- * threads while keeping the printed tables bitwise identical to a
- * serial run. `--json=PATH` additionally emits the full result matrix
- * as a machine-readable BENCH_*.json record.
+ * Each harness parses its command line against its own table of
+ * FlagSpec rows — only the flags it acts on — and runs its
+ * (workload x config) matrices through the SweepRunner, so `--jobs=N`
+ * parallelizes a sweep across host threads while keeping the printed
+ * tables bitwise identical to a serial run. `--json=PATH`
+ * additionally emits the full result matrix as a machine-readable
+ * BENCH_*.json record.
  */
 
 #ifndef BENCH_BENCH_UTIL_HH
 #define BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cerrno>
 #include <charconv>
 #include <chrono>
@@ -33,11 +35,16 @@
 namespace nosync::bench
 {
 
-/** Command-line options common to every harness. */
+struct FlagSpec;
+
+/**
+ * The options a harness's flags set. Each harness parses against its
+ * own FlagSpec table, so a field keeps its default unless the harness
+ * acts on it.
+ */
 struct Options
 {
     unsigned scalePercent = 100;
-    bool breakdowns = true;
     /** Worker threads for sweeps; 0 = one per hardware thread. */
     unsigned jobs = 1;
     /** Emit the result matrix as JSON to this path ("" = don't). */
@@ -64,12 +71,6 @@ struct Options
      */
     Tick maxCycles = 0;
     /**
-     * Override the race detector's detailed-record cap (0 = keep the
-     * detector default). Implies --race-check: the cap is meaningless
-     * without the detector.
-     */
-    std::size_t raceCap = 0;
-    /**
      * Devices in the machine (MachineTopology::devices): each device
      * gets its own mesh + L2 banks + CUs, joined by the inter-device
      * link. 1 (the default) reproduces the single-device machine
@@ -77,44 +78,28 @@ struct Options
      */
     unsigned devices = 1;
     /**
-     * Override the inter-device link latency in cycles (0 = keep the
-     * topology default). Only meaningful with --devices >= 2.
-     */
-    Cycles linkLatency = 0;
-    /**
      * Add the DD+SE (memory-side sync engine) column to the harness's
      * config matrix.
      */
     bool syncEngine = false;
 
     /**
-     * Harness-specific option hook: return true if @p arg was
-     * consumed. Unknown options are an error (exit 2) — a typo'd
-     * sweep flag must not silently run the wrong experiment.
+     * Parse @p argv against @p flags, the harness's whole table,
+     * starting from @p defaults. Any other argument prints "unknown
+     * option" and the usage line generated from the table, and exits
+     * 2 — a flag the harness would ignore must not look accepted.
      */
-    using ExtraHandler = std::function<bool(const char *)>;
-
     static Options parse(int argc, char **argv,
-                         const ExtraHandler &extra,
-                         const char *extra_usage, Options defaults);
-    static Options parse(int argc, char **argv,
-                         const ExtraHandler &extra = {},
-                         const char *extra_usage = "");
+                         const std::vector<FlagSpec> &flags,
+                         Options defaults);
 };
 
-inline Options
-Options::parse(int argc, char **argv, const ExtraHandler &extra,
-               const char *extra_usage)
-{
-    return parse(argc, argv, extra, extra_usage, Options());
-}
-
 /**
- * One typed command-line flag. Every harness option — boolean
- * toggles, path strings, and strictly validated numeric ranges — is
- * one row in a single table, so a new flag gets parsing, validation,
- * and usage text on every harness by construction instead of another
- * hand-rolled strncmp branch.
+ * One typed command-line flag: a boolean toggle, a string, or a
+ * strictly validated number. A harness's table is a list of rows —
+ * the common ones below, which write into Options, and its own rows,
+ * which write into locals they capture — so parsing, validation and
+ * the usage line come from one place.
  */
 struct FlagSpec
 {
@@ -131,7 +116,11 @@ struct FlagSpec
     /** Inclusive numeric range (Kind::Number only). */
     unsigned long long min = 0;
     unsigned long long max = ~0ull;
-    /** Error-message noun phrase, e.g. "a positive cycle count". */
+    /**
+     * Error-message noun phrase, e.g. "a positive cycle count"; for
+     * Kind::String, the value's name in the usage line ("PATH" when
+     * empty).
+     */
     const char *expects = "";
     /** Store the parsed value (num for numeric kinds, text else). */
     std::function<void(Options &, unsigned long long num,
@@ -145,7 +134,8 @@ struct FlagSpec
         switch (kind) {
           case Kind::Toggle: return std::string(" [") + name + "]";
           case Kind::String:
-            return std::string(" [") + name + "=PATH]";
+            return std::string(" [") + name + "=" +
+                   (*expects ? expects : "PATH") + "]";
           case Kind::Real: return std::string(" [") + name + "=X]";
           default: return std::string(" [") + name + "=N]";
         }
@@ -204,88 +194,89 @@ struct FlagSpec
     }
 };
 
-/** The table behind Options::parse — one row per common flag. */
-inline const std::vector<FlagSpec> &
-commonFlags()
+/** The common rows; a harness's table lists the ones it acts on. */
+namespace flag
 {
-    using ull = unsigned long long;
-    static const std::vector<FlagSpec> specs = {
-        {"--scale", FlagSpec::Kind::Number, 1, 100,
-         "a percentage in [1, 100]",
-         [](Options &o, ull num, const char *) {
-             o.scalePercent = static_cast<unsigned>(num);
-         }},
-        {"--jobs", FlagSpec::Kind::Number, 0, 1024,
-         "a job count in [0, 1024] (0 = one per hardware thread)",
-         [](Options &o, ull num, const char *) {
-             o.jobs = SweepRunner::resolveJobs(
-                 static_cast<unsigned>(num));
-         }},
-        {"--json", FlagSpec::Kind::String, 0, 0, "",
-         [](Options &o, ull, const char *text) {
-             o.jsonPath = text;
-         }},
-        {"--trace", FlagSpec::Kind::String, 0, 0, "",
-         [](Options &o, ull, const char *text) {
-             o.tracePath = text;
-         }},
-        {"--race-check", FlagSpec::Kind::Toggle, 0, 0, "",
-         [](Options &o, ull, const char *) { o.raceCheck = true; }},
-        {"--race-json", FlagSpec::Kind::String, 0, 0, "",
-         [](Options &o, ull, const char *text) {
-             o.raceJsonPath = text;
-             o.raceCheck = true;
-         }},
-        {"--race-cap", FlagSpec::Kind::Number, 1, ~0ull,
-         "a positive record count",
-         [](Options &o, ull num, const char *) {
-             o.raceCap = static_cast<std::size_t>(num);
-             o.raceCheck = true;
-         }},
-        {"--max-cycles", FlagSpec::Kind::Number, 1, ~0ull,
-         "a positive cycle count",
-         [](Options &o, ull num, const char *) {
-             o.maxCycles = static_cast<Tick>(num);
-         }},
-        {"--devices", FlagSpec::Kind::Number, 1, 64,
-         "a device count in [1, 64]",
-         [](Options &o, ull num, const char *) {
-             o.devices = static_cast<unsigned>(num);
-         }},
-        {"--link-latency", FlagSpec::Kind::Number, 1, ~0ull,
-         "a positive cycle count",
-         [](Options &o, ull num, const char *) {
-             o.linkLatency = static_cast<Cycles>(num);
-         }},
-        {"--sync-engine", FlagSpec::Kind::Toggle, 0, 0, "",
-         [](Options &o, ull, const char *) { o.syncEngine = true; }},
-        {"--no-breakdowns", FlagSpec::Kind::Toggle, 0, 0, "",
-         [](Options &o, ull, const char *) { o.breakdowns = false; }},
-    };
-    return specs;
+
+using ull = unsigned long long;
+
+inline const FlagSpec scale = {
+    "--scale", FlagSpec::Kind::Number, 1, 100, "a percentage in [1, 100]",
+    [](Options &o, ull num, const char *) {
+        o.scalePercent = static_cast<unsigned>(num);
+    }};
+inline const FlagSpec jobs = {
+    "--jobs", FlagSpec::Kind::Number, 0, 1024,
+    "a job count in [0, 1024] (0 = one per hardware thread)",
+    [](Options &o, ull num, const char *) {
+        o.jobs = SweepRunner::resolveJobs(static_cast<unsigned>(num));
+    }};
+inline const FlagSpec json = {
+    "--json", FlagSpec::Kind::String, 0, 0, "",
+    [](Options &o, ull, const char *text) { o.jsonPath = text; }};
+inline const FlagSpec trace = {
+    "--trace", FlagSpec::Kind::String, 0, 0, "",
+    [](Options &o, ull, const char *text) { o.tracePath = text; }};
+inline const FlagSpec raceCheck = {
+    "--race-check", FlagSpec::Kind::Toggle, 0, 0, "",
+    [](Options &o, ull, const char *) { o.raceCheck = true; }};
+inline const FlagSpec raceJson = {
+    "--race-json", FlagSpec::Kind::String, 0, 0, "",
+    [](Options &o, ull, const char *text) {
+        o.raceJsonPath = text;
+        o.raceCheck = true;
+    }};
+inline const FlagSpec maxCycles = {
+    "--max-cycles", FlagSpec::Kind::Number, 1, ~0ull,
+    "a positive cycle count",
+    [](Options &o, ull num, const char *) {
+        o.maxCycles = static_cast<Tick>(num);
+    }};
+inline const FlagSpec devices = {
+    "--devices", FlagSpec::Kind::Number, 1, 64,
+    "a device count in [1, 64]",
+    [](Options &o, ull num, const char *) {
+        o.devices = static_cast<unsigned>(num);
+    }};
+inline const FlagSpec syncEngine = {
+    "--sync-engine", FlagSpec::Kind::Toggle, 0, 0, "",
+    [](Options &o, ull, const char *) { o.syncEngine = true; }};
+
+} // namespace flag
+
+/**
+ * The table of a harness whose cells run through runCell: the flags
+ * every such cell acts on, then @p extra. --race-check, --devices and
+ * --sync-engine go in @p extra only where the harness's machines and
+ * columns do not override them.
+ */
+inline std::vector<FlagSpec>
+cellFlags(std::initializer_list<FlagSpec> extra)
+{
+    std::vector<FlagSpec> table = {flag::scale,    flag::jobs,
+                                   flag::json,     flag::trace,
+                                   flag::raceJson, flag::maxCycles};
+    table.insert(table.end(), extra);
+    return table;
 }
 
+// The default argument lives here: Options is complete only now.
 inline Options
-Options::parse(int argc, char **argv, const ExtraHandler &extra,
-               const char *extra_usage, Options defaults)
+Options::parse(int argc, char **argv, const std::vector<FlagSpec> &flags,
+               Options defaults = {})
 {
     Options opts = defaults;
-    const std::vector<FlagSpec> &specs = commonFlags();
     for (int i = 1; i < argc; ++i) {
-        bool consumed = false;
-        for (const FlagSpec &spec : specs) {
-            if (spec.match(argv[i], opts)) {
-                consumed = true;
-                break;
-            }
-        }
-        if (consumed || (extra && extra(argv[i])))
+        auto consumes = [&](const FlagSpec &spec) {
+            return spec.match(argv[i], opts);
+        };
+        if (std::any_of(flags.begin(), flags.end(), consumes))
             continue;
         std::cerr << "error: unknown option " << argv[i]
                   << "\nusage: " << argv[0];
-        for (const FlagSpec &spec : specs)
+        for (const FlagSpec &spec : flags)
             std::cerr << spec.usage();
-        std::cerr << extra_usage << "\n";
+        std::cerr << "\n";
         std::exit(2);
     }
     return opts;
@@ -346,10 +337,9 @@ withFileLabel(Options opts, const std::string &label)
 }
 
 /**
- * The SystemConfig of a cell on @p proto with the common options
- * applied: --devices, --link-latency, --trace, --race-check,
- * --race-cap and --max-cycles. Every harness builds its configs here,
- * so a common flag it accepts is never dropped.
+ * The SystemConfig of a cell on @p proto with the options applied:
+ * --devices, --trace, --race-check and --max-cycles. Every harness
+ * builds its configs here, so a flag it accepts is never dropped.
  */
 inline SystemConfig
 cellConfig(const ProtocolConfig &proto, const Options &opts)
@@ -357,11 +347,8 @@ cellConfig(const ProtocolConfig &proto, const Options &opts)
     SystemConfig config;
     config.protocol = proto;
     config.topology.devices = opts.devices;
-    if (opts.linkLatency != 0)
-        config.topology.link.latency = opts.linkLatency;
     config.observability.traceEnabled = !opts.tracePath.empty();
     config.checking.raceCheckEnabled = opts.raceCheck;
-    config.checking.raceRecordCap = opts.raceCap;
     if (opts.maxCycles != 0)
         config.execution.maxCycles = opts.maxCycles;
     return config;
@@ -500,11 +487,10 @@ maybeWriteJson(const Options &opts, const std::string &harness,
     maybeWriteJson(opts, harness, runs, timer, label);
 }
 
-/** Emit the three figure parts in the paper's format. */
+/** Emit the three figure parts and their breakdowns. */
 inline void
 emitFigure(const std::vector<WorkloadResults> &results,
-           std::size_t baseline, const std::string &figure,
-           const Options &opts)
+           std::size_t baseline, const std::string &figure)
 {
     std::cout << renderFigure(results, 0, baseline,
                               figure + "a: execution time (normalized)")
@@ -517,16 +503,14 @@ emitFigure(const std::vector<WorkloadResults> &results,
                                   "c: network traffic (flit "
                                   "crossings, normalized)")
               << "\n";
-    if (opts.breakdowns) {
-        std::cout << "== " << figure
-                  << "b breakdown (energy by component, % of "
-                     "baseline total) ==\n"
-                  << renderEnergyBreakdown(results, baseline) << "\n";
-        std::cout << "== " << figure
-                  << "c breakdown (traffic by class, % of baseline "
-                     "total) ==\n"
-                  << renderTrafficBreakdown(results, baseline) << "\n";
-    }
+    std::cout << "== " << figure
+              << "b breakdown (energy by component, % of baseline "
+                 "total) ==\n"
+              << renderEnergyBreakdown(results, baseline) << "\n";
+    std::cout << "== " << figure
+              << "c breakdown (traffic by class, % of baseline "
+                 "total) ==\n"
+              << renderTrafficBreakdown(results, baseline) << "\n";
 }
 
 } // namespace nosync::bench

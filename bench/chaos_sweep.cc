@@ -3,10 +3,10 @@
  * Chaos sweep: fault-injection robustness harness.
  *
  * Runs a set of synchronization-heavy workloads across the five
- * studied configurations (plus DD+SE under --sync-engine, and with
- * every other common flag applied), each under several fault seeds
- * (message latency jitter, cross-pair reordering, duplicated
- * idempotent requests). For every run it demands:
+ * studied configurations (plus DD+SE under --sync-engine), each
+ * under several fault seeds (message latency jitter, cross-pair
+ * reordering, duplicated idempotent requests). For every run it
+ * demands:
  *
  *  - the workload completes (no hang, no watchdog),
  *  - the functional check and the quiesced invariant sweep are clean,
@@ -23,11 +23,10 @@
  * every fault seed's memory compare, and each cell runs on its own
  * thread under --jobs=N.
  *
- * Usage: chaos_sweep [--scale=N] [--jobs=N] [--json=PATH]
- *                    [--seeds=N] [--check-period=N]
+ * Writes no trace or race-report files, so it takes neither --trace
+ * nor --race-json.
  */
 
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -78,38 +77,24 @@ main(int argc, char **argv)
     WallTimer timer;
     unsigned num_seeds = 5;
     Tick check_period = 2000;
-    // Harness-specific flags as FlagSpec rows, so they get the same
-    // strict parsing and error text as the common table instead of a
-    // hand-rolled strncmp/atoi branch.
-    const std::vector<FlagSpec> chaos_flags = {
-        {"--seeds", FlagSpec::Kind::Number, 1, 1000,
-         "a seed count in [1, 1000]",
-         [&num_seeds](Options &, unsigned long long num,
-                      const char *) {
-             num_seeds = static_cast<unsigned>(num);
-         }},
-        {"--check-period", FlagSpec::Kind::Number, 1, ~0ull,
-         "a positive cycle count",
-         [&check_period](Options &, unsigned long long num,
-                         const char *) {
-             check_period = static_cast<Tick>(num);
-         }},
-    };
+    Options defaults;
+    defaults.scalePercent = 30; // chaos default: fast sweeps
     Options opts = Options::parse(
         argc, argv,
-        [&](const char *arg) {
-            Options dummy;
-            for (const FlagSpec &spec : chaos_flags)
-                if (spec.match(arg, dummy))
-                    return true;
-            return false;
-        },
-        " [--seeds=N] [--check-period=N]",
-        [] {
-            Options defaults;
-            defaults.scalePercent = 30; // chaos default: fast sweeps
-            return defaults;
-        }());
+        {flag::scale, flag::jobs, flag::json, flag::raceCheck,
+         flag::maxCycles, flag::devices, flag::syncEngine,
+         {"--seeds", FlagSpec::Kind::Number, 1, 1000,
+          "a seed count in [1, 1000]",
+          [&num_seeds](Options &, unsigned long long num, const char *) {
+              num_seeds = static_cast<unsigned>(num);
+          }},
+         {"--check-period", FlagSpec::Kind::Number, 1, ~0ull,
+          "a positive cycle count",
+          [&check_period](Options &, unsigned long long num,
+                          const char *) {
+              check_period = static_cast<Tick>(num);
+          }}},
+        defaults);
 
     const std::vector<std::string> workloads = {
         "FAM_G",  // decoupled fetch-add mutex, global scope

@@ -16,7 +16,8 @@ int
 main(int argc, char **argv)
 {
     WallTimer timer;
-    Options opts = Options::parse(argc, argv);
+    Options opts = Options::parse(
+        argc, argv, cellFlags({flag::raceCheck, flag::devices}));
 
     FigureResults figures;
     std::vector<WorkloadResults> all;

@@ -68,10 +68,11 @@ struct LitmusOptions
 };
 
 /**
- * The harness-specific flag table, same typed FlagSpec rows as the
- * common option set: strict parsing, validated ranges, exit 2 on
- * garbage. Rows capture the LitmusOptions instance and ignore the
- * bench::Options argument.
+ * The harness's flag table: --jobs and --max-cycles (a per-schedule
+ * cycle cap) from the common rows, then its own rows, which capture
+ * the LitmusOptions instance and ignore the bench::Options argument.
+ * The litmus machine is fixed (one device, no scale), so no other
+ * common flag applies.
  */
 std::vector<bench::FlagSpec>
 litmusFlags(LitmusOptions &local)
@@ -80,7 +81,10 @@ litmusFlags(LitmusOptions &local)
     using bench::Options;
     using ull = unsigned long long;
     return {
-        {"--mode", FlagSpec::Kind::String, 0, 0, "",
+        bench::flag::jobs,
+        bench::flag::maxCycles,
+        {"--mode", FlagSpec::Kind::String, 0, 0,
+         "explore|axiom|cross-check",
          [&local](Options &, ull, const char *text) {
              local.mode = text;
          }},
@@ -113,11 +117,11 @@ litmusFlags(LitmusOptions &local)
          [&local](Options &, ull, const char *text) {
              local.axiomJsonPath = text;
          }},
-        {"--program", FlagSpec::Kind::String, 0, 0, "",
+        {"--program", FlagSpec::Kind::String, 0, 0, "NAME",
          [&local](Options &, ull, const char *text) {
              local.onlyProgram = text;
          }},
-        {"--config", FlagSpec::Kind::String, 0, 0, "",
+        {"--config", FlagSpec::Kind::String, 0, 0, "NAME",
          [&local](Options &, ull, const char *text) {
              local.onlyConfig = text;
          }},
@@ -156,24 +160,8 @@ int
 main(int argc, char **argv)
 {
     LitmusOptions local;
-    const std::vector<bench::FlagSpec> flags = litmusFlags(local);
-
-    bench::Options opts = bench::Options::parse(
-        argc, argv,
-        [&](const char *arg) -> bool {
-            // Same typed matcher as the common table; the dummy
-            // Options satisfies the row signature, every row writes
-            // into `local`.
-            bench::Options dummy;
-            for (const bench::FlagSpec &spec : flags)
-                if (spec.match(arg, dummy))
-                    return true;
-            return false;
-        },
-        " [--mode=explore|axiom|cross-check] [--schedules=N]"
-        " [--deliver-depth=N] [--no-dpor] [--wall-budget=SECONDS]"
-        " [--program=NAME] [--config=NAME] [--report=PATH]"
-        " [--axiom-json=PATH]");
+    bench::Options opts =
+        bench::Options::parse(argc, argv, litmusFlags(local));
     if (opts.maxCycles != 0)
         local.budget.maxCyclesPerSchedule = opts.maxCycles;
 
@@ -219,8 +207,7 @@ main(int argc, char **argv)
                 explore::makeLitmus(program);
             for (const ProtocolConfig &proto : configs) {
                 axiom_report.cells.push_back(
-                    axiom::checkCell(*workload, proto,
-                                     opts.devices));
+                    axiom::checkCell(*workload, proto));
             }
         }
     }

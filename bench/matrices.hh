@@ -12,7 +12,6 @@
 #define BENCH_MATRICES_HH
 
 #include <cstdio>
-#include <cstring>
 #include <map>
 
 #include "bench_util.hh"
@@ -35,12 +34,10 @@ struct Machine
 
 using Columns = std::function<std::vector<ProtocolConfig>(const Options &)>;
 /**
- * Lines printed after a machine's figure, given whether the row's
- * toggle flag was passed. A nonzero return is the harness's exit
- * code, and no JSON record is written.
+ * Lines printed after a machine's figure. A nonzero return is the
+ * harness's exit code, and no JSON record is written.
  */
-using AfterFigure =
-    std::function<int(const std::vector<WorkloadResults> &, bool)>;
+using AfterFigure = std::function<int(const std::vector<WorkloadResults> &)>;
 
 /** One figure-style sweep: its matrix, machines and extra output. */
 struct MatrixSpec
@@ -52,8 +49,12 @@ struct MatrixSpec
     /** Column every figure normalizes to. */
     std::size_t baseline = 0;
     std::vector<Machine> machines;
-    /** A harness-local toggle flag, e.g. "--no-win-check". */
-    const char *toggle = nullptr;
+    /**
+     * The harness's flag table: by default the cell flags plus
+     * --race-check and --devices, which its machines then keep.
+     */
+    std::vector<FlagSpec> flags =
+        cellFlags({flag::raceCheck, flag::devices});
     AfterFigure after = {};
 };
 
@@ -147,7 +148,7 @@ deviceTiers()
 
 /** Fig. 3's extra lines: D*'s average gain over G*. */
 inline int
-printFig3Averages(const std::vector<WorkloadResults> &results, bool)
+printFig3Averages(const std::vector<WorkloadResults> &results)
 {
     auto lower = [&](int metric) {
         return (1.0 - averageNormalized(results, metric, 1, 0)) * 100.0;
@@ -162,7 +163,7 @@ printFig3Averages(const std::vector<WorkloadResults> &results, bool)
 
 /** Fig. 4's extra lines: the Section 6 column comparisons. */
 inline int
-printFig4Comparisons(const std::vector<WorkloadResults> &results, bool)
+printFig4Comparisons(const std::vector<WorkloadResults> &results)
 {
     struct Row
     {
@@ -213,7 +214,7 @@ checkGraphWins(const std::vector<WorkloadResults> &results,
 
 /** race_sweep's extra line: what the detector checked. */
 inline int
-printRaceTotals(const std::vector<WorkloadResults> &results, bool)
+printRaceTotals(const std::vector<WorkloadResults> &results)
 {
     std::size_t accesses = 0, edges = 0;
     for (const auto &wr : results)
@@ -232,6 +233,8 @@ inline const std::vector<MatrixSpec> &
 matrices()
 {
     using PC = ProtocolConfig;
+    // Set by graph_sweep's --no-win-check row before its sweep runs.
+    static bool no_win_check = false;
     static const std::vector<MatrixSpec> table = {
         // HRF does not affect codes without local synchronization, so
         // as in the paper one bar is GD=GH and one DD=DH.
@@ -266,9 +269,12 @@ matrices()
         {.harness = "scale_sweep",
          .workloads = {"FAM_G", "SPM_G", "FAM_L", "SS_L"},
          .columns = standardConfigs,
-         .machines = meshTiers()},
+         .machines = meshTiers(),
+         .flags = cellFlags(
+             {flag::raceCheck, flag::devices, flag::syncEngine})},
         // One mutex pair per scope tier: global (every acquire
         // crosses the link), device, and CU-local; DD+SE always runs.
+        // Each machine sets its own device count, so no --devices.
         {.harness = "multi_device_sweep",
          .workloads = {"FAM_G", "SPM_G", "FAM_D", "SPM_D", "FAM_L"},
          .columns = fixedColumns([] {
@@ -276,7 +282,8 @@ matrices()
              columns.push_back(PC::ddse());
              return columns;
          }()),
-         .machines = deviceTiers()},
+         .machines = deviceTiers(),
+         .flags = cellFlags({flag::raceCheck})},
         {.harness = "graph_sweep",
          .workloads = groupNames("graph"),
          .columns = fixedColumns(PC::all()),
@@ -285,11 +292,20 @@ matrices()
              "Graph sweep: BFS/PageRank/SSSP x push/pull x "
              "power-law/mesh, all configs (normalized to DD)",
              "GraphSweep"),
-         .toggle = "--no-win-check",
-         .after = checkGraphWins},
+         .flags = cellFlags(
+             {flag::raceCheck, flag::devices,
+              {"--no-win-check", FlagSpec::Kind::Toggle, 0, 0, "",
+               [](Options &, unsigned long long, const char *) {
+                   no_win_check = true;
+               }}}),
+         .after =
+             [](const std::vector<WorkloadResults> &results) {
+                 return checkGraphWins(results, no_win_check);
+             }},
         // The CI race gate: every sync idiom under every column,
-        // DD+PR included, with the detector always on. Under
-        // --devices=2 the device-scope cells are truly middle-scoped.
+        // DD+PR included, with the detector always on (so no
+        // --race-check). Under --devices=2 the device-scope cells are
+        // truly middle-scoped.
         {.harness = "race_sweep",
          .workloads = {"ST", "SGEMM", "LUD", "UTS", "FAM_G", "SPM_G",
                        "FAM_L", "SS_L", "TB_LG", "FAM_D", "SPM_D",
@@ -309,6 +325,7 @@ matrices()
              [](SystemConfig &config) {
                  config.checking.raceCheckEnabled = true;
              }}},
+         .flags = cellFlags({flag::devices, flag::syncEngine}),
          .after = printRaceTotals},
     };
     return table;
@@ -363,14 +380,14 @@ runMatrix(const MatrixSpec &spec, const Machine &machine,
  * Returns the exit code.
  */
 inline int
-runFigures(const MatrixSpec &spec, const Options &opts, bool toggled)
+runFigures(const MatrixSpec &spec, const Options &opts)
 {
     for (const Machine &machine : spec.machines) {
         WallTimer timer;
         auto results = runMatrix(spec, machine, opts);
         std::cout << "=== " << machine.title << " ===\n\n";
-        emitFigure(results, spec.baseline, machine.figure, opts);
-        if (int code = spec.after ? spec.after(results, toggled) : 0)
+        emitFigure(results, spec.baseline, machine.figure);
+        if (int code = spec.after ? spec.after(results) : 0)
             return code;
         maybeWriteJson(opts, spec.harness, results, timer,
                        machine.label);

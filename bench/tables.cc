@@ -58,9 +58,9 @@ printFeatureHeader()
 int
 main(int argc, char **argv)
 {
-    // No simulations here; parse only so a typo'd option fails
-    // loudly instead of silently printing the default tables.
-    bench::Options::parse(argc, argv);
+    // No simulations and no flags: any option fails loudly instead
+    // of silently printing the default tables.
+    bench::Options::parse(argc, argv, {});
 
     std::printf("=== Table 1: classification of coherence protocols "
                 "===\n");

@@ -200,7 +200,7 @@ RaceDetector::report(Addr addr, const Access &prev, unsigned slot,
             break;
         }
     }
-    if (_races.size() < _maxRecords)
+    if (_races.size() < kMaxRecords)
         _races.push_back(std::move(record));
     else
         ++_recordsDropped;

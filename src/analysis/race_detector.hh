@@ -165,7 +165,11 @@ bool writeRaceJson(const RaceReport &report, const std::string &path);
 class RaceDetector
 {
   public:
-    /** Default detailed-record cap before counting-only mode. */
+    /**
+     * Detailed-record cap: races past it are still *counted* (and
+     * flip RaceReport::truncated); only their detail records are
+     * dropped.
+     */
     static constexpr std::size_t kMaxRecords = 128;
 
     /**
@@ -177,19 +181,6 @@ class RaceDetector
     explicit RaceDetector(const ProtocolConfig &config,
                           unsigned devices = 1,
                           unsigned cusPerDevice = 0);
-
-    /**
-     * Override the detailed-record cap (--race-cap=N in the
-     * harnesses). Races past the cap are still *counted* (and flip
-     * RaceReport::truncated); only their detail records are dropped.
-     */
-    void
-    setRecordCap(std::size_t cap)
-    {
-        _maxRecords = cap ? cap : kMaxRecords;
-    }
-
-    std::size_t recordCap() const { return _maxRecords; }
 
     // Thread-block lifecycle (GpuDevice) ------------------------------
 
@@ -313,7 +304,6 @@ class RaceDetector
     std::set<std::tuple<Addr, std::uint32_t, std::uint32_t>> _seen;
     std::vector<RaceSuppression> _suppressions;
 
-    std::size_t _maxRecords = kMaxRecords;
     std::uint64_t _dataAccesses = 0;
     std::uint64_t _syncPerforms = 0;
     std::uint64_t _hbEdges = 0;

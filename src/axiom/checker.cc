@@ -453,10 +453,10 @@ checkProgram(const Program &prog, const AxiomModel &model,
 
 AxiomCellReport
 checkCell(const explore::LitmusWorkload &workload,
-          const ProtocolConfig &proto, unsigned devices)
+          const ProtocolConfig &proto)
 {
     Program prog = workload.axiomProgram();
-    AxiomModel model = modelFor(proto, devices);
+    AxiomModel model = modelFor(proto);
     AxiomCellReport report = checkProgram(
         prog, model,
         [&](const std::vector<std::uint32_t> &regs) {

@@ -130,12 +130,12 @@ AxiomCellReport checkProgram(const Program &prog,
                              const OutcomeOracle &allowed);
 
 /**
- * Statically check @p workload under @p proto on a @p devices -device
- * machine. Pure function of the IR and the axiom set.
+ * Statically check @p workload under @p proto on the litmus machine
+ * (one device, as the explorer runs it). Pure function of the IR and
+ * the axiom set.
  */
 AxiomCellReport checkCell(const explore::LitmusWorkload &workload,
-                          const ProtocolConfig &proto,
-                          unsigned devices = 1);
+                          const ProtocolConfig &proto);
 
 /** Result of cross-validating one cell against the explorer. */
 struct CrossCheckResult

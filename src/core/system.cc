@@ -21,8 +21,6 @@ System::System(const SystemConfig &config) : _config(config)
         _races = std::make_unique<analysis::RaceDetector>(
             _config.protocol, _config.topology.devices,
             _config.topology.cusPerDevice);
-        if (_config.checking.raceRecordCap != 0)
-            _races->setRecordCap(_config.checking.raceRecordCap);
     }
     const MachineTopology &topo = _config.topology;
     unsigned num_nodes = topo.numNodes();

@@ -93,15 +93,6 @@ struct SystemConfig
          * checkFailures.
          */
         bool raceCheckEnabled = false;
-
-        /**
-         * Detailed race-record cap (--race-cap=N in the harnesses);
-         * 0 keeps the detector's default
-         * (RaceDetector::kMaxRecords). Races past the cap are still
-         * counted, and the report's `truncated` flag records that
-         * detail was dropped.
-         */
-        std::size_t raceRecordCap = 0;
     };
     Checking checking{};
 

@@ -358,8 +358,11 @@ mergeRun(CellReport &cell, NodeMap &nodes,
                                " unexpected race(s)");
     }
     if (run.truncated) {
-        addViolation(cell, sched + ": race report truncated "
-                                   "(raise --race-cap)");
+        addViolation(cell,
+                     sched + ": race report truncated (more than " +
+                         std::to_string(
+                             analysis::RaceDetector::kMaxRecords) +
+                         " races, the detector's record cap)");
     }
 
     for (const std::string &failure : run.otherFailures)

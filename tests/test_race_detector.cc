@@ -310,6 +310,48 @@ TEST(RaceDetectorUnit, JsonEmissionWrites)
     std::remove(path.c_str());
 }
 
+TEST(RaceDetectorUnit, RacesPastTheCapAreCountedNotRecorded)
+{
+    // One racing pair per word, on more words than the cap holds.
+    constexpr std::size_t kRacyWords = RaceDetector::kMaxRecords + 37;
+    RaceDetector det(ProtocolConfig::dd());
+    unsigned a = det.tbStarted(0, 0, 0);
+    unsigned b = det.tbStarted(0, 1, 1);
+    for (std::size_t w = 0; w < kRacyWords; ++w) {
+        Addr addr = 0x1000 + 4 * w;
+        det.dataWrite(a, addr, 10 + w);
+        det.dataRead(b, addr, 10000 + w);
+    }
+
+    RaceReport report = det.finalize("unit-cap", "DD");
+    EXPECT_EQ(report.racesDetected, kRacyWords);
+    EXPECT_TRUE(report.truncated);
+    EXPECT_EQ(report.races.size(), RaceDetector::kMaxRecords);
+    EXPECT_EQ(report.recordsDropped,
+              report.racesDetected - RaceDetector::kMaxRecords);
+
+    std::string path = ::testing::TempDir() + "race_cap.json";
+    ASSERT_TRUE(writeRaceJson(report, path));
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    std::string text = buf.str();
+    EXPECT_NE(text.find("\"races_detected\":" +
+                        std::to_string(kRacyWords)),
+              std::string::npos);
+    EXPECT_NE(text.find("\"records_dropped\":" +
+                        std::to_string(kRacyWords -
+                                       RaceDetector::kMaxRecords)),
+              std::string::npos);
+    EXPECT_NE(text.find("\"truncated\":true"), std::string::npos);
+    std::size_t records = 0;
+    for (std::size_t at = text.find("\"addr\":"); at != std::string::npos;
+         at = text.find("\"addr\":", at + 1))
+        ++records;
+    EXPECT_EQ(records, RaceDetector::kMaxRecords);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Litmus workloads run through the full System
 // ---------------------------------------------------------------------

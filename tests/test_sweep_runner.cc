@@ -191,7 +191,9 @@ TEST(HarnessFlagsDeathTest, SimThreadsIsAnUnknownOption)
     // In-run parallel simulation was removed; its old flag must fail
     // like any typo rather than silently run something else.
     const char *argv[] = {"harness", "--sim-threads=4"};
-    EXPECT_EXIT(bench::Options::parse(2, const_cast<char **>(argv)),
+    EXPECT_EXIT(bench::Options::parse(
+                    2, const_cast<char **>(argv),
+                    bench::cellFlags({bench::flag::devices})),
                 ::testing::ExitedWithCode(2),
                 "unknown option --sim-threads=4");
 }

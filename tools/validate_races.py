@@ -24,8 +24,8 @@ With --require-clean, additionally fails any report whose unsuppressed
 race count (races_detected - races_suppressed) is non-zero — the mode
 CI runs against the paper workloads, which must all be race-free —
 and any truncated report: dropped records were never classified, so a
-truncated report cannot prove cleanliness (re-run with a higher
---race-cap=N instead).
+truncated report cannot prove cleanliness (more unique races than
+the detector's record cap, RaceDetector::kMaxRecords = 128).
 
 Exits 0 if every file validates, 1 otherwise.
 """
