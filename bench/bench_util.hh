@@ -15,9 +15,9 @@
 #define BENCH_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <cerrno>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -162,11 +162,13 @@ struct FlagSpec
           case Kind::Real: {
             // Strict: the validated text is re-read by apply, so the
             // double survives the integer-shaped apply signature.
-            char *end = nullptr;
-            errno = 0;
-            double parsed = std::strtod(value, &end);
-            if (*value == '\0' || end == nullptr || *end != '\0' ||
-                errno == ERANGE || parsed <= 0.0) {
+            // from_chars takes no leading space or '+'; nan and inf
+            // parse, so require a finite value.
+            const char *end = value + std::strlen(value);
+            double parsed = 0.0;
+            auto [stop, err] = std::from_chars(value, end, parsed);
+            if (err != std::errc() || stop != end ||
+                !std::isfinite(parsed) || parsed <= 0.0) {
                 std::cerr << "error: " << name << " expects "
                           << expects << ", got '" << value << "'\n";
                 std::exit(2);

@@ -188,12 +188,10 @@ printFig4Comparisons(const std::vector<WorkloadResults> &results)
 
 /**
  * graph_sweep's win check: DD+PR must beat both DD and GD in cycles
- * on at least one pull (frontier-heavy) cell, unless --no-win-check
- * (reduced scales may reorder close columns).
+ * on at least one pull (frontier-heavy) cell.
  */
 inline int
-checkGraphWins(const std::vector<WorkloadResults> &results,
-               bool no_win_check)
+checkGraphWins(const std::vector<WorkloadResults> &results)
 {
     unsigned wins = 0;
     for (const auto &wr : results) {
@@ -205,7 +203,7 @@ checkGraphWins(const std::vector<WorkloadResults> &results,
     }
     std::cout << "DD+PR beats both DD and GD on " << wins
               << " pull cells\n";
-    if (no_win_check || wins != 0)
+    if (wins != 0)
         return 0;
     std::cerr << "GRAPH SWEEP FAILURE: DD+PR beat neither DD nor GD on "
                  "any pull cell\n";
@@ -233,8 +231,6 @@ inline const std::vector<MatrixSpec> &
 matrices()
 {
     using PC = ProtocolConfig;
-    // Set by graph_sweep's --no-win-check row before its sweep runs.
-    static bool no_win_check = false;
     static const std::vector<MatrixSpec> table = {
         // HRF does not affect codes without local synchronization, so
         // as in the paper one bar is GD=GH and one DD=DH.
@@ -292,16 +288,8 @@ matrices()
              "Graph sweep: BFS/PageRank/SSSP x push/pull x "
              "power-law/mesh, all configs (normalized to DD)",
              "GraphSweep"),
-         .flags = cellFlags(
-             {flag::raceCheck, flag::devices,
-              {"--no-win-check", FlagSpec::Kind::Toggle, 0, 0, "",
-               [](Options &, unsigned long long, const char *) {
-                   no_win_check = true;
-               }}}),
-         .after =
-             [](const std::vector<WorkloadResults> &results) {
-                 return checkGraphWins(results, no_win_check);
-             }},
+         .flags = cellFlags({flag::raceCheck, flag::devices}),
+         .after = checkGraphWins},
         // The CI race gate: every sync idiom under every column,
         // DD+PR included, with the detector always on (so no
         // --race-check). Under --devices=2 the device-scope cells are

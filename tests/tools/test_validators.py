@@ -7,7 +7,8 @@ on targeted mutations of them: every mutation breaks exactly one
 schema or cross-field rule, and the test asserts both the failing
 exit code and that the diagnostic names the broken rule. The good
 fixtures are built in code so the tests document the minimal valid
-shape of each report.
+shape of each report. compare_bench, the exact gate on BENCH sweep
+records, is exercised the same way against a copy of its baseline.
 
 Run directly (python3 tests/tools/test_validators.py) or via ctest /
 CI as the tools_validators test.
@@ -26,6 +27,7 @@ TOOLS_DIR = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "..", "tools")
 sys.path.insert(0, TOOLS_DIR)
 
+import compare_bench     # noqa: E402
 import validate_axiom    # noqa: E402
 import validate_explore  # noqa: E402
 import validate_races    # noqa: E402
@@ -167,6 +169,18 @@ GOOD_AXIOM = {
             "races": ["scope race on data: t0 write vs t1 load"],
             "cross_check": {"checked": True, "ok": True, "diffs": []},
         },
+    ],
+}
+
+GOOD_BENCH = {
+    "harness": "scale_sweep/4x4",
+    "cells": [
+        {"workload": "FAM_G", "config": "GD", "scale_percent": 10,
+         "cycles": 642854, "energy_total": 220517817,
+         "traffic_total": 1891798, "host_ms": 280.9, "ok": True},
+        {"workload": "FAM_G", "config": "DD", "scale_percent": 10,
+         "cycles": 608274, "energy_total": 145612964,
+         "traffic_total": 226871, "host_ms": 98.2, "ok": True},
     ],
 }
 
@@ -409,6 +423,58 @@ class TestValidateAxiom(ValidatorCase):
         self.assert_ok(validate_axiom, doc)
         self.assert_fail(validate_axiom, doc, "cross-checked",
                          flags=("--require-clean",))
+
+
+class TestCompareBench(ValidatorCase):
+    def compare(self, current):
+        base = self.write(GOOD_BENCH, "base.json")
+        cur = self.write(current, "cur.json")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(out):
+            code = compare_bench.main([base, cur])
+        return code, out.getvalue()
+
+    def assert_compare_fails(self, current, needle):
+        code, out = self.compare(current)
+        self.assertEqual(code, 1, f"expected FAIL, got:\n{out}")
+        self.assertIn(needle, out)
+
+    def test_identical_records_pass(self):
+        code, out = self.compare(GOOD_BENCH)
+        self.assertEqual(code, 0, out)
+        self.assertIn("2 cells matched, 0 new, 0 failures", out)
+
+    def test_host_timings_are_not_compared(self):
+        doc = copy.deepcopy(GOOD_BENCH)
+        doc["cells"][0]["host_ms"] *= 3
+        code, out = self.compare(doc)
+        self.assertEqual(code, 0, out)
+
+    def test_one_cycle_drift_fails(self):
+        doc = copy.deepcopy(GOOD_BENCH)
+        doc["cells"][1]["cycles"] += 1
+        self.assert_compare_fails(
+            doc, "FAM_G/DD@10% cycles changed 608274 -> 608275")
+
+    def test_missing_baseline_cell_fails(self):
+        doc = copy.deepcopy(GOOD_BENCH)
+        del doc["cells"][0]
+        self.assert_compare_fails(
+            doc, "cell FAM_G/GD@10% missing from current record")
+
+    def test_failed_cell_fails(self):
+        doc = copy.deepcopy(GOOD_BENCH)
+        doc["cells"][0]["ok"] = False
+        self.assert_compare_fails(
+            doc, "FAM_G/GD@10% failed its functional checks")
+
+    def test_odd_number_of_paths_exits_2(self):
+        base = self.write(GOOD_BENCH, "base.json")
+        with contextlib.redirect_stderr(io.StringIO()), \
+                self.assertRaises(SystemExit) as exit_:
+            compare_bench.main([base])
+        self.assertEqual(exit_.exception.code, 2)
 
 
 if __name__ == "__main__":

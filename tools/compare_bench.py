@@ -2,21 +2,14 @@
 """Compare BENCH_*.json sweep records against a checked-in baseline.
 
 Usage:
-    compare_bench.py [options] BASELINE CURRENT [BASELINE CURRENT]...
+    compare_bench.py BASELINE CURRENT [BASELINE CURRENT]...
 
 Each (BASELINE, CURRENT) pair is matched cell by cell on
-(workload, config, scale_percent). Simulated metrics are gated:
-
-  * cycles     -- exact by default (the simulator is deterministic,
-                  so any drift is a real behavior change), or within
-                  --rel-tol-cycles if nonzero.
-  * energy/traffic totals -- same tolerance as cycles.
-
-Host-side timings (host_ms, events_per_sec, wall_ms) are reported but
-never gated by default: CI machines vary, so wall-clock comparisons
-across runs are noise. Opt in with --check-host to flag cells whose
-host_ms regressed by more than --rel-tol-host (useful only when both
-records came from the same machine).
+(workload, config, scale_percent). The simulated metrics -- cycles,
+energy_total and traffic_total -- must match exactly: the simulator
+is deterministic, so any drift is a real behavior change. Host-side
+timings (host_ms, events_per_sec) are never compared; they vary from
+run to run.
 
 Every baseline cell must be present in the current record, and every
 current cell must pass its functional checks (ok == true). Cells new
@@ -64,16 +57,7 @@ def index_cells(record, path):
     return cells
 
 
-def within(baseline, current, rel_tol):
-    if baseline == current:
-        return True
-    if rel_tol <= 0:
-        return False
-    scale = max(abs(baseline), abs(current), 1e-12)
-    return abs(current - baseline) <= rel_tol * scale
-
-
-def compare_pair(base_path, cur_path, args):
+def compare_pair(base_path, cur_path):
     base = index_cells(load_record(base_path), base_path)
     cur = index_cells(load_record(cur_path), cur_path)
     label = "%s vs %s" % (base_path, cur_path)
@@ -94,20 +78,9 @@ def compare_pair(base_path, cur_path, args):
             b, c = base_cell.get(metric), cur_cell.get(metric)
             if b is None or c is None:
                 continue
-            if not within(b, c, args.rel_tol_cycles):
-                failures.append(
-                    "%s: %s %s changed %s -> %s (tol %.3g)"
-                    % (label, key_str(key), metric, b, c,
-                       args.rel_tol_cycles))
-        if args.check_host:
-            b = base_cell.get("host_ms")
-            c = cur_cell.get("host_ms")
-            if b and c and c > b * (1.0 + args.rel_tol_host):
-                failures.append(
-                    "%s: %s host_ms regressed %.1f -> %.1f "
-                    "(>%.0f%% tolerance)"
-                    % (label, key_str(key), b, c,
-                       args.rel_tol_host * 100.0))
+            if b != c:
+                failures.append("%s: %s %s changed %s -> %s"
+                                % (label, key_str(key), metric, b, c))
 
     new_cells = sorted(set(cur) - set(base))
     for key in new_cells:
@@ -125,16 +98,6 @@ def main(argv):
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("pairs", nargs="+", metavar="JSON",
                         help="alternating BASELINE CURRENT paths")
-    parser.add_argument("--rel-tol-cycles", type=float, default=0.0,
-                        help="relative tolerance for simulated metrics"
-                             " (default 0: exact, the simulator is"
-                             " deterministic)")
-    parser.add_argument("--check-host", action="store_true",
-                        help="also gate host_ms (same-machine records"
-                             " only)")
-    parser.add_argument("--rel-tol-host", type=float, default=0.25,
-                        help="relative host_ms tolerance with"
-                             " --check-host (default 0.25)")
     args = parser.parse_args(argv)
 
     if len(args.pairs) % 2 != 0:
@@ -143,8 +106,7 @@ def main(argv):
 
     failures = []
     for i in range(0, len(args.pairs), 2):
-        failures += compare_pair(args.pairs[i], args.pairs[i + 1],
-                                 args)
+        failures += compare_pair(args.pairs[i], args.pairs[i + 1])
 
     for failure in failures:
         print("FAIL: %s" % failure, file=sys.stderr)
