@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 
 #include "trace/trace_sink.hh"
 
@@ -43,89 +44,110 @@ Mesh::hops(NodeId src, NodeId dst) const
                      static_cast<std::size_t>(dst)];
 }
 
-NodeId
-Mesh::nextHop(NodeId at, NodeId dst) const
+namespace
 {
-    int w = static_cast<int>(_topo.mesh.width);
-    int per_dev = static_cast<int>(_topo.nodesPerDevice());
-    int base = (at / per_dev) * per_dev;
-    int al = at - base, dl = dst - base;
-    int ax = al % w, ay = al / w;
-    int dx = dl % w, dy = dl / w;
+
+/**
+ * Write the link indices of the intra-device XY route from local
+ * (x0, y0) to local (x1, y1), starting at global node @p node, into
+ * @p out; @return one past the last link written. Link index is
+ * node * 4 + direction (0 east, 1 west, 2 south, 3 north).
+ */
+std::uint16_t *
+writeLocalRoute(std::uint16_t *out, unsigned node, int x0, int y0,
+                int x1, int y1, unsigned width)
+{
     // X first, then Y (dimension-ordered, deadlock-free).
-    if (ax < dx)
-        return at + 1;
-    if (ax > dx)
-        return at - 1;
-    if (ay < dy)
-        return at + w;
-    return at - w;
+    for (; x0 < x1; ++x0, ++node)
+        *out++ = static_cast<std::uint16_t>(node * 4 + 0);
+    for (; x0 > x1; --x0, --node)
+        *out++ = static_cast<std::uint16_t>(node * 4 + 1);
+    for (; y0 < y1; ++y0, node += width)
+        *out++ = static_cast<std::uint16_t>(node * 4 + 2);
+    for (; y0 > y1; --y0, node -= width)
+        *out++ = static_cast<std::uint16_t>(node * 4 + 3);
+    return out;
 }
 
-std::size_t
-Mesh::linkIndex(NodeId from, NodeId to) const
-{
-    int w = static_cast<int>(_topo.mesh.width);
-    int dir;
-    if (to == from + 1)
-        dir = 0; // east
-    else if (to == from - 1)
-        dir = 1; // west
-    else if (to == from + w)
-        dir = 2; // south
-    else
-        dir = 3; // north
-    return static_cast<std::size_t>(from) * 4 +
-           static_cast<std::size_t>(dir);
-}
-
-void
-Mesh::appendLocalRoute(NodeId from, NodeId to, unsigned &num_hops)
-{
-    NodeId at = from;
-    while (at != to) {
-        NodeId next = nextHop(at, to);
-        _routeLinks.push_back(
-            static_cast<std::uint16_t>(linkIndex(at, next)));
-        at = next;
-        ++num_hops;
-    }
-}
+} // namespace
 
 void
 Mesh::buildRouteTable()
 {
-    std::size_t n = numNodes();
-    _routeOffset.assign(n * n + 1, 0);
-    _hopTable.assign(n * n, 0);
-    _routeLinks.clear();
-    for (NodeId src = 0; src < static_cast<NodeId>(n); ++src) {
-        for (NodeId dst = 0; dst < static_cast<NodeId>(n); ++dst) {
-            std::size_t pair =
-                static_cast<std::size_t>(src) * n +
-                static_cast<std::size_t>(dst);
-            _routeOffset[pair] =
-                static_cast<std::uint32_t>(_routeLinks.size());
-            unsigned num_hops = 0;
-            unsigned sd = _topo.deviceOf(src);
-            unsigned dd = _topo.deviceOf(dst);
-            if (sd == dd) {
-                appendLocalRoute(src, dst, num_hops);
-            } else {
-                // XY to the source gateway, one inter-device link,
-                // then XY from the destination gateway.
-                appendLocalRoute(src, _topo.gatewayNode(sd), num_hops);
-                _routeLinks.push_back(static_cast<std::uint16_t>(
-                    n * 4 + sd * _topo.devices + dd));
-                ++num_hops;
-                appendLocalRoute(_topo.gatewayNode(dd), dst,
-                                 num_hops);
+    const unsigned n = numNodes();
+    const unsigned w = _topo.mesh.width;
+    const unsigned h = _topo.mesh.height;
+    const unsigned per_dev = _topo.nodesPerDevice();
+    const unsigned devices = _topo.devices;
+    const unsigned gw = per_dev - 1; // local id of every gateway
+
+    // Local coordinates of one device's nodes (devices share them).
+    std::vector<int> xs(per_dev), ys(per_dev);
+    for (unsigned l = 0; l < per_dev; ++l) {
+        xs[l] = static_cast<int>(l % w);
+        ys[l] = static_cast<int>(l / w);
+    }
+    auto leg = [&](unsigned a, unsigned b) {
+        return static_cast<unsigned>(std::abs(xs[a] - xs[b]) +
+                                     std::abs(ys[a] - ys[b]));
+    };
+
+    // Links over all routes, in closed form, so the table is sized
+    // once: the XY routes inside one device cross
+    // h^2 (w^3 - w) / 3 + w^2 (h^3 - h) / 3 links, and each route
+    // between two devices takes the legs to and from the gateways
+    // plus the device pair's link.
+    std::size_t gw_legs = 0;
+    for (unsigned l = 0; l < per_dev; ++l)
+        gw_legs += leg(l, gw);
+    std::size_t local_links =
+        static_cast<std::size_t>(h) * h * (w * w * w - w) / 3 +
+        static_cast<std::size_t>(w) * w * (h * h * h - h) / 3;
+    std::size_t remote_links =
+        2 * static_cast<std::size_t>(per_dev) * gw_legs +
+        static_cast<std::size_t>(per_dev) * per_dev;
+    std::size_t total = devices * local_links +
+                        static_cast<std::size_t>(devices) *
+                            (devices - 1) * remote_links;
+
+    _routeLinks = std::make_unique_for_overwrite<std::uint16_t[]>(total);
+    _routeOffset.resize(static_cast<std::size_t>(n) * n + 1);
+    _hopTable.resize(static_cast<std::size_t>(n) * n);
+    std::uint16_t *const first = _routeLinks.get();
+    std::uint16_t *out = first;
+    std::size_t pair = 0;
+    for (unsigned sd = 0; sd < devices; ++sd) {
+        for (unsigned sl = 0; sl < per_dev; ++sl) {
+            unsigned src = sd * per_dev + sl;
+            for (unsigned dd = 0; dd < devices; ++dd) {
+                for (unsigned dl = 0; dl < per_dev; ++dl, ++pair) {
+                    std::uint16_t *begin = out;
+                    _routeOffset[pair] =
+                        static_cast<std::uint32_t>(begin - first);
+                    if (sd == dd) {
+                        out = writeLocalRoute(out, src, xs[sl], ys[sl],
+                                              xs[dl], ys[dl], w);
+                    } else {
+                        // XY to the source gateway, one inter-device
+                        // link, then XY from the destination gateway.
+                        out = writeLocalRoute(out, src, xs[sl], ys[sl],
+                                              xs[gw], ys[gw], w);
+                        *out++ = static_cast<std::uint16_t>(
+                            n * 4 + sd * devices + dd);
+                        out = writeLocalRoute(out, dd * per_dev + gw,
+                                              xs[gw], ys[gw], xs[dl],
+                                              ys[dl], w);
+                    }
+                    _hopTable[pair] =
+                        static_cast<std::uint8_t>(out - begin);
+                }
             }
-            _hopTable[pair] = static_cast<std::uint8_t>(num_hops);
         }
     }
-    _routeOffset[n * n] =
-        static_cast<std::uint32_t>(_routeLinks.size());
+    panic_if(static_cast<std::size_t>(out - first) != total,
+             "mesh route table holds ", out - first, " links, expected ",
+             total);
+    _routeOffset[pair] = static_cast<std::uint32_t>(total);
 }
 
 void

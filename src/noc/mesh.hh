@@ -30,6 +30,7 @@
 #define NOC_MESH_HH
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -141,16 +142,6 @@ class Mesh : public SimObject
     std::size_t inFlightCount() const;
 
   private:
-    /** Index of the unidirectional link from @p from to @p to. */
-    std::size_t linkIndex(NodeId from, NodeId to) const;
-
-    /** Next node on the XY route from @p at toward @p dst (same
-     *  device; cross-device routes are stitched via gateways). */
-    NodeId nextHop(NodeId at, NodeId dst) const;
-
-    /** Append the intra-device XY route @p from -> @p to. */
-    void appendLocalRoute(NodeId from, NodeId to, unsigned &num_hops);
-
     /** Arrival ticks of one message (and of its duplicate). */
     struct Route
     {
@@ -196,7 +187,8 @@ class Mesh : public SimObject
     /** Trace the delivery of the record in @p slot and free it. */
     void retire(std::uint32_t slot);
 
-    /** Fill the per-pair route/hop tables (ctor helper). */
+    /** Fill the per-pair route/hop tables in one pass (ctor
+     *  helper). */
     void buildRouteTable();
 
     MachineTopology _topo;
@@ -212,10 +204,11 @@ class Mesh : public SimObject
 
     /**
      * Precomputed XY routes: for each (src, dst) pair, the link
-     * indices the message crosses, flattened into one array with a
-     * per-pair offset. hops(src, dst) is the segment length.
+     * indices the message crosses, flattened into one exactly sized
+     * array with a per-pair offset. hops(src, dst) is the segment
+     * length.
      */
-    std::vector<std::uint16_t> _routeLinks;
+    std::unique_ptr<std::uint16_t[]> _routeLinks;
     std::vector<std::uint32_t> _routeOffset; ///< src * numNodes + dst
     std::vector<std::uint8_t> _hopTable;
 

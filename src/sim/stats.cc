@@ -1,5 +1,8 @@
 #include "stats.hh"
 
+#include <algorithm>
+#include <functional>
+#include <numeric>
 #include <sstream>
 
 #include "logging.hh"
@@ -34,8 +37,7 @@ Distribution::percentile(double p) const
 }
 
 Handle<Scalar>
-StatSet::registerScalar(const std::string &name,
-                        const std::string &desc)
+StatSet::registerScalar(std::string_view name, std::string_view desc)
 {
     return Handle<Scalar>(scalar(name, desc));
 }
@@ -61,16 +63,67 @@ StatSet::registerDistribution(const std::string &name,
     return Handle<Distribution>(ref);
 }
 
-Scalar &
-StatSet::scalar(const std::string &name, const std::string &desc)
+std::string_view
+StatSet::scalarName(std::size_t i) const
 {
-    auto it = _scalars.find(name);
-    if (it != _scalars.end())
-        return *it->second;
-    auto stat = std::make_unique<Scalar>(name, desc);
-    Scalar &ref = *stat;
-    _scalars.emplace(name, std::move(stat));
-    return ref;
+    const ScalarText &t = _scalarTexts[i];
+    return std::string_view(_scalarText).substr(t.nameAt, t.nameLen);
+}
+
+std::string_view
+StatSet::scalarDesc(std::size_t i) const
+{
+    const ScalarText &t = _scalarTexts[i];
+    return std::string_view(_scalarText)
+        .substr(t.nameAt + t.nameLen, t.descLen);
+}
+
+std::size_t
+StatSet::scalarSlot(std::string_view name, std::size_t hash) const
+{
+    std::size_t mask = _scalarIndex.size() - 1;
+    for (std::size_t slot = hash & mask;; slot = (slot + 1) & mask) {
+        std::uint32_t entry = _scalarIndex[slot];
+        if (entry == 0 || (_scalarTexts[entry - 1].hash == hash &&
+                           scalarName(entry - 1) == name))
+            return slot;
+    }
+}
+
+void
+StatSet::growScalarIndex()
+{
+    _scalarIndex.assign(std::max<std::size_t>(64, 2 * _scalarIndex.size()),
+                        0);
+    std::size_t mask = _scalarIndex.size() - 1;
+    for (std::size_t i = 0; i < _scalarTexts.size(); ++i) {
+        std::size_t slot = _scalarTexts[i].hash & mask;
+        while (_scalarIndex[slot] != 0)
+            slot = (slot + 1) & mask;
+        _scalarIndex[slot] = static_cast<std::uint32_t>(i + 1);
+    }
+}
+
+Scalar &
+StatSet::scalar(std::string_view name, std::string_view desc)
+{
+    std::size_t i = _scalarTexts.size();
+    // Keep the index at most half full. It grows before the probe, so
+    // the empty slot the probe ends on is where a new name goes.
+    if (2 * (i + 1) > _scalarIndex.size())
+        growScalarIndex();
+    std::size_t hash = std::hash<std::string_view>{}(name);
+    std::uint32_t &entry = _scalarIndex[scalarSlot(name, hash)];
+    if (entry != 0)
+        return scalarAt(entry - 1);
+    if (i % kScalarChunk == 0)
+        _scalarChunks.push_back(std::make_unique<Scalar[]>(kScalarChunk));
+    auto at = static_cast<std::uint32_t>(_scalarText.size());
+    _scalarText.append(name).append(desc);
+    _scalarTexts.push_back({hash, at, static_cast<std::uint32_t>(name.size()),
+                            static_cast<std::uint32_t>(desc.size())});
+    entry = static_cast<std::uint32_t>(i + 1);
+    return scalarAt(i);
 }
 
 Vector &
@@ -91,10 +144,13 @@ StatSet::vector(const std::string &name, const std::string &desc,
 }
 
 const Scalar *
-StatSet::find(const std::string &name) const
+StatSet::find(std::string_view name) const
 {
-    auto it = _scalars.find(name);
-    return it == _scalars.end() ? nullptr : it->second.get();
+    if (_scalarIndex.empty())
+        return nullptr;
+    std::uint32_t entry = _scalarIndex[scalarSlot(
+        name, std::hash<std::string_view>{}(name))];
+    return entry == 0 ? nullptr : &scalarAt(entry - 1);
 }
 
 const Vector *
@@ -114,8 +170,8 @@ StatSet::findDistribution(const std::string &name) const
 void
 StatSet::resetAll()
 {
-    for (auto &kv : _scalars)
-        kv.second->reset();
+    for (std::size_t i = 0; i < _scalarTexts.size(); ++i)
+        scalarAt(i).reset();
     for (auto &kv : _vectors)
         kv.second->reset();
     for (auto &kv : _dists)
@@ -125,10 +181,17 @@ StatSet::resetAll()
 std::string
 StatSet::dump() const
 {
+    // Scalars in name order, as the report has always listed them.
+    std::vector<std::uint32_t> order(_scalarTexts.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::sort(order.begin(), order.end(),
+              [this](std::uint32_t a, std::uint32_t b) {
+                  return scalarName(a) < scalarName(b);
+              });
     std::ostringstream os;
-    for (const auto &kv : _scalars) {
-        os << kv.first << " " << kv.second->value() << " # "
-           << kv.second->desc() << "\n";
+    for (std::uint32_t i : order) {
+        os << scalarName(i) << " " << scalarAt(i).value() << " # "
+           << scalarDesc(i) << "\n";
     }
     for (const auto &kv : _vectors) {
         const Vector &vec = *kv.second;

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace nosync
@@ -26,16 +27,13 @@ namespace nosync
 namespace stats
 {
 
-/** A single named accumulating value. */
+/**
+ * A single accumulating value. The StatSet that registered it keeps
+ * its name and description.
+ */
 class Scalar
 {
   public:
-    Scalar(std::string name, std::string desc)
-        : _name(std::move(name)), _desc(std::move(desc))
-    {}
-
-    const std::string &name() const { return _name; }
-    const std::string &desc() const { return _desc; }
     double value() const { return _value; }
 
     Scalar &
@@ -56,8 +54,6 @@ class Scalar
     void reset() { _value = 0.0; }
 
   private:
-    std::string _name;
-    std::string _desc;
     double _value = 0.0;
 };
 
@@ -232,13 +228,20 @@ class Handle
  * path. Registration is create-or-retrieve: registering the same name
  * twice yields a handle to the same statistic (a Vector re-registered
  * with a different shape panics).
+ *
+ * Scalars, by far the most numerous, are stored flat: their values in
+ * registration order in fixed chunks that never move (so handles stay
+ * valid and one component's counters share cache lines), their names
+ * and descriptions back to back in one text buffer, and an
+ * open-addressing hash index over the names. Registering one costs no
+ * allocation of its own; dump() sorts the names when it renders.
  */
 class StatSet
 {
   public:
     /** Register (or retrieve) a scalar statistic. */
-    Handle<Scalar> registerScalar(const std::string &name,
-                                  const std::string &desc);
+    Handle<Scalar> registerScalar(std::string_view name,
+                                  std::string_view desc);
 
     /** Register (or retrieve) a vector statistic. */
     Handle<Vector>
@@ -250,7 +253,7 @@ class StatSet
                                               const std::string &desc);
 
     /** Create (or retrieve an identically named) scalar statistic. */
-    Scalar &scalar(const std::string &name, const std::string &desc);
+    Scalar &scalar(std::string_view name, std::string_view desc);
 
     /** Create (or retrieve) a vector statistic. */
     Vector &vector(const std::string &name, const std::string &desc,
@@ -260,7 +263,7 @@ class StatSet
      * Look up a scalar; nullptr when absent, so a caller can tell
      * "never registered" (a typo'd name) from "registered but zero".
      */
-    const Scalar *find(const std::string &name) const;
+    const Scalar *find(std::string_view name) const;
 
     /** Look up a vector; nullptr when absent. */
     const Vector *findVector(const std::string &name) const;
@@ -275,7 +278,44 @@ class StatSet
     std::string dump() const;
 
   private:
-    std::map<std::string, std::unique_ptr<Scalar>> _scalars;
+    /** Scalars per value chunk (4 KiB of values). */
+    static constexpr std::size_t kScalarChunk = 512;
+
+    /** Scalar i's name hash, and where its name and (right after
+     *  it) its description sit in _scalarText. */
+    struct ScalarText
+    {
+        std::size_t hash;
+        std::uint32_t nameAt;
+        std::uint32_t nameLen;
+        std::uint32_t descLen;
+    };
+
+    Scalar &scalarAt(std::size_t i) const
+    {
+        return _scalarChunks[i / kScalarChunk][i % kScalarChunk];
+    }
+    std::string_view scalarName(std::size_t i) const;
+    std::string_view scalarDesc(std::size_t i) const;
+
+    /** Index slot holding @p name (whose hash is @p hash), or the
+     *  empty slot where it goes. */
+    std::size_t scalarSlot(std::string_view name, std::size_t hash) const;
+
+    /** Double the hash index and re-insert every scalar. */
+    void growScalarIndex();
+
+    /** Scalar values in registration order, kScalarChunk a chunk. */
+    std::vector<std::unique_ptr<Scalar[]>> _scalarChunks;
+    /** Per scalar, in registration order. */
+    std::vector<ScalarText> _scalarTexts;
+    /** Every scalar's name and description, back to back. */
+    std::string _scalarText;
+    /** Open-addressing (linear probing) index over the scalar names: a
+     *  slot holds scalar index + 1, 0 when empty. Its size is a power
+     *  of two at least twice the scalar count. */
+    std::vector<std::uint32_t> _scalarIndex;
+
     std::map<std::string, std::unique_ptr<Vector>> _vectors;
     std::map<std::string, std::unique_ptr<Distribution>> _dists;
 };

@@ -6,6 +6,9 @@
  * and one no-sync app under DD) with a counting global operator new,
  * prints each cell's exact run-phase allocation and event counts, and
  * fails if a cell makes more allocations per event than its budget.
+ * It also counts the allocations made by constructing (and tearing
+ * down) a 4x4 and a 12x12 DD System, and fails if a build makes more
+ * than its exact budget.
  * The simulator is deterministic, so the counts only move when the
  * code does: a change that puts a std::function, a node container or
  * an over-sized closure back on the access path shows up here as a
@@ -52,6 +55,14 @@ struct Cell
     nosync::ProtocolConfig proto;
     /** Allocations per event the run phase may make. */
     double budget;
+};
+
+/** One budgeted System build: a dim x dim DD machine. */
+struct Build
+{
+    unsigned dim;
+    /** Allocations construction and destruction may make. */
+    std::uint64_t budget;
 };
 
 } // namespace
@@ -111,6 +122,37 @@ main()
                     cell.budget,
                     !result.ok() ? "RUN FAILED"
                                  : (within ? "ok" : "OVER BUDGET"));
+        ok = ok && within;
+    }
+
+    // Budgets: the exact counts once the mesh route table was built in
+    // one exactly sized pass and scalar statistics moved into one value
+    // array (DESIGN.md section 10), down from 3216 and 30951. No
+    // headroom: a build allocates the same on every run, so one more
+    // allocation per controller is a set-up regression.
+    const Build builds[] = {
+        {4, 786},
+        {12, 7542},
+    };
+    for (const Build &build : builds) {
+        nosync::SystemConfig config;
+        config.protocol = ProtocolConfig::dd();
+        config.topology.mesh.width = build.dim;
+        config.topology.mesh.height = build.dim;
+        config.topology.cusPerDevice = build.dim * build.dim - 1;
+
+        std::uint64_t before = gAllocs;
+        gCounting = true;
+        { nosync::System system(config); }
+        gCounting = false;
+        std::uint64_t allocs = gAllocs - before;
+
+        bool within = allocs <= build.budget;
+        std::printf("build  %ux%u DD allocs=%llu budget=%llu %s\n",
+                    build.dim, build.dim,
+                    static_cast<unsigned long long>(allocs),
+                    static_cast<unsigned long long>(build.budget),
+                    within ? "ok" : "OVER BUDGET");
         ok = ok && within;
     }
     return ok ? 0 : 1;

@@ -9,6 +9,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstdlib>
 
 #include "noc/mesh.hh"
 #include "sim/stats.hh"
@@ -149,6 +150,94 @@ TEST_F(MeshFixture, DeliveryCapturesSurviveRegistryGrowth)
     EXPECT_EQ(seen, 36u);
     EXPECT_EQ(delivered, 1000);
     EXPECT_EQ(mesh.inFlightCount(), 0u);
+}
+
+namespace
+{
+
+/**
+ * Check every (src, dst) pair's hops() and uncontendedLatency()
+ * against XY distances computed here from node coordinates: within a
+ * device |dx| + |dy| mesh links; across devices the legs to and from
+ * the gateways (each device's last node) plus the pair's link.
+ */
+void
+expectRoutesMatchCoordinates(const MachineTopology &topo)
+{
+    EventQueue eq;
+    stats::StatSet stats;
+    Mesh mesh(eq, stats, topo);
+    const unsigned w = topo.mesh.width;
+    const unsigned per_dev = topo.nodesPerDevice();
+    auto leg = [w](unsigned a, unsigned b) {
+        int ax = static_cast<int>(a % w), ay = static_cast<int>(a / w);
+        int bx = static_cast<int>(b % w), by = static_cast<int>(b / w);
+        return static_cast<unsigned>(std::abs(ax - bx) +
+                                     std::abs(ay - by));
+    };
+    constexpr unsigned kFlits = 5;
+    const Cycles mesh_link = topo.mesh.hopLatency + kFlits;
+    const Cycles pair_link =
+        topo.link.latency + kFlits * topo.link.cyclesPerFlit;
+    const auto n = static_cast<NodeId>(topo.numNodes());
+    for (NodeId src = 0; src < n; ++src) {
+        for (NodeId dst = 0; dst < n; ++dst) {
+            unsigned sd = topo.deviceOf(src), dd = topo.deviceOf(dst);
+            unsigned sl = static_cast<unsigned>(src) % per_dev;
+            unsigned dl = static_cast<unsigned>(dst) % per_dev;
+            unsigned hops;
+            Cycles latency;
+            if (src == dst) {
+                hops = 0;
+                latency = topo.mesh.localLatency;
+            } else if (sd == dd) {
+                hops = leg(sl, dl);
+                latency = hops * mesh_link;
+            } else {
+                unsigned mesh_hops =
+                    leg(sl, per_dev - 1) + leg(per_dev - 1, dl);
+                hops = mesh_hops + 1;
+                latency = mesh_hops * mesh_link + pair_link;
+            }
+            ASSERT_EQ(mesh.hops(src, dst), hops)
+                << src << " -> " << dst;
+            ASSERT_EQ(mesh.uncontendedLatency(src, dst, kFlits), latency)
+                << src << " -> " << dst;
+        }
+    }
+}
+
+} // namespace
+
+TEST(MeshRoutes, EveryPairMatchesCoordinates4x4)
+{
+    expectRoutesMatchCoordinates(MachineTopology{});
+}
+
+TEST(MeshRoutes, EveryPairMatchesCoordinates12x12)
+{
+    MeshParams params;
+    params.width = params.height = 12;
+    expectRoutesMatchCoordinates(MachineTopology(params));
+}
+
+TEST(MeshRoutes, EveryPairMatchesCoordinatesTwoDevices)
+{
+    MachineTopology topo;
+    topo.devices = 2;
+    expectRoutesMatchCoordinates(topo);
+}
+
+TEST(MeshRoutes, EveryPairMatchesCoordinatesThreeNonSquareDevices)
+{
+    // Width != height and three device pairs per direction.
+    MachineTopology topo;
+    topo.mesh.width = 5;
+    topo.mesh.height = 3;
+    topo.devices = 3;
+    topo.link.latency = 17;
+    topo.link.cyclesPerFlit = 2;
+    expectRoutesMatchCoordinates(topo);
 }
 
 TEST(MeshTraffic, FlitsForPayload)

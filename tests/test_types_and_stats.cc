@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "sim/rng.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -135,6 +140,69 @@ TEST(Stats, TypedHandlesUpdateTheRegisteredStat)
     // Default-constructed handles are empty and test false.
     stats::Handle<stats::Scalar> empty;
     EXPECT_FALSE(static_cast<bool>(empty));
+}
+
+TEST(Stats, DumpOrderMatchesSortedMap)
+{
+    // Registered out of name order; the report lists scalars exactly
+    // as a std::map keyed by name would.
+    const std::vector<std::string> names = {
+        "l1.10.x", "l1.1.x", "l1.1", "l1.2.x", "a", "l1.10", "B", "l1.1.y"};
+    stats::StatSet set;
+    std::map<std::string, double> expected;
+    double v = 1.0;
+    for (const std::string &name : names) {
+        set.scalar(name, "d " + name) += v;
+        expected[name] = v;
+        v += 1.0;
+    }
+    std::ostringstream want;
+    for (const auto &[name, value] : expected)
+        want << name << " " << value << " # d " << name << "\n";
+    EXPECT_EQ(set.dump(), want.str());
+}
+
+TEST(Stats, HandleSurvivesManyLaterRegistrations)
+{
+    stats::StatSet set;
+    stats::Handle<stats::Scalar> first = set.registerScalar("first", "d");
+    for (int i = 0; i < 10000; ++i)
+        set.registerScalar("later." + std::to_string(i), "d") += i;
+    ++first;
+    first += 2.0;
+    ASSERT_NE(set.find("first"), nullptr);
+    EXPECT_EQ(set.find("first"), &*first);
+    EXPECT_DOUBLE_EQ(set.find("first")->value(), 3.0);
+    EXPECT_DOUBLE_EQ(set.find("later.9999")->value(), 9999.0);
+    EXPECT_DOUBLE_EQ(set.find("later.0")->value(), 0.0);
+}
+
+TEST(Stats, ReregistrationKeepsValueAndFirstDescription)
+{
+    stats::StatSet set;
+    stats::Handle<stats::Scalar> a = set.registerScalar("x", "first");
+    a += 5.0;
+    for (int i = 0; i < 100; ++i)
+        set.registerScalar("y." + std::to_string(i), "d");
+    stats::Handle<stats::Scalar> b = set.registerScalar("x", "second");
+    EXPECT_EQ(&*a, &*b);
+    EXPECT_DOUBLE_EQ(b->value(), 5.0);
+    EXPECT_NE(set.dump().find("x 5 # first\n"), std::string::npos);
+}
+
+TEST(Stats, FindAbsentNameIsNull)
+{
+    stats::StatSet empty;
+    EXPECT_EQ(empty.find("x"), nullptr);
+    EXPECT_EQ(empty.find(""), nullptr);
+
+    stats::StatSet set;
+    for (int i = 0; i < 1000; ++i)
+        set.scalar("s." + std::to_string(i), "d");
+    EXPECT_EQ(set.find("s.1000"), nullptr);
+    EXPECT_EQ(set.find("s."), nullptr);
+    EXPECT_EQ(set.find("s.10 "), nullptr);
+    EXPECT_NE(set.find("s.999"), nullptr);
 }
 
 TEST(Stats, DistributionMoments)

@@ -253,6 +253,31 @@ class TestValidateTrace(ValidatorCase):
         doc["otherData"]["events_recorded"] = 7
         self.assert_fail(validate_trace, doc, "retained")
 
+    def test_error_names_full_path(self):
+        # Paths are rendered only for errors, but in full.
+        doc = copy.deepcopy(GOOD_TRACE)
+        doc["traceEvents"][2]["args"]["addr"] = "x"
+        self.assert_fail(validate_trace, doc,
+                         "$.traceEvents[2].args.addr: expected integer,"
+                         " got str")
+        doc = copy.deepcopy(GOOD_TRACE)
+        del doc["traceEvents"][1]["pid"]
+        self.assert_fail(validate_trace, doc,
+                         "$.traceEvents[1]: missing required key 'pid'")
+        doc = copy.deepcopy(GOOD_TRACE)
+        doc["otherData"]["events_dropped"] = True
+        self.assert_fail(validate_trace, doc,
+                         "$.otherData.events_dropped: expected integer,"
+                         " got boolean")
+        doc = copy.deepcopy(GOOD_TRACE)
+        doc["traceEvents"][0]["ts"] = -1
+        self.assert_fail(validate_trace, doc,
+                         "$.traceEvents[0].ts: -1 below minimum 0")
+        doc = copy.deepcopy(GOOD_TRACE)
+        doc["traceEvents"][1]["s"] = "q"
+        self.assert_fail(validate_trace, doc,
+                         "$.traceEvents[1].s: 'q' not in ['t', 'p', 'g']")
+
 
 class TestValidateRaces(ValidatorCase):
     def test_good(self):

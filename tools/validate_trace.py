@@ -23,6 +23,7 @@ format requires but vanilla JSON Schema cannot express here:
 Exits 0 if every file validates, 1 otherwise.
 """
 
+import gc
 import json
 import os
 import sys
@@ -40,40 +41,99 @@ _TYPES = {
 }
 
 
-def check(value, schema, path, errors):
-    """Recursively validate value against the schema subset."""
+def render(path):
+    """Render a path built by a validator: a "$"-rooted chain of
+    (parent, key) pairs, formatted only when an error names it."""
+    parts = []
+    while isinstance(path, tuple):
+        path, key = path
+        parts.append(f"[{key}]" if isinstance(key, int) else f".{key}")
+    return path + "".join(reversed(parts))
+
+
+# The exact Python type of a valid value, for the schema types that
+# have one ("number" takes int or float; "integer" must reject bool).
+_EXACT_TYPES = {"string": str, "integer": int, "boolean": bool}
+
+
+def leaf_test(schema):
+    """(type, enum, minimum) a value that passes schema outright must
+    match, or (None, None, None) when schema needs its full check."""
+    if (not set(schema) <= {"type", "enum", "minimum"}
+            or ("minimum" in schema and schema.get("type") != "integer")):
+        return None, None, None
+    return (_EXACT_TYPES.get(schema.get("type")), schema.get("enum"),
+            schema.get("minimum"))
+
+
+def compile_schema(schema):
+    """Compile the schema subset into validate(value, path, errors).
+
+    Every lookup on the schema happens here, once, instead of once for
+    each of the millions of values a trace holds, and an object checks
+    a plain property in line when its value passes outright. The
+    checks, and the errors they report, are the same for every value.
+    """
     expected = schema.get("type")
-    if expected is not None:
-        python_type = _TYPES[expected]
-        # bool is a subclass of int; "integer" must not accept it.
-        if isinstance(value, bool) and expected != "boolean":
-            errors.append(f"{path}: expected {expected}, got boolean")
-            return
-        if not isinstance(value, python_type):
-            errors.append(
-                f"{path}: expected {expected},"
-                f" got {type(value).__name__}")
-            return
+    python_type = _TYPES[expected] if expected is not None else None
+    # bool is a subclass of int; "integer" must not accept it.
+    rejects_bool = expected is not None and expected != "boolean"
+    has_enum = "enum" in schema
+    enum = schema.get("enum")
+    has_minimum = "minimum" in schema
+    minimum = schema.get("minimum")
+    required = tuple(schema.get("required", ()))
+    required_keys = frozenset(required)
+    properties = tuple((key, *leaf_test(sub), compile_schema(sub))
+                       for key, sub in schema.get("properties", {}).items())
+    items = compile_schema(schema["items"]) if "items" in schema else None
 
-    if "enum" in schema and value not in schema["enum"]:
-        errors.append(f"{path}: {value!r} not in {schema['enum']}")
+    def validate(value, path, errors):
+        if python_type is not None:
+            if rejects_bool and isinstance(value, bool):
+                errors.append(f"{render(path)}: expected {expected},"
+                              f" got boolean")
+                return
+            if not isinstance(value, python_type):
+                errors.append(
+                    f"{render(path)}: expected {expected},"
+                    f" got {type(value).__name__}")
+                return
 
-    if "minimum" in schema and isinstance(value, (int, float)):
-        if value < schema["minimum"]:
-            errors.append(
-                f"{path}: {value} below minimum {schema['minimum']}")
+        if has_enum and value not in enum:
+            errors.append(f"{render(path)}: {value!r} not in {enum}")
 
-    if isinstance(value, dict):
-        for key in schema.get("required", []):
-            if key not in value:
-                errors.append(f"{path}: missing required key {key!r}")
-        for key, subschema in schema.get("properties", {}).items():
-            if key in value:
-                check(value[key], subschema, f"{path}.{key}", errors)
+        if has_minimum and isinstance(value, (int, float)):
+            if value < minimum:
+                errors.append(
+                    f"{render(path)}: {value} below minimum {minimum}")
 
-    if isinstance(value, list) and "items" in schema:
-        for i, item in enumerate(value):
-            check(item, schema["items"], f"{path}[{i}]", errors)
+        if isinstance(value, dict):
+            if not required_keys <= value.keys():
+                for key in required:
+                    if key not in value:
+                        errors.append(f"{render(path)}: missing required"
+                                      f" key {key!r}")
+            for key, vtype, venum, vmin, check_property in properties:
+                if key not in value:
+                    continue
+                v = value[key]
+                if (type(v) is vtype and (venum is None or v in venum)
+                        and (vmin is None or v >= vmin)):
+                    continue
+                check_property(v, (path, key), errors)
+
+        if items is not None and isinstance(value, list):
+            for i, item in enumerate(value):
+                items(item, (path, i), errors)
+
+    return validate
+
+
+def check(value, schema, path, errors):
+    """Validate value against the schema subset, appending one error,
+    named by its JSON path, for every rule it breaks."""
+    compile_schema(schema)(value, path, errors)
 
 
 def check_event_rules(trace, errors):
@@ -86,19 +146,20 @@ def check_event_rules(trace, errors):
     for i, ev in enumerate(events):
         if not isinstance(ev, dict):
             continue
-        path = f"$.traceEvents[{i}]"
         ph = ev.get("ph")
         if ph == "X" and "dur" not in ev:
-            errors.append(f"{path}: duration event missing 'dur'")
+            errors.append(f"$.traceEvents[{i}]: duration event missing"
+                          f" 'dur'")
         if ph == "i":
             instants += 1
             if "s" not in ev:
-                errors.append(f"{path}: instant event missing 's'")
+                errors.append(f"$.traceEvents[{i}]: instant event"
+                              f" missing 's'")
             ts = ev.get("ts")
             if isinstance(ts, int):
                 if last_ts is not None and ts < last_ts:
-                    errors.append(f"{path}: instant ts {ts} out of"
-                                  f" order (prev {last_ts})")
+                    errors.append(f"$.traceEvents[{i}]: instant ts {ts}"
+                                  f" out of order (prev {last_ts})")
                 last_ts = ts
 
     other = trace.get("otherData")
@@ -142,7 +203,13 @@ def main(argv):
         return 2
     with open(SCHEMA_PATH, encoding="utf-8") as f:
         schema = json.load(f)
-    ok = all([validate_file(p, schema) for p in argv[1:]])
+    # A trace parses to millions of acyclic containers; the cycle
+    # collector would only rescan them while the file is checked.
+    gc.disable()
+    try:
+        ok = all([validate_file(p, schema) for p in argv[1:]])
+    finally:
+        gc.enable()
     return 0 if ok else 1
 
 
