@@ -364,19 +364,4 @@ BM_EndToEndNN(benchmark::State &state)
 }
 BENCHMARK(BM_EndToEndNN)->Unit(benchmark::kMillisecond);
 
-static void
-BM_EndToEndSpinMutex(benchmark::State &state)
-{
-    for (auto _ : state) {
-        auto workload = makeScaled("SPM_L", 10);
-        SystemConfig config;
-        config.protocol = ProtocolConfig::dh();
-        System system(config);
-        RunResult result = system.run(*workload);
-        benchmark::DoNotOptimize(result.cycles);
-    }
-    state.SetLabel("SPM_L at 10% scale on DH");
-}
-BENCHMARK(BM_EndToEndSpinMutex)->Unit(benchmark::kMillisecond);
-
 BENCHMARK_MAIN();

@@ -23,22 +23,22 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
       _banks(std::move(banks)), _regions(regions),
       _mshr(geom.l1MshrEntries),
       _remoteReadsServed(
-          stats.registerScalar(name + ".remote_reads_served",
+          stats.registerScalar(name, ".remote_reads_served",
                                "reads served from this L1 for "
                                "remote CUs")),
       _ownershipTransfers(
-          stats.registerScalar(name + ".ownership_transfers",
+          stats.registerScalar(name, ".ownership_transfers",
                                "words whose ownership this L1 "
                                "gave up")),
       _registrationsIssued(
-          stats.registerScalar(name + ".registrations_issued",
+          stats.registerScalar(name, ".registrations_issued",
                                "registration requests sent")),
       _syncCoalesced(
-          stats.registerScalar(name + ".sync_coalesced",
+          stats.registerScalar(name, ".sync_coalesced",
                                "sync accesses coalesced into a "
                                "pending registration")),
       _streamingWrites(
-          stats.registerScalar(name + ".streaming_writes",
+          stats.registerScalar(name, ".streaming_writes",
                                "streaming-region write-throughs "
                                "sent (DD+PR)"))
 {

@@ -17,36 +17,36 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
                            trace::TraceSink *trace)
     : L2Controller(name, eq, energy, mesh, node, memory, geom, timings,
                    trace),
-      _reads(stats.registerScalar(name + ".reads",
+      _reads(stats.registerScalar(name, ".reads",
                                   "read requests served")),
       _registrations(
-          stats.registerScalar(name + ".registrations",
+          stats.registerScalar(name, ".registrations",
                                "data registrations processed")),
       _syncRegistrations(
-          stats.registerScalar(name + ".sync_registrations",
+          stats.registerScalar(name, ".sync_registrations",
                                "sync registrations processed")),
       _forwards(
-          stats.registerScalar(name + ".forwards",
+          stats.registerScalar(name, ".forwards",
                                "requests forwarded to owner L1s")),
       _writebacks(stats.registerScalar(
-          name + ".writebacks", "registered-word writebacks accepted")),
+          name, ".writebacks", "registered-word writebacks accepted")),
       _streamingWritesStat(
-          stats.registerScalar(name + ".streaming_writes",
+          stats.registerScalar(name, ".streaming_writes",
                                "streaming-region write-through "
                                "words accepted (DD+PR)")),
       _staleWritebacks(
-          stats.registerScalar(name + ".stale_writebacks",
+          stats.registerScalar(name, ".stale_writebacks",
                                "writebacks ignored (ownership "
                                "already moved)")),
-      _recallsStat(stats.registerScalar(name + ".recalls",
+      _recallsStat(stats.registerScalar(name, ".recalls",
                                         "L2 evictions requiring "
                                         "ownership recall")),
-      _dramFetches(stats.registerScalar(name + ".dram_fetches",
+      _dramFetches(stats.registerScalar(name, ".dram_fetches",
                                         "line fetches from memory")),
       _dramWritebacks(stats.registerScalar(
-          name + ".dram_writebacks", "line writebacks to memory")),
+          name, ".dram_writebacks", "line writebacks to memory")),
       _engineSyncs(stats.registerScalar(
-          name + ".engine_syncs",
+          name, ".engine_syncs",
           "sync ops executed at the bank's sync engine (DD+SE)"))
 {
 }

@@ -14,16 +14,16 @@ GpuL2Bank::GpuL2Bank(const std::string &name, EventQueue &eq,
                      trace::TraceSink *trace)
     : L2Controller(name, eq, energy, mesh, node, memory, geom, timings,
                    trace),
-      _reads(stats.registerScalar(name + ".reads",
+      _reads(stats.registerScalar(name, ".reads",
                                   "read requests served")),
       _writethroughs(stats.registerScalar(
-          name + ".writethroughs", "writethrough messages merged")),
-      _atomics(stats.registerScalar(name + ".atomics",
+          name, ".writethroughs", "writethrough messages merged")),
+      _atomics(stats.registerScalar(name, ".atomics",
                                     "atomics executed at this bank")),
-      _dramFetches(stats.registerScalar(name + ".dram_fetches",
+      _dramFetches(stats.registerScalar(name, ".dram_fetches",
                                         "line fetches from memory")),
       _dramWritebacks(
-          stats.registerScalar(name + ".dram_writebacks",
+          stats.registerScalar(name, ".dram_writebacks",
                                "dirty line writebacks to memory"))
 {
 }

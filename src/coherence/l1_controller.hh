@@ -91,47 +91,47 @@ struct WarpBatch
 struct L1Stats
 {
     L1Stats(stats::StatSet &set, const std::string &prefix)
-        : loadHits(set.registerScalar(prefix + ".load_hits",
+        : loadHits(set.registerScalar(prefix, ".load_hits",
                                       "data loads hitting in L1/SB")),
-          loadMisses(set.registerScalar(prefix + ".load_misses",
+          loadMisses(set.registerScalar(prefix, ".load_misses",
                                         "data loads missing in L1")),
           storeHits(
-              set.registerScalar(prefix + ".store_hits",
+              set.registerScalar(prefix, ".store_hits",
                                  "data stores completing in L1")),
           storeBuffered(
-              set.registerScalar(prefix + ".store_buffered",
+              set.registerScalar(prefix, ".store_buffered",
                                  "data stores entering the SB")),
           storeCoalesced(
-              set.registerScalar(prefix + ".store_coalesced",
+              set.registerScalar(prefix, ".store_coalesced",
                                  "stores coalescing into SB "
                                  "entries")),
           sbOverflowDrains(
-              set.registerScalar(prefix + ".sb_overflow_drains",
+              set.registerScalar(prefix, ".sb_overflow_drains",
                                  "store-buffer drains forced by "
                                  "overflow")),
           syncHits(set.registerScalar(
-              prefix + ".sync_hits",
+              prefix, ".sync_hits",
               "sync accesses performed at L1 without "
               "network traffic")),
-          syncMisses(set.registerScalar(prefix + ".sync_misses",
+          syncMisses(set.registerScalar(prefix, ".sync_misses",
                                         "sync accesses requiring the "
                                         "network")),
           acquireInvalidations(
-              set.registerScalar(prefix + ".acquire_invalidations",
+              set.registerScalar(prefix, ".acquire_invalidations",
                                  "flash/self invalidation "
                                  "operations")),
           wordsInvalidated(
-              set.registerScalar(prefix + ".words_invalidated",
+              set.registerScalar(prefix, ".words_invalidated",
                                  "words discarded by "
                                  "self-invalidation")),
           wordsPreserved(
-              set.registerScalar(prefix + ".words_preserved",
+              set.registerScalar(prefix, ".words_preserved",
                                  "words preserved across "
                                  "acquires")),
           releaseDrains(
-              set.registerScalar(prefix + ".release_drains",
+              set.registerScalar(prefix, ".release_drains",
                                  "release-triggered SB drains")),
-          evictions(set.registerScalar(prefix + ".evictions",
+          evictions(set.registerScalar(prefix, ".evictions",
                                        "L1 line evictions"))
     {}
 

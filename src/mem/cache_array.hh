@@ -17,6 +17,7 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -103,14 +104,18 @@ struct CacheLine
  * for a victim, performs any writeback/recall protocol work, then
  * installs the new line.
  *
- * Sets materialize on first use. The frames are one uninitialized
- * allocation, and a per-set live bit records which sets have been
- * cleared. Victim selection (the only way to a frame that install
- * accepts) clears a dead set's ways and marks it live; lookup and
- * forEachValid skip dead sets without reading them. A dead set holds
+ * Sets materialize on first use. One uninitialized block holds a
+ * per-set slot table and then the frames, which are handed out in
+ * first-use order: the k-th set to materialize takes frames
+ * [k * assoc, (k + 1) * assoc), and its slot records k + 1 (0 while the
+ * set is dead). Victim selection (the only way to a frame that install
+ * accepts) gives a dead set the next run of frames, clears them and
+ * sets the set's live bit. lookup reads the slot and forEachValid walks
+ * the live bits, so neither reads a dead set's frames. A dead set holds
  * no valid frame and a fresh set's first victim is way 0, so every
  * result is the one an eagerly cleared array would give, while a run
- * pays only for the sets it touches.
+ * pays only for the sets it touches, and their frames sit in one dense
+ * prefix of the block.
  */
 class CacheArray
 {
@@ -121,21 +126,27 @@ class CacheArray
      */
     CacheArray(std::size_t size_bytes, unsigned assoc)
         : _assoc(assoc), _numSets(size_bytes / kLineBytes / assoc),
-          _live((_numSets + 63) / 64, 0),
-          _lines(std::allocator<CacheLine>().allocate(_numSets * assoc))
+          _live((_numSets + 63) / 64, 0)
     {
         panic_if(_numSets == 0, "cache too small: ", size_bytes, " B / ",
                  assoc, "-way");
         panic_if((_numSets & (_numSets - 1)) != 0,
                  "number of sets must be a power of two, got ",
                  _numSets);
+        panic_if(_numSets > std::numeric_limits<std::uint16_t>::max(),
+                 "too many sets for a 16-bit slot: ", _numSets);
+        auto *block = static_cast<std::byte *>(::operator new(
+            slotBytes() + _numSets * assoc * sizeof(CacheLine)));
+        _lines = reinterpret_cast<CacheLine *>(block + slotBytes());
+        std::uninitialized_fill_n(slots(), _numSets, std::uint16_t{0});
     }
 
     ~CacheArray()
     {
-        // CacheLine is trivially destructible: releasing the storage
-        // ends the lifetime of every materialized frame.
-        std::allocator<CacheLine>().deallocate(_lines, _numSets * _assoc);
+        // The slots and CacheLine are trivially destructible: releasing
+        // the block ends the lifetime of every materialized frame.
+        ::operator delete(reinterpret_cast<std::byte *>(_lines) -
+                          slotBytes());
     }
 
     CacheArray(const CacheArray &) = delete;
@@ -145,24 +156,17 @@ class CacheArray
     std::size_t numSets() const { return _numSets; }
 
     /** Number of sets materialized so far. */
-    std::size_t
-    liveSets() const
-    {
-        std::size_t live = 0;
-        for (std::uint64_t bits : _live)
-            live += static_cast<std::size_t>(std::popcount(bits));
-        return live;
-    }
+    std::size_t liveSets() const { return _liveSets; }
 
     /** Find the frame holding @p line_addr, or nullptr. */
     CacheLine *
     lookup(Addr line_addr)
     {
         line_addr = lineAlign(line_addr);
-        std::size_t set = setOf(line_addr);
-        if (!isLive(set))
+        std::uint16_t slot = slots()[setOf(line_addr)];
+        if (slot == 0)
             return nullptr;
-        CacheLine *frames = &_lines[set * _assoc];
+        CacheLine *frames = framesOf(slot);
         for (unsigned way = 0; way < _assoc; ++way) {
             if (frames[way].valid && frames[way].addr == line_addr)
                 return &frames[way];
@@ -252,7 +256,7 @@ class CacheArray
                 std::size_t set =
                     word * 64 +
                     static_cast<std::size_t>(std::countr_zero(bits));
-                CacheLine *frames = &_lines[set * _assoc];
+                CacheLine *frames = framesOf(slots()[set]);
                 for (unsigned way = 0; way < _assoc; ++way) {
                     if (frames[way].valid)
                         fn(frames[way]);
@@ -276,32 +280,60 @@ class CacheArray
         return (line_addr / kLineBytes) & (_numSets - 1);
     }
 
-    bool
-    isLive(std::size_t set) const
+    /** Bytes in front of the frames: the slot table, padded at its
+     *  front so that the frames are aligned. */
+    std::size_t
+    slotBytes() const
     {
-        return (_live[set / 64] >> (set % 64)) & 1;
+        constexpr std::size_t align = alignof(CacheLine);
+        return (_numSets * sizeof(std::uint16_t) + align - 1) / align *
+               align;
     }
 
-    /** The frames of @p line_addr's set, cleared on first use. */
+    /** Per set: 1 + its rank in first-use order, 0 while dead. The
+     *  table ends where the frames begin. */
+    std::uint16_t *
+    slots() const
+    {
+        return reinterpret_cast<std::uint16_t *>(_lines) - _numSets;
+    }
+
+    /** The frames of the set whose (nonzero) slot is @p slot. */
+    CacheLine *
+    framesOf(std::uint16_t slot) const
+    {
+        return &_lines[(std::size_t{slot} - 1) * _assoc];
+    }
+
+    /** The frames of @p line_addr's set, taken and cleared on first
+     *  use. */
     CacheLine *
     liveSet(Addr line_addr)
     {
         std::size_t set = setOf(line_addr);
-        CacheLine *frames = &_lines[set * _assoc];
-        if (!isLive(set)) {
-            for (unsigned way = 0; way < _assoc; ++way)
-                std::construct_at(&frames[way])->clear();
-            _live[set / 64] |= std::uint64_t{1} << (set % 64);
-        }
+        std::uint16_t &slot = slots()[set];
+        if (slot != 0)
+            return framesOf(slot);
+        slot = static_cast<std::uint16_t>(++_liveSets);
+        _live[set / 64] |= std::uint64_t{1} << (set % 64);
+        CacheLine *frames = framesOf(slot);
+        for (unsigned way = 0; way < _assoc; ++way)
+            std::construct_at(&frames[way])->clear();
         return frames;
     }
 
     unsigned _assoc;
     std::size_t _numSets;
-    /** One bit per set: its frames have been cleared. */
+    /** One bit per set, set with its slot: forEachValid walks these
+     *  words rather than a slot per set. Replacing it with a separate
+     *  slot table moved glibc's heap layout so that every 4x4 System
+     *  build faulted in ~20 fresh pages (DESIGN.md section 10). */
     std::vector<std::uint64_t> _live;
-    /** _numSets * _assoc frames; a set's are constructed when live. */
+    /** _numSets * _assoc frames after the slot table; the first
+     *  _liveSets * _assoc are constructed. */
     CacheLine *_lines;
+    /** Sets materialized so far. */
+    std::size_t _liveSets = 0;
     std::uint64_t _lruCounter = 0;
 };
 

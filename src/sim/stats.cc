@@ -42,6 +42,13 @@ StatSet::registerScalar(std::string_view name, std::string_view desc)
     return Handle<Scalar>(scalar(name, desc));
 }
 
+Handle<Scalar>
+StatSet::registerScalar(std::string_view prefix, std::string_view leaf,
+                        std::string_view desc)
+{
+    return Handle<Scalar>(joinedScalar(prefix, leaf, desc));
+}
+
 Handle<Vector>
 StatSet::registerVector(const std::string &name,
                         const std::string &desc,
@@ -107,21 +114,35 @@ StatSet::growScalarIndex()
 Scalar &
 StatSet::scalar(std::string_view name, std::string_view desc)
 {
+    return joinedScalar(name, {}, desc);
+}
+
+Scalar &
+StatSet::joinedScalar(std::string_view prefix, std::string_view leaf,
+                      std::string_view desc)
+{
     std::size_t i = _scalarTexts.size();
     // Keep the index at most half full. It grows before the probe, so
     // the empty slot the probe ends on is where a new name goes.
     if (2 * (i + 1) > _scalarIndex.size())
         growScalarIndex();
+    // Join the name where a new scalar's name goes, at the end of the
+    // text; a name already registered takes it off again.
+    auto at = static_cast<std::uint32_t>(_scalarText.size());
+    _scalarText.append(prefix).append(leaf);
+    std::string_view name = std::string_view(_scalarText).substr(at);
+    auto name_len = static_cast<std::uint32_t>(name.size());
     std::size_t hash = std::hash<std::string_view>{}(name);
     std::uint32_t &entry = _scalarIndex[scalarSlot(name, hash)];
-    if (entry != 0)
+    if (entry != 0) {
+        _scalarText.resize(at);
         return scalarAt(entry - 1);
+    }
     if (i % kScalarChunk == 0)
         _scalarChunks.push_back(std::make_unique<Scalar[]>(kScalarChunk));
-    auto at = static_cast<std::uint32_t>(_scalarText.size());
-    _scalarText.append(name).append(desc);
-    _scalarTexts.push_back({hash, at, static_cast<std::uint32_t>(name.size()),
-                            static_cast<std::uint32_t>(desc.size())});
+    _scalarText.append(desc);
+    _scalarTexts.push_back(
+        {hash, at, name_len, static_cast<std::uint32_t>(desc.size())});
     entry = static_cast<std::uint32_t>(i + 1);
     return scalarAt(i);
 }

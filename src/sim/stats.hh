@@ -243,6 +243,16 @@ class StatSet
     Handle<Scalar> registerScalar(std::string_view name,
                                   std::string_view desc);
 
+    /**
+     * Register (or retrieve) the scalar named @p prefix followed by
+     * @p leaf (say "l1.3" and ".load_hits"). The name is joined in the
+     * set's own text buffer, so a component's per-instance names cost
+     * no temporary string.
+     */
+    Handle<Scalar> registerScalar(std::string_view prefix,
+                                  std::string_view leaf,
+                                  std::string_view desc);
+
     /** Register (or retrieve) a vector statistic. */
     Handle<Vector>
     registerVector(const std::string &name, const std::string &desc,
@@ -304,6 +314,10 @@ class StatSet
 
     /** Double the hash index and re-insert every scalar. */
     void growScalarIndex();
+
+    /** scalar() for the name @p prefix + @p leaf. */
+    Scalar &joinedScalar(std::string_view prefix, std::string_view leaf,
+                         std::string_view desc);
 
     /** Scalar values in registration order, kScalarChunk a chunk. */
     std::vector<std::unique_ptr<Scalar[]>> _scalarChunks;

@@ -126,13 +126,14 @@ main()
     }
 
     // Budgets: the exact counts once the mesh route table was built in
-    // one exactly sized pass and scalar statistics moved into one value
-    // array (DESIGN.md section 10), down from 3216 and 30951. No
-    // headroom: a build allocates the same on every run, so one more
-    // allocation per controller is a set-up regression.
+    // one exactly sized pass, scalar statistics moved into one value
+    // array, and components joined their stat names in that array's
+    // text buffer (DESIGN.md sections 10 and 11), down from 3216 and
+    // 30951. No headroom: a build allocates the same on every run, so
+    // one more allocation per controller is a set-up regression.
     const Build builds[] = {
-        {4, 786},
-        {12, 7542},
+        {4, 453},
+        {12, 4136},
     };
     for (const Build &build : builds) {
         nosync::SystemConfig config;

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -107,6 +107,13 @@ TEST(CacheArrayDeathTest, NonPowerOfTwoSetsPanics)
     EXPECT_DEATH(CacheArray(3 * 64, 1), "power of two");
 }
 
+TEST(CacheArrayDeathTest, MoreSetsThanASlotHoldsPanics)
+{
+    // 65536 sets: one more than a 16-bit slot can number from 1.
+    EXPECT_DEATH(CacheArray(std::size_t{65536} * kLineBytes, 1),
+                 "16-bit slot");
+}
+
 TEST(CacheArray, LookupLeavesUntouchedSetDead)
 {
     // 1024 B, 2-way -> 8 sets; 0x0000 and 0x1000 map to set 0, 0x0040
@@ -141,6 +148,43 @@ TEST(CacheArray, FreshSetVictimIsWayZero)
     std::vector<const CacheLine *> order;
     array.forEachValid([&](CacheLine &line) { order.push_back(&line); });
     EXPECT_EQ(order, (std::vector<const CacheLine *>{first, second}));
+}
+
+TEST(CacheArray, SetsPackInFirstUseOrder)
+{
+    // 1024 B, 2-way -> 8 sets. Materialize them from set 7 down to
+    // set 0: the k-th set to be a victim's set takes the k-th run of
+    // two frames, whatever its index.
+    CacheArray array(1024, 2);
+    std::vector<CacheLine *> first_way;
+    for (std::size_t set = 8; set-- > 0;) {
+        Addr addr = set * kLineBytes;
+        CacheLine *victim = array.findVictim(addr);
+        array.install(*victim, addr);
+        first_way.push_back(victim);
+        EXPECT_EQ(array.liveSets(), first_way.size());
+    }
+    for (std::size_t k = 0; k < first_way.size(); ++k)
+        EXPECT_EQ(first_way[k], first_way[0] + 2 * k) << "set rank " << k;
+
+    // A second line in each set takes that set's way 1.
+    for (std::size_t set = 0; set < 8; ++set) {
+        Addr addr = (8 + set) * kLineBytes;
+        CacheLine *victim = array.findVictim(addr);
+        EXPECT_EQ(victim, first_way[7 - set] + 1) << "set " << set;
+        array.install(*victim, addr);
+    }
+    EXPECT_EQ(array.liveSets(), 8u);
+
+    // forEachValid still walks ascending set order, then way order.
+    std::vector<Addr> visited;
+    array.forEachValid([&](CacheLine &line) { visited.push_back(line.addr); });
+    std::vector<Addr> want;
+    for (std::size_t set = 0; set < 8; ++set) {
+        want.push_back(set * kLineBytes);
+        want.push_back((8 + set) * kLineBytes);
+    }
+    EXPECT_EQ(visited, want);
 }
 
 TEST(CacheArray, ConstLookupSeesSameFrames)
@@ -281,15 +325,28 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
         CacheArray lazy(size_bytes, assoc);
         DenseCacheArray dense(size_bytes, assoc);
         const std::size_t num_sets = lazy.numSets();
-        // Set 0's first victim is way 0 of set 0: the frame that
-        // names every other frame's index.
+        auto set_of = [&](Addr addr) {
+            return (lineAlign(addr) / kLineBytes) & (num_sets - 1);
+        };
+        // Set 0 is the first to materialize, so its first victim is
+        // the first frame of the allocation.
         CacheLine *base = lazy.findVictim(0);
         ASSERT_EQ(dense.findVictim(0, noRegisteredWords), 0u);
-        std::set<std::size_t> victim_sets{0};
+        // Each materialized set's rank in first-use order.
+        std::map<std::size_t, std::size_t> rank{{0, 0}};
 
-        auto index = [&](const CacheLine *line) {
-            return line == nullptr ? kNone
-                                   : static_cast<std::size_t>(line - base);
+        // Name a lazy frame of @p addr's set by its dense index,
+        // set * assoc + way, after checking that the frame lies in
+        // the run its set took when it materialized.
+        auto index = [&](const CacheLine *line, Addr addr) {
+            if (line == nullptr)
+                return kNone;
+            auto at = static_cast<std::size_t>(line - base);
+            auto it = rank.find(set_of(addr));
+            EXPECT_TRUE(it != rank.end() && at / assoc == it->second)
+                << "frame " << at << " outside set " << set_of(addr)
+                << "'s run";
+            return set_of(addr) * assoc + at % assoc;
         };
         Rng rng(seed);
         // A pool of lines four times the capacity, so sets conflict
@@ -303,15 +360,16 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
             std::size_t hit = dense.lookup(addr);
             switch (rng.below(7)) {
               case 0:
-                ASSERT_EQ(index(lazy.lookup(addr)), hit);
+                ASSERT_EQ(index(lazy.lookup(addr), addr), hit);
                 break;
               case 1: {
                 const CacheArray &view = lazy;
-                ASSERT_EQ(index(view.lookup(addr)), hit);
+                ASSERT_EQ(index(view.lookup(addr), addr), hit);
                 break;
               }
               case 2:
               case 3: {
+                rank.emplace(set_of(addr), rank.size());
                 bool prefer = rng.below(2) == 0;
                 CacheLine *victim =
                     prefer ? lazy.findVictimPreferring(addr,
@@ -321,9 +379,7 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
                     addr, [&](const CacheLine &line) {
                         return !prefer || noRegisteredWords(line);
                     });
-                ASSERT_EQ(index(victim), want);
-                victim_sets.insert((lineAlign(addr) / kLineBytes) &
-                                   (num_sets - 1));
+                ASSERT_EQ(index(victim, addr), want);
                 if (hit == kNone && rng.below(4) != 0) {
                     lazy.install(*victim, addr);
                     dense.install(want, addr);
@@ -354,12 +410,13 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
 
             std::vector<std::tuple<std::size_t, Addr, std::uint64_t>> got;
             lazy.forEachValid([&](CacheLine &line) {
-                got.emplace_back(index(&line), line.addr, line.lruStamp);
+                got.emplace_back(index(&line, line.addr), line.addr,
+                                 line.lruStamp);
             });
             ASSERT_EQ(got, dense.validFrames()) << "after step " << step;
         }
         // Only victim selection materializes a set.
-        EXPECT_EQ(lazy.liveSets(), victim_sets.size());
+        EXPECT_EQ(lazy.liveSets(), rank.size());
     }
 }
 

@@ -190,6 +190,39 @@ TEST(Stats, ReregistrationKeepsValueAndFirstDescription)
     EXPECT_NE(set.dump().find("x 5 # first\n"), std::string::npos);
 }
 
+TEST(Stats, JoinedNameIsTheSameStatAsTheWholeName)
+{
+    // A name registered as prefix + leaf is one stat with the joined
+    // name, whichever form registers it first, and a re-registration
+    // through either form leaves the dump as it was.
+    stats::StatSet joined;
+    stats::StatSet whole;
+    stats::Handle<stats::Scalar> a =
+        joined.registerScalar("l1.3", ".load_hits", "loads");
+    joined.registerScalar("l1.3", ".evictions", "evictions");
+    whole.registerScalar("l1.3.load_hits", "loads");
+    whole.registerScalar("l1.3.evictions", "evictions");
+    a += 2.0;
+    ++whole.scalar("l1.3.load_hits", "loads");
+    ++whole.scalar("l1.3.load_hits", "loads");
+    std::string before = joined.dump();
+    EXPECT_EQ(before, whole.dump());
+
+    stats::Handle<stats::Scalar> b =
+        joined.registerScalar("l1.3.load_hits", "other");
+    stats::Handle<stats::Scalar> c =
+        joined.registerScalar("l1.", "3.load_hits", "other");
+    EXPECT_EQ(&*a, &*b);
+    EXPECT_EQ(&*a, &*c);
+    EXPECT_EQ(joined.find("l1.3.load_hits"), &*a);
+    EXPECT_EQ(joined.dump(), before);
+
+    // A name registered after a retrieval lands where it should.
+    joined.registerScalar("l1.3", ".sync_hits", "syncs");
+    whole.registerScalar("l1.3.sync_hits", "syncs");
+    EXPECT_EQ(joined.dump(), whole.dump());
+}
+
 TEST(Stats, FindAbsentNameIsNull)
 {
     stats::StatSet empty;
