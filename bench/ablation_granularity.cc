@@ -21,17 +21,12 @@ main(int argc, char **argv)
     Options opts = Options::parse(
         argc, argv, cellFlags({flag::raceCheck, flag::devices}));
 
-    struct Cell
-    {
-        const char *name;
-        ProtocolConfig proto;
-    };
-    std::vector<Cell> cells;
+    std::vector<CellSpec> cells;
     for (const char *name : {"NN", "LAVA", "SPM_G", "UTS"}) {
         for (const auto &proto :
              {ProtocolConfig::gd(), ProtocolConfig::gh(),
               ProtocolConfig::dd(), ProtocolConfig::dh()})
-            cells.push_back(Cell{name, proto});
+            cells.push_back(opts.cellOf(name, proto));
     }
 
     struct HitCounts
@@ -39,19 +34,13 @@ main(int argc, char **argv)
         double hits = 0.0, misses = 0.0, shits = 0.0, smisses = 0.0;
     };
     std::vector<HitCounts> counts(cells.size());
-    SweepRunner runner(opts.jobs);
-    std::vector<RunResult> results =
-        runner.map(cells.size(), [&](std::size_t i) {
-            return runCell(cells[i].name, cells[i].proto, opts, {},
-                           [&](const System &system) {
-                               counts[i] = {
-                                   sumL1Stat(system, "load_hits"),
-                                   sumL1Stat(system, "load_misses"),
-                                   sumL1Stat(system, "sync_hits"),
-                                   sumL1Stat(system, "sync_misses")};
-                           });
+    std::vector<SweepCell> results = runCells(
+        cells, opts, {}, [&](std::size_t i, const System &system) {
+            counts[i] = {sumL1Stat(system, "load_hits"),
+                         sumL1Stat(system, "load_misses"),
+                         sumL1Stat(system, "sync_hits"),
+                         sumL1Stat(system, "sync_misses")};
         });
-    requireAllOk(results);
 
     std::printf("=== Ablation: traffic per benchmark, by class "
                 "===\n");
@@ -62,10 +51,10 @@ main(int argc, char **argv)
         return a + b > 0.0 ? 100.0 * a / (a + b) : 0.0;
     };
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const RunResult &result = results[i];
+        const RunResult &result = results[i].result;
         std::printf("%-8s %-8s %-12.0f %-12.0f %-12.0f %-12.0f "
                     "%-10.1f %-10.1f\n",
-                    cells[i].name, result.config.c_str(),
+                    cells[i].workload.c_str(), result.config.c_str(),
                     result.traffic[0], result.traffic[1],
                     result.traffic[2], result.traffic[3],
                     pct(counts[i].hits, counts[i].misses),

@@ -23,52 +23,39 @@ main(int argc, char **argv)
     Options opts = Options::parse(
         argc, argv, cellFlags({flag::raceCheck, flag::devices}));
     // Cells run at no more than half scale.
-    Options cell_opts = opts;
-    cell_opts.scalePercent = std::min(opts.scalePercent, 50u);
+    opts.cell.scale = std::min(opts.cell.scale, 50u);
 
-    struct Cell
-    {
-        const char *name;
-        Cycles hop;
-        ProtocolConfig proto;
-    };
-    std::vector<Cell> cells;
+    std::vector<CellSpec> cells;
     for (const char *name : {"SPM_G", "FAM_G"}) {
         for (Cycles hop : {1u, 3u, 6u, 12u}) {
             for (const auto &proto :
-                 {ProtocolConfig::gd(), ProtocolConfig::dd()})
-                cells.push_back(Cell{name, hop, proto});
+                 {ProtocolConfig::gd(), ProtocolConfig::dd()}) {
+                cells.push_back(opts.cellOf(name, proto));
+                cells.back().hop = hop;
+            }
         }
     }
 
-    SweepRunner runner(opts.jobs);
-    std::vector<RunResult> results =
-        runner.map(cells.size(), [&](std::size_t i) {
-            Options hop_opts = withFileLabel(
-                cell_opts, "hop" + std::to_string(cells[i].hop));
-            return runCell(cells[i].name, cells[i].proto, hop_opts,
-                           [&](SystemConfig &config) {
-                               config.topology.mesh.hopLatency =
-                                   cells[i].hop;
-                           });
+    std::vector<SweepCell> results =
+        runCells(cells, opts, [](const CellSpec &cell) {
+            return "hop" + std::to_string(cell.hop);
         });
-    requireAllOk(results);
 
     std::printf("=== Ablation: mesh hop latency (SPM_G and FAM_G) "
                 "===\n");
     std::printf("%-8s %-10s %-8s %-12s %-14s\n", "bench", "hop(cyc)",
                 "config", "cycles", "atomic flits");
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const RunResult &result = results[i];
+        const RunResult &result = results[i].result;
         std::printf("%-8s %-10llu %-8s %-12llu %-14.0f\n",
-                    cells[i].name,
+                    cells[i].workload.c_str(),
                     static_cast<unsigned long long>(cells[i].hop),
                     result.config.c_str(),
                     static_cast<unsigned long long>(result.cycles),
                     result.traffic[static_cast<std::size_t>(
                         TrafficClass::Atomic)]);
     }
-    maybeWriteJson(cell_opts, "ablation_noc_latency", results, timer);
+    maybeWriteJson(opts, "ablation_noc_latency", results, timer);
     std::printf("\nReading the table: GD's spin herd pays the herd's "
                 "round trips to one L2 bank,\nwhile DD's handoffs "
                 "walk owner-to-owner; higher hop latency stretches "

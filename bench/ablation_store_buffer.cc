@@ -22,45 +22,33 @@ main(int argc, char **argv)
     Options opts = Options::parse(
         argc, argv, cellFlags({flag::raceCheck, flag::devices}));
 
-    struct Cell
-    {
-        std::size_t entries;
-        ProtocolConfig proto;
-    };
-    std::vector<Cell> cells;
+    std::vector<CellSpec> cells;
     for (std::size_t entries : {32u, 64u, 128u, 256u, 512u}) {
         for (const auto &proto :
-             {ProtocolConfig::gd(), ProtocolConfig::dd()})
-            cells.push_back(Cell{entries, proto});
+             {ProtocolConfig::gd(), ProtocolConfig::dd()}) {
+            cells.push_back(opts.cellOf("LAVA", proto));
+            cells.back().storeBuffer = entries;
+        }
     }
 
     std::vector<double> drains(cells.size());
-    SweepRunner runner(opts.jobs);
-    std::vector<RunResult> results =
-        runner.map(cells.size(), [&](std::size_t i) {
-            return runCell(
-                "LAVA", cells[i].proto,
-                withFileLabel(opts, "sb" + std::to_string(
-                                              cells[i].entries)),
-                [&](SystemConfig &config) {
-                    config.geometry.storeBufferEntries =
-                        cells[i].entries;
-                },
-                [&](const System &system) {
-                    drains[i] =
-                        sumL1Stat(system, "sb_overflow_drains");
-                });
+    std::vector<SweepCell> results = runCells(
+        cells, opts,
+        [](const CellSpec &cell) {
+            return "sb" + std::to_string(cell.storeBuffer);
+        },
+        [&](std::size_t i, const System &system) {
+            drains[i] = sumL1Stat(system, "sb_overflow_drains");
         });
-    requireAllOk(results);
 
     std::printf("=== Ablation: store buffer size (workload LAVA) "
                 "===\n");
     std::printf("%-10s %-12s %-14s %-14s %-14s\n", "entries",
                 "config", "cycles", "WB/WT flits", "overflow drains");
     for (std::size_t i = 0; i < cells.size(); ++i) {
-        const RunResult &result = results[i];
+        const RunResult &result = results[i].result;
         std::printf("%-10zu %-12s %-14llu %-14.0f %-14.0f\n",
-                    cells[i].entries, result.config.c_str(),
+                    cells[i].storeBuffer, result.config.c_str(),
                     static_cast<unsigned long long>(result.cycles),
                     result.traffic[static_cast<std::size_t>(
                         TrafficClass::WriteBack)],

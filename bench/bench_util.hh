@@ -29,6 +29,7 @@
 #include "core/report.hh"
 #include "core/system.hh"
 #include "runner/bench_json.hh"
+#include "runner/cell_spec.hh"
 #include "runner/sweep_runner.hh"
 #include "workloads/registry.hh"
 
@@ -44,7 +45,11 @@ struct FlagSpec;
  */
 struct Options
 {
-    unsigned scalePercent = 100;
+    /**
+     * The base cell --scale, --devices, --race-check, --max-cycles and
+     * --trace write; a harness's cells start from it (cellOf).
+     */
+    CellSpec cell;
     /** Worker threads for sweeps; 0 = one per hardware thread. */
     unsigned jobs = 1;
     /** Emit the result matrix as JSON to this path ("" = don't). */
@@ -56,8 +61,6 @@ struct Options
      * sweeps (--jobs=N) never contend for one output file.
      */
     std::string tracePath;
-    /** Happens-before race checking on every cell. */
-    bool raceCheck = false;
     /**
      * Write per-cell race reports as JSON derived from this path
      * ("" = don't). Implies --race-check. Cells split files the same
@@ -65,23 +68,20 @@ struct Options
      */
     std::string raceJsonPath;
     /**
-     * Override SystemConfig::maxCycles, the simulated-cycle hang
-     * cutoff (0 = keep the config default). Long weak-scaling sweeps
-     * raise it; smoke runs lower it to fail fast.
-     */
-    Tick maxCycles = 0;
-    /**
-     * Devices in the machine (MachineTopology::devices): each device
-     * gets its own mesh + L2 banks + CUs, joined by the inter-device
-     * link. 1 (the default) reproduces the single-device machine
-     * bitwise.
-     */
-    unsigned devices = 1;
-    /**
      * Add the DD+SE (memory-side sync engine) column to the harness's
      * config matrix.
      */
     bool syncEngine = false;
+
+    /** The base cell with @p workload on @p column. */
+    CellSpec
+    cellOf(const std::string &workload, ProtocolConfig column) const
+    {
+        CellSpec spec = cell;
+        spec.workload = workload;
+        spec.column = column;
+        return spec;
+    }
 
     /**
      * Parse @p argv against @p flags, the harness's whole table,
@@ -181,17 +181,13 @@ struct FlagSpec
         }
         // Strict parse: a garbled count must not silently fall back
         // to a default and masquerade as the requested experiment.
-        // from_chars takes digits only: no sign, no leading space.
-        unsigned long long num = 0;
-        const char *end = value + std::strlen(value);
-        auto [stop, err] = std::from_chars(value, end, num);
-        if (err != std::errc() || stop != end || num < min ||
-            num > max) {
+        auto num = parseDecimal(value, min, max);
+        if (!num) {
             std::cerr << "error: " << name << " expects " << expects
                       << ", got '" << value << "'\n";
             std::exit(2);
         }
-        apply(opts, num, value);
+        apply(opts, *num, value);
         return true;
     }
 };
@@ -205,7 +201,7 @@ using ull = unsigned long long;
 inline const FlagSpec scale = {
     "--scale", FlagSpec::Kind::Number, 1, 100, "a percentage in [1, 100]",
     [](Options &o, ull num, const char *) {
-        o.scalePercent = static_cast<unsigned>(num);
+        o.cell.scale = static_cast<unsigned>(num);
     }};
 inline const FlagSpec jobs = {
     "--jobs", FlagSpec::Kind::Number, 0, 1024,
@@ -218,27 +214,30 @@ inline const FlagSpec json = {
     [](Options &o, ull, const char *text) { o.jsonPath = text; }};
 inline const FlagSpec trace = {
     "--trace", FlagSpec::Kind::String, 0, 0, "",
-    [](Options &o, ull, const char *text) { o.tracePath = text; }};
+    [](Options &o, ull, const char *text) {
+        o.tracePath = text;
+        o.cell.trace = *text != '\0';
+    }};
 inline const FlagSpec raceCheck = {
     "--race-check", FlagSpec::Kind::Toggle, 0, 0, "",
-    [](Options &o, ull, const char *) { o.raceCheck = true; }};
+    [](Options &o, ull, const char *) { o.cell.raceCheck = true; }};
 inline const FlagSpec raceJson = {
     "--race-json", FlagSpec::Kind::String, 0, 0, "",
     [](Options &o, ull, const char *text) {
         o.raceJsonPath = text;
-        o.raceCheck = true;
+        o.cell.raceCheck = true;
     }};
 inline const FlagSpec maxCycles = {
     "--max-cycles", FlagSpec::Kind::Number, 1, ~0ull,
     "a positive cycle count",
     [](Options &o, ull num, const char *) {
-        o.maxCycles = static_cast<Tick>(num);
+        o.cell.maxCycles = static_cast<Tick>(num);
     }};
 inline const FlagSpec devices = {
     "--devices", FlagSpec::Kind::Number, 1, 64,
     "a device count in [1, 64]",
     [](Options &o, ull num, const char *) {
-        o.devices = static_cast<unsigned>(num);
+        o.cell.devices = static_cast<unsigned>(num);
     }};
 inline const FlagSpec syncEngine = {
     "--sync-engine", FlagSpec::Kind::Toggle, 0, 0, "",
@@ -247,7 +246,7 @@ inline const FlagSpec syncEngine = {
 } // namespace flag
 
 /**
- * The table of a harness whose cells run through runCell: the flags
+ * The table of a harness whose cells run through runCells: the flags
  * every such cell acts on, then @p extra. --race-check, --devices and
  * --sync-engine go in @p extra only where the harness's machines and
  * columns do not override them.
@@ -323,81 +322,6 @@ labeledPath(const std::string &base, const std::string &label)
     return stem + "." + label + ext;
 }
 
-/**
- * @p opts with its per-cell trace and race-report paths tagged
- * @p label, for sweeps that run one (workload, config) pair on
- * several machines: each variant then writes its own files.
- */
-inline Options
-withFileLabel(Options opts, const std::string &label)
-{
-    if (!opts.tracePath.empty())
-        opts.tracePath = labeledPath(opts.tracePath, label);
-    if (!opts.raceJsonPath.empty())
-        opts.raceJsonPath = labeledPath(opts.raceJsonPath, label);
-    return opts;
-}
-
-/**
- * The SystemConfig of a cell on @p proto with the options applied:
- * --devices, --trace, --race-check and --max-cycles. Every harness
- * builds its configs here, so a flag it accepts is never dropped.
- */
-inline SystemConfig
-cellConfig(const ProtocolConfig &proto, const Options &opts)
-{
-    SystemConfig config;
-    config.protocol = proto;
-    config.topology.devices = opts.devices;
-    config.observability.traceEnabled = !opts.tracePath.empty();
-    config.checking.raceCheckEnabled = opts.raceCheck;
-    if (opts.maxCycles != 0)
-        config.execution.maxCycles = opts.maxCycles;
-    return config;
-}
-
-/**
- * Run one simulation cell: @p workload_name on @p proto, with an
- * optional SystemConfig tweak (ablation sweeps) and an optional
- * post-run visitor that reads counters off the finished System.
- * Thread-safe: builds a fresh System per call; under --trace each
- * cell writes its own trace file.
- */
-inline RunResult
-runCell(const std::string &workload_name, const ProtocolConfig &proto,
-        const Options &opts,
-        const std::function<void(SystemConfig &)> &tweak = {},
-        const std::function<void(const System &)> &inspect = {})
-{
-    auto workload = makeScaled(workload_name, opts.scalePercent);
-    SystemConfig config = cellConfig(proto, opts);
-    if (tweak)
-        tweak(config);
-    System system(config);
-    RunResult result = system.run(*workload);
-    if (inspect)
-        inspect(system);
-    // A tweak may enable tracing just for the sync-latency summaries
-    // (BENCH latency blocks); only --trace=PATH writes trace files.
-    std::string cell = workload_name + "." + proto.shortName();
-    if (system.trace() && !opts.tracePath.empty()) {
-        std::string path = labeledPath(opts.tracePath, cell);
-        if (!system.trace()->writeChromeJson(path)) {
-            std::cerr << "error: cannot write trace " << path << "\n";
-            std::exit(1);
-        }
-    }
-    if (!opts.raceJsonPath.empty() && result.races.enabled) {
-        std::string path = labeledPath(opts.raceJsonPath, cell);
-        if (!analysis::writeRaceJson(result.races, path)) {
-            std::cerr << "error: cannot write race report " << path
-                      << "\n";
-            std::exit(1);
-        }
-    }
-    return result;
-}
-
 /** One L1 counter, e.g. "load_hits", summed over every CU. */
 inline double
 sumL1Stat(const System &system, const std::string &name)
@@ -424,17 +348,18 @@ standardConfigs(const Options &opts)
     return configs;
 }
 
-/** Print diagnostics and exit(1) if any run failed its checks. */
+/** Print diagnostics and re-run lines; exit(1) if any run failed. */
 inline void
-requireAllOk(const std::vector<RunResult> &results)
+requireAllOk(const std::vector<SweepCell> &cells)
 {
     bool failed = false;
-    for (const auto &result : results) {
+    for (const auto &[spec, result] : cells) {
         if (result.ok())
             continue;
         failed = true;
         std::cerr << "CHECK FAILED: " << result.workload << " on "
-                  << result.config << "\n";
+                  << result.config << "\n  re-run: run_benchmark "
+                  << spec.toLine() << "\n";
         for (const auto &failure : result.checkFailures)
             std::cerr << "  " << failure << "\n";
         if (result.hang)
@@ -447,7 +372,53 @@ requireAllOk(const std::vector<RunResult> &results)
 }
 
 /**
- * Emit @p runs as a BENCH_*.json record when --json=PATH was given.
+ * Run @p cells over opts.jobs threads, each on a fresh System, and
+ * exit(1) naming any that failed; runs come back in cell order. Under
+ * --trace and --race-json each cell writes its own files, tagged
+ * @p label(cell) when given; @p inspect(i, system) reads cell i's
+ * finished System.
+ */
+inline std::vector<SweepCell>
+runCells(const std::vector<CellSpec> &cells, const Options &opts,
+         const std::function<std::string(const CellSpec &)> &label = {},
+         const std::function<void(std::size_t, const System &)> &inspect =
+             {})
+{
+    auto run = [&](std::size_t i) {
+        const CellSpec &spec = cells[i];
+        std::string name = spec.workload + "." + spec.column.shortName();
+        SweepRunner::log("  running " + name + "...");
+        // Files are stem[.<label>].<workload>.<column>.json.
+        if (std::string tag = label ? label(spec) : ""; !tag.empty())
+            name = tag + "." + name;
+        auto workload = makeScaled(spec.workload, spec.scale);
+        System system(spec.config());
+        RunResult result = system.run(*workload);
+        if (inspect)
+            inspect(i, system);
+        // A machine may trace just for the sync-latency summaries
+        // (BENCH latency blocks); only --trace=PATH writes trace files.
+        std::string path = labeledPath(opts.tracePath, name);
+        if (system.trace() && !opts.tracePath.empty() &&
+            !system.trace()->writeChromeJson(path)) {
+            std::cerr << "error: cannot write trace " << path << "\n";
+            std::exit(1);
+        }
+        path = labeledPath(opts.raceJsonPath, name);
+        if (!opts.raceJsonPath.empty() && result.races.enabled &&
+            !analysis::writeRaceJson(result.races, path)) {
+            std::cerr << "error: cannot write race report " << path << "\n";
+            std::exit(1);
+        }
+        return SweepCell{spec, std::move(result)};
+    };
+    std::vector<SweepCell> runs = SweepRunner(opts.jobs).map(cells.size(), run);
+    requireAllOk(runs);
+    return runs;
+}
+
+/**
+ * Emit @p cells as a BENCH_*.json record when --json=PATH was given.
  * Call once per record, at the end, with every cell it holds. A
  * harness that writes several records names each with a @p label:
  * the record's harness becomes harness/label and its file
@@ -455,7 +426,7 @@ requireAllOk(const std::vector<RunResult> &results)
  */
 inline void
 maybeWriteJson(const Options &opts, const std::string &harness,
-               const std::vector<RunResult> &runs,
+               const std::vector<SweepCell> &cells,
                const WallTimer &timer, const std::string &label = "")
 {
     if (opts.jsonPath.empty())
@@ -463,8 +434,7 @@ maybeWriteJson(const Options &opts, const std::string &harness,
     SweepRecord record;
     record.harness = label.empty() ? harness : harness + "/" + label;
     record.jobs = opts.jobs;
-    for (const RunResult &run : runs)
-        record.add(run, opts.scalePercent);
+    record.cells = cells;
     record.wallMillis = timer.millis();
     std::string path = labeledPath(opts.jsonPath, label);
     if (!record.writeJson(path)) {
@@ -475,18 +445,17 @@ maybeWriteJson(const Options &opts, const std::string &harness,
               << " cells)\n";
 }
 
-/** maybeWriteJson over workload-by-config matrices, cells in order. */
-inline void
-maybeWriteJson(const Options &opts, const std::string &harness,
-               const std::vector<WorkloadResults> &results,
-               const WallTimer &timer, const std::string &label = "")
+/** @p cells' runs grouped by workload, in order: a figure's rows. */
+inline std::vector<WorkloadResults>
+byWorkload(const std::vector<SweepCell> &cells)
 {
-    std::vector<RunResult> runs;
-    if (!opts.jsonPath.empty()) {
-        for (const WorkloadResults &wr : results)
-            runs.insert(runs.end(), wr.runs.begin(), wr.runs.end());
+    std::vector<WorkloadResults> results;
+    for (const auto &[spec, result] : cells) {
+        if (results.empty() || results.back().workload != spec.workload)
+            results.push_back(WorkloadResults{spec.workload, {}});
+        results.back().runs.push_back(result);
     }
-    maybeWriteJson(opts, harness, runs, timer, label);
+    return results;
 }
 
 /** Emit the three figure parts and their breakdowns. */

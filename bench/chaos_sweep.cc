@@ -27,36 +27,17 @@
  * nor --race-json.
  */
 
-#include <iostream>
 #include <memory>
 #include <sstream>
-#include <string>
-#include <vector>
 
 #include "bench_util.hh"
 #include "core/protocol_checker.hh"
-#include "core/report.hh"
-#include "core/system.hh"
-#include "workloads/registry.hh"
 
 using namespace nosync;
 using namespace nosync::bench;
 
 namespace
 {
-
-SystemConfig
-makeConfig(const ProtocolConfig &proto, const Options &opts,
-           Tick check_period, std::uint64_t fault_seed)
-{
-    SystemConfig config = cellConfig(proto, opts);
-    config.checking.checkPeriod = check_period;
-    if (fault_seed != 0) {
-        config.execution.faults.enabled = true;
-        config.execution.faults.seed = fault_seed;
-    }
-    return config;
-}
 
 /** Everything one (workload, config) cell produced. */
 struct CellOutcome
@@ -65,7 +46,7 @@ struct CellOutcome
     std::size_t faultsInjected = 0;
     /** Failure diagnostics; empty = cell clean. */
     std::string failure;
-    /** Per-run results (golden first) for the JSON record. */
+    /** The golden and seed runs, for the record; the replay is a check. */
     std::vector<SweepCell> cells;
 };
 
@@ -76,9 +57,9 @@ main(int argc, char **argv)
 {
     WallTimer timer;
     unsigned num_seeds = 5;
-    Tick check_period = 2000;
     Options defaults;
-    defaults.scalePercent = 30; // chaos default: fast sweeps
+    defaults.cell.scale = 30; // chaos default: fast sweeps
+    defaults.cell.checkPeriod = 2000;
     Options opts = Options::parse(
         argc, argv,
         {flag::scale, flag::jobs, flag::json, flag::raceCheck,
@@ -90,9 +71,8 @@ main(int argc, char **argv)
           }},
          {"--check-period", FlagSpec::Kind::Number, 1, ~0ull,
           "a positive cycle count",
-          [&check_period](Options &, unsigned long long num,
-                          const char *) {
-              check_period = static_cast<Tick>(num);
+          [](Options &o, unsigned long long num, const char *) {
+              o.cell.checkPeriod = static_cast<Tick>(num);
           }}},
         defaults);
 
@@ -103,156 +83,120 @@ main(int argc, char **argv)
     };
     const std::vector<ProtocolConfig> configs = standardConfigs(opts);
 
-    struct CellSpec
-    {
-        const std::string *workload;
-        const ProtocolConfig *proto;
-    };
     std::vector<CellSpec> specs;
     for (const auto &name : workloads) {
         for (const auto &proto : configs)
-            specs.push_back(CellSpec{&name, &proto});
+            specs.push_back(opts.cellOf(name, proto));
     }
 
     // One cell = golden + all seeds + replay for one
     // (workload, config); diagnostics are collected, not printed, so
     // failures emerge in deterministic cell order after aggregation.
-    auto run_cell = [&](const CellSpec &spec) {
-        const std::string &name = *spec.workload;
-        const ProtocolConfig &proto = *spec.proto;
+    auto run_cell = [&](const CellSpec &golden_spec) {
+        const std::string &name = golden_spec.workload;
+        const std::string proto = golden_spec.column.shortName();
         CellOutcome out;
         std::ostringstream err;
-
-        auto run_one = [&](std::uint64_t fault_seed,
-                           RunResult &result_out) {
-            auto workload = makeScaled(name, opts.scalePercent);
-            auto system = std::make_unique<System>(
-                makeConfig(proto, opts, check_period, fault_seed));
-            result_out = system->run(*workload);
+        // "CHAOS FAILURE: <cell><what>" and the line that re-runs it.
+        auto fail = [&](const CellSpec &spec, const std::string &what) {
+            err << "CHAOS FAILURE: " << name << " on " << proto
+                << " fault-seed=" << spec.faultSeed << what
+                << "\n  re-run: run_benchmark " << spec.toLine() << "\n";
+            return false;
+        };
+        // Run @p spec, a record cell if @p record; no System if it failed.
+        auto run_one = [&](const CellSpec &spec, bool record) {
+            auto system = std::make_unique<System>(spec.config());
+            RunResult result = system->run(*makeScaled(name, spec.scale));
             ++out.runs;
-            out.cells.push_back(SweepCell{});
-            out.cells.back().scalePercent = opts.scalePercent;
-            out.cells.back().faultSeed = fault_seed;
-            out.cells.back().result = result_out;
-            if (!result_out.ok()) {
-                err << "CHAOS FAILURE: " << name << " on "
-                    << proto.shortName()
-                    << " fault-seed=" << fault_seed << "\n";
-                for (const auto &failure : result_out.checkFailures)
+            if (record)
+                out.cells.push_back(SweepCell{spec, result});
+            if (!result.ok()) {
+                fail(spec, "");
+                for (const auto &failure : result.checkFailures)
                     err << "  " << failure << "\n";
-                if (result_out.hang)
-                    err << renderHangReport(*result_out.hang);
+                if (result.hang)
+                    err << renderHangReport(*result.hang);
                 system.reset();
             }
-            return system;
+            return std::pair{std::move(system), std::move(result)};
         };
-
         bool deterministic =
-            makeScaled(name, opts.scalePercent)
-                ->deterministicOutput();
+            makeScaled(name, golden_spec.scale)->deterministicOutput();
 
-        // Golden: fault-free reference execution, computed once per
-        // cell and reused by every seed's memory compare.
-        RunResult golden_result;
-        auto golden = run_one(0, golden_result);
-        if (!golden) {
-            out.failure = err.str();
-            return out;
-        }
-
-        for (unsigned s = 1; s <= num_seeds; ++s) {
-            std::uint64_t seed = 0xc0ffee + 977 * s;
-            SweepRunner::log("  " + name + " on " +
-                             proto.shortName() + " fault-seed " +
-                             std::to_string(seed) + "...");
-            RunResult result;
-            auto system = run_one(seed, result);
-            if (!system) {
-                out.failure = err.str();
-                return out;
-            }
-            if (const FaultInjector *f = system->faults()) {
-                out.faultsInjected += f->jittered() + f->delayed() +
-                                      f->duplicated();
-            }
-
-            if (deterministic) {
-                auto diffs =
-                    ProtocolChecker::compareMemory(*system, *golden);
-                if (!diffs.empty()) {
-                    err << "CHAOS FAILURE: " << name << " on "
-                        << proto.shortName() << " fault-seed=" << seed
-                        << " diverged from the golden run:\n";
-                    for (const auto &d : diffs)
-                        err << "  " << d << "\n";
-                    out.failure = err.str();
-                    return out;
+        auto check = [&] {
+            // Golden: fault-free reference execution, computed once
+            // per cell and reused by every seed's memory compare.
+            auto golden = run_one(golden_spec, true).first;
+            if (!golden)
+                return false;
+            for (unsigned s = 1; s <= num_seeds; ++s) {
+                CellSpec spec = golden_spec;
+                spec.faultSeed = 0xc0ffee + 977 * s;
+                SweepRunner::log("  " + name + " on " + proto +
+                                 " fault-seed " +
+                                 std::to_string(spec.faultSeed) + "...");
+                auto [system, result] = run_one(spec, true);
+                if (!system)
+                    return false;
+                if (const FaultInjector *f = system->faults()) {
+                    out.faultsInjected += f->jittered() + f->delayed() +
+                                          f->duplicated();
                 }
-            }
-
-            if (s == 1) {
+                if (deterministic) {
+                    auto diffs =
+                        ProtocolChecker::compareMemory(*system, *golden);
+                    if (!diffs.empty()) {
+                        fail(spec, " diverged from the golden run:");
+                        for (const auto &d : diffs)
+                            err << "  " << d << "\n";
+                        return false;
+                    }
+                }
+                if (s > 1)
+                    continue;
                 // Reproducibility: the same seed must replay to the
                 // exact same cycle count, energy, and traffic.
-                RunResult replay;
-                auto replay_sys = run_one(seed, replay);
-                if (!replay_sys) {
-                    out.failure = err.str();
-                    return out;
-                }
+                auto [replay_sys, replay] = run_one(spec, false);
+                if (!replay_sys)
+                    return false;
                 if (replay.cycles != result.cycles ||
                     replay.energyTotal != result.energyTotal ||
                     replay.trafficTotal != result.trafficTotal) {
-                    err << "CHAOS FAILURE: " << name << " on "
-                        << proto.shortName() << " fault-seed=" << seed
-                        << " is not reproducible: " << result.cycles
-                        << " vs " << replay.cycles << " cycles, "
-                        << result.trafficTotal << " vs "
-                        << replay.trafficTotal << " flits\n";
-                    out.failure = err.str();
-                    return out;
+                    std::ostringstream what;
+                    what << " is not reproducible: " << result.cycles
+                         << " vs " << replay.cycles << " cycles, "
+                         << result.trafficTotal << " vs "
+                         << replay.trafficTotal << " flits";
+                    return fail(spec, what.str());
                 }
-                auto diffs = ProtocolChecker::compareMemory(
-                    *replay_sys, *system);
-                if (!diffs.empty()) {
-                    err << "CHAOS FAILURE: " << name << " on "
-                        << proto.shortName() << " fault-seed=" << seed
-                        << " replay memory diverged\n";
-                    out.failure = err.str();
-                    return out;
-                }
+                if (!ProtocolChecker::compareMemory(*replay_sys, *system)
+                         .empty())
+                    return fail(spec, " replay memory diverged");
             }
-        }
+            return true;
+        };
+        check();
+        out.failure = err.str();
         return out;
     };
 
-    SweepRunner runner(opts.jobs);
-    auto outcomes = runner.map(
-        specs.size(),
-        [&](std::size_t i) { return run_cell(specs[i]); });
+    auto outcomes = SweepRunner(opts.jobs).map(
+        specs.size(), [&](std::size_t i) { return run_cell(specs[i]); });
 
     unsigned runs = 0;
     std::size_t faults_injected = 0;
-    SweepRecord record;
-    record.harness = "chaos_sweep";
-    record.jobs = opts.jobs;
+    std::vector<SweepCell> cells;
     for (const auto &out : outcomes) {
         runs += out.runs;
         faults_injected += out.faultsInjected;
-        for (const auto &cell : out.cells)
-            record.cells.push_back(cell);
+        cells.insert(cells.end(), out.cells.begin(), out.cells.end());
         if (!out.failure.empty()) {
             std::cerr << out.failure;
             return 1;
         }
     }
-
-    if (!opts.jsonPath.empty()) {
-        record.wallMillis = timer.millis();
-        if (!record.writeJson(opts.jsonPath)) {
-            std::cerr << "error: cannot write " << opts.jsonPath << "\n";
-            return 1;
-        }
-    }
+    maybeWriteJson(opts, "chaos_sweep", cells, timer);
 
     std::cout << "chaos sweep clean: " << runs << " runs ("
               << workloads.size() << " workloads x " << configs.size()

@@ -20,14 +20,15 @@ main(int argc, char **argv)
         argc, argv, cellFlags({flag::raceCheck, flag::devices}));
 
     FigureResults figures;
-    std::vector<WorkloadResults> all;
+    std::vector<SweepCell> all;
     const std::vector<WorkloadResults> *last = nullptr;
     // Sweep one of the Fig. 2-4 rows; change() reads the last one.
     auto run = [&](const std::string &name) {
         const MatrixSpec &spec = matrix(name);
-        last = &(figures[name] =
-                     runMatrix(spec, spec.machines.front(), opts));
-        all.insert(all.end(), last->begin(), last->end());
+        std::vector<SweepCell> cells =
+            runMatrix(spec, spec.machines.front(), opts);
+        last = &(figures[name] = byWorkload(cells));
+        all.insert(all.end(), cells.begin(), cells.end());
     };
     // Signed percent change of column @p config against @p baseline.
     auto change = [&](int metric, const char *config,

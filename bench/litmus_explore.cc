@@ -160,10 +160,11 @@ int
 main(int argc, char **argv)
 {
     LitmusOptions local;
+    bench::Options defaults;
+    defaults.cell.maxCycles = local.budget.maxCyclesPerSchedule;
     bench::Options opts =
-        bench::Options::parse(argc, argv, litmusFlags(local));
-    if (opts.maxCycles != 0)
-        local.budget.maxCyclesPerSchedule = opts.maxCycles;
+        bench::Options::parse(argc, argv, litmusFlags(local), defaults);
+    local.budget.maxCyclesPerSchedule = opts.cell.maxCycles;
 
     if (local.mode != "explore" && local.mode != "axiom" &&
         local.mode != "cross-check") {

@@ -19,7 +19,7 @@
 namespace nosync::bench
 {
 
-/** One machine a matrix runs on. */
+/** One machine a matrix runs on: its cell fields, as values. */
 struct Machine
 {
     /** Tags its JSON record and trace/race files ("" = no tag). */
@@ -28,8 +28,21 @@ struct Machine
     std::string title;
     /** Figure-part prefix: "Fig2" prints "Fig2a: execution time". */
     std::string figure;
-    /** Change from the default machine; empty = the default. */
-    std::function<void(SystemConfig &)> tweak;
+    /** Mesh side and device count; 0 keeps the options' cell's. */
+    unsigned mesh = 0, devices = 0;
+    /** Trace or race-check every cell, whatever the flags say. */
+    bool trace = false, raceCheck = false;
+
+    /** The options' cell @p base on this machine. */
+    CellSpec
+    cell(CellSpec base) const
+    {
+        base.mesh = mesh ? mesh : base.mesh;
+        base.devices = devices ? devices : base.devices;
+        base.trace |= trace;
+        base.raceCheck |= raceCheck;
+        return base;
+    }
 };
 
 using Columns = std::function<std::vector<ProtocolConfig>(const Options &)>;
@@ -93,7 +106,7 @@ averageOf(const std::vector<WorkloadResults> &results, int metric,
 inline std::vector<Machine>
 defaultMachine(const std::string &title, const std::string &figure)
 {
-    return {Machine{"", title, figure, {}}};
+    return {Machine{"", title, figure}};
 }
 
 /** Fixed columns, whatever the options. */
@@ -110,16 +123,11 @@ meshTiers()
     std::vector<Machine> machines;
     for (unsigned dim : {4u, 6u, 8u, 12u}) {
         std::string label = std::to_string(dim) + "x" + std::to_string(dim);
-        unsigned cus = dim * dim - 1;
         machines.push_back(Machine{
             label,
-            "Weak scaling " + label + " (" + std::to_string(cus) +
+            "Weak scaling " + label + " (" + std::to_string(dim * dim - 1) +
                 " CUs + CPU, one L2 bank per node): normalized to GD",
-            "Scale-" + label, [dim, cus](SystemConfig &config) {
-                config.topology.mesh.width = dim;
-                config.topology.mesh.height = dim;
-                config.topology.cusPerDevice = cus;
-            }});
+            "Scale-" + label, dim});
     }
     return machines;
 }
@@ -138,10 +146,7 @@ deviceTiers()
             count + "dev",
             "Multi-device " + count + "x(4x4 mesh, 15 CUs + gateway) "
                 "over the inter-device link: normalized to GD",
-            count + "-device", [devices](SystemConfig &config) {
-                config.topology.devices = devices;
-                config.observability.traceEnabled = true;
-            }});
+            count + "-device", 0, devices, true});
     }
     return machines;
 }
@@ -305,14 +310,12 @@ matrices()
                  columns.push_back(PC::ddpr());
                  return columns;
              },
-         .machines = {Machine{
-             "",
-             "Race sweep: happens-before detection, fifteen workloads "
-             "x all configs",
-             "RaceSweep",
-             [](SystemConfig &config) {
-                 config.checking.raceCheckEnabled = true;
-             }}},
+         .machines = {Machine{.label = "",
+                              .title = "Race sweep: happens-before "
+                                       "detection, fifteen workloads x "
+                                       "all configs",
+                              .figure = "RaceSweep",
+                              .raceCheck = true}},
          .flags = cellFlags({flag::devices, flag::syncEngine}),
          .after = printRaceTotals},
     };
@@ -336,30 +339,17 @@ matrix(const std::string &harness)
  * out over opts.jobs threads. Cells come back in (workload, column)
  * order, so every table is bitwise identical under any thread count.
  */
-inline std::vector<WorkloadResults>
+inline std::vector<SweepCell>
 runMatrix(const MatrixSpec &spec, const Machine &machine,
           const Options &opts)
 {
-    std::vector<ProtocolConfig> columns = spec.columns(opts);
-    Options cell_opts = withFileLabel(opts, machine.label);
-    std::size_t n = columns.size();
-    std::vector<RunResult> flat = SweepRunner(opts.jobs).map(
-        spec.workloads.size() * n, [&](std::size_t i) {
-            const std::string &name = spec.workloads[i / n];
-            const ProtocolConfig &proto = columns[i % n];
-            SweepRunner::log("  running " + name + " on " +
-                             proto.shortName() + "...");
-            return runCell(name, proto, cell_opts, machine.tweak);
-        });
-    requireAllOk(flat);
-
-    std::vector<WorkloadResults> results;
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-        if (i % n == 0)
-            results.push_back(WorkloadResults{spec.workloads[i / n], {}});
-        results.back().runs.push_back(std::move(flat[i]));
+    std::vector<CellSpec> cells;
+    for (const std::string &name : spec.workloads) {
+        for (const ProtocolConfig &column : spec.columns(opts))
+            cells.push_back(machine.cell(opts.cellOf(name, column)));
     }
-    return results;
+    return runCells(cells, opts,
+                    [&](const CellSpec &) { return machine.label; });
 }
 
 /**
@@ -372,13 +362,13 @@ runFigures(const MatrixSpec &spec, const Options &opts)
 {
     for (const Machine &machine : spec.machines) {
         WallTimer timer;
-        auto results = runMatrix(spec, machine, opts);
+        std::vector<SweepCell> cells = runMatrix(spec, machine, opts);
+        std::vector<WorkloadResults> results = byWorkload(cells);
         std::cout << "=== " << machine.title << " ===\n\n";
         emitFigure(results, spec.baseline, machine.figure);
         if (int code = spec.after ? spec.after(results) : 0)
             return code;
-        maybeWriteJson(opts, spec.harness, results, timer,
-                       machine.label);
+        maybeWriteJson(opts, spec.harness, cells, timer, machine.label);
     }
     return 0;
 }

@@ -11,7 +11,7 @@
 #include <string>
 
 #include "core/system.hh"
-#include "parse_number.hh"
+#include "runner/cell_spec.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -20,12 +20,16 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "UTS";
-    unsigned scale = 25;
-    if (argc > 2) {
-        scale = static_cast<unsigned>(examples::parseNumber(
-            argv[2], 100,
-            std::string(argv[0]) + " [workload] [scale-percent]"));
+    std::optional<unsigned long long> parsed =
+        argc > 2 ? parseDecimal(argv[2], 1, 100) : 25;
+    if (!parsed) {
+        std::fprintf(stderr,
+                     "error: expected a number in [1, 100], got '%s'\n"
+                     "usage: %s [workload] [scale-percent]\n",
+                     argv[2], argv[0]);
+        return 2;
     }
+    unsigned scale = static_cast<unsigned>(*parsed);
 
     std::printf("Comparing configurations on %s (scale %u%%)\n\n",
                 name.c_str(), scale);

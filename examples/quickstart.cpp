@@ -10,7 +10,7 @@
 #include <string>
 
 #include "core/system.hh"
-#include "parse_number.hh"
+#include "runner/cell_spec.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
@@ -19,12 +19,15 @@ int
 main(int argc, char **argv)
 {
     std::string name = argc > 1 ? argv[1] : "SPM_G";
-    unsigned scale = 30;
-    if (argc > 2) {
-        scale = static_cast<unsigned>(examples::parseNumber(
-            argv[2], 100,
-            std::string(argv[0]) + " [workload] [scale-percent]"));
+    std::optional<unsigned long long> parsed =
+        argc > 2 ? parseDecimal(argv[2], 1, 100) : 30;
+    if (!parsed) {
+        std::cerr << "error: expected a number in [1, 100], got '"
+                  << argv[2] << "'\nusage: " << argv[0]
+                  << " [workload] [scale-percent]\n";
+        return 2;
     }
+    unsigned scale = static_cast<unsigned>(*parsed);
 
     SystemConfig base;
     for (const ProtocolConfig &proto : ProtocolConfig::studied()) {

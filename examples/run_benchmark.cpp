@@ -1,71 +1,57 @@
 /**
  * @file
- * General benchmark runner: run any Table 4 workload on any
- * configuration, optionally dumping the full statistics report.
+ * Run one cell: any Table 4 workload on any configuration and any
+ * machine a harness sweeps, named by its cell line
+ * (runner/cell_spec.hh). Every BENCH record cell carries its line, and
+ * a harness's failure prints the line that re-runs the cell here.
  *
  * Usage: run_benchmark <workload> <GD|GH|DD|DD+RO|DH|DD+SE|DD+PR>
- *                      [scale-percent] [--stats] [--watchdog=CYCLES]
+ *                      [key=value]... [--stats] [--json=PATH]
+ *   e.g. run_benchmark FAM_G DD scale=20 mesh=12 hop=6 max_cycles=500000
  */
 
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
-#include <optional>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 
+#include "core/report.hh"
 #include "core/system.hh"
-#include "parse_number.hh"
+#include "runner/bench_json.hh"
 #include "workloads/registry.hh"
 
 using namespace nosync;
 
-namespace
-{
-
-ProtocolConfig
-parseConfig(const std::string &name)
-{
-    if (std::optional<ProtocolConfig> config =
-            ProtocolConfig::byName(name))
-        return *config;
-    std::cerr << "unknown config " << name
-              << " (want GD, GH, DD, DD+RO, DH, DD+SE, or DD+PR)\n";
-    std::exit(2);
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string usage = std::string(argv[0]) +
-                        " <workload> <config> [scale%] [--stats]"
-                        " [--watchdog=CYCLES]";
-    if (argc < 3) {
-        std::cerr << "usage: " << usage << "\n";
-        return 2;
-    }
-    SystemConfig config;
-    config.protocol = parseConfig(argv[2]);
-    unsigned scale = 100;
+    std::string line, json_path;
     bool dump_stats = false;
-    for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--stats") == 0) {
+    for (int i = 1; i < argc; ++i) {
+        std::string_view arg = argv[i];
+        if (arg == "--stats") {
             dump_stats = true;
-        } else if (std::strncmp(argv[i], "--watchdog=", 11) == 0) {
-            config.execution.maxCycles =
-                examples::parseNumber(argv[i] + 11, ~0ull, usage);
-        } else if (std::strncmp(argv[i], "--", 2) == 0) {
-            std::cerr << "error: unknown flag " << argv[i] << "\n";
+        } else if (arg.starts_with("--json=")) {
+            json_path = arg.substr(7);
+        } else if (arg.starts_with("--")) {
+            std::cerr << "error: unknown flag " << arg << "\n";
             return 2;
         } else {
-            scale = static_cast<unsigned>(
-                examples::parseNumber(argv[i], 100, usage));
+            line += (line.empty() ? "" : " ") + std::string(arg);
         }
     }
+    CellSpec cell;
+    try {
+        cell = CellSpec::fromLine(line);
+    } catch (const std::invalid_argument &err) {
+        std::cerr << "error: " << err.what() << "\nusage: " << argv[0]
+                  << " <workload> <config> [key=value]... [--stats]"
+                     " [--json=PATH]\n";
+        return 2;
+    }
 
-    auto workload = makeScaled(argv[1], scale);
-    System system(config);
+    auto workload = makeScaled(cell.workload, cell.scale);
+    System system(cell.config());
     RunResult result = system.run(*workload);
 
     std::cout << result.workload << " on " << result.config << "\n"
@@ -83,10 +69,18 @@ main(int argc, char **argv)
     if (dump_stats)
         std::cout << system.stats().dump();
 
+    SweepRecord record{"run_benchmark", 1, result.host.millis,
+                       {SweepCell{cell, result}}};
+    if (!json_path.empty() && !record.writeJson(json_path)) {
+        std::cerr << "error: cannot write " << json_path << "\n";
+        return 1;
+    }
     if (!result.ok()) {
         std::cout << "CHECK FAILURES:\n";
         for (const auto &failure : result.checkFailures)
             std::cout << "  " << failure << "\n";
+        if (result.hang)
+            std::cout << renderHangReport(*result.hang);
         return 1;
     }
     std::cout << "check: OK\n";

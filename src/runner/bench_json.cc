@@ -39,11 +39,12 @@ SweepRecord::writeJson(const std::string &path) const
     for (const auto &cell : cells) {
         const RunResult &r = cell.result;
         json.beginObject();
+        json.key("cell").value(cell.spec.toLine());
         json.key("workload").value(r.workload);
         json.key("config").value(r.config);
-        json.key("scale_percent").value(cell.scalePercent);
-        if (cell.faultSeed != 0)
-            json.key("fault_seed").value(cell.faultSeed);
+        json.key("scale_percent").value(cell.spec.scale);
+        if (cell.spec.faultSeed != 0)
+            json.key("fault_seed").value(cell.spec.faultSeed);
         json.key("cycles").value(r.cycles);
         json.key("energy_total").value(r.energyTotal);
         json.key("traffic_total").value(r.trafficTotal);

@@ -18,15 +18,15 @@
 #include <vector>
 
 #include "core/system.hh"
+#include "runner/cell_spec.hh"
 
 namespace nosync
 {
 
-/** One simulation's worth of a sweep record. */
+/** One simulation's worth of a sweep record: the cell and its run. */
 struct SweepCell
 {
-    unsigned scalePercent = 100;
-    std::uint64_t faultSeed = 0;
+    CellSpec spec;
     RunResult result;
 };
 
@@ -38,13 +38,6 @@ struct SweepRecord
     double wallMillis = 0.0;
 
     std::vector<SweepCell> cells;
-
-    void
-    add(const RunResult &result, unsigned scale_percent,
-        std::uint64_t fault_seed = 0)
-    {
-        cells.push_back(SweepCell{scale_percent, fault_seed, result});
-    }
 
     /** Write the record to @p path. @return false on I/O failure. */
     bool writeJson(const std::string &path) const;

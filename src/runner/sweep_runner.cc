@@ -1,6 +1,7 @@
 #include "runner/sweep_runner.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <iostream>
 #include <mutex>
 #include <thread>
@@ -37,24 +38,17 @@ void
 SweepRunner::forEach(std::size_t n,
                      const std::function<void(std::size_t)> &fn)
 {
-    if (n == 0)
-        return;
-
-    if (_jobs <= 1 || n == 1) {
-        for (std::size_t i = 0; i < n && !cancelled(); ++i)
+    if (_jobs <= 1 || n <= 1) {
+        for (std::size_t i = 0; i < n; ++i)
             fn(i);
         return;
     }
 
     std::atomic<std::size_t> next{0};
     auto worker = [&] {
-        while (!cancelled()) {
-            std::size_t i =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= n)
-                return;
+        for (std::size_t i;
+             (i = next.fetch_add(1, std::memory_order_relaxed)) < n;)
             fn(i);
-        }
     };
 
     std::size_t num_threads =

@@ -19,7 +19,6 @@
 #ifndef RUNNER_SWEEP_RUNNER_HH
 #define RUNNER_SWEEP_RUNNER_HH
 
-#include <atomic>
 #include <cstddef>
 #include <functional>
 #include <string>
@@ -35,12 +34,9 @@ class SweepRunner
     /** @p jobs worker threads; 0 means one per hardware thread. */
     explicit SweepRunner(unsigned jobs = 1);
 
-    /** Number of worker threads a sweep will use. */
-    unsigned jobs() const { return _jobs; }
-
     /**
      * Invoke @p fn(i) for every i in [0, n), using up to jobs()
-     * threads. Returns when all claimed jobs have finished. With
+     * threads. Returns when every job has finished. With
      * jobs() == 1 the calls happen inline on the calling thread, in
      * index order — the serial reference behavior.
      */
@@ -64,18 +60,6 @@ class SweepRunner
     }
 
     /**
-     * Stop claiming new jobs (already-running jobs finish). Used by
-     * jobs that detect a fatal check failure so a large matrix does
-     * not grind on after the sweep is already doomed.
-     */
-    void cancel() { _cancelled.store(true, std::memory_order_relaxed); }
-    bool
-    cancelled() const
-    {
-        return _cancelled.load(std::memory_order_relaxed);
-    }
-
-    /**
      * Serialized progress line to stderr ("  running NN on DD...").
      * Jobs running on worker threads must use this instead of writing
      * std::cerr directly, or lines interleave mid-character.
@@ -87,7 +71,6 @@ class SweepRunner
 
   private:
     unsigned _jobs;
-    std::atomic<bool> _cancelled{false};
 };
 
 } // namespace nosync

@@ -2,7 +2,8 @@
 # (ctest's PASS_REGULAR_EXPRESSION alone ignores the exit status):
 #
 #   cmake [-DEXIT_CODE=N] [-DMESSAGE=<regex>]
-#         [-DOUT_DIR=<dir> -DCHECKS=<list> -DPYTHON=<python3>]
+#         [-DOUT_DIR=<dir> -DCHECKS=<list> -DPYTHON=<python3>
+#          -DRUN_BENCHMARK=<run_benchmark>]
 #         -P expect_exit.cmake -- <program> [args...]
 #
 # EXIT_CODE  the exit status the command must return (default 0).
@@ -20,6 +21,10 @@
 #                             that must match at least one file
 #   EVERY_CELL <record> <key> every element of the record's "cells"
 #                             has the member <key>
+#   REPLAY <record>           each cell's "cell" line, run alone by
+#                             run_benchmark --json, writes the same
+#                             cell text but for host_ms and
+#                             events_per_sec; no line appears twice
 set(command)
 set(seen_separator FALSE)
 math(EXPR last "${CMAKE_ARGC} - 1")
@@ -94,6 +99,59 @@ function(same_file a b)
     set(failures "${failures}" PARENT_SCOPE)
 endfunction()
 
+# The text of the cell of record text @p json whose line is @p line,
+# without its host timings: the writer puts "ok" last in every cell.
+function(cell_text json line out)
+    string(FIND "${json}" "{\"cell\":\"${line}\"" begin)
+    string(SUBSTRING "${json}" ${begin} -1 text)
+    string(FIND "${text}" "\"ok\":" ok)
+    string(SUBSTRING "${text}" ${ok} -1 rest)
+    string(FIND "${rest}" "}" close)
+    math(EXPR length "${ok} + ${close} + 1")
+    string(SUBSTRING "${text}" 0 ${length} text)
+    string(REGEX REPLACE "\"(host_ms|events_per_sec)\":[^,]*," ""
+           text "${text}")
+    set(${out} "${text}" PARENT_SCOPE)
+endfunction()
+
+function(replay_cells record)
+    file(READ "${OUT_DIR}/${record}" json)
+    string(JSON cells LENGTH "${json}" cells)
+    math(EXPR last_cell "${cells} - 1")
+    set(lines "")
+    foreach(i RANGE ${last_cell})
+        string(JSON line GET "${json}" cells ${i} cell)
+        list(FIND lines "${line}" seen)
+        if(NOT seen EQUAL -1)
+            list(APPEND failures "${record}: cell '${line}' appears twice")
+            continue()
+        endif()
+        list(APPEND lines "${line}")
+        string(REPLACE " " ";" words "${line}")
+        file(REMOVE "${OUT_DIR}/replay.json")
+        execute_process(
+            COMMAND ${RUN_BENCHMARK} ${words} --json=replay.json
+            WORKING_DIRECTORY "${OUT_DIR}"
+            RESULT_VARIABLE replay_status
+            OUTPUT_QUIET
+            ERROR_VARIABLE replay_err)
+        if(NOT replay_status EQUAL 0)
+            list(APPEND failures "run_benchmark ${line}: exit status "
+                                 "${replay_status}\n${replay_err}")
+            continue()
+        endif()
+        file(READ "${OUT_DIR}/replay.json" replayed)
+        cell_text("${json}" "${line}" recorded_cell)
+        cell_text("${replayed}" "${line}" replayed_cell)
+        if(NOT recorded_cell STREQUAL replayed_cell)
+            list(APPEND failures "${record}: cell '${line}' replays as\n"
+                "${replayed_cell}\nnot as recorded\n${recorded_cell}")
+        endif()
+    endforeach()
+    file(REMOVE "${OUT_DIR}/replay.json")
+    set(failures "${failures}" PARENT_SCOPE)
+endfunction()
+
 function(run_check kind)
     set(args ${ARGN})
     if(kind STREQUAL "STDOUT")
@@ -141,6 +199,8 @@ function(run_check kind)
                     "${record}: cell ${name}/${config} has no ${key}")
             endif()
         endforeach()
+    elseif(kind STREQUAL "REPLAY")
+        replay_cells(${args})
     else()
         message(FATAL_ERROR "unknown check '${kind}'")
     endif()
@@ -150,7 +210,7 @@ endfunction()
 # Each keyword starts a check; the arguments up to the next are its own.
 set(kind "")
 foreach(token IN LISTS CHECKS ITEMS END)
-    if(token MATCHES "^(STDOUT|SAME_AS|BENCH|VALIDATE|EVERY_CELL|END)$")
+    if(token MATCHES "^(STDOUT|SAME_AS|BENCH|VALIDATE|EVERY_CELL|REPLAY|END)$")
         if(kind)
             run_check(${kind} ${check_args})
         endif()

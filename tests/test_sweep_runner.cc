@@ -52,19 +52,6 @@ TEST(SweepRunner, SerialRunnerExecutesInline)
     EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(SweepRunner, CancelStopsClaimingNewJobs)
-{
-    SweepRunner runner(1);
-    int ran = 0;
-    runner.forEach(100, [&](std::size_t i) {
-        ++ran;
-        if (i == 4)
-            runner.cancel();
-    });
-    EXPECT_EQ(ran, 5);
-    EXPECT_TRUE(runner.cancelled());
-}
-
 TEST(SweepRunner, ResolveJobsMapsZeroToHardware)
 {
     EXPECT_GE(SweepRunner::resolveJobs(0), 1u);
@@ -169,7 +156,11 @@ TEST(SweepRecord, WritesParseableRecord)
     r.trafficTotal = 7.0;
     r.host.millis = 2.0;
     r.host.eventsExecuted = 400;
-    record.add(r, 10, 0xc0ffee);
+    CellSpec spec;
+    spec.workload = "NN";
+    spec.scale = 10;
+    spec.faultSeed = 0xc0ffee;
+    record.cells.push_back(SweepCell{spec, r});
 
     std::string path = testing::TempDir() + "sweep_record.json";
     ASSERT_TRUE(record.writeJson(path));
@@ -180,6 +171,10 @@ TEST(SweepRecord, WritesParseableRecord)
     EXPECT_NE(text.find("\"harness\":\"test\""), std::string::npos);
     EXPECT_NE(text.find("\"jobs\":2"), std::string::npos);
     EXPECT_NE(text.find("\"workload\":\"NN\""), std::string::npos);
+    EXPECT_NE(text.find("\"cell\":\"NN DD scale=10 "
+                        "fault_seed=12648430\""),
+              std::string::npos);
+    EXPECT_NE(text.find("\"scale_percent\":10"), std::string::npos);
     EXPECT_NE(text.find("\"fault_seed\":12648430"),
               std::string::npos);
     EXPECT_NE(text.find("\"cycles\":1000"), std::string::npos);

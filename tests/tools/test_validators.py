@@ -451,8 +451,8 @@ class TestValidateAxiom(ValidatorCase):
 
 
 class TestCompareBench(ValidatorCase):
-    def compare(self, current):
-        base = self.write(GOOD_BENCH, "base.json")
+    def compare(self, current, baseline=GOOD_BENCH):
+        base = self.write(baseline, "base.json")
         cur = self.write(current, "cur.json")
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
@@ -460,8 +460,8 @@ class TestCompareBench(ValidatorCase):
             code = compare_bench.main([base, cur])
         return code, out.getvalue()
 
-    def assert_compare_fails(self, current, needle):
-        code, out = self.compare(current)
+    def assert_compare_fails(self, current, needle, baseline=GOOD_BENCH):
+        code, out = self.compare(current, baseline)
         self.assertEqual(code, 1, f"expected FAIL, got:\n{out}")
         self.assertIn(needle, out)
 
@@ -493,6 +493,40 @@ class TestCompareBench(ValidatorCase):
         doc["cells"][0]["ok"] = False
         self.assert_compare_fails(
             doc, "FAM_G/GD@10% failed its functional checks")
+
+    def with_lines(self, doc, *suffixes):
+        # Cell lines as the harnesses write them: "<workload> <config>"
+        # and the fields off their defaults.
+        for cell, suffix in zip(doc["cells"], suffixes):
+            cell["cell"] = "%s %s%s" % (cell["workload"], cell["config"],
+                                        suffix)
+        return doc
+
+    def test_cells_differing_only_in_hop_match_separately(self):
+        # One (workload, config, scale) on two machines, as the NoC
+        # latency ablation records it: keyed by line, not a duplicate.
+        doc = copy.deepcopy(GOOD_BENCH)
+        doc["cells"][1] = copy.deepcopy(doc["cells"][0])
+        doc["cells"][1]["cycles"] += 100
+        self.with_lines(doc, " scale=10", " scale=10 hop=6")
+        code, out = self.compare(doc, doc)
+        self.assertEqual(code, 0, out)
+        self.assertIn("2 cells matched, 0 new, 0 failures", out)
+        drifted = copy.deepcopy(doc)
+        drifted["cells"][1]["cycles"] += 1
+        self.assert_compare_fails(
+            drifted, "FAM_G GD scale=10 hop=6 cycles changed 642954 -> "
+            "642955", doc)
+
+    def test_baseline_without_lines_matches_record_with_them(self):
+        doc = self.with_lines(copy.deepcopy(GOOD_BENCH),
+                              " scale=10", " scale=10")
+        code, out = self.compare(doc)
+        self.assertEqual(code, 0, out)
+        self.assertIn("2 cells matched, 0 new, 0 failures", out)
+        doc["cells"][1]["cycles"] += 1
+        self.assert_compare_fails(
+            doc, "FAM_G/DD@10% cycles changed 608274 -> 608275")
 
     def test_odd_number_of_paths_exits_2(self):
         base = self.write(GOOD_BENCH, "base.json")

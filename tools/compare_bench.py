@@ -4,8 +4,11 @@
 Usage:
     compare_bench.py BASELINE CURRENT [BASELINE CURRENT]...
 
-Each (BASELINE, CURRENT) pair is matched cell by cell on
-(workload, config, scale_percent). The simulated metrics -- cycles,
+Each (BASELINE, CURRENT) pair is matched cell by cell: on the cell
+line (the "cell" member, e.g. "LAVA GD scale=20 sb=32") when every
+cell of both records carries one, else on (workload, config,
+scale_percent), which is how records written before cell lines
+match. The simulated metrics -- cycles,
 energy_total and traffic_total -- must match exactly: the simulator
 is deterministic, so any drift is a real behavior change. Host-side
 timings (host_ms, events_per_sec) are never compared; they vary from
@@ -26,12 +29,14 @@ import sys
 SIM_METRICS = ("cycles", "energy_total", "traffic_total")
 
 
-def cell_key(cell):
+def cell_key(cell, by_line):
+    if by_line:
+        return cell["cell"]
     return (cell["workload"], cell["config"], cell.get("scale_percent"))
 
 
 def key_str(key):
-    return "%s/%s@%s%%" % key
+    return key if isinstance(key, str) else "%s/%s@%s%%" % key
 
 
 def load_record(path):
@@ -46,10 +51,10 @@ def load_record(path):
     return record
 
 
-def index_cells(record, path):
+def index_cells(record, path, by_line):
     cells = {}
     for cell in record["cells"]:
-        key = cell_key(cell)
+        key = cell_key(cell, by_line)
         if key in cells:
             sys.exit("error: %s has duplicate cell %s"
                      % (path, key_str(key)))
@@ -58,8 +63,12 @@ def index_cells(record, path):
 
 
 def compare_pair(base_path, cur_path):
-    base = index_cells(load_record(base_path), base_path)
-    cur = index_cells(load_record(cur_path), cur_path)
+    base_record = load_record(base_path)
+    cur_record = load_record(cur_path)
+    by_line = all("cell" in cell for cell in
+                  base_record["cells"] + cur_record["cells"])
+    base = index_cells(base_record, base_path, by_line)
+    cur = index_cells(cur_record, cur_path, by_line)
     label = "%s vs %s" % (base_path, cur_path)
     failures = []
 
