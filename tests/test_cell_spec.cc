@@ -12,6 +12,7 @@
 
 #include "matrices.hh"
 #include "runner/cell_spec.hh"
+#include "test_util.hh"
 
 using namespace nosync;
 

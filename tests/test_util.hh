@@ -33,7 +33,11 @@ namespace nosync
  * registered ctest name. Render a ProtocolConfig as the byte dump of
  * the earlier six-field struct (two 32-bit enums, then the read-only,
  * per-region, read-backoff and sync-engine flags), so the registered
- * names stay the same now that the config is one row index.
+ * names stay the same now that the config is one row index. Every
+ * test file that prints a ProtocolConfig (EXPECT_EQ on one, say) must
+ * include this header: a file that does not instantiates gtest's
+ * default printer for the same type, and the linker may keep that
+ * one for every file, renaming the registered tests.
  */
 inline void
 PrintTo(const ProtocolConfig &config, std::ostream *os)
