@@ -21,10 +21,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/report.hh"
 #include "core/system.hh"
@@ -88,6 +91,8 @@ struct Options
      * starting from @p defaults. Any other argument prints "unknown
      * option" and the usage line generated from the table, and exits
      * 2 — a flag the harness would ignore must not look accepted.
+     * An output path (--json, --race-json, --trace) whose directory
+     * cannot be written exits 1 here, before any cell runs.
      */
     static Options parse(int argc, char **argv,
                          const std::vector<FlagSpec> &flags,
@@ -279,6 +284,21 @@ Options::parse(int argc, char **argv, const std::vector<FlagSpec> &flags,
             std::cerr << spec.usage();
         std::cerr << "\n";
         std::exit(2);
+    }
+    for (const std::string *path :
+         {&opts.jsonPath, &opts.raceJsonPath, &opts.tracePath}) {
+        if (path->empty())
+            continue;
+        std::filesystem::path dir =
+            std::filesystem::path(*path).parent_path();
+        if (dir.empty())
+            dir = ".";
+        std::error_code ec;
+        if (!std::filesystem::is_directory(dir, ec) ||
+            ::access(dir.c_str(), W_OK) != 0) {
+            std::cerr << "error: cannot write " << *path << "\n";
+            std::exit(1);
+        }
     }
     return opts;
 }

@@ -20,8 +20,6 @@ struct CacheTimings
     Cycles l2Access = 29;
     /** DRAM access latency beyond the L2. */
     Cycles dramLatency = 160;
-    /** Tag-side latency for protocol bookkeeping at L1. */
-    Cycles l1Tag = 1;
 
     /**
      * L2 bank initiation interval: the bank is pipelined, accepting

@@ -3,7 +3,6 @@
 #include <sstream>
 #include <vector>
 
-#include "analysis/race_detector.hh"
 #include "trace/trace_sink.hh"
 
 namespace nosync
@@ -49,8 +48,7 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
 DenovoL2Bank &
 DenovoL1Cache::homeBank(Addr addr)
 {
-    std::size_t bank = (lineAlign(addr) / kLineBytes) % _banks.size();
-    return *_banks[bank];
+    return *_banks[lineHome(addr, _banks.size())];
 }
 
 DenovoL1Cache::LineEntry &
@@ -753,33 +751,18 @@ DenovoL1Cache::wordBusy(Addr line_addr, unsigned word)
 void
 DenovoL1Cache::performSync(std::uint32_t slot)
 {
-    if (_syncs[slot].scope == Scope::Local)
+    if (_syncs[slot].scope == Scope::Local) {
         performLocalHrfSync(slot);
-    else if (_config.syncEngine())
-        performEngineSync(slot);
-    else
+    } else if (_config.syncEngine()) {
+        // DD+SE, SynCron-style memory-side execution: the sync op
+        // travels to the home bank and performs there; the sync
+        // word's ownership never migrates to this L1, so contended
+        // sync variables stop ping-ponging through the registry's
+        // distributed queue.
+        performAtHome(slot, homeBank(_syncs[slot].op.addr));
+    } else {
         performOwnedSync(slot);
-}
-
-void
-DenovoL1Cache::performEngineSync(std::uint32_t slot)
-{
-    // SynCron-style memory-side execution: the sync op travels to the
-    // home bank and performs there; the sync word's ownership never
-    // migrates to this L1, so contended sync variables stop
-    // ping-ponging through the registry's distributed queue.
-    ++_stats.syncMisses;
-    _energy.atomicAlu();
-    const SyncOp &op = _syncs[slot].op;
-    DenovoL2Bank &bank = homeBank(op.addr);
-    unsigned flits = flitsForWords(1);
-    _mesh.send(_node, bank.node(), flits, TrafficClass::Atomic,
-               [this, &bank, op, slot] {
-                   bank.handleSyncOp(op, _node,
-                                     [this, slot](std::uint32_t v) {
-                                         finishSync(slot, v);
-                                     });
-               });
+    }
 }
 
 void
@@ -796,20 +779,13 @@ DenovoL1Cache::performOwnedSync(std::uint32_t slot)
         // Registration hit: the atomic performs at the L1 with no
         // network traffic at all.
         ++_stats.syncHits;
-        _energy.l1Access();
-        _energy.atomicAlu();
         std::uint32_t old_val = _sb.contains(op.addr)
                                     ? _sb.value(op.addr)
                                     : frame->data[w];
         _sb.erase(op.addr);
-        if (_races)
-            _races->syncPerformed(op, curTick());
-        AtomicResult res = applyAtomic(op, old_val);
+        AtomicResult res = performAtL1(slot, old_val);
         frame->data[w] = res.newValue;
         _array.touch(*frame);
-        scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
-            finishSync(slot, v);
-        });
         return;
     }
 
@@ -942,12 +918,8 @@ DenovoL1Cache::processSyncQueue(Addr line_addr, unsigned word)
         panic_if(!frame ||
                      frame->wstate[word] != WordState::Registered,
                  "queued sync op executing without ownership");
-        _energy.l1Access();
-        _energy.atomicAlu();
-        const SyncOp &op = _syncs[slot].op;
-        if (_races)
-            _races->syncPerformed(op, curTick());
-        AtomicResult res = applyAtomic(op, frame->data[word]);
+        AtomicResult res =
+            performAtL1(slot, frame->data[word], /*reply=*/false);
         frame->data[word] = res.newValue;
         _array.touch(*frame);
 
@@ -982,11 +954,7 @@ DenovoL1Cache::performLocalHrfSync(std::uint32_t slot)
     }
 
     ++_stats.syncHits;
-    _energy.l1Access();
-    _energy.atomicAlu();
-    if (_races)
-        _races->syncPerformed(op, curTick());
-    AtomicResult res = applyAtomic(op, old_val);
+    AtomicResult res = performAtL1(slot, old_val);
 
     unsigned w = wordInLine(op.addr);
     CacheLine *frame = _array.lookup(op.addr);
@@ -1001,9 +969,6 @@ DenovoL1Cache::performLocalHrfSync(std::uint32_t slot)
         if (frame && frame->wstate[w] == WordState::Valid)
             frame->data[w] = res.newValue;
     }
-    scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
-        finishSync(slot, v);
-    });
 }
 
 // ---------------------------------------------------------------------

@@ -310,12 +310,6 @@ class DenovoL1Cache final : public L1Controller
     void performOwnedSync(std::uint32_t slot);
     void performLocalHrfSync(std::uint32_t slot);
 
-    /**
-     * DD+SE: perform the atomic at the home bank's sync engine
-     * instead of registering ownership of the sync word here.
-     */
-    void performEngineSync(std::uint32_t slot);
-
     std::vector<DenovoL2Bank *> _banks;
     std::vector<DenovoL1Cache *> _peers;
     const RegionMap &_regions;

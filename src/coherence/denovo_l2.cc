@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "analysis/race_detector.hh"
 #include "coherence/denovo_l1.hh"
 #include "trace/trace_sink.hh"
 
@@ -15,10 +14,8 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
                            const CacheGeometry &geom,
                            const CacheTimings &timings,
                            trace::TraceSink *trace)
-    : L2Controller(name, eq, energy, mesh, node, memory, geom, timings,
-                   trace),
-      _reads(stats.registerScalar(name, ".reads",
-                                  "read requests served")),
+    : L2Controller(name, eq, stats, energy, mesh, node, memory, geom,
+                   timings, trace),
       _registrations(
           stats.registerScalar(name, ".registrations",
                                "data registrations processed")),
@@ -40,15 +37,12 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
                                "already moved)")),
       _recallsStat(stats.registerScalar(name, ".recalls",
                                         "L2 evictions requiring "
-                                        "ownership recall")),
-      _dramFetches(stats.registerScalar(name, ".dram_fetches",
-                                        "line fetches from memory")),
-      _dramWritebacks(stats.registerScalar(
-          name, ".dram_writebacks", "line writebacks to memory")),
-      _engineSyncs(stats.registerScalar(
-          name, ".engine_syncs",
-          "sync ops executed at the bank's sync engine (DD+SE)"))
+                                        "ownership recall"))
 {
+    registerFillStats(stats, "line writebacks to memory");
+    _engineSyncs = stats.registerScalar(
+        name, ".engine_syncs",
+        "sync ops executed at the bank's sync engine (DD+SE)");
 }
 
 // ---------------------------------------------------------------------
@@ -67,55 +61,16 @@ DenovoL2Bank::deferWhileRecalling(Addr line_addr, LineFn &fn)
     return true;
 }
 
-void
-DenovoL2Bank::startFetch(Addr line_addr)
+bool
+DenovoL2Bank::recallFirst(CacheLine &victim, Addr line_addr)
 {
-    ++_dramFetches;
-    scheduleIn(_timings.l2Access + _timings.dramLatency,
-               [this, line_addr] {
-                   FetchEntry *entry = _fetches.find(line_addr);
-                   panic_if(!entry, "L2 fetch entry vanished");
-                   entry->dramDone = true;
-                   finishFetch(line_addr);
-               });
-}
-
-void
-DenovoL2Bank::finishFetch(Addr line_addr)
-{
-    FetchEntry *entry = _fetches.find(line_addr);
-    if (!entry || !entry->dramDone)
-        return;
-
-    // Prefer victims without registered words; recall otherwise.
-    CacheLine *victim = _array.findVictimPreferring(
-        line_addr, [](const CacheLine &line) {
-            return line.maskInState(WordState::Registered) == 0;
-        });
-    if (victim->valid &&
-        victim->maskInState(WordState::Registered) != 0) {
-        RecallState &state = _recalls[victim->addr];
-        state.blockedFetches.push_back(line_addr);
-        if (state.outstanding == 0)
-            startRecall(*victim);
-        return;
-    }
-
-    if (victim->valid && victim->dirty) {
-        _memory.writeLineMasked(victim->addr, victim->data,
-                                victim->dirty);
-        ++_dramWritebacks;
-    }
-    _array.install(*victim, line_addr);
-    victim->data = _memory.readLine(line_addr);
-    victim->wstate.fill(WordState::Valid);
-    victim->owner.fill(static_cast<std::int16_t>(kNoNode));
-
-    auto waiters = std::move(entry->waiters);
-    _fetches.deallocate(line_addr);
-    for (auto &waiter : waiters)
-        waiter(*victim);
-    processStalled();
+    if (victim.maskInState(WordState::Registered) == 0)
+        return false;
+    RecallState &state = _recalls[victim.addr];
+    state.blockedFetches.push_back(line_addr);
+    if (state.outstanding == 0)
+        startRecall(victim);
+    return true;
 }
 
 void
@@ -175,7 +130,7 @@ DenovoL2Bank::handleRecallData(Addr line_addr, WordMask mask,
     RecallState *state = _recalls.find(line_addr);
     if (!state) {
         // Not an eviction recall: the words were reclaimed by the
-        // sync engine (handleSyncOp on a registered word). The line
+        // sync engine (handleAtomic on a registered word). The line
         // stays resident; perform the sync ops that were waiting.
         PendingSyncState *pending = _pendingSyncs.find(line_addr);
         panic_if(!pending, "recall data without recall or "
@@ -228,7 +183,7 @@ DenovoL2Bank::finishRecall(Addr line_addr)
         _pendingSyncs.erase(line_addr);
         for (auto &p : ops) {
             scheduleIn(0, [this, p = std::move(p)]() mutable {
-                handleSyncOp(p.op, p.requestor, std::move(p.reply));
+                handleAtomic(p.op, p.requestor, std::move(p.reply));
             });
         }
     }
@@ -474,7 +429,7 @@ DenovoL2Bank::handleStreamingWrite(Addr line_addr, WordMask mask,
 // ---------------------------------------------------------------------
 
 void
-DenovoL2Bank::handleSyncOp(const SyncOp &op, NodeId requestor,
+DenovoL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
                            ValueCallback reply)
 {
     ++_engineSyncs;
@@ -497,7 +452,7 @@ DenovoL2Bank::handleSyncOp(const SyncOp &op, NodeId requestor,
             }
         }
         if (!registered && !word_waiting) {
-            performEngineSync(line, op, requestor, std::move(reply));
+            performAtomic(line, op, requestor, std::move(reply));
             return;
         }
 
@@ -510,30 +465,6 @@ DenovoL2Bank::handleSyncOp(const SyncOp &op, NodeId requestor,
             issueSyncReclaim(line, line_addr,
                              static_cast<WordMask>(1u << w));
     });
-}
-
-void
-DenovoL2Bank::performEngineSync(CacheLine &line, const SyncOp &op,
-                                NodeId requestor, ValueCallback reply)
-{
-    _energy.atomicAlu();
-    if (_trace) {
-        _trace->record(curTick(), trace::Phase::L2Atomic, _node,
-                       op.addr, 0,
-                       static_cast<std::uint16_t>(requestor));
-    }
-    if (_races)
-        _races->syncPerformed(op, curTick());
-    unsigned w = wordInLine(op.addr);
-    AtomicResult res = applyAtomic(op, line.data[w]);
-    if (res.stored) {
-        line.data[w] = res.newValue;
-        line.dirty |= static_cast<WordMask>(1u << w);
-    }
-    _mesh.send(_node, requestor, flitsForWords(1), TrafficClass::Atomic,
-               [reply = std::move(reply), v = res.returned] {
-                   reply(v);
-               });
 }
 
 void
@@ -577,8 +508,8 @@ DenovoL2Bank::servePendingSyncs(CacheLine &line, Addr line_addr)
             keep.push_back(std::move(entry));
             continue;
         }
-        performEngineSync(line, entry.op, entry.requestor,
-                          std::move(entry.reply));
+        performAtomic(line, entry.op, entry.requestor,
+                      std::move(entry.reply));
     }
     if (keep.empty() && state->requested == 0)
         _pendingSyncs.erase(line_addr);

@@ -105,8 +105,8 @@ class DenovoL2Bank final : public L2Controller
      * kernel), the bank first reclaims it; queued sync ops on the
      * same word perform in arrival order once the word returns.
      */
-    void handleSyncOp(const SyncOp &op, NodeId requestor,
-                      ValueCallback reply);
+    void handleAtomic(const SyncOp &op, NodeId requestor,
+                      ValueCallback reply) override;
 
     /** Test hook: the L1 registered for @p addr, or kNoNode. */
     NodeId ownerOf(Addr addr);
@@ -126,14 +126,12 @@ class DenovoL2Bank final : public L2Controller
   private:
     /** Park @p fn on the line's recall, if one is in progress. */
     bool deferWhileRecalling(Addr line_addr, LineFn &fn) override;
-    void startFetch(Addr line_addr) override;
+    /** A victim holding registered words is recalled first. */
+    bool recallFirst(CacheLine &victim, Addr line_addr) override;
     /** Adds the recalls and pending_syncs gauges. */
     void describeProtocol(ControllerSnapshot &snap) const override;
     /** Every registry entry must point at a live L1. */
     void checkProtocol(std::vector<std::string> &out) const override;
-    /** Install a fetched line once its DRAM data arrived and no
-     *  recall blocks the victim. */
-    void finishFetch(Addr line_addr);
 
     /** Begin recalling every registered word of @p victim. */
     void startRecall(CacheLine &victim);
@@ -176,10 +174,6 @@ class DenovoL2Bank final : public L2Controller
     };
     LineTable<PendingSyncState> _pendingSyncs;
 
-    /** Perform @p op at the bank on a line holding its word. */
-    void performEngineSync(CacheLine &line, const SyncOp &op,
-                           NodeId requestor, ValueCallback reply);
-
     /** Reclaim @p bit of @p line (registered elsewhere) for a sync. */
     void issueSyncReclaim(CacheLine &line, Addr line_addr,
                           WordMask bit);
@@ -187,7 +181,6 @@ class DenovoL2Bank final : public L2Controller
     /** Run queued sync ops whose words returned to the bank. */
     void servePendingSyncs(CacheLine &line, Addr line_addr);
 
-    stats::Handle<stats::Scalar> _reads;
     stats::Handle<stats::Scalar> _registrations;
     stats::Handle<stats::Scalar> _syncRegistrations;
     stats::Handle<stats::Scalar> _forwards;
@@ -195,8 +188,6 @@ class DenovoL2Bank final : public L2Controller
     stats::Handle<stats::Scalar> _streamingWritesStat;
     stats::Handle<stats::Scalar> _staleWritebacks;
     stats::Handle<stats::Scalar> _recallsStat;
-    stats::Handle<stats::Scalar> _dramFetches;
-    stats::Handle<stats::Scalar> _dramWritebacks;
     /** Sync ops executed at this bank's sync engine (DD+SE). */
     stats::Handle<stats::Scalar> _engineSyncs;
 };

@@ -1,6 +1,5 @@
 #include "coherence/gpu_l1.hh"
 
-#include "analysis/race_detector.hh"
 #include "trace/trace_sink.hh"
 
 namespace nosync
@@ -46,8 +45,7 @@ GpuL1Cache::bufferedValue(Addr addr, std::uint32_t &value) const
 GpuL2Bank &
 GpuL1Cache::homeBank(Addr addr)
 {
-    std::size_t bank = (lineAlign(addr) / kLineBytes) % _banks.size();
-    return *_banks[bank];
+    return *_banks[lineHome(addr, _banks.size())];
 }
 
 // ---------------------------------------------------------------------
@@ -440,24 +438,7 @@ GpuL1Cache::performSync(std::uint32_t slot)
     if (_syncs[slot].scope == Scope::Local)
         performLocalAtomic(slot);
     else
-        performRemoteAtomic(slot);
-}
-
-void
-GpuL1Cache::performRemoteAtomic(std::uint32_t slot)
-{
-    ++_stats.syncMisses;
-    _energy.atomicAlu();
-    const SyncOp &op = _syncs[slot].op;
-    GpuL2Bank &bank = homeBank(op.addr);
-    unsigned flits = flitsForWords(1);
-    _mesh.send(_node, bank.node(), flits, TrafficClass::Atomic,
-               [this, &bank, op, slot] {
-                   bank.handleAtomic(op, _node,
-                                     [this, slot](std::uint32_t v) {
-                                         finishSync(slot, v);
-                                     });
-               });
+        performAtHome(slot, homeBank(_syncs[slot].op.addr));
 }
 
 void
@@ -492,8 +473,6 @@ void
 GpuL1Cache::applyLocalAtomic(CacheLine &line, std::uint32_t slot)
 {
     const SyncOp &op = _syncs[slot].op;
-    _energy.l1Access();
-    _energy.atomicAlu();
     unsigned w = wordInLine(op.addr);
     // Freshness order: SB, then the frame copy, then any in-flight
     // writethrough (only relevant when the frame lacks the word).
@@ -506,18 +485,13 @@ GpuL1Cache::applyLocalAtomic(CacheLine &line, std::uint32_t slot)
     } else if (!bufferedValue(op.addr, old_val)) {
         old_val = line.data[w];
     }
-    if (_races)
-        _races->syncPerformed(op, curTick());
-    AtomicResult res = applyAtomic(op, old_val);
+    AtomicResult res = performAtL1(slot, old_val);
     line.data[w] = res.newValue;
     line.wstate[w] = WordState::Valid;
     line.dirty |= static_cast<WordMask>(1u << w);
     _anyDirty = true;
     _sb.erase(op.addr);
     _array.touch(line);
-    scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
-        finishSync(slot, v);
-    });
 }
 
 // ---------------------------------------------------------------------

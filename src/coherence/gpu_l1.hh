@@ -107,9 +107,6 @@ class GpuL1Cache final : public L1Controller
     void performLocalAtomic(std::uint32_t slot);
     void applyLocalAtomic(CacheLine &line, std::uint32_t slot);
 
-    /** Execute an atomic at the home L2 bank (global scope). */
-    void performRemoteAtomic(std::uint32_t slot);
-
     /** Send one writethrough group and track its ack. */
     void sendWriteThrough(Addr line_addr, WordMask mask,
                           const LineData &data);

@@ -1,6 +1,5 @@
 #include "coherence/gpu_l2.hh"
 
-#include "analysis/race_detector.hh"
 #include "trace/trace_sink.hh"
 
 namespace nosync
@@ -12,54 +11,14 @@ GpuL2Bank::GpuL2Bank(const std::string &name, EventQueue &eq,
                      const CacheGeometry &geom,
                      const CacheTimings &timings,
                      trace::TraceSink *trace)
-    : L2Controller(name, eq, energy, mesh, node, memory, geom, timings,
-                   trace),
-      _reads(stats.registerScalar(name, ".reads",
-                                  "read requests served")),
+    : L2Controller(name, eq, stats, energy, mesh, node, memory, geom,
+                   timings, trace),
       _writethroughs(stats.registerScalar(
           name, ".writethroughs", "writethrough messages merged")),
       _atomics(stats.registerScalar(name, ".atomics",
-                                    "atomics executed at this bank")),
-      _dramFetches(stats.registerScalar(name, ".dram_fetches",
-                                        "line fetches from memory")),
-      _dramWritebacks(
-          stats.registerScalar(name, ".dram_writebacks",
-                               "dirty line writebacks to memory"))
+                                    "atomics executed at this bank"))
 {
-}
-
-CacheLine &
-GpuL2Bank::installLine(Addr line_addr)
-{
-    CacheLine *victim = _array.findVictim(line_addr);
-    if (victim->valid && victim->dirty) {
-        // Dirty words go back to the functional backing store. DRAM
-        // bandwidth is not a bottleneck in any studied workload, so
-        // the writeback is not placed on the eviction's critical path.
-        _memory.writeLineMasked(victim->addr, victim->data,
-                                victim->dirty);
-        ++_dramWritebacks;
-    }
-    _array.install(*victim, line_addr);
-    victim->data = _memory.readLine(line_addr);
-    return *victim;
-}
-
-void
-GpuL2Bank::startFetch(Addr line_addr)
-{
-    ++_dramFetches;
-    scheduleIn(_timings.l2Access + _timings.dramLatency,
-               [this, line_addr] {
-                   CacheLine &line = installLine(line_addr);
-                   FetchEntry *entry = _fetches.find(line_addr);
-                   panic_if(!entry, "L2 fetch entry vanished");
-                   auto waiters = std::move(entry->waiters);
-                   _fetches.deallocate(line_addr);
-                   for (auto &waiter : waiters)
-                       waiter(line);
-                   processStalled();
-               });
+    registerFillStats(stats, "dirty line writebacks to memory");
 }
 
 void
@@ -111,28 +70,10 @@ GpuL2Bank::handleAtomic(const SyncOp &op, NodeId requestor,
                         ValueCallback reply)
 {
     ++_atomics;
-    _energy.atomicAlu();
     withLine(op.addr, [this, op, requestor,
                        reply = std::move(reply)](
                           CacheLine &line) mutable {
-        if (_trace) {
-            _trace->record(curTick(), trace::Phase::L2Atomic, _node,
-                           op.addr, 0,
-                           static_cast<std::uint16_t>(requestor));
-        }
-        unsigned w = wordInLine(op.addr);
-        if (_races)
-            _races->syncPerformed(op, curTick());
-        AtomicResult res = applyAtomic(op, line.data[w]);
-        if (res.stored) {
-            line.data[w] = res.newValue;
-            line.dirty |= static_cast<WordMask>(1u << w);
-        }
-        unsigned flits = flitsForWords(1);
-        _mesh.send(_node, requestor, flits, TrafficClass::Atomic,
-                   [reply = std::move(reply), v = res.returned] {
-                       reply(v);
-                   });
+        performAtomic(line, op, requestor, std::move(reply));
     });
 }
 

@@ -49,21 +49,13 @@ class GpuL2Bank final : public L2Controller
 
     /** Atomic executed at the L2 (globally scoped synchronization). */
     void handleAtomic(const SyncOp &op, NodeId requestor,
-                      ValueCallback reply);
+                      ValueCallback reply) override;
 
   private:
-    /** Fetch, install and serve the waiters in one DRAM latency. */
-    void startFetch(Addr line_addr) override;
     void describeProtocol(ControllerSnapshot &snap) const override;
 
-    /** Install a line fetched from memory, evicting as needed. */
-    CacheLine &installLine(Addr line_addr);
-
-    stats::Handle<stats::Scalar> _reads;
     stats::Handle<stats::Scalar> _writethroughs;
     stats::Handle<stats::Scalar> _atomics;
-    stats::Handle<stats::Scalar> _dramFetches;
-    stats::Handle<stats::Scalar> _dramWritebacks;
 };
 
 } // namespace nosync

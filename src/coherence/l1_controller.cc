@@ -1,5 +1,8 @@
 #include "coherence/l1_controller.hh"
 
+#include "analysis/race_detector.hh"
+#include "coherence/l2_controller.hh"
+#include "noc/mesh.hh"
 #include "sim/logging.hh"
 
 namespace nosync
@@ -219,6 +222,39 @@ L1Controller::finishSync(std::uint32_t slot, std::uint32_t value)
     if (rec.op.isAcquire() && rec.scope != Scope::Local)
         selfInvalidate();
     rec.cb(value);
+}
+
+AtomicResult
+L1Controller::performAtL1(std::uint32_t slot, std::uint32_t old_value,
+                          bool reply)
+{
+    const SyncOp &op = _syncs[slot].op;
+    _energy.l1Access();
+    _energy.atomicAlu();
+    if (_races)
+        _races->syncPerformed(op, curTick());
+    AtomicResult res = applyAtomic(op, old_value);
+    if (reply) {
+        scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
+            finishSync(slot, v);
+        });
+    }
+    return res;
+}
+
+void
+L1Controller::performAtHome(std::uint32_t slot, L2Controller &home)
+{
+    ++_stats.syncMisses;
+    _energy.atomicAlu();
+    const SyncOp &op = _syncs[slot].op;
+    _mesh.send(_node, home.node(), flitsForWords(1), TrafficClass::Atomic,
+               [this, &home, op, slot] {
+                   home.handleAtomic(op, _node,
+                                     [this, slot](std::uint32_t v) {
+                                         finishSync(slot, v);
+                                     });
+               });
 }
 
 void

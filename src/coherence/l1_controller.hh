@@ -46,6 +46,7 @@ namespace analysis
 class RaceDetector;
 }
 
+class L2Controller;
 class Mesh;
 
 /**
@@ -299,6 +300,23 @@ class L1Controller : public SimObject
     void finishSync(std::uint32_t slot, std::uint32_t value);
 
     /**
+     * Perform the parked sync in @p slot at this L1 on @p old_value:
+     * charge the L1 access and the ALU, tell the race detector, and
+     * apply the atomic. The caller stores the new value where its
+     * protocol keeps the word. With @p reply, finishSync runs
+     * l1Atomic cycles later with the returned value.
+     */
+    AtomicResult performAtL1(std::uint32_t slot, std::uint32_t old_value,
+                             bool reply = true);
+
+    /**
+     * Send the parked sync in @p slot to @p home, its line's L2 bank,
+     * to perform there (GD/GH global atomics, DD+SE's sync engine);
+     * the bank's reply finishes it.
+     */
+    void performAtHome(std::uint32_t slot, L2Controller &home);
+
+    /**
      * Acquire-side self-invalidation. A gang operation in hardware;
      * here an O(1) epoch bump, and each protocol's refreshLine sweeps
      * a line whose epoch lags on its next touch, keeping the words
@@ -349,6 +367,14 @@ class L1Controller : public SimObject
 
     /** Current acquire epoch (lazy self-invalidation). */
     std::uint64_t _curEpoch = 0;
+
+    /**
+     * Unused: keeps each L1 at its measured size. Without these 8 B,
+     * DenovoL1Cache falls into a smaller glibc size class and every
+     * perfbench System build faults ~25 fresh heap pages in again
+     * (DESIGN.md §10, "Heap layout").
+     */
+    std::uint64_t _heapLayoutPad = 0;
 
   private:
     /**

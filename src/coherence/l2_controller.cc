@@ -2,23 +2,38 @@
 
 #include <algorithm>
 
+#include "analysis/race_detector.hh"
 #include "energy/energy_model.hh"
 #include "mem/functional_mem.hh"
+#include "noc/mesh.hh"
+#include "trace/trace_sink.hh"
 
 namespace nosync
 {
 
 L2Controller::L2Controller(const std::string &name, EventQueue &eq,
-                           EnergyModel &energy, Mesh &mesh, NodeId node,
-                           FunctionalMem &memory,
+                           stats::StatSet &stats, EnergyModel &energy,
+                           Mesh &mesh, NodeId node, FunctionalMem &memory,
                            const CacheGeometry &geom,
                            const CacheTimings &timings,
                            trace::TraceSink *trace)
     : SimObject(name, eq), _node(node), _trace(trace), _mesh(mesh),
       _energy(energy), _memory(memory),
       _array(geom.l2BankBytes, geom.l2Assoc), _timings(timings),
-      _fetches(geom.l2MshrEntries)
+      _fetches(geom.l2MshrEntries),
+      _reads(stats.registerScalar(name, ".reads",
+                                  "read requests served"))
 {}
+
+void
+L2Controller::registerFillStats(stats::StatSet &stats,
+                                const char *writeback_desc)
+{
+    _dramFetches = stats.registerScalar(name(), ".dram_fetches",
+                                        "line fetches from memory");
+    _dramWritebacks =
+        stats.registerScalar(name(), ".dram_writebacks", writeback_desc);
+}
 
 std::uint32_t
 L2Controller::peekWord(Addr addr)
@@ -86,6 +101,77 @@ L2Controller::withLineReady(Addr line_addr, LineFn fn, bool queued)
     FetchEntry &entry = _fetches.allocate(line_addr);
     entry.waiters.push_back(std::move(fn));
     startFetch(line_addr);
+}
+
+void
+L2Controller::startFetch(Addr line_addr)
+{
+    ++_dramFetches;
+    scheduleIn(_timings.l2Access + _timings.dramLatency,
+               [this, line_addr] {
+                   FetchEntry *entry = _fetches.find(line_addr);
+                   panic_if(!entry, "L2 fetch entry vanished");
+                   entry->dramDone = true;
+                   finishFetch(line_addr);
+               });
+}
+
+void
+L2Controller::finishFetch(Addr line_addr)
+{
+    FetchEntry *entry = _fetches.find(line_addr);
+    if (!entry || !entry->dramDone)
+        return;
+
+    // Prefer victims that need no recall. A GPU bank registers no
+    // word, so it always gets the plain LRU victim.
+    CacheLine *victim = _array.findVictimPreferring(
+        line_addr, [](const CacheLine &line) {
+            return line.maskInState(WordState::Registered) == 0;
+        });
+    if (victim->valid && recallFirst(*victim, line_addr))
+        return;
+
+    if (victim->valid && victim->dirty) {
+        // Dirty words go back to the functional backing store. DRAM
+        // bandwidth is not a bottleneck in any studied workload, so
+        // the writeback is not placed on the eviction's critical path.
+        _memory.writeLineMasked(victim->addr, victim->data,
+                                victim->dirty);
+        ++_dramWritebacks;
+    }
+    _array.install(*victim, line_addr);
+    victim->data = _memory.readLine(line_addr);
+    victim->wstate.fill(WordState::Valid);
+
+    auto waiters = std::move(entry->waiters);
+    _fetches.deallocate(line_addr);
+    for (auto &waiter : waiters)
+        waiter(*victim);
+    processStalled();
+}
+
+void
+L2Controller::performAtomic(CacheLine &line, const SyncOp &op,
+                            NodeId requestor, ValueCallback reply)
+{
+    if (_trace) {
+        _trace->record(curTick(), trace::Phase::L2Atomic, _node, op.addr,
+                       0, static_cast<std::uint16_t>(requestor));
+    }
+    if (_races)
+        _races->syncPerformed(op, curTick());
+    _energy.atomicAlu();
+    unsigned w = wordInLine(op.addr);
+    AtomicResult res = applyAtomic(op, line.data[w]);
+    if (res.stored) {
+        line.data[w] = res.newValue;
+        line.dirty |= static_cast<WordMask>(1u << w);
+    }
+    _mesh.send(_node, requestor, flitsForWords(1), TrafficClass::Atomic,
+               [reply = std::move(reply), v = res.returned] {
+                   reply(v);
+               });
 }
 
 ControllerSnapshot

@@ -4,11 +4,11 @@
  *
  * Both bank flavours (GPU writethrough, DeNovo ownership) share the
  * surface the rest of the system needs: a mesh node, a debug word
- * probe, and the hang-diagnostic snapshot / invariant sweep. System
- * exposes banks uniformly through this interface; flavour-specific
- * protocol entry points (handleRegReq, handleWriteThrough, ...) stay
- * on the concrete classes, reached via as<T>() where a caller
- * genuinely needs them.
+ * probe, the atomic an L1 sends home, and the hang-diagnostic
+ * snapshot / invariant sweep. System exposes banks uniformly through
+ * this interface; flavour-specific protocol entry points
+ * (handleRegReq, handleWriteThrough, ...) stay on the concrete
+ * classes, reached via as<T>() where a caller genuinely needs them.
  */
 
 #ifndef COHERENCE_L2_CONTROLLER_HH
@@ -21,11 +21,13 @@
 #include <vector>
 
 #include "coherence/cache_timings.hh"
+#include "coherence/l1_controller.hh"
 #include "coherence/snapshot.hh"
 #include "mem/cache_array.hh"
 #include "mem/mshr.hh"
 #include "sim/sim_object.hh"
 #include "sim/small_fn.hh"
+#include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace nosync
@@ -55,24 +57,35 @@ class Mesh;
 using LineFn = SmallFn<void(CacheLine &), 128>;
 
 /**
- * The L2 bank interface, and the bank pipeline both flavours share:
- * the pipelined access timing, per-line DRAM fetch MSHRs and the
- * arrival-order stall queue behind them. A flavour supplies how a
- * fetch completes and (DeNovo) which accesses wait out a recall.
+ * The L2 bank interface, and the half of a bank both flavours share:
+ * the pipelined access timing, per-line DRAM fetch MSHRs with the
+ * arrival-order stall queue behind them, the DRAM fill (victim,
+ * dirty writeback, install, waking the waiters) and the step that
+ * performs an atomic at the bank. A flavour supplies (DeNovo) which
+ * accesses wait out a recall and which victims must be recalled
+ * before a fill.
  */
 class L2Controller : public SimObject
 {
   public:
     L2Controller(const std::string &name, EventQueue &eq,
-                 EnergyModel &energy, Mesh &mesh, NodeId node,
-                 FunctionalMem &memory, const CacheGeometry &geom,
-                 const CacheTimings &timings,
+                 stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
+                 NodeId node, FunctionalMem &memory,
+                 const CacheGeometry &geom, const CacheTimings &timings,
                  trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
 
     /** Debug probe: current value of @p addr at this bank. */
     std::uint32_t peekWord(Addr addr);
+
+    /**
+     * A sync op an L1 sent home (GD/GH global atomics, DD+SE's sync
+     * engine): perform it at this bank and send @p requestor the
+     * returned value.
+     */
+    virtual void handleAtomic(const SyncOp &op, NodeId requestor,
+                              ValueCallback reply) = 0;
 
     /**
      * Structured occupancy snapshot for hang diagnostics. Gauges, in
@@ -105,8 +118,17 @@ class L2Controller : public SimObject
         return false;
     }
 
-    /** Fetch @p line_addr from DRAM for its just-allocated entry. */
-    virtual void startFetch(Addr line_addr) = 0;
+    /**
+     * Whether @p victim must be recalled before the fill of
+     * @p line_addr installs over it (DeNovo: it holds registered
+     * words). If so, start the recall; the fill waits, and the
+     * recall's end runs finishFetch again. The GPU bank never
+     * recalls.
+     */
+    virtual bool recallFirst(CacheLine & /*victim*/, Addr /*line_addr*/)
+    {
+        return false;
+    }
 
     /** The flavour's gauges and detail lines (fetch lines included). */
     virtual void describeProtocol(ControllerSnapshot &snap) const = 0;
@@ -115,16 +137,34 @@ class L2Controller : public SimObject
     virtual void checkProtocol(std::vector<std::string> & /*out*/) const
     {}
 
-    // Bank pipeline ---------------------------------------------------
+    // Shared machinery ------------------------------------------------
     /** Run @p fn on the (possibly DRAM-fetched) line after timing. */
     void withLine(Addr line_addr, LineFn fn);
 
-    /** withLine after its energy and recall checks; @p queued marks
-     *  a retry from the stall queue. */
-    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
+    /**
+     * Install the fetched @p line_addr once its DRAM data arrived and
+     * no recall blocks the victim, then run its waiters and retry the
+     * stalled requests. A no-op until both hold.
+     */
+    void finishFetch(Addr line_addr);
 
-    /** Retry stalled requests while fetch MSHRs are free. */
-    void processStalled();
+    /**
+     * Perform @p op on its word of the resident @p line and send
+     * @p requestor the returned value.
+     */
+    void performAtomic(CacheLine &line, const SyncOp &op,
+                       NodeId requestor, ValueCallback reply);
+
+    /**
+     * Register the fill's dram_fetches and dram_writebacks counters,
+     * the latter as @p writeback_desc (a DeNovo bank also writes back
+     * every recalled line). A flavour calls this after registering
+     * its own protocol counters (DeNovo: before engine_syncs): the
+     * order of a build's stat names decides where the StatSet's name
+     * buffer grows among the build's allocations, and with it glibc's
+     * heap layout (DESIGN.md §10, "Heap layout").
+     */
+    void registerFillStats(stats::StatSet &stats, const char *writeback_desc);
 
     NodeId _node;
     /** Observability sink; nullptr when tracing is disabled. */
@@ -141,15 +181,30 @@ class L2Controller : public SimObject
     /** Next tick the pipelined bank accepts an access. */
     Tick _bankFree = 0;
 
+    /** Unused: keeps each bank at its measured size, as
+     *  L1Controller::_heapLayoutPad does for the L1s. */
+    std::uint64_t _heapLayoutPad = 0;
+
     /** Outstanding DRAM fetches, merged per line. */
     struct FetchEntry
     {
         std::vector<LineFn> waiters;
-        /** DeNovo: the data arrived but the install waits on a
-         *  recall of the chosen victim. */
+        /** The data arrived; the install may still wait on a recall
+         *  of the chosen victim (DeNovo). */
         bool dramDone = false;
     };
     MshrTable<FetchEntry> _fetches;
+
+  private:
+    /** withLine after its energy and recall checks; @p queued marks
+     *  a retry from the stall queue. */
+    void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
+
+    /** Fetch @p line_addr from DRAM for its just-allocated entry. */
+    void startFetch(Addr line_addr);
+
+    /** Retry stalled requests while fetch MSHRs are free. */
+    void processStalled();
 
     /**
      * Requests stalled on a full fetch MSHR, processed strictly in
@@ -158,6 +213,12 @@ class L2Controller : public SimObject
      * must not reorder stalled requests.
      */
     std::deque<std::pair<Addr, LineFn>> _stalled;
+
+  protected:
+    /** Registered after every allocation above (registerFillStats). */
+    stats::Handle<stats::Scalar> _reads;
+    stats::Handle<stats::Scalar> _dramFetches;
+    stats::Handle<stats::Scalar> _dramWritebacks;
 };
 
 } // namespace nosync

@@ -133,8 +133,8 @@ ProtocolChecker::sweep(bool quiesced) const
     // L1 goes through the topology's cu<->node map.
     const MachineTopology &topo = _sys.config().topology;
     forEachOwnedWord([&](Addr addr, std::span<const Owner> run) {
-        unsigned bank = static_cast<unsigned>(
-            (lineAlign(addr) / kLineBytes) % num_nodes);
+        unsigned bank =
+            static_cast<unsigned>(lineHome(addr, num_nodes));
         NodeId reg_owner =
             as<DenovoL2Bank>(_sys.l2Bank(bank))->ownerOf(addr);
         unsigned cu = run.front().cu;

@@ -30,7 +30,7 @@ System::System(const SystemConfig &config) : _config(config)
     if (_config.execution.faults.enabled) {
         _faults =
             std::make_unique<FaultInjector>(_config.execution.faults);
-        _mesh->setFaultInjector(_faults.get());
+        _mesh->setDeliveryPolicy(_faults.get());
     }
 
     // Interleave the functional image by line number — the same
@@ -140,10 +140,8 @@ System::debugRead(Addr addr)
             return value;
         }
     }
-    std::size_t bank = (lineAlign(addr) / kLineBytes) %
-                       _mesh->numNodes();
     if (!_l2Banks.empty())
-        return _l2Banks[bank]->peekWord(addr);
+        return _l2Banks[lineHome(addr, _mesh->numNodes())]->peekWord(addr);
     return _memory.readWord(addr);
 }
 

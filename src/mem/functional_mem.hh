@@ -105,15 +105,13 @@ class FunctionalMem
     ShardMap &
     shardFor(Addr addr)
     {
-        return _shards[(lineAlign(addr) / kLineBytes) %
-                       _shards.size()];
+        return _shards[lineHome(addr, _shards.size())];
     }
 
     const ShardMap &
     shardFor(Addr addr) const
     {
-        return _shards[(lineAlign(addr) / kLineBytes) %
-                       _shards.size()];
+        return _shards[lineHome(addr, _shards.size())];
     }
 
     std::vector<ShardMap> _shards;

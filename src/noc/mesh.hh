@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "noc/delivery_policy.hh"
-#include "noc/fault_injector.hh"
 #include "noc/topology.hh"
 #include "noc/traffic.hh"
 #include "sim/event_queue.hh"
@@ -130,9 +129,6 @@ class Mesh : public SimObject
         _delivery = policy;
     }
     DeliveryPolicy *deliveryPolicy() { return _delivery; }
-
-    /** Convenience spelling for the chaos-testing policy. */
-    void setFaultInjector(FaultInjector *inj) { _delivery = inj; }
 
     // Diagnostics -----------------------------------------------------
     /** Messages injected but not yet delivered, in injection order. */

@@ -6,6 +6,7 @@
 #ifndef SIM_TYPES_HH
 #define SIM_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace nosync
@@ -43,6 +44,17 @@ constexpr Addr
 lineAlign(Addr addr)
 {
     return addr & ~static_cast<Addr>(kLineBytes - 1);
+}
+
+/**
+ * Which of @p homes line-interleaved homes owns @p addr: consecutive
+ * lines go to consecutive homes. L2 banks and the functional memory's
+ * shards are both homed this way.
+ */
+constexpr std::size_t
+lineHome(Addr addr, std::size_t homes)
+{
+    return (lineAlign(addr) / kLineBytes) % homes;
 }
 
 /** Align an address down to its word base. */

@@ -131,7 +131,7 @@ TEST(ChaosMesh, SamePairFifoSurvivesInjection)
     fc.jitterProb = 0.8;
     fc.reorderProb = 0.4;
     FaultInjector faults(fc);
-    mesh.setFaultInjector(&faults);
+    mesh.setDeliveryPolicy(&faults);
 
     std::vector<unsigned> order;
     for (unsigned i = 0; i < 200; ++i) {
