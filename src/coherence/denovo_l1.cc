@@ -18,7 +18,7 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
                              const CacheTimings &timings,
                              trace::TraceSink *trace)
     : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
-                   timings, trace),
+                   timings, _unackedTable, trace),
       _banks(std::move(banks)), _regions(regions),
       _mshr(geom.l1MshrEntries),
       _remoteReadsServed(
@@ -124,49 +124,17 @@ DenovoL1Cache::evictFrame(CacheLine &victim)
         return; // Valid words are dropped silently.
 
     // Registered words are the only up-to-date copy: write both data
-    // and ownership back to the registry. The data stays snoopable in
-    // the writeback buffer until the registry acknowledges, so
-    // forwarded requests racing the writeback can still be served.
-    WbEntry &wb = _wbBuffer[victim.addr];
-    wb.mask |= reg_mask;
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if (reg_mask & (1u << w)) {
-            wb.data[w] = victim.data[w];
-            ++wb.refs[w];
-        }
-    }
+    // and ownership back to the registry. The words stay readable
+    // until the registry acknowledges, so forwarded requests racing
+    // the writeback can still be served.
+    writeHome(homeBank(victim.addr), victim.addr, reg_mask, victim.data,
+              trace::Phase::L1WritebackIssue);
+}
 
-    DenovoL2Bank &bank = homeBank(victim.addr);
-    unsigned flits = flitsForWords(popcount(reg_mask));
-    Addr line_addr = victim.addr;
-    LineData data = victim.data;
-    if (_trace) {
-        _trace->record(curTick(), trace::Phase::L1WritebackIssue,
-                       _node, line_addr, 0, reg_mask);
-    }
-    _mesh.send(_node, bank.node(), flits, TrafficClass::WriteBack,
-               [this, &bank, line_addr, reg_mask, data] {
-                   bank.handleWriteBack(
-                       line_addr, reg_mask, data, _node,
-                       [this, line_addr, reg_mask] {
-                           WbEntry *wb = _wbBuffer.find(line_addr);
-                           panic_if(!wb,
-                                    "writeback ack without buffer "
-                                    "entry");
-                           for (unsigned w = 0; w < kWordsPerLine;
-                                ++w) {
-                               if (!(reg_mask & (1u << w)))
-                                   continue;
-                               if (--wb->refs[w] == 0) {
-                                   wb->mask &= ~static_cast<WordMask>(
-                                       1u << w);
-                               }
-                           }
-                           if (wb->mask == 0)
-                               _wbBuffer.erase(line_addr);
-                           releaseHeldRegistrations(line_addr);
-                       });
-               });
+void
+DenovoL1Cache::writeAcked(Addr line_addr, WordMask /*mask*/)
+{
+    releaseHeldRegistrations(line_addr);
 }
 
 void
@@ -177,11 +145,9 @@ DenovoL1Cache::registerUnlessHeld(LineEntry &entry, Addr line_addr,
     // until the ack returns, or the registry could process the
     // requests out of order and accept the stale writeback over the
     // new registration.
-    if (const WbEntry *wb = _wbBuffer.find(line_addr)) {
-        WordMask held = mask & wb->mask;
-        entry.regWaitingWb |= held;
-        mask &= ~held;
-    }
+    WordMask held = mask & unackedWords(line_addr);
+    entry.regWaitingWb |= held;
+    mask &= ~held;
     if (mask != 0)
         issueRegistration(line_addr, mask, is_sync);
 }
@@ -192,10 +158,8 @@ DenovoL1Cache::releaseHeldRegistrations(Addr line_addr)
     LineEntry *entry = _mshr.find(line_addr);
     if (!entry || entry->regWaitingWb == 0)
         return;
-    const WbEntry *wb = _wbBuffer.find(line_addr);
-    WordMask still_buffered = wb ? wb->mask : 0;
     WordMask ready = entry->regWaitingWb &
-                     static_cast<WordMask>(~still_buffered);
+                     static_cast<WordMask>(~unackedWords(line_addr));
     if (ready == 0)
         return;
     entry->regWaitingWb &= ~ready;
@@ -235,12 +199,7 @@ DenovoL1Cache::peekLocal(Addr addr, std::uint32_t &value)
             return true;
         }
     }
-    const WbEntry *wb = _wbBuffer.find(addr);
-    if (wb && (wb->mask & (1u << w))) {
-        value = wb->data[w];
-        return true;
-    }
-    return false;
+    return unackedValue(addr, value);
 }
 
 // ---------------------------------------------------------------------
@@ -820,8 +779,7 @@ DenovoL1Cache::holdsWord(Addr line_addr, unsigned word)
     CacheLine *frame = _array.lookup(line_addr);
     if (frame && frame->wstate[word] == WordState::Registered)
         return true;
-    const WbEntry *wb = _wbBuffer.find(line_addr);
-    return wb && (wb->mask & (1u << word));
+    return unackedWords(line_addr) & (1u << word);
 }
 
 void
@@ -906,8 +864,8 @@ DenovoL1Cache::processSyncQueue(Addr line_addr, unsigned word)
         return; // a registration is pending; its grant re-enters
     CacheLine *frame = _array.lookup(line_addr);
     panic_if(!frame || frame->wstate[word] != WordState::Registered,
-             "local sync op scheduled on a word held only in the "
-             "writeback buffer");
+             "local sync op scheduled on a word held only in an "
+             "unacked writeback");
 
     std::uint32_t slot = local_it->slot;
     entry->syncQueue.erase(local_it);
@@ -984,16 +942,13 @@ DenovoL1Cache::respondReadFwd(Addr line_addr, WordMask mask,
     _energy.l1Access();
     LineData values{};
     CacheLine *frame = _array.lookup(line_addr);
-    const WbEntry *wb = _wbBuffer.find(line_addr);
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         WordMask bit = static_cast<WordMask>(1u << w);
         if (!(mask & bit))
             continue;
         if (frame && frame->wstate[w] != WordState::Invalid)
             values[w] = frame->data[w];
-        else if (wb && (wb->mask & bit))
-            values[w] = wb->data[w];
-        else
+        else if (!unackedValue(line_addr + w * kWordBytes, values[w]))
             panic("read forward for a word this L1 cannot serve");
     }
     DenovoL1Cache *peer = _peers[static_cast<std::size_t>(requestor)];
@@ -1012,7 +967,6 @@ DenovoL1Cache::respondTransfer(Addr line_addr, WordMask mask,
     _ownershipTransfers += popcount(mask);
     LineData values{};
     CacheLine *frame = _array.lookup(line_addr);
-    const WbEntry *wb = _wbBuffer.find(line_addr);
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         WordMask bit = static_cast<WordMask>(1u << w);
         if (!(mask & bit))
@@ -1020,9 +974,7 @@ DenovoL1Cache::respondTransfer(Addr line_addr, WordMask mask,
         if (frame && frame->wstate[w] == WordState::Registered) {
             values[w] = frame->data[w];
             frame->wstate[w] = WordState::Invalid;
-        } else if (wb && (wb->mask & bit)) {
-            values[w] = wb->data[w];
-        } else {
+        } else if (!unackedValue(line_addr + w * kWordBytes, values[w])) {
             panic("ownership transfer for a word this L1 does not "
                   "hold");
         }
@@ -1183,7 +1135,6 @@ void
 DenovoL1Cache::describeProtocol(ControllerSnapshot &snap) const
 {
     snap.gauge("pending_writes", _pendingWrites);
-    snap.gauge("wb_lines", _wbBuffer.size());
     _mshr.forEach([&](Addr line_addr, const LineEntry &entry) {
         std::ostringstream os;
         os << "line 0x" << std::hex << line_addr
@@ -1194,12 +1145,6 @@ DenovoL1Cache::describeProtocol(ControllerSnapshot &snap) const
            << std::dec << " targets=" << entry.readTargets.size()
            << " syncQ=" << entry.syncQueue.size()
            << " remoteQ=" << entry.remoteQueue.size();
-        snap.detail.push_back(os.str());
-    });
-    _wbBuffer.forEachSorted([&](Addr line_addr, const WbEntry &wb) {
-        std::ostringstream os;
-        os << "writeback line 0x" << std::hex << line_addr
-           << " mask=0x" << wb.mask << std::dec;
         snap.detail.push_back(os.str());
     });
 }
@@ -1232,22 +1177,6 @@ DenovoL1Cache::checkProtocol(std::vector<std::string> &out) const
            << data_reg_words;
         fail(os.str());
     }
-
-    _wbBuffer.forEachSorted([&](Addr line_addr, const WbEntry &wb) {
-        if (wb.mask == 0)
-            fail("empty writeback-buffer entry not reclaimed");
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            bool masked = (wb.mask >> w) & 1;
-            bool referenced = wb.refs[w] > 0;
-            if (masked != referenced) {
-                std::ostringstream os;
-                os << "writeback line 0x" << std::hex << line_addr
-                   << std::dec << " word " << w << ": mask bit "
-                   << masked << " vs refcount " << unsigned(wb.refs[w]);
-                fail(os.str());
-            }
-        }
-    });
 }
 
 void

@@ -24,7 +24,6 @@
 #include "coherence/denovo_l2.hh"
 #include "coherence/l1_controller.hh"
 #include "coherence/region_map.hh"
-#include "mem/line_table.hh"
 #include "mem/mshr.hh"
 
 namespace nosync
@@ -98,7 +97,7 @@ class DenovoL1Cache final : public L1Controller
   private:
     // L1Controller hooks ----------------------------------------------
     /** Any word peekLocal finds (SB, pending registration, frame,
-     *  writeback buffer). */
+     *  unacked writeback). */
     bool loadLocal(Addr addr, std::uint32_t &value) override;
     /** Wait on a pending registration of the word, or coalesce a
      *  line read for this cycle. */
@@ -111,6 +110,9 @@ class DenovoL1Cache final : public L1Controller
      *  through); _pendingWrites counts words awaiting completion. */
     void issueDrain() override;
     void performSync(std::uint32_t slot) override;
+    /** An eviction writeback was acked: release the registrations
+     *  it held back. */
+    void writeAcked(Addr line_addr, WordMask mask) override;
     std::size_t mshrOccupancy() const override { return _mshr.size(); }
     void describeProtocol(ControllerSnapshot &snap) const override;
     void checkProtocol(std::vector<std::string> &out) const override;
@@ -195,16 +197,6 @@ class DenovoL1Cache final : public L1Controller
         }
     };
 
-    /** Evicted-but-unacknowledged registered words (snoopable). */
-    struct WbEntry
-    {
-        WordMask mask = 0;
-        LineData data{};
-        /** In-flight writebacks per word; a word stays snoopable
-         *  until every writeback covering it was acknowledged. */
-        std::array<std::uint8_t, kWordsPerLine> refs{};
-    };
-
     DenovoL2Bank &homeBank(Addr addr);
 
     /** Look up / allocate the MSHR entry for a line. */
@@ -266,7 +258,7 @@ class DenovoL1Cache final : public L1Controller
                      const LineData &reply_data,
                      std::uint64_t sent_epoch);
 
-    /** Try reading a word from SB / array / wb-buffer / MSHR state. */
+    /** Try reading a word from SB / MSHR / array / unacked writeback. */
     bool peekLocal(Addr addr, std::uint32_t &value);
 
     /**
@@ -314,9 +306,8 @@ class DenovoL1Cache final : public L1Controller
     std::vector<DenovoL1Cache *> _peers;
     const RegionMap &_regions;
     MshrTable<LineEntry> _mshr;
-
-    /** Line-keyed, slab-stable: probed by every load's peekLocal. */
-    LineTable<WbEntry> _wbBuffer;
+    /** The shell's unacked writes (L1Controller::_unacked). */
+    UnackedTable _unackedTable;
 
     /** A satisfied load: its value and callback (read batches). */
     using ReadyLoad = std::pair<std::uint32_t, ValueCallback>;

@@ -354,9 +354,9 @@ DenovoL2Bank::handleRegReq(Addr line_addr, WordMask mask, bool is_sync,
 // ---------------------------------------------------------------------
 
 void
-DenovoL2Bank::handleWriteBack(Addr line_addr, WordMask mask,
-                              const LineData &data, NodeId requestor,
-                              DoneCallback ack)
+DenovoL2Bank::handleWrite(Addr line_addr, WordMask mask,
+                          const LineData &data, NodeId requestor,
+                          DoneCallback ack)
 {
     withLine(line_addr, [this, mask, data, requestor,
                          ack = std::move(ack)](

@@ -76,10 +76,13 @@ class DenovoL2Bank final : public L2Controller
     void handleRegReq(Addr line_addr, WordMask mask, bool is_sync,
                       NodeId requestor, RegReply reply);
 
-    /** Writeback of registered words on L1 eviction. */
-    void handleWriteBack(Addr line_addr, WordMask mask,
-                         const LineData &data, NodeId requestor,
-                         DoneCallback ack);
+    /**
+     * Writeback of registered words on L1 eviction: a word the
+     * requestor still owns returns to the bank; one whose ownership
+     * moved on is stale and dropped.
+     */
+    void handleWrite(Addr line_addr, WordMask mask, const LineData &data,
+                     NodeId requestor, DoneCallback ack) override;
 
     /**
      * DD+PR streaming-region write-through: the L1 never owned the

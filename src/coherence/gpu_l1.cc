@@ -14,22 +14,11 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
                        const CacheTimings &timings,
                        trace::TraceSink *trace)
     : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
-                   timings, trace),
+                   timings, _unackedTable, trace),
       _banks(std::move(banks)), _mshr(geom.l1MshrEntries)
 {
     panic_if(_config.protocol() != CoherenceProtocol::Gpu,
              "GpuL1Cache built with a non-GPU protocol config");
-}
-
-bool
-GpuL1Cache::pendingWtValue(Addr addr, std::uint32_t &value) const
-{
-    const PendingWtLine *pend = _pendingWt.find(addr);
-    unsigned w = wordInLine(addr);
-    if (!pend || !(pend->words & (1u << w)))
-        return false;
-    value = pend->value[w];
-    return true;
 }
 
 bool
@@ -39,7 +28,7 @@ GpuL1Cache::bufferedValue(Addr addr, std::uint32_t &value) const
         value = _sb.value(addr);
         return true;
     }
-    return pendingWtValue(addr, value);
+    return unackedValue(addr, value);
 }
 
 GpuL2Bank &
@@ -72,11 +61,11 @@ GpuL1Cache::loadLocal(Addr addr, std::uint32_t &value)
         }
     }
 
-    // In-flight writethrough: the word left the SB (and possibly the
+    // Unacked writethrough: the word left the SB (and possibly the
     // cache, on eviction) but has not merged at the L2 yet. Fills
     // never install over such words, so any valid frame copy checked
     // above is at least as fresh.
-    return pendingWtValue(addr, value);
+    return unackedValue(addr, value);
 }
 
 void
@@ -190,8 +179,11 @@ GpuL1Cache::evictFrame(CacheLine &victim)
             to_flush |= bit;
         }
     }
-    if (to_flush != 0)
-        sendWriteThrough(victim.addr, to_flush, victim.data);
+    if (to_flush != 0) {
+        ++_pendingWrites;
+        writeHome(homeBank(victim.addr), victim.addr, to_flush,
+                  victim.data, trace::Phase::L1WriteThrough);
+    }
 }
 
 void
@@ -314,47 +306,8 @@ GpuL1Cache::mirrorStore(Addr addr, std::uint32_t value)
 // ---------------------------------------------------------------------
 
 void
-GpuL1Cache::sendWriteThrough(Addr line_addr, WordMask mask,
-                             const LineData &data)
+GpuL1Cache::writeAcked(Addr /*line_addr*/, WordMask /*mask*/)
 {
-    if (_trace) {
-        _trace->record(curTick(), trace::Phase::L1WriteThrough, _node,
-                       line_addr, 0, mask);
-    }
-    ++_pendingWrites;
-    // Keep the in-flight values forwardable until the L2 merged them.
-    PendingWtLine &pend = _pendingWt[line_addr];
-    pend.words |= mask;
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if (!(mask & (1u << w)))
-            continue;
-        pend.value[w] = data[w];
-        ++pend.count[w];
-    }
-    GpuL2Bank &bank = homeBank(line_addr);
-    unsigned flits = flitsForWords(popcount(mask));
-    _mesh.send(_node, bank.node(), flits, TrafficClass::WriteBack,
-               [this, &bank, line_addr, mask, data] {
-                   bank.handleWriteThrough(
-                       line_addr, mask, data, _node,
-                       [this, line_addr, mask] {
-                           onWriteThroughAck(line_addr, mask);
-                       });
-               });
-}
-
-void
-GpuL1Cache::onWriteThroughAck(Addr line_addr, WordMask mask)
-{
-    PendingWtLine *pend = _pendingWt.find(line_addr);
-    panic_if(!pend || (pend->words & mask) != mask,
-             "writethrough ack without pending entry");
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        if ((mask & (1u << w)) && --pend->count[w] == 0)
-            pend->words &= static_cast<WordMask>(~(1u << w));
-    }
-    if (pend->words == 0)
-        _pendingWt.erase(line_addr);
     --_pendingWrites;
     maybeFinishDrains();
 }
@@ -396,8 +349,11 @@ GpuL1Cache::issueDrain()
     auto groups = collectDirtyWords();
     auto sb_groups = _sb.drain();
     groups.insert(groups.end(), sb_groups.begin(), sb_groups.end());
-    for (const auto &group : groups)
-        sendWriteThrough(group.lineAddr, group.mask, group.data);
+    for (const auto &group : groups) {
+        ++_pendingWrites;
+        writeHome(homeBank(group.lineAddr), group.lineAddr, group.mask,
+                  group.data, trace::Phase::L1WriteThrough);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -453,8 +409,17 @@ GpuL1Cache::performLocalAtomic(std::uint32_t slot)
                    (line->wstate[w] != WordState::Invalid ||
                     (line->dirty & (1u << w)));
     if (present) {
+        // The frame copy is the freshest: HRF, the only column with
+        // local atomics, retires every store in place (never into the
+        // SB), and a fill leaves a word sent home but not yet merged
+        // invalid.
         ++_stats.syncHits;
-        applyLocalAtomic(*line, slot);
+        AtomicResult res = performAtL1(slot, line->data[w]);
+        line->data[w] = res.newValue;
+        line->wstate[w] = WordState::Valid;
+        line->dirty |= static_cast<WordMask>(1u << w);
+        _anyDirty = true;
+        _array.touch(*line);
         return;
     }
 
@@ -467,31 +432,6 @@ GpuL1Cache::performLocalAtomic(std::uint32_t slot)
         entry.requestOutstanding = true;
         issueRead(line_addr);
     }
-}
-
-void
-GpuL1Cache::applyLocalAtomic(CacheLine &line, std::uint32_t slot)
-{
-    const SyncOp &op = _syncs[slot].op;
-    unsigned w = wordInLine(op.addr);
-    // Freshness order: SB, then the frame copy, then any in-flight
-    // writethrough (only relevant when the frame lacks the word).
-    std::uint32_t old_val;
-    if (_sb.contains(op.addr)) {
-        old_val = _sb.value(op.addr);
-    } else if (line.wstate[w] != WordState::Invalid ||
-               (line.dirty & (1u << w))) {
-        old_val = line.data[w];
-    } else if (!bufferedValue(op.addr, old_val)) {
-        old_val = line.data[w];
-    }
-    AtomicResult res = performAtL1(slot, old_val);
-    line.data[w] = res.newValue;
-    line.wstate[w] = WordState::Valid;
-    line.dirty |= static_cast<WordMask>(1u << w);
-    _anyDirty = true;
-    _sb.erase(op.addr);
-    _array.touch(line);
 }
 
 // ---------------------------------------------------------------------
@@ -519,11 +459,6 @@ void
 GpuL1Cache::describeProtocol(ControllerSnapshot &snap) const
 {
     snap.gauge("wt_acks", _pendingWrites);
-    std::size_t wt_words = 0;
-    _pendingWt.forEachSorted([&](Addr, const PendingWtLine &pend) {
-        wt_words += popcount(pend.words);
-    });
-    snap.gauge("wt_words", wt_words);
     _mshr.forEach([&](Addr line_addr, const ReadEntry &entry) {
         std::ostringstream os;
         os << "line 0x" << std::hex << line_addr << std::dec
@@ -547,25 +482,6 @@ GpuL1Cache::checkProtocol(std::vector<std::string> &out) const
             std::ostringstream os;
             os << "leaked MSHR entry for line 0x" << std::hex
                << line_addr << " (no request, no waiters)";
-            fail(os.str());
-        }
-    });
-    _pendingWt.forEachSorted([&](Addr line_addr,
-                                 const PendingWtLine &pend) {
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            bool listed = pend.words & (1u << w);
-            if (listed == (pend.count[w] != 0))
-                continue;
-            std::ostringstream os;
-            os << "pending-writethrough entry for word 0x" << std::hex
-               << line_addr + w * kWordBytes << std::dec
-               << " with refcount " << pend.count[w];
-            fail(os.str());
-        }
-        if (pend.words == 0) {
-            std::ostringstream os;
-            os << "pending-writethrough entry for line 0x" << std::hex
-               << line_addr << " with no pending words";
             fail(os.str());
         }
     });

@@ -13,13 +13,11 @@
 #ifndef COHERENCE_GPU_L1_HH
 #define COHERENCE_GPU_L1_HH
 
-#include <array>
 #include <utility>
 #include <vector>
 
 #include "coherence/gpu_l2.hh"
 #include "coherence/l1_controller.hh"
-#include "mem/line_table.hh"
 #include "mem/mshr.hh"
 
 namespace nosync
@@ -41,7 +39,7 @@ class GpuL1Cache final : public L1Controller
 
   private:
     // L1Controller hooks ----------------------------------------------
-    /** Forward from the SB, then the frame, then an in-flight
+    /** Forward from the SB, then the frame, then an unacked
      *  writethrough. */
     bool loadLocal(Addr addr, std::uint32_t &value) override;
     void loadMiss(Addr addr, ValueCallback cb) override;
@@ -52,6 +50,8 @@ class GpuL1Cache final : public L1Controller
     /** Write through the SB and (GH) the L1-dirty words. */
     void issueDrain() override;
     void performSync(std::uint32_t slot) override;
+    /** A writethrough merged: one fewer write for drains to wait on. */
+    void writeAcked(Addr line_addr, WordMask mask) override;
     std::size_t mshrOccupancy() const override { return _mshr.size(); }
     void describeProtocol(ControllerSnapshot &snap) const override;
     void checkProtocol(std::vector<std::string> &out) const override;
@@ -103,43 +103,20 @@ class GpuL1Cache final : public L1Controller
      */
     void refreshLine(CacheLine &line);
 
-    /** Execute an atomic at this L1 (HRF local scope). */
+    /** Execute an atomic at this L1 (HRF local scope), fetching its
+     *  line first if the frame lacks the word. */
     void performLocalAtomic(std::uint32_t slot);
-    void applyLocalAtomic(CacheLine &line, std::uint32_t slot);
-
-    /** Send one writethrough group and track its ack. */
-    void sendWriteThrough(Addr line_addr, WordMask mask,
-                          const LineData &data);
-    void onWriteThroughAck(Addr line_addr, WordMask mask);
 
     /** Collect L1-dirty words not covered by the store buffer. */
     std::vector<StoreBuffer::DrainGroup> collectDirtyWords();
 
     std::vector<GpuL2Bank *> _banks;
     MshrTable<ReadEntry> _mshr;
+    /** The shell's unacked writes (L1Controller::_unacked). */
+    UnackedTable _unackedTable;
 
-    /**
-     * Writethroughs still in flight, per line: each word's newest
-     * in-flight value and how many unacknowledged writethroughs carry
-     * it. A drained store leaves the SB before its data reaches the
-     * L2; loads must keep seeing it (read-own-write), and fills must
-     * not install the L2's stale copy over it. The shell's
-     * _pendingWrites counts the writethrough messages (drains and
-     * evictions) awaiting their ack.
-     */
-    struct PendingWtLine
-    {
-        /** Words with at least one writethrough in flight. */
-        WordMask words = 0;
-        LineData value{};
-        std::array<std::uint32_t, kWordsPerLine> count{};
-    };
-    LineTable<PendingWtLine> _pendingWt;
-
-    /** The in-flight writethrough value of @p addr, if any. */
-    bool pendingWtValue(Addr addr, std::uint32_t &value) const;
-
-    /** Whether a word's freshest copy is a local buffer (SB/WT). */
+    /** Whether a word's freshest copy is the SB or an unacked
+     *  writethrough. */
     bool bufferedValue(Addr addr, std::uint32_t &value) const;
 
     /**

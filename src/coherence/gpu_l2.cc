@@ -42,9 +42,9 @@ GpuL2Bank::handleReadReq(Addr line_addr, NodeId requestor,
 }
 
 void
-GpuL2Bank::handleWriteThrough(Addr line_addr, WordMask mask,
-                              const LineData &data, NodeId requestor,
-                              DoneCallback ack)
+GpuL2Bank::handleWrite(Addr line_addr, WordMask mask,
+                       const LineData &data, NodeId requestor,
+                       DoneCallback ack)
 {
     ++_writethroughs;
     withLine(line_addr,

@@ -43,9 +43,8 @@ class GpuL2Bank final : public L2Controller
      * Writethrough of the masked words; acks to the requestor once
      * merged (the release-side completion point for GPU coherence).
      */
-    void handleWriteThrough(Addr line_addr, WordMask mask,
-                            const LineData &data, NodeId requestor,
-                            DoneCallback ack);
+    void handleWrite(Addr line_addr, WordMask mask, const LineData &data,
+                     NodeId requestor, DoneCallback ack) override;
 
     /** Atomic executed at the L2 (globally scoped synchronization). */
     void handleAtomic(const SyncOp &op, NodeId requestor,

@@ -4,6 +4,7 @@
 #include "coherence/l2_controller.hh"
 #include "noc/mesh.hh"
 #include "sim/logging.hh"
+#include "trace/trace_sink.hh"
 
 namespace nosync
 {
@@ -14,11 +15,11 @@ L1Controller::L1Controller(const std::string &name, EventQueue &eq,
                            const ProtocolConfig &config,
                            const CacheGeometry &geom,
                            const CacheTimings &timings,
-                           trace::TraceSink *trace)
+                           UnackedTable &unacked, trace::TraceSink *trace)
     : SimObject(name, eq), _node(node), _config(config),
       _energy(energy), _stats(stats, name), _trace(trace), _mesh(mesh),
       _array(geom.l1Bytes, geom.l1Assoc), _sb(geom.storeBufferEntries),
-      _timings(timings)
+      _timings(timings), _unacked(unacked)
 {}
 
 // ---------------------------------------------------------------------
@@ -196,6 +197,67 @@ L1Controller::drainWrites(Scope scope, DoneCallback cb)
 }
 
 // ---------------------------------------------------------------------
+// Writes sent home
+// ---------------------------------------------------------------------
+
+void
+L1Controller::writeHome(L2Controller &home, Addr line_addr, WordMask mask,
+                        const LineData &data, trace::Phase phase)
+{
+    if (_trace)
+        _trace->record(curTick(), phase, _node, line_addr, 0, mask);
+    UnackedLine &unacked = _unacked[line_addr];
+    unacked.words |= mask;
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        if (mask & (1u << w)) {
+            unacked.value[w] = data[w];
+            ++unacked.count[w];
+        }
+    }
+    _mesh.send(_node, home.node(), flitsForWords(popcount(mask)),
+               TrafficClass::WriteBack,
+               [this, &home, line_addr, mask, data] {
+                   home.handleWrite(line_addr, mask, data, _node,
+                                    [this, line_addr, mask] {
+                                        releaseUnacked(line_addr, mask);
+                                        writeAcked(line_addr, mask);
+                                    });
+               });
+}
+
+void
+L1Controller::releaseUnacked(Addr line_addr, WordMask mask)
+{
+    UnackedLine *unacked = _unacked.find(line_addr);
+    panic_if(!unacked || (unacked->words & mask) != mask,
+             "write ack for words not sent home");
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        if ((mask & (1u << w)) && --unacked->count[w] == 0)
+            unacked->words &= static_cast<WordMask>(~(1u << w));
+    }
+    if (unacked->words == 0)
+        _unacked.erase(line_addr);
+}
+
+bool
+L1Controller::unackedValue(Addr addr, std::uint32_t &value) const
+{
+    const UnackedLine *unacked = _unacked.find(addr);
+    unsigned w = wordInLine(addr);
+    if (!unacked || !(unacked->words & (1u << w)))
+        return false;
+    value = unacked->value[w];
+    return true;
+}
+
+WordMask
+L1Controller::unackedWords(Addr line_addr) const
+{
+    const UnackedLine *unacked = _unacked.find(line_addr);
+    return unacked ? unacked->words : 0;
+}
+
+// ---------------------------------------------------------------------
 // Synchronization accesses and kernel boundaries
 // ---------------------------------------------------------------------
 
@@ -290,6 +352,15 @@ L1Controller::snapshot() const
     snap.gauge("mshr", mshrOccupancy());
     snap.gauge("sb", _sb.size());
     describeProtocol(snap);
+    std::size_t unacked_words = 0;
+    _unacked.forEachSorted([&](Addr line_addr, const UnackedLine &unacked) {
+        unacked_words += popcount(unacked.words);
+        std::ostringstream os;
+        os << "unacked line 0x" << std::hex << line_addr << " words=0x"
+           << unacked.words;
+        snap.detail.push_back(os.str());
+    });
+    snap.gauge("unacked_words", unacked_words);
     snap.gauge("stalled_stores", _stalledStores.size());
     snap.gauge("drain_waiters", _drainWaiters.size());
     return snap;
@@ -300,6 +371,22 @@ L1Controller::checkInvariants(bool quiesced) const
 {
     std::vector<std::string> out;
     checkProtocol(out);
+    _unacked.forEachSorted([&](Addr line_addr, const UnackedLine &unacked) {
+        std::ostringstream os;
+        os << name() << ": unacked line 0x" << std::hex << line_addr
+           << std::dec;
+        if (unacked.words == 0)
+            out.push_back(os.str() + " with no unacked words");
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            bool listed = unacked.words & (1u << w);
+            if (listed != (unacked.count[w] != 0)) {
+                out.push_back(os.str() + " word " + std::to_string(w) +
+                              ": listed " + std::to_string(listed) +
+                              " with count " +
+                              std::to_string(unacked.count[w]));
+            }
+        }
+    });
     if (quiesced) {
         ControllerSnapshot snap = snapshot();
         if (!snap.quiescent()) {

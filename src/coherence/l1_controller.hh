@@ -16,6 +16,7 @@
 #ifndef COHERENCE_L1_CONTROLLER_HH
 #define COHERENCE_L1_CONTROLLER_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <span>
@@ -26,12 +27,14 @@
 #include "coherence/snapshot.hh"
 #include "energy/energy_model.hh"
 #include "mem/cache_array.hh"
+#include "mem/line_table.hh"
 #include "mem/store_buffer.hh"
 #include "sim/sim_object.hh"
 #include "sim/recycled.hh"
 #include "sim/small_fn.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "trace/trace_event.hh"
 
 namespace nosync
 {
@@ -155,19 +158,40 @@ struct L1Stats
  * The L1 a compute unit accesses memory through, and the half of it
  * both protocol families share (Table 1): the coalescing store buffer
  * with its overflow stall queue, release drains and their waiters,
- * parked sync accesses, acquire-side self-invalidation (an epoch bump;
- * each protocol sweeps a line lazily) and the kernel-boundary hooks.
- * A protocol supplies only its state transitions: loads and fills,
- * how a write becomes visible, and how a sync performs.
+ * parked sync accesses, words sent home and still unacknowledged,
+ * acquire-side self-invalidation (an epoch bump; each protocol sweeps
+ * a line lazily) and the kernel-boundary hooks. A protocol supplies
+ * only its state transitions: loads and fills, how a write becomes
+ * visible, and how a sync performs.
  */
 class L1Controller : public SimObject
 {
+  protected:
+    /**
+     * Words of one line sent home and not yet acked: each word's
+     * newest value and how many unacked writes carry it. Until the
+     * last one is acked the word stays readable: a load must see its
+     * own CU's drained or evicted store, a fill must not install the
+     * bank's older copy over it (GPU), and a forward racing a
+     * writeback is still answered (DeNovo).
+     */
+    struct UnackedLine
+    {
+        /** Words with at least one write in flight. */
+        WordMask words = 0;
+        LineData value{};
+        std::array<std::uint32_t, kWordsPerLine> count{};
+    };
+    using UnackedTable = LineTable<UnackedLine>;
+
   public:
+    /** @p unacked holds the words sent home and not yet acked; the
+     *  protocol object owns it (see _unacked). */
     L1Controller(const std::string &name, EventQueue &eq,
                  stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                  NodeId node, const ProtocolConfig &config,
                  const CacheGeometry &geom, const CacheTimings &timings,
-                 trace::TraceSink *trace = nullptr);
+                 UnackedTable &unacked, trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
     const ProtocolConfig &config() const { return _config; }
@@ -178,8 +202,8 @@ class L1Controller : public SimObject
 
     /**
      * Structured occupancy snapshot for hang diagnostics. Gauges, in
-     * order: mshr, sb, the protocol's gauges, stalled_stores,
-     * drain_waiters.
+     * order: mshr, sb, the protocol's gauges, unacked_words,
+     * stalled_stores, drain_waiters.
      */
     ControllerSnapshot snapshot() const;
 
@@ -281,6 +305,12 @@ class L1Controller : public SimObject
     /** Perform the parked sync in @p slot (after any release drain). */
     virtual void performSync(std::uint32_t slot) = 0;
 
+    /**
+     * The home bank acked the words @p mask of @p line_addr that
+     * writeHome sent; they have already left the unacked table.
+     */
+    virtual void writeAcked(Addr line_addr, WordMask mask) = 0;
+
     /** Snapshot parts: MSHR entries, then the protocol's own gauges
      *  (including its name for _pendingWrites) and detail lines. */
     virtual std::size_t mshrOccupancy() const = 0;
@@ -315,6 +345,21 @@ class L1Controller : public SimObject
      * the bank's reply finishes it.
      */
     void performAtHome(std::uint32_t slot, L2Controller &home);
+
+    /**
+     * Send the words @p mask of @p line_addr to @p home, their line's
+     * L2 bank (GPU writethroughs, DeNovo eviction writebacks), traced
+     * as @p phase. The words stay readable through unackedValue until
+     * the bank acks them; then writeAcked runs.
+     */
+    void writeHome(L2Controller &home, Addr line_addr, WordMask mask,
+                   const LineData &data, trace::Phase phase);
+
+    /** The newest value of @p addr sent home and not yet acked. */
+    bool unackedValue(Addr addr, std::uint32_t &value) const;
+
+    /** The words of @p line_addr sent home and not yet acked. */
+    WordMask unackedWords(Addr line_addr) const;
 
     /**
      * Acquire-side self-invalidation. A gang operation in hardware;
@@ -369,12 +414,15 @@ class L1Controller : public SimObject
     std::uint64_t _curEpoch = 0;
 
     /**
-     * Unused: keeps each L1 at its measured size. Without these 8 B,
-     * DenovoL1Cache falls into a smaller glibc size class and every
-     * perfbench System build faults ~25 fresh heap pages in again
-     * (DESIGN.md §10, "Heap layout").
+     * The words sent home and not yet acked (writeHome). Only the
+     * shell reads and writes it, but the protocol object holds it,
+     * built after its MSHR table and destroyed before it: built ahead
+     * of the MSHR, it moves glibc's heap layout, and perfbench System
+     * builds fault ~25 fresh pages each (DESIGN.md §10, "Heap
+     * layout"). This reference also keeps both L1s at their measured
+     * size, in their glibc size class.
      */
-    std::uint64_t _heapLayoutPad = 0;
+    UnackedTable &_unacked;
 
   private:
     /**
@@ -395,6 +443,9 @@ class L1Controller : public SimObject
 
     /** Retry stalled stores in order, draining again when full. */
     void serviceStallQueue();
+
+    /** Take one acked write of @p mask out of the unacked table. */
+    void releaseUnacked(Addr line_addr, WordMask mask);
 
     std::vector<DoneCallback> _drainWaiters;
     VectorPool<DoneCallback> _drainBatch;

@@ -87,12 +87,9 @@ L2Controller::withLineReady(Addr line_addr, LineFn fn, bool queued)
         return;
     }
 
+    // A retry from the stall queue always finds a free fetch MSHR:
+    // processStalled retries only while one is.
     if ((!queued && !_stalled.empty()) || _fetches.full()) {
-        if (queued) {
-            // Re-stall at the head to preserve arrival order.
-            _stalled.emplace_front(line_addr, std::move(fn));
-            return;
-        }
         // All fetch MSHRs busy: stall in strict arrival order.
         _stalled.emplace_back(line_addr, std::move(fn));
         return;

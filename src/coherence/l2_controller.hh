@@ -4,10 +4,10 @@
  *
  * Both bank flavours (GPU writethrough, DeNovo ownership) share the
  * surface the rest of the system needs: a mesh node, a debug word
- * probe, the atomic an L1 sends home, and the hang-diagnostic
- * snapshot / invariant sweep. System exposes banks uniformly through
- * this interface; flavour-specific protocol entry points
- * (handleRegReq, handleWriteThrough, ...) stay on the concrete
+ * probe, the atomic and the written words an L1 sends home, and the
+ * hang-diagnostic snapshot / invariant sweep. System exposes banks
+ * uniformly through this interface; flavour-specific protocol entry
+ * points (handleReadReq, handleRegReq, ...) stay on the concrete
  * classes, reached via as<T>() where a caller genuinely needs them.
  */
 
@@ -86,6 +86,16 @@ class L2Controller : public SimObject
      */
     virtual void handleAtomic(const SyncOp &op, NodeId requestor,
                               ValueCallback reply) = 0;
+
+    /**
+     * Words an L1 sent home (L1Controller::writeHome: GPU
+     * writethroughs, DeNovo eviction writebacks): merge the words
+     * @p mask of @p data by the flavour's rule, then ack
+     * @p requestor.
+     */
+    virtual void handleWrite(Addr line_addr, WordMask mask,
+                             const LineData &data, NodeId requestor,
+                             DoneCallback ack) = 0;
 
     /**
      * Structured occupancy snapshot for hang diagnostics. Gauges, in
@@ -181,10 +191,6 @@ class L2Controller : public SimObject
     /** Next tick the pipelined bank accepts an access. */
     Tick _bankFree = 0;
 
-    /** Unused: keeps each bank at its measured size, as
-     *  L1Controller::_heapLayoutPad does for the L1s. */
-    std::uint64_t _heapLayoutPad = 0;
-
     /** Outstanding DRAM fetches, merged per line. */
     struct FetchEntry
     {
@@ -197,7 +203,7 @@ class L2Controller : public SimObject
 
   private:
     /** withLine after its energy and recall checks; @p queued marks
-     *  a retry from the stall queue. */
+     *  a retry from the stall queue, which skips the queue. */
     void withLineReady(Addr line_addr, LineFn fn, bool queued = false);
 
     /** Fetch @p line_addr from DRAM for its just-allocated entry. */

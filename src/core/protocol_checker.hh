@@ -16,7 +16,7 @@
  *
  *  - sweepQuiesced() additionally checks invariants that only hold
  *    once all traffic has drained: L1 ownership and the L2 registry
- *    agree exactly, and every MSHR / store buffer / writeback buffer
+ *    agree exactly, and every MSHR / store buffer / unacked write
  *    is empty (leak detection). Stale Valid copies of owned words are
  *    deliberately *not* flagged: DeNovo never invalidates remote
  *    copies, so they legally persist until the holder's next acquire

@@ -3,13 +3,15 @@
  * Tests of the protocol-independent L1 shell (L1Controller): store
  * buffer overflow and the stall queue on every protocol column, the
  * snapshot gauges that hang reports print, taken from both L1
- * families in the middle of an overflow drain, and the fences a sync
- * access implies under each consistency model.
+ * families in the middle of an overflow drain, the fences a sync
+ * access implies under each consistency model, and reads of words
+ * sent home before the bank acks them.
  */
 
 #include <gtest/gtest.h>
 
 #include "coherence/denovo_l1.hh"
+#include "coherence/gpu_l1.hh"
 #include "test_util.hh"
 
 using namespace nosync;
@@ -109,10 +111,11 @@ TEST(L1ShellSnapshot, GpuGaugesMidOverflowDrain)
     EXPECT_EQ(snap.gauges, (Gauges{{"mshr", 0},
                                    {"sb", 0},
                                    {"wt_acks", 1},
-                                   {"wt_words", 4},
+                                   {"unacked_words", 4},
                                    {"stalled_stores", 8},
                                    {"drain_waiters", 1}}));
-    EXPECT_EQ(snap.detail, std::vector<std::string>{});
+    EXPECT_EQ(snap.detail, std::vector<std::string>{
+                               "unacked line 0x10000 words=0xf"});
 }
 
 TEST(L1ShellSnapshot, DenovoGaugesMidOverflowDrain)
@@ -123,7 +126,7 @@ TEST(L1ShellSnapshot, DenovoGaugesMidOverflowDrain)
     EXPECT_EQ(snap.gauges, (Gauges{{"mshr", 1},
                                    {"sb", 0},
                                    {"pending_writes", 4},
-                                   {"wb_lines", 0},
+                                   {"unacked_words", 0},
                                    {"stalled_stores", 8},
                                    {"drain_waiters", 1}}));
     EXPECT_EQ(snap.detail,
@@ -205,3 +208,158 @@ TEST(FencePolicy, DenovoExecutesLocally)
     EXPECT_EQ(f.acquireInvalidations, 1.0);
     EXPECT_TRUE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kData));
 }
+
+namespace
+{
+
+/** A word whose home bank (l2b14) is 5 hops from CU 0 and shares a
+ *  node with CU 14. */
+constexpr Addr kHomeFar = 0x10000 + 14 * kLineBytes;
+/** A line in the same set of a 4-set L1. */
+constexpr Addr kConflict = kHomeFar + 4 * kLineBytes;
+
+/** A 4-set, one-way L1 and long hops: acks stay in flight a while. */
+SystemConfig
+oneWayL1Config(const ProtocolConfig &protocol)
+{
+    SystemConfig config;
+    config.protocol = protocol;
+    config.geometry.l1Bytes = 4 * kLineBytes;
+    config.geometry.l1Assoc = 1;
+    config.topology.mesh.hopLatency = 50;
+    return config;
+}
+
+std::size_t
+unackedWords(const L1Controller &l1)
+{
+    for (const auto &[name, value] : l1.snapshot().gauges) {
+        if (name == "unacked_words")
+            return value;
+    }
+    ADD_FAILURE() << "no unacked_words gauge";
+    return 0;
+}
+
+/**
+ * GH: CU 0 writes kHomeFar through twice (a release, then an
+ * eviction) while a fill of its line is on the way, and a local
+ * atomic on it waits for that fill. The fill left the bank before
+ * either writethrough merged, so it must not install the word: the
+ * atomic refetches and performs on the second writethrough's value.
+ */
+std::uint32_t
+localAtomicOnWordWrittenThrough(System &sys)
+{
+    L1Controller &l1 = sys.l1(0);
+    WordAccesses words;
+    words.store(l1, kHomeFar, 64);
+    words.load(l1, kHomeFar + kWordBytes);
+    l1.drainWrites(Scope::Global, [] {});
+    words.store(l1, kHomeFar, 65);
+    words.store(l1, kConflict, 1);
+    EXPECT_FALSE(as<GpuL1Cache>(l1)->wordValid(kHomeFar));
+    EXPECT_EQ(unackedWords(l1), 1u);
+
+    std::uint32_t old_val = 0;
+    bool done = false;
+    l1.sync(makeSync(AtomicFunc::FetchAdd, kHomeFar, 1, 0, Scope::Local),
+            [&](std::uint32_t v) {
+                old_val = v;
+                done = true;
+            });
+    while (!done && sys.eventQueue().step()) {
+    }
+    EXPECT_TRUE(done);
+    doDrain(sys, 0);
+    EXPECT_EQ(sys.debugRead(kHomeFar), 66u);
+    return old_val;
+}
+
+/** DD: CU 0 owns kHomeFar and evicts it; @return once the writeback
+ *  is on its way home. */
+void
+evictOwnedWord(System &sys)
+{
+    doStore(sys, 0, kHomeFar, 65);
+    doDrain(sys, 0);
+    ASSERT_TRUE(as<DenovoL1Cache>(sys.l1(0))->ownsWord(kHomeFar));
+    WordAccesses words;
+    words.load(sys.l1(0), kConflict);
+    while (as<DenovoL1Cache>(sys.l1(0))->ownsWord(kHomeFar) &&
+           sys.eventQueue().step()) {
+    }
+    EXPECT_EQ(unackedWords(sys.l1(0)), 1u);
+}
+
+/** DD: CU 0 loads the word it is writing back, a hit on the
+ *  writeback's value. */
+std::uint32_t
+loadOfWordWrittenBack(System &sys)
+{
+    evictOwnedWord(sys);
+    const stats::StatSet &stats = sys.stats();
+    double hits = stats.find("l1.0.load_hits")->value();
+    double misses = stats.find("l1.0.load_misses")->value();
+    std::uint32_t value = doLoad(sys, 0, kHomeFar);
+    EXPECT_EQ(stats.find("l1.0.load_hits")->value(), hits + 1);
+    EXPECT_EQ(stats.find("l1.0.load_misses")->value(), misses);
+    EXPECT_EQ(unackedWords(sys.l1(0)), 1u);
+    return value;
+}
+
+/** DD: CU 14, next to the home bank, reads the word before CU 0's
+ *  writeback reaches it; the registry forwards the read to CU 0,
+ *  which answers from the writeback. */
+std::uint32_t
+readForwardOfWordWrittenBack(System &sys)
+{
+    evictOwnedWord(sys);
+    std::uint32_t value = doLoad(sys, 14, kHomeFar);
+    EXPECT_EQ(sys.stats().find("l1.0.remote_reads_served")->value(),
+              1.0);
+    return value;
+}
+
+struct UnackedRead
+{
+    const char *name;
+    ProtocolConfig protocol;
+    /** Send the word home and read it before the ack; @return the
+     *  value read (65 when the read saw the write in flight). */
+    std::uint32_t (*read)(System &sys);
+};
+
+void
+PrintTo(const UnackedRead &read, std::ostream *os)
+{
+    *os << read.name;
+}
+
+class WordSentHome : public ::testing::TestWithParam<UnackedRead>
+{};
+
+} // namespace
+
+// A word the L1 sent home stays readable until the bank acks it: the
+// table keeps it (and the newest value) across every in-flight write.
+TEST_P(WordSentHome, ReadBeforeAckSeesTheWrite)
+{
+    System sys(oneWayL1Config(GetParam().protocol));
+    EXPECT_EQ(GetParam().read(sys), 65u);
+    drainEvents(sys);
+    EXPECT_EQ(unackedWords(sys.l1(0)), 0u);
+    EXPECT_EQ(sys.l1(0).checkInvariants(true),
+              std::vector<std::string>{});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Readers, WordSentHome,
+    ::testing::Values(
+        UnackedRead{"GH_LocalAtomic", ProtocolConfig::gh(),
+                    localAtomicOnWordWrittenThrough},
+        UnackedRead{"DD_Load", ProtocolConfig::dd(),
+                    loadOfWordWrittenBack},
+        UnackedRead{"DD_ReadForward", ProtocolConfig::dd(),
+                    readForwardOfWordWrittenBack}),
+    [](const auto &info) { return std::string(info.param.name); });

@@ -520,7 +520,7 @@ TEST(Mshr, PointersStableAcrossInserts)
 
 TEST(Mshr, PointersStableUnderInterleavedChurn)
 {
-    // L1 code keeps WbEntry/LineEntry pointers across protocol
+    // L1 code keeps LineEntry pointers across protocol
     // callbacks, so payload addresses must survive arbitrary
     // interleavings of allocate and deallocate — including slot
     // recycling and table growth in the backing LineTable.
