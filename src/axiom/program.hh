@@ -69,13 +69,6 @@ struct Op
     }
 
     bool
-    isRead() const
-    {
-        return kind == Kind::Load || kind == Kind::AtomicLoad ||
-               kind == Kind::AtomicRmw;
-    }
-
-    bool
     isSync() const
     {
         return kind == Kind::AtomicLoad ||

@@ -366,20 +366,6 @@ DenovoL1Cache::onReadReply(Addr line_addr, WordMask l2_mask,
 }
 
 void
-DenovoL1Cache::handleFwdData(Addr line_addr, WordMask mask,
-                             const LineData &values,
-                             std::uint64_t sent_epoch)
-{
-    LineEntry *entry = _mshr.find(line_addr);
-    if (!entry)
-        return;
-    entry->readPending &= ~mask;
-
-    installReadData(line_addr, mask, values, sent_epoch);
-    settleReads(line_addr, mask, values, sent_epoch);
-}
-
-void
 DenovoL1Cache::settleReads(Addr line_addr, WordMask reply_mask,
                            const LineData &reply_data,
                            std::uint64_t sent_epoch)
@@ -955,8 +941,8 @@ DenovoL1Cache::respondReadFwd(Addr line_addr, WordMask mask,
     unsigned flits = flitsForWords(popcount(mask));
     _mesh.send(_node, requestor, flits, TrafficClass::Read,
                [peer, line_addr, mask, values, req_epoch] {
-                   peer->handleFwdData(line_addr, mask, values,
-                                       req_epoch);
+                   peer->onReadReply(line_addr, mask, values, 0,
+                                     req_epoch);
                });
 }
 

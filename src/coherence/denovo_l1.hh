@@ -64,11 +64,6 @@ class DenovoL1Cache final : public L1Controller
     void handleTransferResp(Addr line_addr, WordMask mask,
                             const LineData &values, bool is_sync);
 
-    /** Word data forwarded from a remote owner for our read. */
-    void handleFwdData(Addr line_addr, WordMask mask,
-                       const LineData &values,
-                       std::uint64_t sent_epoch);
-
     // Test hooks ------------------------------------------------------
     WordState wordState(Addr addr) const;
     /** Functional view of a word this L1 holds; false if absent. */
@@ -228,6 +223,11 @@ class DenovoL1Cache final : public L1Controller
     /** Issue registrations that were waiting for a writeback ack. */
     void releaseHeldRegistrations(Addr line_addr);
 
+    /**
+     * Read data for @p l2_mask arriving from the home bank or, with
+     * @p self_mask 0, forwarded by a remote owner; @p self_mask words
+     * the bank found registered to this L1 arrive with no data.
+     */
     void onReadReply(Addr line_addr, WordMask l2_mask,
                      const LineData &data, WordMask self_mask,
                      std::uint64_t sent_epoch);

@@ -171,17 +171,9 @@ void
 GpuL1Cache::evictFrame(CacheLine &victim)
 {
     ++_stats.evictions;
-    WordMask to_flush = 0;
-    for (unsigned w = 0; w < kWordsPerLine; ++w) {
-        WordMask bit = static_cast<WordMask>(1u << w);
-        if ((victim.dirty & bit) &&
-            !_sb.contains(victim.addr + w * kWordBytes)) {
-            to_flush |= bit;
-        }
-    }
-    if (to_flush != 0) {
+    if (victim.dirty != 0) {
         ++_pendingWrites;
-        writeHome(homeBank(victim.addr), victim.addr, to_flush,
+        writeHome(homeBank(victim.addr), victim.addr, victim.dirty,
                   victim.data, trace::Phase::L1WriteThrough);
     }
 }
@@ -322,20 +314,8 @@ GpuL1Cache::collectDirtyWords()
     _array.forEachValid([&](CacheLine &line) {
         if (line.dirty == 0)
             return;
-        StoreBuffer::DrainGroup group{line.addr, 0, LineData{}};
-        for (unsigned w = 0; w < kWordsPerLine; ++w) {
-            WordMask bit = static_cast<WordMask>(1u << w);
-            if (!(line.dirty & bit))
-                continue;
-            // Words still buffered in the SB are drained from there.
-            if (_sb.contains(line.addr + w * kWordBytes))
-                continue;
-            group.mask |= bit;
-            group.data[w] = line.data[w];
-        }
+        groups.push_back({line.addr, line.dirty, line.data});
         line.dirty = 0;
-        if (group.mask != 0)
-            groups.push_back(group);
     });
     return groups;
 }
@@ -343,9 +323,8 @@ GpuL1Cache::collectDirtyWords()
 void
 GpuL1Cache::issueDrain()
 {
-    // Collect L1-dirty words first: words still buffered in the SB
-    // are skipped there (the SB drain below writes them through) and
-    // the dirty bits clear either way, so nothing flushes twice.
+    // The two sources never overlap: only HRF sets L1 dirty bits, and
+    // HRF retires every store in place, so its SB stays empty.
     auto groups = collectDirtyWords();
     auto sb_groups = _sb.drain();
     groups.insert(groups.end(), sb_groups.begin(), sb_groups.end());

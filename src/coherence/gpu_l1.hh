@@ -91,8 +91,7 @@ class GpuL1Cache final : public L1Controller
     /**
      * Prepare @p victim for reuse: under HRF, locally performed
      * atomics and stores leave dirty words that exist only in this
-     * L1, so they are written through first. Words also buffered in
-     * the SB are skipped: the SB drain writes them through.
+     * L1, so they are written through first.
      */
     void evictFrame(CacheLine &victim);
 
@@ -107,7 +106,7 @@ class GpuL1Cache final : public L1Controller
      *  line first if the frame lacks the word. */
     void performLocalAtomic(std::uint32_t slot);
 
-    /** Collect L1-dirty words not covered by the store buffer. */
+    /** Collect and clear the L1-dirty words (HRF only). */
     std::vector<StoreBuffer::DrainGroup> collectDirtyWords();
 
     std::vector<GpuL2Bank *> _banks;

@@ -45,8 +45,7 @@ struct HangReport
     std::string workload;
     std::string config;
 
-    /** Whether fault injection was active, and under which seed. */
-    bool faultsEnabled = false;
+    /** Fault-injection seed of the run; 0 when it ran fault-free. */
     std::uint64_t faultSeed = 0;
 
     /** Per-thread-block coroutine wait states (incomplete TBs only). */

@@ -136,7 +136,7 @@ renderHangReport(const HangReport &report)
     os << "tick:      " << report.tick << "\n";
     os << "reproduce: workload=" << report.workload
        << " config=" << report.config;
-    if (report.faultsEnabled)
+    if (report.faultSeed != 0)
         os << " fault-seed=" << report.faultSeed;
     else
         os << " (fault injection off)";

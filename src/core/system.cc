@@ -27,10 +27,9 @@ System::System(const SystemConfig &config) : _config(config)
 
     _energy = std::make_unique<EnergyModel>(_stats, _config.energy);
     _mesh = std::make_unique<Mesh>(_eq, _stats, topo, _trace.get());
-    if (_config.execution.faults.enabled) {
-        _faults =
-            std::make_unique<FaultInjector>(_config.execution.faults);
-        _mesh->setDeliveryPolicy(_faults.get());
+    if (_config.execution.faultSeed != 0) {
+        _faults.emplace(_config.execution.faultSeed);
+        _mesh->setDeliveryPolicy(&*_faults);
     }
 
     // Interleave the functional image by line number — the same
@@ -285,8 +284,7 @@ System::run(Workload &workload)
         }
         report.workload = result.workload;
         report.config = result.config;
-        report.faultsEnabled = _config.execution.faults.enabled;
-        report.faultSeed = _config.execution.faults.seed;
+        report.faultSeed = _config.execution.faultSeed;
         report.tbWaits = device.waitStates();
         report.meshMessages = _mesh->inFlightSnapshot();
         auto keep_busy = [&](ControllerSnapshot snap) {

@@ -29,6 +29,7 @@
 #include "gpu/gpu_device.hh"
 #include "gpu/workload.hh"
 #include "mem/functional_mem.hh"
+#include "noc/fault_injector.hh"
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
 #include "sim/stats.hh"
@@ -143,7 +144,7 @@ class System : public WorkloadEnv
     stats::StatSet &stats() { return _stats; }
     const stats::StatSet &stats() const { return _stats; }
     Mesh &mesh() { return *_mesh; }
-    FaultInjector *faults() { return _faults.get(); }
+    FaultInjector *faults() { return _faults ? &*_faults : nullptr; }
     EnergyModel &energy() { return *_energy; }
     FunctionalMem &memory() { return _memory; }
     RegionMap &regions() { return _regions; }
@@ -263,7 +264,10 @@ class System : public WorkloadEnv
     std::unique_ptr<analysis::RaceDetector> _races;
     std::unique_ptr<EnergyModel> _energy;
     std::unique_ptr<Mesh> _mesh;
-    std::unique_ptr<FaultInjector> _faults;
+    /** Held in place rather than behind a pointer, which keeps a
+     *  System's heap chunk above glibc's tcache size limit (DESIGN.md
+     *  §10, "Heap layout: System's size"). */
+    std::optional<FaultInjector> _faults;
 
     std::vector<std::unique_ptr<GpuL2Bank>> _gpuBanks;
     std::vector<std::unique_ptr<DenovoL2Bank>> _denovoBanks;

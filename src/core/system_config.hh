@@ -24,7 +24,6 @@
 #include "coherence/cache_timings.hh"
 #include "coherence/protocol.hh"
 #include "energy/energy_model.hh"
-#include "noc/fault_injector.hh"
 #include "noc/mesh.hh"
 
 namespace nosync
@@ -67,8 +66,12 @@ struct SystemConfig
          */
         unsigned simThreads = 0;
 
-        /** Message-delivery fault injection (chaos testing). */
-        FaultConfig faults{};
+        /**
+         * Seed of the message-delivery fault injector (chaos
+         * testing); 0 runs fault-free. Kept separate from `seed` so
+         * the workload shape stays fixed while faults vary.
+         */
+        std::uint64_t faultSeed = 0;
     };
     Execution execution{};
 

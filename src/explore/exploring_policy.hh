@@ -16,17 +16,16 @@
  * run, the standard bounded technique for making delivery-order
  * spaces finite while still covering the reorderings that change
  * protocol behavior. Like the FaultInjector, the policy clamps every
- * chosen arrival to the same-(src,dst) FIFO floor so the mesh's
- * pairwise ordering invariant — which the coherence protocols rely
- * on — is preserved on every explored schedule.
+ * chosen arrival to the same-(src,dst) FIFO floor
+ * (DeliveryPolicy::fifoFloor), so the mesh's pairwise ordering
+ * invariant — which the coherence protocols rely on — is preserved on
+ * every explored schedule.
  */
 
 #ifndef EXPLORE_EXPLORING_POLICY_HH
 #define EXPLORE_EXPLORING_POLICY_HH
 
 #include <algorithm>
-#include <cstdint>
-#include <unordered_map>
 
 #include "explore/decision_log.hh"
 #include "noc/delivery_policy.hh"
@@ -82,12 +81,9 @@ class ExploringPolicy : public DeliveryPolicy
             ++_delaysUsed;
         }
 
-        // Same-pair FIFO floor (cf. FaultInjector::adjust): never
-        // deliver before an earlier message on the same (src, dst)
-        // pair.
-        Tick &floor = _lastArrival[pairKey(src, dst)];
-        arrival = std::max(arrival, floor);
-        floor = arrival;
+        // Never deliver before an earlier message on the same
+        // (src, dst) pair; the log records the clamped arrival.
+        arrival = fifoFloor(src, dst, arrival);
 
         ChoicePoint point;
         point.kind = ChoicePoint::Kind::Delivery;
@@ -107,25 +103,12 @@ class ExploringPolicy : public DeliveryPolicy
     bool rollDuplicate() override { return false; }
     Cycles duplicateDelay() override { return 1; }
 
-    /** Delay choices taken so far this run. */
-    unsigned delaysUsed() const { return _delaysUsed; }
-
   private:
-    static std::uint32_t
-    pairKey(NodeId src, NodeId dst)
-    {
-        return (static_cast<std::uint32_t>(
-                    static_cast<std::uint8_t>(src))
-                << 8) |
-               static_cast<std::uint8_t>(dst);
-    }
-
     ChoiceScript &_script;
     DecisionLog &_log;
     const Mesh *_mesh = nullptr;
     unsigned _deliverDepth = 0;
     unsigned _delaysUsed = 0;
-    std::unordered_map<std::uint32_t, Tick> _lastArrival;
 };
 
 } // namespace explore

@@ -123,6 +123,29 @@ class Workload
     }
 };
 
+/**
+ * check() helper: compare the words from @p base on against
+ * @p expect, naming each mismatch after @p who. Stops after nine.
+ */
+inline std::vector<std::string>
+compareArray(WorkloadEnv &env, const std::string &who, Addr base,
+             const std::vector<std::uint32_t> &expect)
+{
+    std::vector<std::string> failures;
+    for (std::size_t i = 0; i < expect.size(); ++i) {
+        std::uint32_t got =
+            env.debugRead(base + static_cast<Addr>(i) * kWordBytes);
+        if (got != expect[i]) {
+            failures.push_back(who + ": element " + std::to_string(i) +
+                               " = " + std::to_string(got) +
+                               ", expected " + std::to_string(expect[i]));
+            if (failures.size() > 8)
+                break;
+        }
+    }
+    return failures;
+}
+
 } // namespace nosync
 
 #endif // GPU_WORKLOAD_HH

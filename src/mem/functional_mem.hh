@@ -89,16 +89,6 @@ class FunctionalMem
         }
     }
 
-    /** Number of lines ever touched. */
-    std::size_t
-    footprintLines() const
-    {
-        std::size_t lines = 0;
-        for (const ShardMap &shard : _shards)
-            lines += shard.size();
-        return lines;
-    }
-
   private:
     using ShardMap = std::unordered_map<Addr, LineData>;
 

@@ -13,9 +13,10 @@
  *  1. Same-pair FIFO is preserved. The protocols rely on per-(src,
  *     dst) in-order delivery (see DESIGN.md "ordering invariants"),
  *     so every perturbed arrival is clamped to the latest arrival
- *     already scheduled for its pair. Reordering therefore happens
- *     only *across* pairs, which is exactly the freedom a real
- *     adaptive/multi-VC network would have.
+ *     already scheduled for its pair (DeliveryPolicy::fifoFloor).
+ *     Reordering therefore happens only *across* pairs, which is
+ *     exactly the freedom a real adaptive/multi-VC network would
+ *     have.
  *  2. Everything is deterministic. All randomness comes from one
  *     seeded Rng consumed in event order, so a (workload, config,
  *     fault seed) triple replays byte-for-byte.
@@ -25,7 +26,6 @@
 #define NOC_FAULT_INJECTOR_HH
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "noc/delivery_policy.hh"
 #include "sim/rng.hh"
@@ -34,72 +34,54 @@
 namespace nosync
 {
 
-/** Knobs for the fault injector; all probabilities in [0, 1]. */
-struct FaultConfig
-{
-    /** Master switch; everything below is ignored when false. */
-    bool enabled = false;
-
-    /** Seed for the fault Rng. Kept separate from SystemConfig::seed
-     *  so the workload shape stays fixed while faults vary. */
-    std::uint64_t seed = 1;
-
-    /** Chance a message picks up small extra latency. */
-    double jitterProb = 0.3;
-    /** Maximum extra latency from jitter (uniform in [1, max]). */
-    Cycles jitterMax = 24;
-
-    /** Chance of a large delay (drives cross-pair reordering). */
-    double reorderProb = 0.05;
-    /** Maximum extra latency of a reorder-scale delay. */
-    Cycles reorderMax = 400;
-
-    /** Chance an idempotent message is delivered twice. */
-    double dupProb = 0.05;
-    /** Maximum gap between the two deliveries of a duplicate. */
-    Cycles dupDelayMax = 64;
-};
-
-/** Deterministic, FIFO-preserving message perturbation. */
+/**
+ * Deterministic, FIFO-preserving message perturbation. The seed
+ * (SystemConfig::Execution::faultSeed) is its only setting; the rates
+ * are the constants below.
+ */
 class FaultInjector : public DeliveryPolicy
 {
   public:
-    explicit FaultInjector(const FaultConfig &config)
-        : _config(config), _rng(config.seed)
-    {}
+    /** Chance a message picks up small extra latency. */
+    static constexpr double kJitterProb = 0.3;
+    /** Maximum extra latency from jitter (uniform in [1, max]). */
+    static constexpr Cycles kJitterMax = 24;
+    /** Chance of a large delay (drives cross-pair reordering). */
+    static constexpr double kReorderProb = 0.05;
+    /** Maximum extra latency of a reorder-scale delay. */
+    static constexpr Cycles kReorderMax = 400;
+    /** Chance an idempotent message is delivered twice. */
+    static constexpr double kDupProb = 0.05;
+    /** Maximum gap between the two deliveries of a duplicate. */
+    static constexpr Cycles kDupDelayMax = 64;
 
-    const FaultConfig &config() const { return _config; }
+    explicit FaultInjector(std::uint64_t seed) : _rng(seed) {}
 
     /**
      * Perturb a message nominally arriving at @p nominal on the
-     * (src, dst) pair, returning the faulted arrival tick. Clamps to
-     * the pair's latest scheduled arrival so same-pair FIFO holds.
+     * (src, dst) pair, returning the faulted arrival tick, raised to
+     * the pair's FIFO floor.
      */
     Tick
     adjust(NodeId src, NodeId dst, Tick nominal) override
     {
         Tick t = nominal;
-        if (_rng.chance(_config.jitterProb) && _config.jitterMax > 0) {
-            t += _rng.range(1, _config.jitterMax);
+        if (_rng.chance(kJitterProb)) {
+            t += _rng.range(1, kJitterMax);
             ++_jittered;
         }
-        if (_rng.chance(_config.reorderProb) &&
-            _config.reorderMax > 0) {
-            t += _rng.range(1, _config.reorderMax);
+        if (_rng.chance(kReorderProb)) {
+            t += _rng.range(1, kReorderMax);
             ++_delayed;
         }
-        Tick &last = _lastArrival[pairKey(src, dst)];
-        if (t < last)
-            t = last; // preserve same-pair FIFO
-        last = t;
-        return t;
+        return fifoFloor(src, dst, t);
     }
 
     /** Whether to deliver an idempotent message a second time. */
     bool
     rollDuplicate() override
     {
-        if (!_rng.chance(_config.dupProb))
+        if (!_rng.chance(kDupProb))
             return false;
         ++_duplicated;
         return true;
@@ -110,8 +92,7 @@ class FaultInjector : public DeliveryPolicy
     Cycles
     duplicateDelay() override
     {
-        Cycles max = _config.dupDelayMax ? _config.dupDelayMax : 1;
-        return static_cast<Cycles>(_rng.range(1, max));
+        return static_cast<Cycles>(_rng.range(1, kDupDelayMax));
     }
 
     // Injection counters (diagnostics / reports) ----------------------
@@ -120,19 +101,7 @@ class FaultInjector : public DeliveryPolicy
     std::uint64_t duplicated() const { return _duplicated; }
 
   private:
-    static std::uint64_t
-    pairKey(NodeId src, NodeId dst)
-    {
-        return (static_cast<std::uint64_t>(
-                    static_cast<std::uint32_t>(src))
-                << 32) |
-               static_cast<std::uint32_t>(dst);
-    }
-
-    FaultConfig _config;
     Rng _rng;
-    /** Latest arrival tick already scheduled per (src, dst) pair. */
-    std::unordered_map<std::uint64_t, Tick> _lastArrival;
 
     std::uint64_t _jittered = 0;
     std::uint64_t _delayed = 0;

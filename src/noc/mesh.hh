@@ -128,7 +128,6 @@ class Mesh : public SimObject
     {
         _delivery = policy;
     }
-    DeliveryPolicy *deliveryPolicy() { return _delivery; }
 
     // Diagnostics -----------------------------------------------------
     /** Messages injected but not yet delivered, in injection order. */

@@ -64,8 +64,7 @@ CellSpec::config() const
     config.checking.checkPeriod = checkPeriod;
     config.observability.traceEnabled = trace;
     config.execution.maxCycles = maxCycles;
-    config.execution.faults.enabled = faultSeed != 0;
-    config.execution.faults.seed = faultSeed;
+    config.execution.faultSeed = faultSeed;
     return config;
 }
 

@@ -3,7 +3,6 @@
  * Linear-algebra style applications: Backprop, LUD, NW, SGEMM.
  */
 
-#include <sstream>
 
 #include "sim/logging.hh"
 #include "workloads/apps.hh"
@@ -18,26 +17,6 @@ std::uint32_t
 seedValue(std::uint32_t i, std::uint32_t salt)
 {
     return ((i * 2654435761u) ^ (salt * 40503u)) & 0xff;
-}
-
-std::vector<std::string>
-compareArray(WorkloadEnv &env, const std::string &who, Addr base,
-             const std::vector<std::uint32_t> &expect)
-{
-    std::vector<std::string> failures;
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        std::uint32_t got =
-            env.debugRead(base + static_cast<Addr>(i) * kWordBytes);
-        if (got != expect[i]) {
-            std::ostringstream os;
-            os << who << ": element " << i << " = " << got
-               << ", expected " << expect[i];
-            failures.push_back(os.str());
-            if (failures.size() > 8)
-                break;
-        }
-    }
-    return failures;
 }
 
 } // namespace

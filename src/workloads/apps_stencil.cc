@@ -3,7 +3,6 @@
  * Stencil-style applications: Pathfinder, Stencil, Hotspot, SRAD.
  */
 
-#include <sstream>
 
 #include "sim/logging.hh"
 #include "workloads/apps.hh"
@@ -29,26 +28,6 @@ rowSlice(unsigned tb, unsigned tbs, unsigned rows)
     unsigned lo = tb * per;
     unsigned hi = std::min(rows, lo + per);
     return {std::min(lo, rows), hi};
-}
-
-std::vector<std::string>
-compareArray(WorkloadEnv &env, const std::string &who, Addr base,
-             const std::vector<std::uint32_t> &expect)
-{
-    std::vector<std::string> failures;
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        std::uint32_t got =
-            env.debugRead(base + static_cast<Addr>(i) * kWordBytes);
-        if (got != expect[i]) {
-            std::ostringstream os;
-            os << who << ": element " << i << " = " << got
-               << ", expected " << expect[i];
-            failures.push_back(os.str());
-            if (failures.size() > 8)
-                break;
-        }
-    }
-    return failures;
 }
 
 } // namespace

@@ -9,7 +9,6 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
-#include <sstream>
 
 #include "sim/logging.hh"
 
@@ -31,26 +30,6 @@ mix(std::uint32_t a, std::uint32_t b)
     h *= 0x85ebca6bu;
     h ^= h >> 13;
     return h;
-}
-
-std::vector<std::string>
-compareArray(WorkloadEnv &env, const std::string &who, Addr base,
-             const std::vector<std::uint32_t> &expect)
-{
-    std::vector<std::string> failures;
-    for (std::size_t i = 0; i < expect.size(); ++i) {
-        std::uint32_t got =
-            env.debugRead(base + static_cast<Addr>(i) * kWordBytes);
-        if (got != expect[i]) {
-            std::ostringstream os;
-            os << who << ": element " << i << " = " << got
-               << ", expected " << expect[i];
-            failures.push_back(os.str());
-            if (failures.size() > 8)
-                break;
-        }
-    }
-    return failures;
 }
 
 /** Fixed-point PageRank update (values scaled by 256). */

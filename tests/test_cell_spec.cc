@@ -84,8 +84,7 @@ TEST(CellSpec, ConfigBuildsTheMachine)
     EXPECT_TRUE(config.checking.raceCheckEnabled);
     EXPECT_TRUE(config.observability.traceEnabled);
     EXPECT_EQ(config.execution.maxCycles, 500u);
-    EXPECT_TRUE(config.execution.faults.enabled);
-    EXPECT_EQ(config.execution.faults.seed, 9u);
+    EXPECT_EQ(config.execution.faultSeed, 9u);
     EXPECT_EQ(config.checking.checkPeriod, 7u);
 
     // The default cell is the default machine: 4x4, 15 CUs, no faults.
@@ -94,7 +93,7 @@ TEST(CellSpec, ConfigBuildsTheMachine)
     EXPECT_EQ(plain.topology.cusPerDevice, reference.topology.cusPerDevice);
     EXPECT_EQ(plain.topology.mesh.width, reference.topology.mesh.width);
     EXPECT_EQ(plain.execution.maxCycles, reference.execution.maxCycles);
-    EXPECT_FALSE(plain.execution.faults.enabled);
+    EXPECT_EQ(plain.execution.faultSeed, 0u);
 }
 
 TEST(CellSpec, FromLineNamesWhatItRejects)

@@ -52,10 +52,7 @@ struct Perturbation
 std::vector<Perturbation>
 perturbationSchedule(std::uint64_t seed, int messages)
 {
-    FaultConfig config;
-    config.enabled = true;
-    config.seed = seed;
-    FaultInjector injector(config);
+    FaultInjector injector(seed);
 
     std::vector<Perturbation> trace;
     trace.reserve(static_cast<std::size_t>(messages));
@@ -170,6 +167,43 @@ TEST(FaultInjectorDeterminism, DifferentSeedDifferentSchedule)
     }
     EXPECT_TRUE(differs);
     EXPECT_TRUE(perturbed);
+}
+
+// The explorer's delays pass through the same-pair FIFO floor: a
+// message the script delays past a competitor holds back every later
+// message on its own (src, dst) pair, and the decision log records
+// the clamped arrival.
+TEST(ExploringPolicyFifo, ScriptedDelayKeepsSamePairOrder)
+{
+    EventQueue eq;
+    stats::StatSet stats;
+    Mesh mesh(eq, stats);
+    ChoiceScript script({1});
+    DecisionLog log;
+    ExploringPolicy policy(script, log, 1);
+    policy.attach(&mesh);
+    mesh.setDeliveryPolicy(&policy);
+
+    std::vector<int> order;
+    auto arrive = [&order](int i) {
+        return [&order, i] { order.push_back(i); };
+    };
+    // The competitor: the long route from the far corner to node 0.
+    mesh.send(15, 0, 2, TrafficClass::Read, arrive(0));
+    // One hop: the script delays it past the competitor.
+    mesh.send(1, 0, 2, TrafficClass::Read, arrive(1));
+    // Same pair, nominally due long before the delayed message.
+    mesh.send(1, 0, 2, TrafficClass::Read, arrive(2));
+    eq.run();
+
+    EXPECT_EQ(script.consumed(), std::vector<unsigned>{1});
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    ASSERT_EQ(log.points.size(), 3u);
+    const ChoicePoint &delayed = log.points[1];
+    const ChoicePoint &later = log.points[2];
+    EXPECT_EQ(delayed.arrival, log.points[0].arrival + 1);
+    EXPECT_LT(later.nominal, delayed.arrival);
+    EXPECT_EQ(later.arrival, delayed.arrival);
 }
 
 // Record/replay round trip: re-running a schedule with its consumed

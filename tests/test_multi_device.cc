@@ -322,8 +322,7 @@ TEST(MultiDeviceFaults, LinkSeamSurvivesFaultInjection)
     // converge to the correct result.
     auto workload = makeScaled("FAM_G", 30);
     SystemConfig config = smallMachine(ProtocolConfig::dd());
-    config.execution.faults.enabled = true;
-    config.execution.faults.seed = 7;
+    config.execution.faultSeed = 7;
     System sys(config);
     RunResult result = sys.run(*workload);
     EXPECT_TRUE(result.ok()) << failures(result);
@@ -337,8 +336,7 @@ TEST(MultiDeviceDeterminism, FaultedRunRepeatsBitwise)
     auto run_once = [] {
         auto workload = makeScaled("FAM_G", 30);
         SystemConfig config = smallMachine(ProtocolConfig::dd());
-        config.execution.faults.enabled = true;
-        config.execution.faults.seed = 7;
+        config.execution.faultSeed = 7;
         System sys(config);
         return sys.run(*workload);
     };

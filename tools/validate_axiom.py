@@ -37,11 +37,10 @@ three-way agreement.
 Exits 0 if every file validates, 1 otherwise.
 """
 
-import json
 import os
 import sys
 
-from validate_trace import check
+from validate_trace import run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "axiom_schema.json")
@@ -203,58 +202,35 @@ def check_axiom_rules(report, errors):
             "or a failed cross-check")
 
 
-def validate_file(path, schema, require_clean):
-    errors = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"FAIL {path}: {exc}")
-        return False
-    check(report, schema, "$", errors)
-    check_axiom_rules(report, errors)
-
+def require_clean(report, errors):
+    """--require-clean: all_ok, and every cell cross-checked."""
     summary = report.get("summary", {})
-    if require_clean:
-        if summary.get("all_ok") is not True:
-            errors.append(
-                "$.summary: all_ok is not true but --require-clean "
-                "was given")
-        cells = summary.get("cells")
-        checked = summary.get("cross_checked")
-        if isinstance(cells, int) and isinstance(checked, int) and \
-                checked != cells:
-            errors.append(
-                f"$.summary: only {checked}/{cells} cells "
-                f"cross-checked but --require-clean demands the "
-                f"proven three-way agreement")
+    if summary.get("all_ok") is not True:
+        errors.append(
+            "$.summary: all_ok is not true but --require-clean "
+            "was given")
+    cells = summary.get("cells")
+    checked = summary.get("cross_checked")
+    if isinstance(cells, int) and isinstance(checked, int) and \
+            checked != cells:
+        errors.append(
+            f"$.summary: only {checked}/{cells} cells "
+            f"cross-checked but --require-clean demands the "
+            f"proven three-way agreement")
 
-    if errors:
-        print(f"FAIL {path}:")
-        for err in errors[:20]:
-            print(f"  {err}")
-        if len(errors) > 20:
-            print(f"  ... and {len(errors) - 20} more")
-        return False
-    print(f"OK   {path}: {summary.get('cells', 0)} cells"
-          f" ({summary.get('race_free', 0)} race-free,"
-          f" {summary.get('scope_race', 0)} scope-race,"
-          f" {summary.get('data_race', 0)} data-race,"
-          f" {summary.get('cross_checked', 0)} cross-checked)")
-    return True
+
+def ok_line(report):
+    summary = report.get("summary", {})
+    return (f"{summary.get('cells', 0)} cells"
+            f" ({summary.get('race_free', 0)} race-free,"
+            f" {summary.get('scope_race', 0)} scope-race,"
+            f" {summary.get('data_race', 0)} data-race,"
+            f" {summary.get('cross_checked', 0)} cross-checked)")
 
 
 def main(argv):
-    args = argv[1:]
-    require_clean = "--require-clean" in args
-    paths = [a for a in args if a != "--require-clean"]
-    if not paths:
-        print(__doc__.strip().splitlines()[2])
-        return 2
-    with open(SCHEMA_PATH, encoding="utf-8") as f:
-        schema = json.load(f)
-    ok = all([validate_file(p, schema, require_clean) for p in paths])
-    return 0 if ok else 1
+    return run(argv, __doc__, SCHEMA_PATH, check_axiom_rules, ok_line,
+               "--require-clean", require_clean)
 
 
 if __name__ == "__main__":

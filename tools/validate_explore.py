@@ -35,11 +35,10 @@ must not slip through as success.
 Exits 0 if every file validates, 1 otherwise.
 """
 
-import json
 import os
 import sys
 
-from validate_trace import check
+from validate_trace import run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "explore_schema.json")
@@ -163,49 +162,26 @@ def check_explore_rules(report, errors):
             f"{counts['pass']}/{len(cells)} passing cells")
 
 
-def validate_file(path, schema, require_pass):
-    errors = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"FAIL {path}: {exc}")
-        return False
-    check(report, schema, "$", errors)
-    check_explore_rules(report, errors)
-
-    summary = report.get("summary", {})
-    if require_pass and summary.get("all_pass") is not True:
+def require_pass(report, errors):
+    """--require-pass: every cell passed."""
+    if report.get("summary", {}).get("all_pass") is not True:
         errors.append(
             "$.summary: all_pass is not true but --require-pass was "
             "given (a budget-exhausted exploration is not a pass)")
 
-    if errors:
-        print(f"FAIL {path}:")
-        for err in errors[:20]:
-            print(f"  {err}")
-        if len(errors) > 20:
-            print(f"  ... and {len(errors) - 20} more")
-        return False
-    print(f"OK   {path}: {summary.get('cells', 0)} cells,"
-          f" {summary.get('schedules_explored', 0)} schedules"
-          f" ({summary.get('passed', 0)} pass,"
-          f" {summary.get('failed', 0)} fail,"
-          f" {summary.get('budget_exhausted', 0)} budget-exhausted)")
-    return True
+
+def ok_line(report):
+    summary = report.get("summary", {})
+    return (f"{summary.get('cells', 0)} cells,"
+            f" {summary.get('schedules_explored', 0)} schedules"
+            f" ({summary.get('passed', 0)} pass,"
+            f" {summary.get('failed', 0)} fail,"
+            f" {summary.get('budget_exhausted', 0)} budget-exhausted)")
 
 
 def main(argv):
-    args = argv[1:]
-    require_pass = "--require-pass" in args
-    paths = [a for a in args if a != "--require-pass"]
-    if not paths:
-        print(__doc__.strip().splitlines()[2])
-        return 2
-    with open(SCHEMA_PATH, encoding="utf-8") as f:
-        schema = json.load(f)
-    ok = all([validate_file(p, schema, require_pass) for p in paths])
-    return 0 if ok else 1
+    return run(argv, __doc__, SCHEMA_PATH, check_explore_rules, ok_line,
+               "--require-pass", require_pass)
 
 
 if __name__ == "__main__":

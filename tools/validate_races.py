@@ -30,11 +30,10 @@ the detector's record cap, RaceDetector::kMaxRecords = 128).
 Exits 0 if every file validates, 1 otherwise.
 """
 
-import json
 import os
 import sys
 
-from validate_trace import check
+from validate_trace import run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "race_schema.json")
@@ -95,56 +94,35 @@ def check_race_rules(report, errors):
             last_key = key
 
 
-def validate_file(path, schema, require_clean):
-    errors = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            report = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"FAIL {path}: {exc}")
-        return False
-    check(report, schema, "$", errors)
-    check_race_rules(report, errors)
-
+def require_clean(report, errors):
+    """--require-clean: no unsuppressed race, and no truncation."""
     summary = report.get("summary", {})
     detected = summary.get("races_detected", 0)
     suppressed = summary.get("races_suppressed", 0)
-    if require_clean and isinstance(detected, int) and \
-            isinstance(suppressed, int) and detected - suppressed > 0:
+    if isinstance(detected, int) and isinstance(suppressed, int) and \
+            detected - suppressed > 0:
         errors.append(
             f"$.summary: {detected - suppressed} unsuppressed race(s)"
             f" but --require-clean was given")
-    if require_clean and summary.get("truncated"):
+    if summary.get("truncated"):
         # A truncated report cannot prove cleanliness: the dropped
         # records were never classified or suppressed.
         errors.append(
             "$.summary: report truncated (records dropped past the "
             "cap) but --require-clean was given")
 
-    if errors:
-        print(f"FAIL {path}:")
-        for err in errors[:20]:
-            print(f"  {err}")
-        if len(errors) > 20:
-            print(f"  ... and {len(errors) - 20} more")
-        return False
-    print(f"OK   {path}: {summary.get('data_accesses', 0)} accesses,"
-          f" {summary.get('hb_edges', 0)} HB edges,"
-          f" {detected} race(s) ({suppressed} suppressed)")
-    return True
+
+def ok_line(report):
+    summary = report.get("summary", {})
+    return (f"{summary.get('data_accesses', 0)} accesses,"
+            f" {summary.get('hb_edges', 0)} HB edges,"
+            f" {summary.get('races_detected', 0)} race(s)"
+            f" ({summary.get('races_suppressed', 0)} suppressed)")
 
 
 def main(argv):
-    args = argv[1:]
-    require_clean = "--require-clean" in args
-    paths = [a for a in args if a != "--require-clean"]
-    if not paths:
-        print(__doc__.strip().splitlines()[2])
-        return 2
-    with open(SCHEMA_PATH, encoding="utf-8") as f:
-        schema = json.load(f)
-    ok = all([validate_file(p, schema, require_clean) for p in paths])
-    return 0 if ok else 1
+    return run(argv, __doc__, SCHEMA_PATH, check_race_rules, ok_line,
+               "--require-clean", require_clean)
 
 
 if __name__ == "__main__":

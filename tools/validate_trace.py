@@ -175,16 +175,19 @@ def check_event_rules(trace, errors):
                     f" ({recorded} recorded - {dropped} dropped)")
 
 
-def validate_file(path, schema):
-    errors = []
+def validate_file(path, schema, rules, ok_line):
+    """Load path, check it against schema and rules(doc, errors), and
+    print a FAIL block of up to 20 errors or the "OK" line ok_line(doc)
+    gives. Returns whether the file validated."""
     try:
         with open(path, encoding="utf-8") as f:
-            trace = json.load(f)
+            doc = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"FAIL {path}: {exc}")
         return False
-    check(trace, schema, "$", errors)
-    check_event_rules(trace, errors)
+    errors = []
+    check(doc, schema, "$", errors)
+    rules(doc, errors)
     if errors:
         print(f"FAIL {path}:")
         for err in errors[:20]:
@@ -192,25 +195,48 @@ def validate_file(path, schema):
         if len(errors) > 20:
             print(f"  ... and {len(errors) - 20} more")
         return False
-    n = len(trace["traceEvents"])
-    print(f"OK   {path}: {n} events")
+    print(f"OK   {path}: {ok_line(doc)}")
     return True
 
 
-def main(argv):
-    if len(argv) < 2:
-        print(__doc__.strip().splitlines()[2])
+def run(argv, docstring, schema_path, rules, ok_line, flag=None,
+        require=None):
+    """The validators' shared command line: [flag] FILE...
+
+    Validates every FILE against the schema at schema_path and
+    rules(doc, errors); when flag is given, require(doc, errors) adds
+    that mode's errors. With no FILE, prints the usage line of the
+    validator's docstring and returns 2; otherwise returns 0 if every
+    file validated, 1 otherwise.
+    """
+    args = argv[1:]
+    strict = flag is not None and flag in args
+    paths = [a for a in args if a != flag]
+    if not paths:
+        print(docstring.strip().splitlines()[2])
         return 2
-    with open(SCHEMA_PATH, encoding="utf-8") as f:
+    with open(schema_path, encoding="utf-8") as f:
         schema = json.load(f)
+
+    def all_rules(doc, errors):
+        rules(doc, errors)
+        if strict:
+            require(doc, errors)
+
     # A trace parses to millions of acyclic containers; the cycle
     # collector would only rescan them while the file is checked.
     gc.disable()
     try:
-        ok = all([validate_file(p, schema) for p in argv[1:]])
+        ok = all([validate_file(p, schema, all_rules, ok_line)
+                  for p in paths])
     finally:
         gc.enable()
     return 0 if ok else 1
+
+
+def main(argv):
+    return run(argv, __doc__, SCHEMA_PATH, check_event_rules,
+               lambda trace: f"{len(trace['traceEvents'])} events")
 
 
 if __name__ == "__main__":
