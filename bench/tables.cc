@@ -94,14 +94,11 @@ main(int argc, char **argv)
     std::printf("Store buffer               %zu entries\n",
                 config.geometry.storeBufferEntries);
     std::printf("L1 hit latency             %llu cycle(s)\n",
-                static_cast<unsigned long long>(
-                    config.timings.l1Hit));
+                static_cast<unsigned long long>(kL1HitLatency));
     std::printf("L2 access latency          %llu cycles\n",
-                static_cast<unsigned long long>(
-                    config.timings.l2Access));
+                static_cast<unsigned long long>(kL2AccessLatency));
     std::printf("Memory latency (past L2)   %llu cycles\n",
-                static_cast<unsigned long long>(
-                    config.timings.dramLatency));
+                static_cast<unsigned long long>(kDramLatency));
 
     std::printf("\n=== Table 4: benchmarks and inputs (scaled) ===\n");
     for (const char *group :

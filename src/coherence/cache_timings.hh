@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared timing parameters for the cache hierarchy (Table 3).
+ * The cache hierarchy's latencies (Table 3, constants) and its
+ * capacities (CacheGeometry, set per machine).
  */
 
 #ifndef COHERENCE_CACHE_TIMINGS_HH
@@ -11,30 +12,26 @@
 namespace nosync
 {
 
-/** Latency knobs for L1/L2/DRAM (values are GPU cycles). */
-struct CacheTimings
-{
-    /** L1 hit latency. */
-    Cycles l1Hit = 1;
-    /** L2 bank access (tag + data) latency. */
-    Cycles l2Access = 29;
-    /** DRAM access latency beyond the L2. */
-    Cycles dramLatency = 160;
+/** L1 hit latency (GPU cycles, as are the latencies below). */
+constexpr Cycles kL1HitLatency = 1;
+/** L2 bank access (tag + data) latency. */
+constexpr Cycles kL2AccessLatency = 29;
+/** DRAM access latency beyond the L2. */
+constexpr Cycles kDramLatency = 160;
 
-    /**
-     * L2 bank initiation interval: the bank is pipelined, accepting
-     * a new access every l2CycleTime cycles. Contended atomics (e.g.
-     * a spinning herd hitting one lock's home bank) queue here.
-     */
-    Cycles l2CycleTime = 4;
+/**
+ * L2 bank initiation interval: the bank is pipelined, accepting a new
+ * access every kL2CycleTime cycles. Contended atomics (e.g. a spinning
+ * herd hitting one lock's home bank) queue here.
+ */
+constexpr Cycles kL2CycleTime = 4;
 
-    /**
-     * Latency of an atomic performed at the L1 (read-modify-write
-     * through the atomic unit's pipeline). Also paces spin loops:
-     * a thread block cannot retry a lock faster than this.
-     */
-    Cycles l1Atomic = 12;
-};
+/**
+ * Latency of an atomic performed at the L1 (read-modify-write through
+ * the atomic unit's pipeline). Also paces spin loops: a thread block
+ * cannot retry a lock faster than this.
+ */
+constexpr Cycles kL1AtomicLatency = 12;
 
 /** Capacity knobs (Table 3). */
 struct CacheGeometry

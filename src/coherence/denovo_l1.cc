@@ -15,10 +15,9 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
                              std::vector<DenovoL2Bank *> banks,
                              const RegionMap &regions,
                              const CacheGeometry &geom,
-                             const CacheTimings &timings,
                              trace::TraceSink *trace)
     : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
-                   timings, _unackedTable, trace),
+                   _unackedTable, trace),
       _banks(std::move(banks)), _regions(regions),
       _mshr(geom.l1MshrEntries),
       _remoteReadsServed(
@@ -857,7 +856,7 @@ DenovoL1Cache::processSyncQueue(Addr line_addr, unsigned word)
     entry->syncQueue.erase(local_it);
     entry->syncRunning |= bit;
 
-    scheduleIn(_timings.l1Atomic, [this, line_addr, word, bit, slot] {
+    scheduleIn(kL1AtomicLatency, [this, line_addr, word, bit, slot] {
         CacheLine *frame = _array.lookup(line_addr);
         panic_if(!frame ||
                      frame->wstate[word] != WordState::Registered,

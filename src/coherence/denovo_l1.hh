@@ -38,7 +38,6 @@ class DenovoL1Cache final : public L1Controller
                   Mesh &mesh, NodeId node, const ProtocolConfig &config,
                   std::vector<DenovoL2Bank *> banks,
                   const RegionMap &regions, const CacheGeometry &geom,
-                  const CacheTimings &timings,
                   trace::TraceSink *trace = nullptr);
 
     /** Wire the peer L1s (for direct owner-to-requestor transfers). */

@@ -12,10 +12,9 @@ DenovoL2Bank::DenovoL2Bank(const std::string &name, EventQueue &eq,
                            stats::StatSet &stats, EnergyModel &energy,
                            Mesh &mesh, NodeId node, FunctionalMem &memory,
                            const CacheGeometry &geom,
-                           const CacheTimings &timings,
                            trace::TraceSink *trace)
     : L2Controller(name, eq, stats, energy, mesh, node, memory, geom,
-                   timings, trace),
+                   trace),
       _registrations(
           stats.registerScalar(name, ".registrations",
                                "data registrations processed")),

@@ -50,7 +50,7 @@ class DenovoL2Bank final : public L2Controller
     DenovoL2Bank(const std::string &name, EventQueue &eq,
                  stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                  NodeId node, FunctionalMem &memory,
-                 const CacheGeometry &geom, const CacheTimings &timings,
+                 const CacheGeometry &geom,
                  trace::TraceSink *trace = nullptr);
 
     /** Wire the L1 caches (for protocol forwards). */

@@ -11,10 +11,9 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
                        const ProtocolConfig &config,
                        std::vector<GpuL2Bank *> banks,
                        const CacheGeometry &geom,
-                       const CacheTimings &timings,
                        trace::TraceSink *trace)
     : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
-                   timings, _unackedTable, trace),
+                   _unackedTable, trace),
       _banks(std::move(banks)), _mshr(geom.l1MshrEntries)
 {
     panic_if(_config.protocol() != CoherenceProtocol::Gpu,

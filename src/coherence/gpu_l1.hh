@@ -31,7 +31,7 @@ class GpuL1Cache final : public L1Controller
                stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                NodeId node, const ProtocolConfig &config,
                std::vector<GpuL2Bank *> banks,
-               const CacheGeometry &geom, const CacheTimings &timings,
+               const CacheGeometry &geom,
                trace::TraceSink *trace = nullptr);
 
     /** Test hook: whether the word is valid in the L1 array. */

@@ -9,10 +9,9 @@ GpuL2Bank::GpuL2Bank(const std::string &name, EventQueue &eq,
                      stats::StatSet &stats, EnergyModel &energy,
                      Mesh &mesh, NodeId node, FunctionalMem &memory,
                      const CacheGeometry &geom,
-                     const CacheTimings &timings,
                      trace::TraceSink *trace)
     : L2Controller(name, eq, stats, energy, mesh, node, memory, geom,
-                   timings, trace),
+                   trace),
       _writethroughs(stats.registerScalar(
           name, ".writethroughs", "writethrough messages merged")),
       _atomics(stats.registerScalar(name, ".atomics",

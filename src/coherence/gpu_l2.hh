@@ -32,7 +32,7 @@ class GpuL2Bank final : public L2Controller
     GpuL2Bank(const std::string &name, EventQueue &eq,
               stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
               NodeId node, FunctionalMem &memory,
-              const CacheGeometry &geom, const CacheTimings &timings,
+              const CacheGeometry &geom,
               trace::TraceSink *trace = nullptr);
 
     /** Data read request: replies with the full line. */

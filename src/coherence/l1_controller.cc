@@ -14,12 +14,11 @@ L1Controller::L1Controller(const std::string &name, EventQueue &eq,
                            Mesh &mesh, NodeId node,
                            const ProtocolConfig &config,
                            const CacheGeometry &geom,
-                           const CacheTimings &timings,
                            UnackedTable &unacked, trace::TraceSink *trace)
     : SimObject(name, eq), _node(node), _config(config),
       _energy(energy), _stats(stats, name), _trace(trace), _mesh(mesh),
       _array(geom.l1Bytes, geom.l1Assoc), _sb(geom.storeBufferEntries),
-      _timings(timings), _unacked(unacked)
+      _unacked(unacked)
 {}
 
 // ---------------------------------------------------------------------
@@ -60,7 +59,7 @@ L1Controller::replyBatchHits(WarpBatch &batch, unsigned hits)
     // other stalled stores first, but then it replies after them, so
     // the batch is not yet complete when this event runs.
     if (hits != 0)
-        scheduleIn(_timings.l1Hit, [&batch, hits] { batch.complete(hits); });
+        scheduleIn(kL1HitLatency, [&batch, hits] { batch.complete(hits); });
 }
 
 // ---------------------------------------------------------------------
@@ -131,7 +130,7 @@ L1Controller::serviceStallQueue()
         // The word may have become storable in place while stalled
         // (a DeNovo registration): no buffer slot needed.
         if (storeInPlace(front.addr, front.value)) {
-            scheduleIn(_timings.l1Hit, std::move(front.cb));
+            scheduleIn(kL1HitLatency, std::move(front.cb));
             _stalledStores.pop_front();
             continue;
         }
@@ -152,7 +151,7 @@ L1Controller::serviceStallQueue()
         StalledStore st = std::move(front);
         _stalledStores.pop_front();
         acceptStore(st.addr, st.value);
-        scheduleIn(_timings.l1Hit, std::move(st.cb));
+        scheduleIn(kL1HitLatency, std::move(st.cb));
     }
 }
 
@@ -297,7 +296,7 @@ L1Controller::performAtL1(std::uint32_t slot, std::uint32_t old_value,
         _races->syncPerformed(op, curTick());
     AtomicResult res = applyAtomic(op, old_value);
     if (reply) {
-        scheduleIn(_timings.l1Atomic, [this, slot, v = res.returned] {
+        scheduleIn(kL1AtomicLatency, [this, slot, v = res.returned] {
             finishSync(slot, v);
         });
     }

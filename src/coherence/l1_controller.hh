@@ -190,8 +190,8 @@ class L1Controller : public SimObject
     L1Controller(const std::string &name, EventQueue &eq,
                  stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                  NodeId node, const ProtocolConfig &config,
-                 const CacheGeometry &geom, const CacheTimings &timings,
-                 UnackedTable &unacked, trace::TraceSink *trace = nullptr);
+                 const CacheGeometry &geom, UnackedTable &unacked,
+                 trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
     const ProtocolConfig &config() const { return _config; }
@@ -405,7 +405,6 @@ class L1Controller : public SimObject
     Mesh &_mesh;
     CacheArray _array;
     StoreBuffer _sb;
-    CacheTimings _timings;
 
     /** Drained writes not yet visible (see issueDrain). */
     unsigned _pendingWrites = 0;

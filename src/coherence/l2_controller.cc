@@ -15,11 +15,10 @@ L2Controller::L2Controller(const std::string &name, EventQueue &eq,
                            stats::StatSet &stats, EnergyModel &energy,
                            Mesh &mesh, NodeId node, FunctionalMem &memory,
                            const CacheGeometry &geom,
-                           const CacheTimings &timings,
                            trace::TraceSink *trace)
     : SimObject(name, eq), _node(node), _trace(trace), _mesh(mesh),
       _energy(energy), _memory(memory),
-      _array(geom.l2BankBytes, geom.l2Assoc), _timings(timings),
+      _array(geom.l2BankBytes, geom.l2Assoc),
       _fetches(geom.l2MshrEntries),
       _reads(stats.registerScalar(name, ".reads",
                                   "read requests served"))
@@ -58,7 +57,7 @@ L2Controller::withLineReady(Addr line_addr, LineFn fn, bool queued)
 {
     // Pipelined bank: one new access per l2CycleTime cycles.
     Tick start = std::max(curTick(), _bankFree);
-    _bankFree = start + _timings.l2CycleTime;
+    _bankFree = start + kL2CycleTime;
     Cycles queue_delay = start - curTick();
 
     if (CacheLine *line = _array.lookup(line_addr)) {
@@ -78,7 +77,7 @@ L2Controller::withLineReady(Addr line_addr, LineFn fn, bool queued)
         static_assert(EventFn::fitsInline<decltype(access)>(),
                       "an L2 bank access outgrew EventFn's inline "
                       "buffer");
-        scheduleIn(queue_delay + _timings.l2Access, std::move(access));
+        scheduleIn(queue_delay + kL2AccessLatency, std::move(access));
         return;
     }
 
@@ -104,7 +103,7 @@ void
 L2Controller::startFetch(Addr line_addr)
 {
     ++_dramFetches;
-    scheduleIn(_timings.l2Access + _timings.dramLatency,
+    scheduleIn(kL2AccessLatency + kDramLatency,
                [this, line_addr] {
                    FetchEntry *entry = _fetches.find(line_addr);
                    panic_if(!entry, "L2 fetch entry vanished");

@@ -71,7 +71,7 @@ class L2Controller : public SimObject
     L2Controller(const std::string &name, EventQueue &eq,
                  stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                  NodeId node, FunctionalMem &memory,
-                 const CacheGeometry &geom, const CacheTimings &timings,
+                 const CacheGeometry &geom,
                  trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
@@ -186,7 +186,6 @@ class L2Controller : public SimObject
     EnergyModel &_energy;
     FunctionalMem &_memory;
     CacheArray _array;
-    CacheTimings _timings;
 
     /** Next tick the pipelined bank accepts an access. */
     Tick _bankFree = 0;

@@ -106,16 +106,6 @@ relatedWorkComparison()
     };
 }
 
-/** Table 2 row labels, in paper order. */
-inline std::vector<std::string>
-featureNames()
-{
-    return {"Reuse Written Data",   "Reuse Valid Data",
-            "No Bursty Traffic",    "No Invalidations/ACKs",
-            "Decoupled Granularity", "Reuse Synchronization",
-            "Dynamic Sharing"};
-}
-
 } // namespace nosync
 
 #endif // CORE_FEATURES_HH

@@ -25,7 +25,7 @@ System::System(const SystemConfig &config) : _config(config)
     const MachineTopology &topo = _config.topology;
     unsigned num_nodes = topo.numNodes();
 
-    _energy = std::make_unique<EnergyModel>(_stats, _config.energy);
+    _energy = std::make_unique<EnergyModel>(_stats);
     _mesh = std::make_unique<Mesh>(_eq, _stats, topo, _trace.get());
     if (_config.execution.faultSeed != 0) {
         _faults.emplace(_config.execution.faultSeed);
@@ -49,13 +49,13 @@ System::System(const SystemConfig &config) : _config(config)
             _denovoBanks.push_back(std::make_unique<DenovoL2Bank>(
                 name, _eq, _stats, *_energy, *_mesh,
                 static_cast<NodeId>(node), _memory, _config.geometry,
-                _config.timings, _trace.get()));
+                _trace.get()));
             _l2Banks.push_back(_denovoBanks.back().get());
         } else {
             _gpuBanks.push_back(std::make_unique<GpuL2Bank>(
                 name, _eq, _stats, *_energy, *_mesh,
                 static_cast<NodeId>(node), _memory, _config.geometry,
-                _config.timings, _trace.get()));
+                _trace.get()));
             _l2Banks.push_back(_gpuBanks.back().get());
         }
     }
@@ -73,7 +73,7 @@ System::System(const SystemConfig &config) : _config(config)
             _denovoL1s.push_back(std::make_unique<DenovoL1Cache>(
                 name, _eq, _stats, *_energy, *_mesh, node,
                 _config.protocol, std::move(banks), _regions,
-                _config.geometry, _config.timings, _trace.get()));
+                _config.geometry, _trace.get()));
             _l1s.push_back(_denovoL1s.back().get());
         } else {
             std::vector<GpuL2Bank *> banks;
@@ -82,7 +82,7 @@ System::System(const SystemConfig &config) : _config(config)
             _gpuL1s.push_back(std::make_unique<GpuL1Cache>(
                 name, _eq, _stats, *_energy, *_mesh, node,
                 _config.protocol, std::move(banks), _config.geometry,
-                _config.timings, _trace.get()));
+                _trace.get()));
             _l1s.push_back(_gpuL1s.back().get());
         }
     }
@@ -213,9 +213,8 @@ System::run(Workload &workload)
         _races->setSuppressions(workload.raceSuppressions());
 
     GpuDevice device(_eq, _stats, *_energy, _l1s, workload,
-                     _config.execution.seed,
-                     _config.execution.kernelLaunchLatency,
-                     _trace.get(), _races.get(), _tbScheduler);
+                     _config.execution.seed, _trace.get(), _races.get(),
+                     _tbScheduler);
 
     bool done = false;
     Tick done_tick = 0;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Top-level system configuration (Table 3 plus the studied protocol
- * configuration), grouped into named sub-structs:
+ * Top-level system configuration (Table 3's sizes plus the studied
+ * protocol configuration), grouped into named sub-structs:
  *
  *   - `topology`       what machine to build (devices x mesh + link)
  *   - `execution`      how to run it (seed, watchdog, faults)
@@ -23,7 +23,6 @@
 
 #include "coherence/cache_timings.hh"
 #include "coherence/protocol.hh"
-#include "energy/energy_model.hh"
 #include "noc/mesh.hh"
 
 namespace nosync
@@ -42,18 +41,15 @@ struct SystemConfig
      */
     MachineTopology topology{};
 
+    /** Cache capacities. Table 3's latencies, the energy costs and
+     *  the launch latency are constants (DESIGN.md section 3). */
     CacheGeometry geometry{};
-    CacheTimings timings{};
-    EnergyParams energy{};
 
     /** How the run executes: seeding, pacing, chaos. */
     struct Execution
     {
         /** Seed for workload randomness (UTS shape, backoff jitter). */
         std::uint64_t seed = 1;
-
-        /** CPU-side kernel launch latency (cycles). */
-        Cycles kernelLaunchLatency = 300;
 
         /** Watchdog: abort runs exceeding this many cycles. */
         Tick maxCycles = 2'000'000'000ull;

@@ -45,78 +45,74 @@ energyComponentNames()
     return names;
 }
 
-/** Per-event energy constants, in picojoules. */
-struct EnergyParams
+/** Accumulates dynamic energy per component. */
+class EnergyModel
 {
-    double l1Access = 30.0;      ///< full L1 data access
-    double l1TagAccess = 10.0;   ///< tag-only probe (e.g. lookup miss)
-    double l2Access = 150.0;     ///< L2 bank data access
-    double scratchAccess = 15.0; ///< scratchpad word access
-    double flitHop = 25.0;       ///< per flit per link crossing
+  public:
+    /** @name Per-event energy constants, in picojoules. */
+    /** @{ */
+    static constexpr double kL1AccessPj = 30.0; ///< full L1 data access
+    /** Tag-only probe (e.g. lookup miss). */
+    static constexpr double kL1TagAccessPj = 10.0;
+    static constexpr double kL2AccessPj = 150.0; ///< L2 bank data access
+    static constexpr double kScratchAccessPj = 15.0; ///< scratchpad word
+    static constexpr double kFlitHopPj = 25.0; ///< per flit per link crossing
     /**
      * Per CU per cycle while the CU has unfinished thread blocks.
      * Deliberately modest: synchronization-bound CUs spend most
      * cycles stalled with clock-gated pipelines, so dynamic core
      * energy is dominated by the memory-system events above.
      */
-    double coreActiveCycle = 15.0;
-    double atomicAluOp = 8.0;    ///< extra ALU work for an atomic
-};
+    static constexpr double kCoreActiveCyclePj = 15.0;
+    static constexpr double kAtomicAluOpPj = 8.0; ///< extra ALU work
+    /** @} */
 
-/** Accumulates dynamic energy per component. */
-class EnergyModel
-{
-  public:
-    EnergyModel(stats::StatSet &stats, const EnergyParams &params)
-        : _params(params),
-          _energy(stats.registerVector(
+    explicit EnergyModel(stats::StatSet &stats)
+        : _energy(stats.registerVector(
               "energy.dynamic", "dynamic energy by component (pJ)",
               energyComponentNames()))
     {}
 
-    const EnergyParams &params() const { return _params; }
-
     void
     l1Access(double count = 1.0)
     {
-        add(EnergyComponent::L1D, _params.l1Access * count);
+        add(EnergyComponent::L1D, kL1AccessPj * count);
     }
 
     void
     l1TagAccess(double count = 1.0)
     {
-        add(EnergyComponent::L1D, _params.l1TagAccess * count);
+        add(EnergyComponent::L1D, kL1TagAccessPj * count);
     }
 
     void
     l2Access(double count = 1.0)
     {
-        add(EnergyComponent::L2, _params.l2Access * count);
+        add(EnergyComponent::L2, kL2AccessPj * count);
     }
 
     void
     scratchAccess(double count = 1.0)
     {
-        add(EnergyComponent::Scratch, _params.scratchAccess * count);
+        add(EnergyComponent::Scratch, kScratchAccessPj * count);
     }
 
     void
     atomicAlu(double count = 1.0)
     {
-        add(EnergyComponent::GpuCore, _params.atomicAluOp * count);
+        add(EnergyComponent::GpuCore, kAtomicAluOpPj * count);
     }
 
     void
     coreActiveCycles(double cycles)
     {
-        add(EnergyComponent::GpuCore,
-            _params.coreActiveCycle * cycles);
+        add(EnergyComponent::GpuCore, kCoreActiveCyclePj * cycles);
     }
 
     void
     flitCrossings(double crossings)
     {
-        add(EnergyComponent::Network, _params.flitHop * crossings);
+        add(EnergyComponent::Network, kFlitHopPj * crossings);
     }
 
     double
@@ -134,7 +130,6 @@ class EnergyModel
         _energy->add(static_cast<std::size_t>(c), pj);
     }
 
-    EnergyParams _params;
     stats::Handle<stats::Vector> _energy;
 };
 

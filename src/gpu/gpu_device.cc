@@ -9,13 +9,11 @@ GpuDevice::GpuDevice(EventQueue &eq, stats::StatSet &stats,
                      EnergyModel &energy,
                      std::vector<L1Controller *> cu_l1s,
                      Workload &workload, std::uint64_t seed,
-                     Cycles kernel_launch_latency,
                      trace::TraceSink *trace,
                      analysis::RaceDetector *races,
                      TbScheduler *sched)
     : SimObject("gpu", eq), _l1s(std::move(cu_l1s)), _energy(energy),
       _workload(workload), _seed(seed),
-      _launchLatency(kernel_launch_latency),
       _kernelsLaunched(stats.registerScalar("gpu.kernels_launched",
                                             "kernels launched")),
       _tbsExecuted(stats.registerScalar("gpu.tbs_executed",
@@ -30,7 +28,7 @@ GpuDevice::run(DoneCallback on_complete)
 {
     _onComplete = std::move(on_complete);
     _kernel = 0;
-    scheduleIn(_launchLatency, [this] { launchKernel(); });
+    scheduleIn(kLaunchLatency, [this] { launchKernel(); });
 }
 
 void
@@ -156,7 +154,7 @@ GpuDevice::onKernelDrained()
     _contexts.clear();
     ++_kernel;
     if (_kernel < _workload.numKernels()) {
-        scheduleIn(_launchLatency, [this] { launchKernel(); });
+        scheduleIn(kLaunchLatency, [this] { launchKernel(); });
         return;
     }
     auto done = std::move(_onComplete);

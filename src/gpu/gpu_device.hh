@@ -30,11 +30,14 @@ namespace nosync
 class GpuDevice : public SimObject
 {
   public:
+    /** CPU-side kernel launch latency (cycles): before the first
+     *  kernel and after each kernel's drain. */
+    static constexpr Cycles kLaunchLatency = 300;
+
     GpuDevice(EventQueue &eq, stats::StatSet &stats,
               EnergyModel &energy,
               std::vector<L1Controller *> cu_l1s, Workload &workload,
-              std::uint64_t seed, Cycles kernel_launch_latency = 300,
-              trace::TraceSink *trace = nullptr,
+              std::uint64_t seed, trace::TraceSink *trace = nullptr,
               analysis::RaceDetector *races = nullptr,
               TbScheduler *sched = nullptr);
 
@@ -59,7 +62,6 @@ class GpuDevice : public SimObject
     EnergyModel &_energy;
     Workload &_workload;
     std::uint64_t _seed;
-    Cycles _launchLatency;
 
     unsigned _kernel = 0;
     unsigned _tbsLeft = 0;

@@ -202,7 +202,7 @@ Mesh::reserveRoute(NodeId src, NodeId dst, unsigned flits,
     Tick t;
     if (src == dst) {
         // Local slice access: no link crossings, small fixed delay.
-        t = curTick() + _topo.mesh.localLatency;
+        t = curTick() + kLocalLatency;
     } else {
         std::size_t pair = static_cast<std::size_t>(src) * numNodes() +
                            static_cast<std::size_t>(dst);
@@ -249,7 +249,7 @@ Cycles
 Mesh::uncontendedLatency(NodeId src, NodeId dst, unsigned flits) const
 {
     if (src == dst)
-        return _topo.mesh.localLatency;
+        return kLocalLatency;
     std::size_t pair = static_cast<std::size_t>(src) * numNodes() +
                        static_cast<std::size_t>(dst);
     Cycles total = 0;

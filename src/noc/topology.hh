@@ -21,6 +21,10 @@
 namespace nosync
 {
 
+/** Latency (cycles) of a message a node sends to itself: its own
+ *  L2 slice, with no link crossed. */
+constexpr Cycles kLocalLatency = 1;
+
 /** Timing/size parameters of one device's mesh. */
 struct MeshParams
 {
@@ -28,8 +32,6 @@ struct MeshParams
     unsigned height = 4;
     /** Per-hop router+link pipeline latency (cycles). */
     Cycles hopLatency = 3;
-    /** Latency for a node talking to its own local slice. */
-    Cycles localLatency = 1;
 };
 
 /**

@@ -27,17 +27,5 @@ fatalImpl(const char *file, int line, const std::string &msg)
     std::exit(1);
 }
 
-void
-warnImpl(const std::string &msg)
-{
-    std::fprintf(stderr, "warn: %s\n", msg.c_str());
-}
-
-void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
 } // namespace logging_detail
 } // namespace nosync

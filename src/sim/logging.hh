@@ -1,13 +1,11 @@
 /**
  * @file
- * Error / warning / trace helpers in the spirit of gem5's base/logging.
+ * Error helpers in the spirit of gem5's base/logging.
  *
  * panic()  - internal simulator invariant violated (a simulator bug);
  *            aborts so a debugger or core dump can inspect the state.
  * fatal()  - the simulation cannot continue due to a user error (bad
  *            configuration, invalid arguments); exits with code 1.
- * warn()   - something is questionable but the simulation continues.
- * inform() - plain status output.
  */
 
 #ifndef SIM_LOGGING_HH
@@ -38,8 +36,6 @@ format(Args &&...args)
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-void warnImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 
 } // namespace logging_detail
 
@@ -50,14 +46,6 @@ void informImpl(const std::string &msg);
 #define fatal(...)                                                        \
     ::nosync::logging_detail::fatalImpl(                                  \
         __FILE__, __LINE__, ::nosync::logging_detail::format(__VA_ARGS__))
-
-#define warn(...)                                                         \
-    ::nosync::logging_detail::warnImpl(                                   \
-        ::nosync::logging_detail::format(__VA_ARGS__))
-
-#define inform(...)                                                       \
-    ::nosync::logging_detail::informImpl(                                 \
-        ::nosync::logging_detail::format(__VA_ARGS__))
 
 /** panic() unless @p cond holds. */
 #define panic_if(cond, ...)                                               \

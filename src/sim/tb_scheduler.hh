@@ -37,20 +37,6 @@ enum class TbOpKind : std::uint8_t
     AtomicRmw,   ///< synchronization read-modify-write
 };
 
-/** Short human name of a TbOpKind. */
-inline const char *
-tbOpKindName(TbOpKind kind)
-{
-    switch (kind) {
-      case TbOpKind::Load: return "load";
-      case TbOpKind::Store: return "store";
-      case TbOpKind::AtomicLoad: return "atomic-load";
-      case TbOpKind::AtomicStore: return "atomic-store";
-      case TbOpKind::AtomicRmw: return "atomic-rmw";
-    }
-    return "?";
-}
-
 /** Identity and footprint of one ready-to-issue operation. */
 struct TbOp
 {

@@ -3,9 +3,6 @@
  * Streaming and n-body style applications: NN and LavaMD.
  */
 
-#include <sstream>
-
-#include "sim/logging.hh"
 #include "workloads/apps.hh"
 
 namespace nosync
@@ -87,18 +84,7 @@ Nn::tbMain(TbContext &ctx)
 std::vector<std::string>
 Nn::check(WorkloadEnv &env)
 {
-    std::vector<std::string> failures;
-    for (unsigned tb = 0; tb < _tbs; ++tb) {
-        std::uint32_t got = env.debugRead(
-            _results + static_cast<Addr>(tb) * kWordBytes);
-        if (got != _expect[tb]) {
-            std::ostringstream os;
-            os << "NN: TB " << tb << " result " << got
-               << ", expected " << _expect[tb];
-            failures.push_back(os.str());
-        }
-    }
-    return failures;
+    return compareArray(env, "NN", _results, _expect);
 }
 
 // ---------------------------------------------------------------------
@@ -215,21 +201,9 @@ LavaMd::tbMain(TbContext &ctx)
 std::vector<std::string>
 LavaMd::check(WorkloadEnv &env)
 {
-    std::vector<std::string> failures;
-    unsigned words = _numBoxes * _particles * 4;
-    for (unsigned i = 0; i < words; ++i) {
-        std::uint32_t got = env.debugRead(
-            _force + static_cast<Addr>(i) * kWordBytes);
-        if (got != _expect[i]) {
-            std::ostringstream os;
-            os << "LAVA: force word " << i << " = " << got
-               << ", expected " << _expect[i];
-            failures.push_back(os.str());
-            if (failures.size() > 8)
-                break;
-        }
-    }
-    return failures;
+    // One expected word per force word (init), so the whole force
+    // array is compared.
+    return compareArray(env, "LAVA", _force, _expect);
 }
 
 } // namespace nosync

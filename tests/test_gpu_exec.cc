@@ -232,11 +232,9 @@ TEST(GpuExec, KernelLaunchLatencyDelaysStart)
         self.seen[0] = static_cast<std::uint32_t>(ctx.now());
         co_await ctx.wait(1);
     });
-    SystemConfig config;
-    config.execution.kernelLaunchLatency = 777;
-    System system(config);
+    System system(SystemConfig{});
     ASSERT_TRUE(system.run(wl).ok());
-    EXPECT_GE(wl.seen[0], 777u);
+    EXPECT_EQ(wl.seen[0], GpuDevice::kLaunchLatency);
 }
 
 namespace

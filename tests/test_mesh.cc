@@ -48,6 +48,25 @@ TEST_F(MeshFixture, LocalDeliveryHasNoCrossings)
     EXPECT_DOUBLE_EQ(mesh.totalFlitCrossings(), 0.0);
 }
 
+TEST_F(MeshFixture, SelfSendArrivesAfterLocalLatency)
+{
+    // Sent at tick 50 from every node to itself: each arrives exactly
+    // kLocalLatency later, whatever its size, and crosses no link.
+    std::vector<Tick> arrivals;
+    eq.schedule(50, [&] {
+        for (NodeId n = 0; n < 16; ++n) {
+            mesh.send(n, n, 1 + n % 5, TrafficClass::WriteBack,
+                      [&] { arrivals.push_back(eq.now()); });
+        }
+    });
+    eq.run();
+    ASSERT_EQ(arrivals.size(), 16u);
+    for (Tick t : arrivals)
+        EXPECT_EQ(t, 50 + kLocalLatency);
+    EXPECT_EQ(mesh.uncontendedLatency(7, 7, 5), kLocalLatency);
+    EXPECT_DOUBLE_EQ(mesh.totalFlitCrossings(), 0.0);
+}
+
 TEST_F(MeshFixture, FlitCrossingsAreFlitsTimesHops)
 {
     mesh.send(0, 15, 5, TrafficClass::Read, [] {});
@@ -189,7 +208,7 @@ expectRoutesMatchCoordinates(const MachineTopology &topo)
             Cycles latency;
             if (src == dst) {
                 hops = 0;
-                latency = topo.mesh.localLatency;
+                latency = kLocalLatency;
             } else if (sd == dd) {
                 hops = leg(sl, dl);
                 latency = hops * mesh_link;

@@ -154,21 +154,29 @@ TEST(ProtocolConfig, DrfIgnoresScopeAnnotations)
 
 TEST(EnergyModel, ComponentsAccumulate)
 {
+    using E = EnergyModel;
     stats::StatSet stats;
-    EnergyParams params;
-    EnergyModel energy(stats, params);
+    EnergyModel energy(stats);
     energy.l1Access(2);
+    energy.l1TagAccess(3);
     energy.l2Access();
+    energy.scratchAccess(4);
+    energy.atomicAlu(5);
+    energy.coreActiveCycles(6);
     energy.flitCrossings(10);
     EXPECT_DOUBLE_EQ(energy.component(EnergyComponent::L1D),
-                     2 * params.l1Access);
+                     2 * E::kL1AccessPj + 3 * E::kL1TagAccessPj);
     EXPECT_DOUBLE_EQ(energy.component(EnergyComponent::L2),
-                     params.l2Access);
+                     E::kL2AccessPj);
+    EXPECT_DOUBLE_EQ(energy.component(EnergyComponent::Scratch),
+                     4 * E::kScratchAccessPj);
+    EXPECT_DOUBLE_EQ(energy.component(EnergyComponent::GpuCore),
+                     5 * E::kAtomicAluOpPj + 6 * E::kCoreActiveCyclePj);
     EXPECT_DOUBLE_EQ(energy.component(EnergyComponent::Network),
-                     10 * params.flitHop);
-    EXPECT_DOUBLE_EQ(energy.total(), 2 * params.l1Access +
-                                         params.l2Access +
-                                         10 * params.flitHop);
+                     10 * E::kFlitHopPj);
+    // The documented values (DESIGN.md section 3): 90 + 150 + 60 +
+    // 130 + 250 pJ.
+    EXPECT_DOUBLE_EQ(energy.total(), 680.0);
 }
 
 TEST(Features, Table2ShapesMatchPaper)

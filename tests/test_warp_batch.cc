@@ -144,7 +144,7 @@ TEST_P(WarpAccess, AllHitBatchIsOneEvent)
     Tick stored = 0;
     unsigned finished = 0;
     Tick issued = eq.now();
-    Cycles hit = sys.config().timings.l1Hit;
+    Cycles hit = kL1HitLatency;
     const L1Stats &stats = sys.l1(0).l1Stats();
     double hits_before = stats.loadHits->value();
     auto body = [](TbContext &ctx, const std::vector<Addr> &a,
