@@ -17,7 +17,7 @@ DenovoL1Cache::DenovoL1Cache(const std::string &name, EventQueue &eq,
                              const CacheGeometry &geom,
                              trace::TraceSink *trace)
     : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
-                   _unackedTable, trace),
+                   trace),
       _banks(std::move(banks)), _regions(regions),
       _mshr(geom.l1MshrEntries),
       _remoteReadsServed(

@@ -305,8 +305,6 @@ class DenovoL1Cache final : public L1Controller
     std::vector<DenovoL1Cache *> _peers;
     const RegionMap &_regions;
     MshrTable<LineEntry> _mshr;
-    /** The shell's unacked writes (L1Controller::_unacked). */
-    UnackedTable _unackedTable;
 
     /** A satisfied load: its value and callback (read batches). */
     using ReadyLoad = std::pair<std::uint32_t, ValueCallback>;

@@ -13,7 +13,7 @@ GpuL1Cache::GpuL1Cache(const std::string &name, EventQueue &eq,
                        const CacheGeometry &geom,
                        trace::TraceSink *trace)
     : L1Controller(name, eq, stats, energy, mesh, node, config, geom,
-                   _unackedTable, trace),
+                   trace),
       _banks(std::move(banks)), _mshr(geom.l1MshrEntries)
 {
     panic_if(_config.protocol() != CoherenceProtocol::Gpu,

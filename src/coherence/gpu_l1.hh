@@ -111,8 +111,6 @@ class GpuL1Cache final : public L1Controller
 
     std::vector<GpuL2Bank *> _banks;
     MshrTable<ReadEntry> _mshr;
-    /** The shell's unacked writes (L1Controller::_unacked). */
-    UnackedTable _unackedTable;
 
     /** Whether a word's freshest copy is the SB or an unacked
      *  writethrough. */

@@ -14,11 +14,10 @@ L1Controller::L1Controller(const std::string &name, EventQueue &eq,
                            Mesh &mesh, NodeId node,
                            const ProtocolConfig &config,
                            const CacheGeometry &geom,
-                           UnackedTable &unacked, trace::TraceSink *trace)
+                           trace::TraceSink *trace)
     : SimObject(name, eq), _node(node), _config(config),
       _energy(energy), _stats(stats, name), _trace(trace), _mesh(mesh),
-      _array(geom.l1Bytes, geom.l1Assoc), _sb(geom.storeBufferEntries),
-      _unacked(unacked)
+      _array(geom.l1Bytes, geom.l1Assoc), _sb(geom.storeBufferEntries)
 {}
 
 // ---------------------------------------------------------------------

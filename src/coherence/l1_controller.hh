@@ -166,31 +166,11 @@ struct L1Stats
  */
 class L1Controller : public SimObject
 {
-  protected:
-    /**
-     * Words of one line sent home and not yet acked: each word's
-     * newest value and how many unacked writes carry it. Until the
-     * last one is acked the word stays readable: a load must see its
-     * own CU's drained or evicted store, a fill must not install the
-     * bank's older copy over it (GPU), and a forward racing a
-     * writeback is still answered (DeNovo).
-     */
-    struct UnackedLine
-    {
-        /** Words with at least one write in flight. */
-        WordMask words = 0;
-        LineData value{};
-        std::array<std::uint32_t, kWordsPerLine> count{};
-    };
-    using UnackedTable = LineTable<UnackedLine>;
-
   public:
-    /** @p unacked holds the words sent home and not yet acked; the
-     *  protocol object owns it (see _unacked). */
     L1Controller(const std::string &name, EventQueue &eq,
                  stats::StatSet &stats, EnergyModel &energy, Mesh &mesh,
                  NodeId node, const ProtocolConfig &config,
-                 const CacheGeometry &geom, UnackedTable &unacked,
+                 const CacheGeometry &geom,
                  trace::TraceSink *trace = nullptr);
 
     NodeId node() const { return _node; }
@@ -412,17 +392,6 @@ class L1Controller : public SimObject
     /** Current acquire epoch (lazy self-invalidation). */
     std::uint64_t _curEpoch = 0;
 
-    /**
-     * The words sent home and not yet acked (writeHome). Only the
-     * shell reads and writes it, but the protocol object holds it,
-     * built after its MSHR table and destroyed before it: built ahead
-     * of the MSHR, it moves glibc's heap layout, and perfbench System
-     * builds fault ~25 fresh pages each (DESIGN.md §10, "Heap
-     * layout"). This reference also keeps both L1s at their measured
-     * size, in their glibc size class.
-     */
-    UnackedTable &_unacked;
-
   private:
     /**
      * Retire a store now if it needs no wait (in place, or into the
@@ -458,6 +427,24 @@ class L1Controller : public SimObject
     };
     std::deque<StalledStore> _stalledStores;
     bool _overflowDrainActive = false;
+
+    /**
+     * Words of one line sent home and not yet acked: each word's
+     * newest value and how many unacked writes carry it. Until the
+     * last one is acked the word stays readable: a load must see its
+     * own CU's drained or evicted store, a fill must not install the
+     * bank's older copy over it (GPU), and a forward racing a
+     * writeback is still answered (DeNovo).
+     */
+    struct UnackedLine
+    {
+        /** Words with at least one write in flight. */
+        WordMask words = 0;
+        LineData value{};
+        std::array<std::uint32_t, kWordsPerLine> count{};
+    };
+    /** The words sent home and not yet acked (writeHome). */
+    LineTable<UnackedLine> _unacked;
 };
 
 } // namespace nosync

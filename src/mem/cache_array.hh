@@ -14,11 +14,13 @@
 #ifndef MEM_CACHE_ARRAY_HH
 #define MEM_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <limits>
 #include <memory>
+#include <new>
+#include <type_traits>
 #include <vector>
 
 #include "mem/functional_mem.hh"
@@ -104,18 +106,19 @@ struct CacheLine
  * for a victim, performs any writeback/recall protocol work, then
  * installs the new line.
  *
- * Sets materialize on first use. One uninitialized block holds a
- * per-set slot table and then the frames, which are handed out in
- * first-use order: the k-th set to materialize takes frames
- * [k * assoc, (k + 1) * assoc), and its slot records k + 1 (0 while the
- * set is dead). Victim selection (the only way to a frame that install
- * accepts) gives a dead set the next run of frames, clears them and
- * sets the set's live bit. lookup reads the slot and forEachValid walks
- * the live bits, so neither reads a dead set's frames. A dead set holds
+ * Sets materialize on first use, and only a live set has frames. Each
+ * set has a frame pointer, nullptr while the set is dead. Victim
+ * selection (the only way to a frame that install accepts) gives a
+ * dead set the next assoc frames of the newest chunk, clears them and
+ * sets the set's live bit. When a chunk is full the array allocates a
+ * new one with room for as many sets as are live already (one at
+ * first), so a run's frames take at most twice what its live sets
+ * need. Chunks never move and are freed with the array, so a frame
+ * pointer stays valid. lookup reads the set's pointer and forEachValid
+ * walks the live bits, so neither reads a dead set. A dead set holds
  * no valid frame and a fresh set's first victim is way 0, so every
  * result is the one an eagerly cleared array would give, while a run
- * pays only for the sets it touches, and their frames sit in one dense
- * prefix of the block.
+ * pays only for the sets it touches.
  */
 class CacheArray
 {
@@ -125,28 +128,27 @@ class CacheArray
      * @param assoc ways per set
      */
     CacheArray(std::size_t size_bytes, unsigned assoc)
-        : _assoc(assoc), _numSets(size_bytes / kLineBytes / assoc),
-          _live((_numSets + 63) / 64, 0)
+        : _assoc(assoc),
+          _numSets(static_cast<unsigned>(size_bytes / kLineBytes / assoc)),
+          _live((_numSets + 63) / 64, 0),
+          _sets(std::make_unique<CacheLine *[]>(_numSets))
     {
         panic_if(_numSets == 0, "cache too small: ", size_bytes, " B / ",
                  assoc, "-way");
         panic_if((_numSets & (_numSets - 1)) != 0,
                  "number of sets must be a power of two, got ",
                  _numSets);
-        panic_if(_numSets > std::numeric_limits<std::uint16_t>::max(),
-                 "too many sets for a 16-bit slot: ", _numSets);
-        auto *block = static_cast<std::byte *>(::operator new(
-            slotBytes() + _numSets * assoc * sizeof(CacheLine)));
-        _lines = reinterpret_cast<CacheLine *>(block + slotBytes());
-        std::uninitialized_fill_n(slots(), _numSets, std::uint16_t{0});
     }
 
     ~CacheArray()
     {
-        // The slots and CacheLine are trivially destructible: releasing
-        // the block ends the lifetime of every materialized frame.
-        ::operator delete(reinterpret_cast<std::byte *>(_lines) -
-                          slotBytes());
+        // CacheLine is trivially destructible: releasing a chunk ends
+        // the lifetime of every frame in it.
+        while (_chunks != nullptr) {
+            Chunk *older = _chunks->older;
+            ::operator delete(_chunks);
+            _chunks = older;
+        }
     }
 
     CacheArray(const CacheArray &) = delete;
@@ -163,10 +165,9 @@ class CacheArray
     lookup(Addr line_addr)
     {
         line_addr = lineAlign(line_addr);
-        std::uint16_t slot = slots()[setOf(line_addr)];
-        if (slot == 0)
+        CacheLine *frames = _sets[setOf(line_addr)];
+        if (frames == nullptr)
             return nullptr;
-        CacheLine *frames = framesOf(slot);
         for (unsigned way = 0; way < _assoc; ++way) {
             if (frames[way].valid && frames[way].addr == line_addr)
                 return &frames[way];
@@ -256,7 +257,7 @@ class CacheArray
                 std::size_t set =
                     word * 64 +
                     static_cast<std::size_t>(std::countr_zero(bits));
-                CacheLine *frames = framesOf(slots()[set]);
+                CacheLine *frames = _sets[set];
                 for (unsigned way = 0; way < _assoc; ++way) {
                     if (frames[way].valid)
                         fn(frames[way]);
@@ -274,35 +275,19 @@ class CacheArray
     }
 
   private:
+    /** Header of a chunk of frames; the frames follow it. */
+    struct Chunk
+    {
+        /** The chunk allocated before this one, or nullptr. */
+        Chunk *older;
+    };
+    static_assert(sizeof(Chunk) % alignof(CacheLine) == 0);
+    static_assert(std::is_trivially_destructible_v<CacheLine>);
+
     std::size_t
     setOf(Addr line_addr) const
     {
         return (line_addr / kLineBytes) & (_numSets - 1);
-    }
-
-    /** Bytes in front of the frames: the slot table, padded at its
-     *  front so that the frames are aligned. */
-    std::size_t
-    slotBytes() const
-    {
-        constexpr std::size_t align = alignof(CacheLine);
-        return (_numSets * sizeof(std::uint16_t) + align - 1) / align *
-               align;
-    }
-
-    /** Per set: 1 + its rank in first-use order, 0 while dead. The
-     *  table ends where the frames begin. */
-    std::uint16_t *
-    slots() const
-    {
-        return reinterpret_cast<std::uint16_t *>(_lines) - _numSets;
-    }
-
-    /** The frames of the set whose (nonzero) slot is @p slot. */
-    CacheLine *
-    framesOf(std::uint16_t slot) const
-    {
-        return &_lines[(std::size_t{slot} - 1) * _assoc];
     }
 
     /** The frames of @p line_addr's set, taken and cleared on first
@@ -311,27 +296,52 @@ class CacheArray
     liveSet(Addr line_addr)
     {
         std::size_t set = setOf(line_addr);
-        std::uint16_t &slot = slots()[set];
-        if (slot != 0)
-            return framesOf(slot);
-        slot = static_cast<std::uint16_t>(++_liveSets);
+        CacheLine *&frames = _sets[set];
+        if (frames != nullptr)
+            return frames;
+        frames = takeFrames();
+        ++_liveSets;
         _live[set / 64] |= std::uint64_t{1} << (set % 64);
-        CacheLine *frames = framesOf(slot);
         for (unsigned way = 0; way < _assoc; ++way)
             std::construct_at(&frames[way])->clear();
         return frames;
     }
 
+    /**
+     * The next set's worth of unconstructed frames. Chunks start at
+     * live-set counts 0, 1, 2, 4, 8, ..., each with room for
+     * max(1, live) sets, so the newest chunk is full exactly when the
+     * count is 0 or a power of two.
+     */
+    CacheLine *
+    takeFrames()
+    {
+        std::size_t rank = _liveSets;
+        if ((rank & (rank - 1)) == 0) {
+            std::size_t sets = std::max<std::size_t>(rank, 1);
+            void *raw = ::operator new(sizeof(Chunk) +
+                                       sets * _assoc * sizeof(CacheLine));
+            _chunks = ::new (raw) Chunk{_chunks};
+            return firstFrame(_chunks);
+        }
+        return firstFrame(_chunks) + (rank - std::bit_floor(rank)) * _assoc;
+    }
+
+    static CacheLine *
+    firstFrame(Chunk *chunk)
+    {
+        return reinterpret_cast<CacheLine *>(chunk + 1);
+    }
+
     unsigned _assoc;
-    std::size_t _numSets;
-    /** One bit per set, set with its slot: forEachValid walks these
-     *  words rather than a slot per set. Replacing it with a separate
-     *  slot table moved glibc's heap layout so that every 4x4 System
-     *  build faulted in ~20 fresh pages (DESIGN.md section 10). */
+    unsigned _numSets;
+    /** One bit per set, set when its frames are taken: forEachValid
+     *  walks these words rather than a pointer per set. */
     std::vector<std::uint64_t> _live;
-    /** _numSets * _assoc frames after the slot table; the first
-     *  _liveSets * _assoc are constructed. */
-    CacheLine *_lines;
+    /** Per set: its assoc frames, nullptr while it is dead. */
+    std::unique_ptr<CacheLine *[]> _sets;
+    /** The newest chunk, linked to the older ones. */
+    Chunk *_chunks = nullptr;
     /** Sets materialized so far. */
     std::size_t _liveSets = 0;
     std::uint64_t _lruCounter = 0;

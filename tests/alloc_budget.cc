@@ -6,9 +6,9 @@
  * and one no-sync app under DD) with a counting global operator new,
  * prints each cell's exact run-phase allocation and event counts, and
  * fails if a cell makes more allocations per event than its budget.
- * It also counts the allocations made by constructing (and tearing
- * down) a 4x4 and a 12x12 DD System, and fails if a build makes more
- * than its exact budget.
+ * It also counts the allocations and bytes made by constructing (and
+ * tearing down) a 4x4 and a 12x12 DD System, and fails if a build
+ * makes or asks for more than its exact budget.
  * The simulator is deterministic, so the counts only move when the
  * code does: a change that puts a std::function, a node container or
  * an over-sized closure back on the access path shows up here as a
@@ -36,12 +36,15 @@ namespace
 
 bool gCounting = false;
 std::uint64_t gAllocs = 0;
+std::uint64_t gBytes = 0;
 
 void *
 countedAlloc(std::size_t size)
 {
-    if (gCounting)
+    if (gCounting) {
         ++gAllocs;
+        gBytes += size;
+    }
     void *ptr = std::malloc(size == 0 ? 1 : size);
     if (ptr == nullptr)
         throw std::bad_alloc();
@@ -63,6 +66,8 @@ struct Build
     unsigned dim;
     /** Allocations construction and destruction may make. */
     std::uint64_t budget;
+    /** Bytes those allocations may ask for. */
+    std::uint64_t byteBudget;
 };
 
 } // namespace
@@ -130,10 +135,13 @@ main()
     // array, and components joined their stat names in that array's
     // text buffer (DESIGN.md sections 10 and 11), down from 3216 and
     // 30951. No headroom: a build allocates the same on every run, so
-    // one more allocation per controller is a set-up regression.
+    // one more allocation per controller is a set-up regression. The
+    // byte budgets are the exact sizes once caches allocated frames
+    // only for live sets (DESIGN.md section 10), down from 10761404
+    // and 98655407: a cache that reserves its frames at build fails.
     const Build builds[] = {
-        {4, 453},
-        {12, 4136},
+        {4, 453, 248516},
+        {12, 4136, 3452599},
     };
     for (const Build &build : builds) {
         nosync::SystemConfig config;
@@ -143,16 +151,21 @@ main()
         config.topology.cusPerDevice = build.dim * build.dim - 1;
 
         std::uint64_t before = gAllocs;
+        std::uint64_t bytes_before = gBytes;
         gCounting = true;
         { nosync::System system(config); }
         gCounting = false;
         std::uint64_t allocs = gAllocs - before;
+        std::uint64_t bytes = gBytes - bytes_before;
 
-        bool within = allocs <= build.budget;
-        std::printf("build  %ux%u DD allocs=%llu budget=%llu %s\n",
+        bool within = allocs <= build.budget && bytes <= build.byteBudget;
+        std::printf("build  %ux%u DD allocs=%llu budget=%llu "
+                    "bytes=%llu budget=%llu %s\n",
                     build.dim, build.dim,
                     static_cast<unsigned long long>(allocs),
                     static_cast<unsigned long long>(build.budget),
+                    static_cast<unsigned long long>(bytes),
+                    static_cast<unsigned long long>(build.byteBudget),
                     within ? "ok" : "OVER BUDGET");
         ok = ok && within;
     }

@@ -107,13 +107,6 @@ TEST(CacheArrayDeathTest, NonPowerOfTwoSetsPanics)
     EXPECT_DEATH(CacheArray(3 * 64, 1), "power of two");
 }
 
-TEST(CacheArrayDeathTest, MoreSetsThanASlotHoldsPanics)
-{
-    // 65536 sets: one more than a 16-bit slot can number from 1.
-    EXPECT_DEATH(CacheArray(std::size_t{65536} * kLineBytes, 1),
-                 "16-bit slot");
-}
-
 TEST(CacheArray, LookupLeavesUntouchedSetDead)
 {
     // 1024 B, 2-way -> 8 sets; 0x0000 and 0x1000 map to set 0, 0x0040
@@ -150,41 +143,53 @@ TEST(CacheArray, FreshSetVictimIsWayZero)
     EXPECT_EQ(order, (std::vector<const CacheLine *>{first, second}));
 }
 
-TEST(CacheArray, SetsPackInFirstUseOrder)
+TEST(CacheArray, FramesKeepAddressesAcrossChunks)
 {
-    // 1024 B, 2-way -> 8 sets. Materialize them from set 7 down to
-    // set 0: the k-th set to be a victim's set takes the k-th run of
-    // two frames, whatever its index.
-    CacheArray array(1024, 2);
-    std::vector<CacheLine *> first_way;
-    for (std::size_t set = 8; set-- > 0;) {
-        Addr addr = set * kLineBytes;
-        CacheLine *victim = array.findVictim(addr);
-        array.install(*victim, addr);
-        first_way.push_back(victim);
-        EXPECT_EQ(array.liveSets(), first_way.size());
-    }
-    for (std::size_t k = 0; k < first_way.size(); ++k)
-        EXPECT_EQ(first_way[k], first_way[0] + 2 * k) << "set rank " << k;
+    // Materialize every set, from the highest index down, so that the
+    // later sets take frames from chunk after chunk. Every frame handed
+    // out earlier must keep its address and contents throughout.
+    for (auto [size_bytes, assoc] :
+         {std::pair<std::size_t, unsigned>{1024, 2},      // 8 sets
+          std::pair<std::size_t, unsigned>{256 * 1024, 16}}) {
+        SCOPED_TRACE(std::to_string(size_bytes) + " B");
+        CacheArray array(size_bytes, assoc);
+        const std::size_t num_sets = array.numSets();
+        std::vector<CacheLine *> first_way(num_sets);
+        for (std::size_t set = num_sets; set-- > 0;) {
+            Addr addr = set * kLineBytes;
+            CacheLine *victim = array.findVictim(addr);
+            array.install(*victim, addr);
+            victim->data[0] = static_cast<std::uint32_t>(set);
+            first_way[set] = victim;
+            ASSERT_EQ(array.liveSets(), num_sets - set);
+            for (std::size_t older = set; older < num_sets; ++older) {
+                ASSERT_EQ(array.lookup(older * kLineBytes),
+                          first_way[older])
+                    << "set " << older << " after set " << set;
+                ASSERT_EQ(first_way[older]->data[0], older);
+            }
+        }
 
-    // A second line in each set takes that set's way 1.
-    for (std::size_t set = 0; set < 8; ++set) {
-        Addr addr = (8 + set) * kLineBytes;
-        CacheLine *victim = array.findVictim(addr);
-        EXPECT_EQ(victim, first_way[7 - set] + 1) << "set " << set;
-        array.install(*victim, addr);
-    }
-    EXPECT_EQ(array.liveSets(), 8u);
+        // A second line in each set takes the way after its first.
+        for (std::size_t set = 0; set < num_sets; ++set) {
+            Addr addr = (num_sets + set) * kLineBytes;
+            CacheLine *victim = array.findVictim(addr);
+            EXPECT_EQ(victim, first_way[set] + 1) << "set " << set;
+            array.install(*victim, addr);
+        }
+        EXPECT_EQ(array.liveSets(), num_sets);
 
-    // forEachValid still walks ascending set order, then way order.
-    std::vector<Addr> visited;
-    array.forEachValid([&](CacheLine &line) { visited.push_back(line.addr); });
-    std::vector<Addr> want;
-    for (std::size_t set = 0; set < 8; ++set) {
-        want.push_back(set * kLineBytes);
-        want.push_back((8 + set) * kLineBytes);
+        // forEachValid walks ascending set order, then way order.
+        std::vector<Addr> visited;
+        array.forEachValid(
+            [&](CacheLine &line) { visited.push_back(line.addr); });
+        std::vector<Addr> want;
+        for (std::size_t set = 0; set < num_sets; ++set) {
+            want.push_back(set * kLineBytes);
+            want.push_back((num_sets + set) * kLineBytes);
+        }
+        EXPECT_EQ(visited, want);
     }
-    EXPECT_EQ(visited, want);
 }
 
 TEST(CacheArray, ConstLookupSeesSameFrames)
@@ -328,25 +333,24 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
         auto set_of = [&](Addr addr) {
             return (lineAlign(addr) / kLineBytes) & (num_sets - 1);
         };
-        // Set 0 is the first to materialize, so its first victim is
-        // the first frame of the allocation.
-        CacheLine *base = lazy.findVictim(0);
-        ASSERT_EQ(dense.findVictim(0, noRegisteredWords), 0u);
-        // Each materialized set's rank in first-use order.
-        std::map<std::size_t, std::size_t> rank{{0, 0}};
+        // Each materialized set's way-0 frame: a fresh set's first
+        // victim.
+        std::map<std::size_t, CacheLine *> way0;
 
         // Name a lazy frame of @p addr's set by its dense index,
-        // set * assoc + way, after checking that the frame lies in
-        // the run its set took when it materialized.
+        // set * assoc + way, after checking that the frame is one of
+        // its set's assoc frames.
         auto index = [&](const CacheLine *line, Addr addr) {
             if (line == nullptr)
                 return kNone;
-            auto at = static_cast<std::size_t>(line - base);
-            auto it = rank.find(set_of(addr));
-            EXPECT_TRUE(it != rank.end() && at / assoc == it->second)
-                << "frame " << at << " outside set " << set_of(addr)
-                << "'s run";
-            return set_of(addr) * assoc + at % assoc;
+            auto it = way0.find(set_of(addr));
+            if (it == way0.end()) {
+                ADD_FAILURE() << "frame in dead set " << set_of(addr);
+                return kNone;
+            }
+            auto way = static_cast<std::size_t>(line - it->second);
+            EXPECT_LT(way, assoc) << "frame outside set " << set_of(addr);
+            return set_of(addr) * assoc + way;
         };
         Rng rng(seed);
         // A pool of lines four times the capacity, so sets conflict
@@ -369,12 +373,12 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
               }
               case 2:
               case 3: {
-                rank.emplace(set_of(addr), rank.size());
                 bool prefer = rng.below(2) == 0;
                 CacheLine *victim =
                     prefer ? lazy.findVictimPreferring(addr,
                                                        noRegisteredWords)
                            : lazy.findVictim(addr);
+                way0.emplace(set_of(addr), victim);
                 std::size_t want = dense.findVictim(
                     addr, [&](const CacheLine &line) {
                         return !prefer || noRegisteredWords(line);
@@ -416,7 +420,7 @@ TEST_P(CacheArrayDifferential, MatchesEagerReference)
             ASSERT_EQ(got, dense.validFrames()) << "after step " << step;
         }
         // Only victim selection materializes a set.
-        EXPECT_EQ(lazy.liveSets(), rank.size());
+        EXPECT_EQ(lazy.liveSets(), way0.size());
     }
 }
 
